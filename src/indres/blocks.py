@@ -15,7 +15,7 @@ from math import gcd
 import sympy
 
 from .chartab import IntegrityError
-from .groupcore import PermGroup, centralizer, sylow_subgroup, v_p
+from .groupcore import centralizer, sylow_subgroup, v_p
 
 
 # -- finite fields -----------------------------------------------------------
@@ -323,9 +323,6 @@ def block_partition(table, p, alternative=0, reduction=None):
     return out
 
 
-_DEFECT_CACHE = {}
-
-
 def defect_group(table, block, p):
     """A defect group of the block, up to conjugacy.
 
@@ -334,10 +331,9 @@ def defect_group(table, block, p):
     that centralizer is a defect group, and its order is asserted to be
     p^defect.
     """
-    key = (id(table), block.index, p)
-    hit = _DEFECT_CACHE.get(key)
-    if hit is not None and hit[0] is table:
-        return hit[1]
+    key = ("defect", block.index, p)
+    if key in table._cache:
+        return table._cache[key]
     G = table.group
     if G is None:
         raise ValueError("defect groups need the table's group attached")
@@ -355,7 +351,7 @@ def defect_group(table, block, p):
     assert D.order() == p**block.defect, (
         f"defect group order {D.order()} != p^{block.defect}"
     )
-    _DEFECT_CACHE[key] = (table, D)
+    table._cache[key] = D
     return D
 
 

@@ -9,21 +9,19 @@ returned, so a table object in hand is always internally consistent.
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from math import isqrt, lcm
 
 import numpy as np
 import sympy
 
-from .groupcore import ConjClassData, Permutation, class_of_power, conjugacy_classes
-
-_REDUCTION_CACHE = {}
+from .groupcore import ConjClassData, class_of_power, conjugacy_classes
 
 
+@cache
 def _phi_reduction(m):
     """Degree d = phi(m) and reduction rows for x^e (d <= e < m) mod Phi_m."""
-    if m in _REDUCTION_CACHE:
-        return _REDUCTION_CACHE[m]
     x = sympy.symbols("x")
     poly = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
     coeffs = [int(c) for c in poly.all_coeffs()]  # leading first, monic
@@ -41,7 +39,6 @@ def _phi_reduction(m):
                     nxt[i] += lead * tail[i]
             cur = nxt
             rows[e] = tuple(cur)
-    _REDUCTION_CACHE[m] = (d, rows)
     return d, rows
 
 
@@ -215,9 +212,14 @@ class IntegrityError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class CharTable:
-    """Ordinary character table, rows sorted by (degree, canonical value key)."""
+    """Ordinary character table, rows sorted by (degree, canonical value key).
+
+    Tables compare and hash by identity.  `_cache` memoizes data derived
+    from this table (fusions and restriction matrices into a bigger table,
+    keyed by that table; defect groups), so it is freed with the table.
+    """
 
     group_order: int
     exponent: int
@@ -229,6 +231,7 @@ class CharTable:
     _dual: list = field(default=None, repr=False)
     _value_index: dict = field(default=None, repr=False)
     _lookup: object = field(default=None, repr=False)  # element key -> class index
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def k(self):
@@ -300,10 +303,6 @@ def inner_product(table, avalues, bvalues):
     for size, a, b in zip(table.class_sizes(), avalues, bvalues):
         acc = acc + (a.rebase(m) * b.rebase(m).conjugate()) * size
     return acc.exact_div(table.group_order)
-
-
-def dual_character(table, index):
-    return table.dual_map()[index]
 
 
 def _dixon_prime(order, exponent, k):
@@ -569,21 +568,6 @@ def verify_table(table):
         break  # one nontrivial generator-ish check per call is enough here
 
 
-def galois_closed(table):
-    """Full Galois stability over all residues coprime to the exponent."""
-    m = table.exponent
-    keys = {tuple(v.sort_key() for v in row) for row in table.irreducibles}
-    from math import gcd
-
-    for a in range(1, m):
-        if gcd(a, m) != 1:
-            continue
-        for row in table.irreducibles:
-            if tuple(v.galois(a).sort_key() for v in row) not in keys:
-                return False
-    return True
-
-
 def table_to_json(table):
     return {
         "order": str(table.group_order),
@@ -730,4 +714,5 @@ def reconcile_classes(table, group):
     table.group = group
     table._dual = None
     table._value_index = None
+    table._cache.clear()
     return table

@@ -15,7 +15,6 @@ from .chartab import CharTable, Cyclotomic, inner_product
 from .groupcore import (
     ConjClassData,
     Permutation,
-    _conj,
     _from_key,
     _key,
     class_of_power,
@@ -184,20 +183,15 @@ def pointwise_product(a, b):
 
 # -- fusion and the induction/restriction matrix ----------------------------
 
-_FUSION_CACHE = {}
-_RES_CACHE = {}
-
-
 def class_fusion(big, small):
     """For each class of the small table, its class index in the big table.
 
     The small table must carry class representatives that are literally
     elements of the big table's group (same ambient degree).
     """
-    key = (id(big), id(small))
-    hit = _FUSION_CACHE.get(key)
-    if hit is not None and hit[0] is big and hit[1] is small:
-        return hit[2]
+    key = ("fusion", big)
+    if key in small._cache:
+        return small._cache[key]
     fused = []
     for c in small.classes:
         if c.representative is None:
@@ -208,7 +202,7 @@ def class_fusion(big, small):
             raise ValueError(
                 "class representative does not lie in the big group"
             ) from None
-    _FUSION_CACHE[key] = (big, small, fused)
+    small._cache[key] = fused
     return fused
 
 
@@ -219,10 +213,9 @@ def restriction_matrix(big, small):
     Induction and restriction are R and its transpose acting on coefficient
     vectors, which makes Frobenius reciprocity automatic.
     """
-    key = (id(big), id(small))
-    hit = _RES_CACHE.get(key)
-    if hit is not None and hit[0] is big and hit[1] is small:
-        return hit[2]
+    key = ("res", big)
+    if key in small._cache:
+        return small._cache[key]
     fused = class_fusion(big, small)
     M = lcm(big.exponent, small.exponent)
     sizes = small.class_sizes()
@@ -242,7 +235,7 @@ def restriction_matrix(big, small):
                 acc = acc + a * c
             Ri.append(acc.exact_div(order).as_int())
         R.append(Ri)
-    _RES_CACHE[key] = (big, small, R)
+    small._cache[key] = R
     return R
 
 
@@ -358,35 +351,7 @@ def outer_product(chi, theta, prod):
     return VirtualCharacter(prod, coeffs)
 
 
-# -- projections and counts ---------------------------------------------------
-
-def is_normal_in(small_group, big_group):
-    """Generator-wise normality test (conjugates of generators stay inside)."""
-    keys = frozenset(small_group.element_keys())
-    for g in big_group.generators:
-        for x in small_group.generators:
-            if _key(_conj(g.images, x.images)) not in keys:
-                return False
-    return True
-
-
-def pi_phi(chi, phi):
-    """Projection of chi onto the constituents lying over one Irr of a
-    normal subgroup: keeps exactly the rows whose restriction contains phi.
-    """
-    tG, tL = chi.table, phi.table
-    if tG.group is None or tL.group is None:
-        raise ValueError("projection needs both groups attached")
-    signed = phi.signed_irreducible()
-    if signed is None or signed[0] != 1:
-        raise ValueError("phi must be a single irreducible")
-    if not is_normal_in(tL.group, tG.group):
-        raise ValueError("the small group is not normal in the big group")
-    R = restriction_matrix(tG, tL)
-    j = signed[1]
-    coeffs = [c if R[i][j] else 0 for i, c in enumerate(chi.coeffs)]
-    return VirtualCharacter(tG, coeffs)
-
+# -- counts ------------------------------------------------------------------
 
 def p_prime_part(n, p):
     while n % p == 0:

@@ -2,7 +2,9 @@
 
 Subcommands: table, blocks, verify, quotients, paper-table, oracle.
 Exit codes: 0 all requested checks hold, 1 a checked statement is false
-(the report carries a certificate), 2 usage error or budget exceeded.
+(the report carries a certificate), 2 usage error or bad input: the main
+group maps budget, integrity, I/O, value and key errors to one `error:`
+line on stderr for every subcommand.
 
 Groups are named by their catalog key or by a path to a JSON file of the
 form {"format": "perm-group", "degree": n, "order": "<decimal>",
@@ -24,11 +26,10 @@ from .catalog import BUILDERS, build, rows_for_suite
 from .chartab import (IntegrityError, character_table, load_table, save_table,
                       verify_table)
 from .classfun import VirtualCharacter
-from .correspondence import (PROPERTIES, blocks_of, blocks_with_defect_group_P,
-                             build_induced_lattice, check_property,
-                             check_property_G_with_witness, correspondent_of,
-                             full_report, make_instance, pair_table,
-                             quotients_q1_q2, table_for)
+from .correspondence import (PROPERTIES, blocks_of, build_induced_lattice,
+                             check_property, check_property_G_with_witness,
+                             correspondent_of, full_report, make_instance,
+                             pair_table, quotients_q1_q2, table_for)
 from .groupcore import (BudgetExceeded, conjugacy_classes,
                         group_from_generators, normalizer, sylow_subgroup)
 from .lattice import QuotientShape
@@ -48,8 +49,6 @@ class JobSpec:
     table_g: str = None
     table_h: str = None
     witness: str = None
-    output: str = None
-    budget_order: int = None
 
 
 def load_group(spec_group):
@@ -203,15 +202,19 @@ def run_verify(spec):
         prod = pair_table(inst)
         mu = VirtualCharacter(prod, tuple(int(c) for c in wit["coeffs"]))
         b = next(
-            bb
-            for bb in blocks_of(inst, "G")
-            if sorted(bb.char_indices) == sorted(wit["block_chars"])
+            (bb for bb in blocks_of(inst, "G")
+             if sorted(bb.char_indices) == sorted(wit["block_chars"])),
+            None,
         )
+        if b is None:
+            raise ValueError("witness block_chars name no block of G")
         e = next(
-            ee
-            for ee in blocks_of(inst, "H")
-            if sorted(ee.char_indices) == sorted(wit["correspondent_chars"])
+            (ee for ee in blocks_of(inst, "H")
+             if sorted(ee.char_indices) == sorted(wit["correspondent_chars"])),
+            None,
         )
+        if e is None:
+            raise ValueError("witness correspondent_chars name no block of H")
         holds = check_property_G_with_witness(inst, b, e, mu)
         data["verdicts"]["g"] = {
             "holds": holds,
@@ -229,21 +232,9 @@ def _shape_tuple(q):
 
 def evaluate_row(row):
     """Compute (q1, irc, q2, pieces) for one reference table row."""
-    name, p = row["group"], row["p"]
-    G = build(name)
-    if row["mode"] == "sylow":
-        inst = make_instance(G, p, name=name)
-        block_pair = None
-    elif row["mode"].startswith("block:"):
-        token = row["mode"].split(":", 1)[1]
-        tG = table_for(G, name)
-        b = _pick_block(tG, p, token)
-        P = defect_group(tG, b, p)
-        inst = make_instance(G, p, P=P, tG=tG, name=name)
-        e = correspondent_of(inst, b)
-        block_pair = (b, e)
-    else:
-        raise ValueError(f"unknown row mode {row['mode']!r}")
+    inst, block_pair = build_instance(
+        JobSpec(group=row["group"], p=row["p"], subgroup_mode=row["mode"])
+    )
     q1, q2, per_block = quotients_q1_q2(inst)
     if block_pair is not None:
         entry = next(pb for pb in per_block if pb[0] == block_pair[0].index)
@@ -263,7 +254,18 @@ def _fmt_shape(t):
     return str(q)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; every subcommand shares its one error exit."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (BudgetExceeded, IntegrityError, OSError, ValueError, KeyError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact induced-character lattices and correspondence checks."""
 
@@ -274,13 +276,9 @@ def main():
 @click.option("--budget-order", default=None, type=int)
 def cmd_table(group, output, budget_order):
     """Compute and check a character table."""
-    try:
-        G = load_group(group)
-        t = character_table(G, budget_order=budget_order)
-        verify_table(t)
-    except (BudgetExceeded, IntegrityError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    G = load_group(group)
+    t = character_table(G, budget_order=budget_order)
+    verify_table(t)
     if output:
         save_table(t, output)
     click.echo(
@@ -295,13 +293,9 @@ def cmd_table(group, output, budget_order):
 @click.option("-o", "--output", default=None)
 def cmd_blocks(group, prime, output):
     """List the p-blocks with defects and character degrees."""
-    try:
-        G = load_group(group)
-        t = table_for(G, group if group in BUILDERS else None)
-        blks = block_partition(t, prime)
-    except (BudgetExceeded, IntegrityError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    G = load_group(group)
+    t = table_for(G, group if group in BUILDERS else None)
+    blks = block_partition(t, prime)
     data = {
         "group": group,
         "order": t.group_order,
@@ -352,13 +346,8 @@ def cmd_verify(group, prime, props, subgroup_mode, h_mode, table_g, table_h,
         table_g=table_g,
         table_h=table_h,
         witness=witness,
-        output=output,
     )
-    try:
-        code, data = run_verify(spec)
-    except (BudgetExceeded, IntegrityError, OSError, ValueError, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    code, data = run_verify(spec)
     emit(data, output)
     if output:
         for name, v in sorted(data["verdicts"].items()):
@@ -373,13 +362,9 @@ def cmd_verify(group, prime, props, subgroup_mode, h_mode, table_g, table_h,
 @click.option("-o", "--output", default=None)
 def cmd_quotients(group, prime, output):
     """Print the two lattice quotients and their block pieces."""
-    try:
-        G = load_group(group)
-        inst = make_instance(G, prime, name=group if group in BUILDERS else "")
-        q1, q2, per_block = quotients_q1_q2(inst)
-    except (BudgetExceeded, IntegrityError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    G = load_group(group)
+    inst = make_instance(G, prime, name=group if group in BUILDERS else "")
+    q1, q2, per_block = quotients_q1_q2(inst)
     click.echo(f"Q1 = {q1}")
     click.echo(f"Q2 = {q2}")
     for idx, a, b in per_block:
@@ -414,11 +399,7 @@ def cmd_paper_table(suite, output):
     results = []
     bad = 0
     for row in rows:
-        try:
-            q1, irc, q2, pieces = evaluate_row(row)
-        except BudgetExceeded as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+        q1, irc, q2, pieces = evaluate_row(row)
         ok = q1 == row["q1"] and irc == row["irc"] and q2 == row["q2"]
         if row["pieces"] is not None:
             ok = ok and pieces == row["pieces"]
@@ -457,46 +438,42 @@ def cmd_paper_table(suite, output):
 @click.option("--budget-classes", default=5000, show_default=True)
 def cmd_oracle(kind, group, prime, budget_order, budget_classes):
     """Recompute data by brute force and compare with the fast path."""
-    try:
-        G = load_group(group)
-        name = group if group in BUILDERS else ""
-        if kind == "subgroup-lattice":
-            if prime is None:
-                raise ValueError("subgroup-lattice needs -p")
-            inst = make_instance(G, prime, name=name)
-            ok = True
-            for target in ("G", "H"):
-                fast = build_induced_lattice(inst, target)
-                slow = definition_lattice(inst, target, budget_order=budget_order)
-                same = fast.canonical() == slow.canonical()
-                ok = ok and same
-                click.echo(
-                    f"{target}: fast rank {fast.rank}, brute rank {slow.rank}, "
-                    f"HNF {'equal' if same else 'DIFFERENT'}"
-                )
-            sys.exit(0 if ok else 1)
-        if kind == "brute-classes":
-            brute = brute_conjugacy_classes(G, budget_order=budget_classes)
-            own = _class_key_sets(G, conjugacy_classes(G))
-            mine = sorted(frozenset(cl) for cl in brute)
-            theirs = sorted(frozenset(cl) for cl in own)
-            same = mine == theirs
+    G = load_group(group)
+    name = group if group in BUILDERS else ""
+    if kind == "subgroup-lattice":
+        if prime is None:
+            raise ValueError("subgroup-lattice needs -p")
+        inst = make_instance(G, prime, name=name)
+        ok = True
+        for target in ("G", "H"):
+            fast = build_induced_lattice(inst, target)
+            slow = definition_lattice(inst, target, budget_order=budget_order)
+            same = fast.canonical() == slow.canonical()
+            ok = ok and same
             click.echo(
-                f"{len(brute)} classes, sizes {sorted(len(c) for c in brute)}, "
-                f"{'match' if same else 'MISMATCH'}"
+                f"{target}: fast rank {fast.rank}, brute rank {slow.rank}, "
+                f"HNF {'equal' if same else 'DIFFERENT'}"
             )
-            sys.exit(0 if same else 1)
-        if kind == "brute-table":
-            t = table_for(G, name or None)
-            same = compare_with_table(G, t, budget_order=budget_order)
-            click.echo(
-                f"{t.k} irreducibles, degrees {sorted(t.degrees)}, "
-                f"{'match' if same else 'MISMATCH'}"
-            )
-            sys.exit(0 if same else 1)
-    except (BudgetExceeded, IntegrityError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        sys.exit(0 if ok else 1)
+    if kind == "brute-classes":
+        brute = brute_conjugacy_classes(G, budget_order=budget_classes)
+        own = _class_key_sets(G, conjugacy_classes(G))
+        mine = sorted(frozenset(cl) for cl in brute)
+        theirs = sorted(frozenset(cl) for cl in own)
+        same = mine == theirs
+        click.echo(
+            f"{len(brute)} classes, sizes {sorted(len(c) for c in brute)}, "
+            f"{'match' if same else 'MISMATCH'}"
+        )
+        sys.exit(0 if same else 1)
+    if kind == "brute-table":
+        t = table_for(G, name or None)
+        same = compare_with_table(G, t, budget_order=budget_order)
+        click.echo(
+            f"{t.k} irreducibles, degrees {sorted(t.degrees)}, "
+            f"{'match' if same else 'MISMATCH'}"
+        )
+        sys.exit(0 if same else 1)
 
 
 def _class_key_sets(G, classes):

@@ -71,6 +71,9 @@ class Instance:
         return self.tH.group
 
 
+# The one process-level cache.  Its key is an element set (a value, not an
+# object), so equal subgroups built on different rows of a `paper-table`
+# run share one table.
 _TABLE_CACHE = {}
 
 
@@ -584,7 +587,7 @@ def product_induced_lattice(inst):
     dmax = [
         GH.subgroup([diag(g) for g in S.generators]) for S in inst.s_maxima.maxima
     ]
-    smax = IntersectionSetMaxima(maxima=dmax, witness_cosets=[])
+    smax = IntersectionSetMaxima(maxima=dmax)
     L = IntLattice(prod.k)
     if dmax:
         for E in qualifying_elementary_subgroups(GH, inst.p, dP, smax):

@@ -392,22 +392,6 @@ class PermGroup:
     def subgroup(self, gens):
         return PermGroup(self.degree, gens)
 
-    def subgroup_from_keys(self, keys):
-        """A small generating set for the subgroup with the given element keys."""
-        rows = sorted(keys)
-        gens = []
-        K = PermGroup(self.degree, [])
-        target = len(rows)
-        for key in rows:
-            if K.order() == target:
-                break
-            images = _from_key(key)
-            if not K.contains_images(images):
-                gens.append(Permutation(images))
-                K = PermGroup(self.degree, gens)
-        assert K.order() == target, "key set is not closed under the group operation"
-        return K
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
@@ -430,7 +414,6 @@ class IntersectionSetMaxima:
     """
 
     maxima: list
-    witness_cosets: list
 
     def key_sets(self):
         return [frozenset(S.element_keys()) for S in self.maxima]
@@ -517,17 +500,23 @@ def class_of_power(G, class_index, k):
     return G.class_of_key(_key(_perm_power(rep, k)))
 
 
-def _greedy_generators(G, rows, target):
+def _subgroup_of_rows(degree, rows):
+    """The subgroup whose elements are `rows`, with a greedy generating set.
+
+    Rows are image sequences, scanned in the given order; each one not yet
+    generated becomes a generator, so the order fixes the generators.
+    """
+    target = len(rows)
     gens = []
-    K = PermGroup(G.degree, [])
+    K = PermGroup(degree, [])
     for row in rows:
         if K.order() == target:
             break
         images = tuple(int(v) for v in row)
         if not K.contains_images(images):
             gens.append(Permutation(images))
-            K = PermGroup(G.degree, gens)
-    assert K.order() == target
+            K = PermGroup(degree, gens)
+    assert K.order() == target, "rows are not closed under the group operation"
     return K
 
 
@@ -536,7 +525,7 @@ def centralizer(G, x):
     E = G.elements()
     xa = np.asarray(x.images if isinstance(x, Permutation) else x, dtype=DTYPE)
     mask = np.all(E[:, xa] == xa[E], axis=1)
-    return _greedy_generators(G, E[mask], int(mask.sum()))
+    return _subgroup_of_rows(G.degree, E[mask])
 
 
 def normalizer(G, K):
@@ -546,7 +535,7 @@ def normalizer(G, K):
     mask = np.ones(len(E), dtype=bool)
     for k in K.generators:
         mask &= G.rows_in(G.conjugation_sweep(k.images), kkeys)
-    return _greedy_generators(G, E[mask], int(mask.sum()))
+    return _subgroup_of_rows(G.degree, E[mask])
 
 
 def _closure_keys(gen_tuples, degree):
@@ -614,14 +603,14 @@ def intersection_set_maxima(G, P, H):
         if _key(g.images) not in hkeys:
             raise ValueError("H does not contain the normalizer of P")
     if H.order() == G.order():
-        return IntersectionSetMaxima(maxima=[], witness_cosets=[])
+        return IntersectionSetMaxima(maxima=[])
 
     E = G.elements()
     NE = N.elements()
     pkeys = set(P.element_keys())
     p_elems = [_from_key(k) for k in sorted(pkeys)]
     visited = set()
-    seen_inters = {}
+    seen_inters = set()
     for row in E:
         key = row.tobytes()
         if key in visited:
@@ -637,19 +626,16 @@ def intersection_set_maxima(G, P, H):
             ky = _key(_conj(timg, x))
             if ky in pkeys:
                 inter.add(ky)
-        inter = frozenset(inter)
-        if inter not in seen_inters:
-            seen_inters[inter] = Permutation(timg)
+        seen_inters.add(frozenset(inter))
 
-    items = sorted(seen_inters.items(), key=lambda kv: (-len(kv[0]), sorted(kv[0])))
-    maxima, witnesses, kept = [], [], []
-    for kset, wit in items:
+    maxima, kept = [], []
+    for kset in sorted(seen_inters, key=lambda s: (-len(s), sorted(s))):
         if any(kset <= big for big in kept):
             continue
         kept.append(kset)
-        maxima.append(G.subgroup_from_keys(kset))
-        witnesses.append(wit)
-    return IntersectionSetMaxima(maxima=maxima, witness_cosets=witnesses)
+        rows = [_from_key(k) for k in sorted(kset)]
+        maxima.append(_subgroup_of_rows(G.degree, rows))
+    return IntersectionSetMaxima(maxima=maxima)
 
 
 def _orbit_of_keyset(group, kset):
@@ -702,7 +688,8 @@ class QualificationTester:
         out = []
         for kset in self.original:
             if not any(kset < c for c in self.copies):
-                out.append(group.subgroup_from_keys(kset))
+                rows = [_from_key(k) for k in sorted(kset)]
+                out.append(_subgroup_of_rows(group.degree, rows))
         return out
 
 
@@ -863,7 +850,8 @@ def qualifying_elementary_subgroups(group, p, P, s_maxima):
         C = centralizer(group, rep)
         T = sylow_subgroup(C, p)
         for F in _maximal_qualifying_psubgroups(frozenset(T.element_keys()), degree, tester):
-            sub = group.subgroup_from_keys(F)
+            rows = [_from_key(k) for k in sorted(F)]
+            sub = _subgroup_of_rows(degree, rows)
             record([rep] + list(sub.generators))
 
     return [found[k] for k in sorted(found, key=lambda s: (len(s), sorted(s)))]

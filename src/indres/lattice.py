@@ -9,7 +9,6 @@ number of irreducible characters, so quadratic row operations are cheap.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 
 class IntLattice:

@@ -1,9 +1,13 @@
 """Virtual characters: induction, restriction, fusion, products, counts."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indres.blocks import block_partition, defect_group
 from indres.catalog import build, perm_from_cycles
 from indres.chartab import character_table
 from indres.classfun import (
@@ -26,6 +30,7 @@ from indres.classfun import (
     trivial_index,
     vanishes_on,
 )
+from indres.groupcore import normalizer, sylow_subgroup
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +215,17 @@ def test_virtual_character_table_mismatch_raises(s4):
     t3 = character_table(build("S3"))
     with pytest.raises(ValueError):
         trivial(s4) + trivial(t3)
+
+
+def test_dropped_tables_are_freed():
+    # derived data is memoized on the tables themselves, so no module-level
+    # cache keeps a table alive once its last caller lets go of it
+    G = build("S4")
+    tG = character_table(G)
+    tH = character_table(normalizer(G, sylow_subgroup(G, 2)))
+    restriction_matrix(tG, tH)
+    defect_group(tG, block_partition(tG, 2)[0], 2)
+    refs = [weakref.ref(tG), weakref.ref(tH)]
+    del G, tG, tH
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

@@ -197,3 +197,54 @@ def test_fixture_block_irc_fails_with_certificate(runner, tmp_path):
     v = report["verdicts"]["irc"]
     assert v["holds"] is False
     assert "matching" in v["certificate"]
+
+
+def _assert_one_line_error(r):
+    assert r.exit_code == 2
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_witness_naming_no_block_exits_2(runner, tmp_path):
+    wit = json.loads((FIXTURES / "fixture_witness.json").read_text())
+    wit["block_chars"] = [999]
+    path = tmp_path / "bad_witness.json"
+    path.write_text(json.dumps(wit))
+    r = invoke(
+        runner,
+        "verify",
+        str(FIXTURES / "fixture_group.json"),
+        "-p",
+        "2",
+        "--subgroup-mode",
+        "block:1",
+        "--props",
+        "irc,g",
+        "--witness",
+        str(path),
+    )
+    _assert_one_line_error(r)
+    assert "block_chars" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "GROUP"],
+        ["blocks", "GROUP", "-p", "2"],
+        ["quotients", "GROUP", "-p", "2"],
+        ["verify", "GROUP", "-p", "2"],
+        ["oracle", "brute-classes", "GROUP"],
+    ],
+    ids=["table", "blocks", "quotients", "verify", "oracle"],
+)
+def test_malformed_group_file_exits_2(runner, tmp_path, args):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {"format": "perm-group", "degree": 3, "generators": [[1, 1, 3]]}
+        )
+    )
+    r = invoke(runner, *(str(path) if a == "GROUP" else a for a in args))
+    _assert_one_line_error(r)
