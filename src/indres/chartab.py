@@ -3,7 +3,7 @@
 Character values are elements of Z[zeta_m], m the group exponent, stored in
 canonical form on the power basis {zeta^e : 0 <= e < phi(m)}.  The whole
 table is computed modulo a prime l ≡ 1 (mod m) with l > 2*sqrt(|G|) and then
-lifted exactly; orthogonality of the lifted table is asserted before it is
+lifted exactly; orthogonality of the lifted table is checked before it is
 returned, so a table object in hand is always internally consistent.
 """
 
@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import sympy
@@ -133,8 +133,6 @@ class Cyclotomic:
     def galois(self, a):
         """Image under zeta -> zeta^a; a must be invertible mod the modulus."""
         m = self.modulus
-        from math import gcd
-
         if gcd(a, m) != 1:
             raise ValueError("galois exponent not coprime to modulus")
         return Cyclotomic(m, {(e * a) % m: c for e, c in self.terms.items()})
@@ -218,7 +216,8 @@ class CharTable:
 
     Tables compare and hash by identity.  `_cache` memoizes data derived
     from this table (fusions and restriction matrices into a bigger table,
-    keyed by that table; defect groups), so it is freed with the table.
+    keyed by that table; the rows' images in F_l; defect groups), so it is
+    freed with the table.
     """
 
     group_order: int
@@ -284,7 +283,8 @@ class CharTable:
                 if j is None:
                     raise IntegrityError("conjugate row missing from table")
                 out.append(j)
-            assert all(out[out[i]] == i for i in range(self.k))
+            if any(out[out[i]] != i for i in range(self.k)):
+                raise IntegrityError("row conjugation is not an involution")
             self._dual = out
         return self._dual
 
@@ -427,7 +427,8 @@ def _common_eigenvectors(mats, k, p):
             # solve C R = AC column-by-column via RREF of [C | AC]
             aug, pivots = _rref_mod(np.hstack([C, AC]), p)
             d = C.shape[1]
-            assert pivots[:d] == list(range(d)), "subspace basis not independent"
+            if pivots[:d] != list(range(d)):
+                raise IntegrityError("subspace basis not independent")
             R = np.zeros((d, d), dtype=np.int64)
             for r in range(len(aug)):
                 if r < d:
@@ -442,7 +443,8 @@ def _common_eigenvectors(mats, k, p):
                 sub, _ = _rref_mod(sub, p)
                 out.append(sub)
         spaces = out
-    assert all(len(S) == 1 for S in spaces) and len(spaces) == k
+    if len(spaces) != k or any(len(S) != 1 for S in spaces):
+        raise IntegrityError("class matrices do not split into k eigenvectors")
     return [S[0] % p for S in spaces]
 
 
@@ -462,7 +464,8 @@ def character_table(G, budget_order=None):
     # normalize so the identity-class coordinate is 1
     omegas = []
     for v in vecs:
-        assert v[0] % p, "eigenvector vanishes on the identity class"
+        if not v[0] % p:
+            raise IntegrityError("eigenvector vanishes on the identity class")
         omegas.append((v * pow(int(v[0]), -1, p)) % p)
 
     g0 = sympy.primitive_root(p)
@@ -484,7 +487,8 @@ def character_table(G, budget_order=None):
             if (dcand * dcand) % p == deg_sq:
                 deg = dcand
                 break
-        assert deg is not None, "degree recovery failed"
+        if deg is None:
+            raise IntegrityError("degree recovery failed")
         chi_mod = [(deg * int(u[i]) * pow(sizes[i], -1, p)) % p for i in range(k)]
         values = []
         for i, c in enumerate(classes):
@@ -505,10 +509,14 @@ def character_table(G, budget_order=None):
                     zjk = (zjk * zj) % p
                 mult = (acc * n_inv) % p
                 if mult:
-                    assert mult <= deg, "multiplicity lift out of range"
+                    if mult > deg:
+                        raise IntegrityError("multiplicity lift out of range")
                     total += mult
                     val = val + Cyclotomic.zeta(m, (m // n) * j, mult)
-            assert total == deg, "root-of-unity multiplicities do not sum to degree"
+            if total != deg:
+                raise IntegrityError(
+                    "root-of-unity multiplicities do not sum to degree"
+                )
             values.append(val)
         rows.append((deg, values))
 
@@ -554,18 +562,32 @@ def verify_table(table):
             expected = order // sizes[i] if i == j else 0
             if not (acc.is_integer() and acc.as_int() == expected):
                 raise IntegrityError(f"column orthogonality fails at ({i},{j})")
-    m = table.exponent
+    # stability under generators of (Z/m)^x is stability under all of it
     keys = {tuple(v.sort_key() for v in row) for row in rows}
-    for a in range(2, m + 1):
-        from math import gcd
-
-        if gcd(a, m) != 1:
-            continue
+    for a in _unit_generators(table.exponent):
         for row in rows:
             twisted = tuple(v.galois(a).sort_key() for v in row)
             if twisted not in keys:
                 raise IntegrityError("table is not Galois stable")
-        break  # one nontrivial generator-ish check per call is enough here
+
+
+def _unit_generators(m):
+    """A generating set of (Z/m)^x, one CRT lift per local generator.
+
+    Each odd prime power q contributes a primitive root mod q; the 2-part
+    2^e contributes -1 for e = 2, and -1 and 5 for e >= 3.  Each local
+    generator is lifted to the residue that is 1 modulo the rest of m.
+    """
+    gens = []
+    for p, e in sympy.factorint(m).items():
+        q = p**e
+        if p == 2:
+            local = [q - 1, 5][: e - 1]
+        else:
+            local = [sympy.primitive_root(q)]
+        rest = m // q
+        gens.extend((1 + rest * ((g - 1) * pow(rest, -1, q))) % m for g in local)
+    return gens
 
 
 def table_to_json(table):

@@ -11,7 +11,15 @@ what unit tests pin down.
 
 from math import lcm
 
-from .chartab import CharTable, Cyclotomic, inner_product
+import sympy
+
+from .chartab import (
+    CharTable,
+    Cyclotomic,
+    IntegrityError,
+    _dixon_prime,
+    inner_product,
+)
 from .groupcore import (
     ConjClassData,
     Permutation,
@@ -206,35 +214,73 @@ def class_fusion(big, small):
     return fused
 
 
+def _shadow(table, M, l, w):
+    """The table's rows in F_l under the ring homomorphism zeta_M -> w.
+
+    Memoized on the table under (M, l, w), so the images live and die with
+    the table; w^-1 in place of w gives the complex conjugates.
+    """
+    key = ("shadow", M, l, w)
+    if key not in table._cache:
+        pw = [1] * M
+        for t in range(1, M):
+            pw[t] = pw[t - 1] * w % l
+        table._cache[key] = [
+            [
+                sum(c * pw[e * (M // v.modulus)] for e, c in v.terms.items()) % l
+                for v in row
+            ]
+            for row in table.irreducibles
+        ]
+    return table._cache[key]
+
+
 def restriction_matrix(big, small):
     """R[i][j] = <Res chi_i, psi_j> over the small table; exact integers.
 
     Rows index the big table's irreducibles, columns the small table's.
     Induction and restriction are R and its transpose acting on coefficient
     vectors, which makes Frobenius reciprocity automatic.
+
+    R is computed in F_l for a prime l ≡ 1 (mod M), M the lcm of the two
+    exponents, through zeta_M -> w with w of order M.  That map is a ring
+    homomorphism, and l does not divide |H| (every prime factor of |H|
+    divides M, and l ≡ 1 mod M), so the F_l sum is R[i][j] mod l.  Each
+    true entry lies in [0, chi_i(1)] and chi_i(1) <= sqrt|G| < l, so the
+    least residue is the entry itself, provided the inputs are a character
+    table and a subgroup table.  That proviso is checked, not trusted: an
+    entry above chi_i(1), or a failure of sum_j R_ij psi_j(1) = chi_i(1) or
+    of sum_i R_ij chi_i(1) = [G:H] psi_j(1), raises IntegrityError.
     """
     key = ("res", big)
     if key in small._cache:
         return small._cache[key]
     fused = class_fusion(big, small)
     M = lcm(big.exponent, small.exponent)
+    l = _dixon_prime(big.group_order, M, big.k)  # l > 2 sqrt|G| > every chi(1)
+    w = pow(sympy.primitive_root(l), (l - 1) // M, l)
+    inv_order = pow(small.group_order, -1, l)
     sizes = small.class_sizes()
-    order = small.group_order
     weighted_conj = [
-        [v.rebase(M).conjugate() * s for v, s in zip(row, sizes)]
-        for row in small.irreducibles
+        [v * s % l for v, s in zip(row, sizes)]
+        for row in _shadow(small, M, l, pow(w, -1, l))
     ]
     R = []
-    for i in range(big.k):
-        brow = big.irreducibles[i]
-        avals = [brow[f].rebase(M) for f in fused]
-        Ri = []
-        for crow in weighted_conj:
-            acc = Cyclotomic(M)
-            for a, c in zip(avals, crow):
-                acc = acc + a * c
-            Ri.append(acc.exact_div(order).as_int())
+    for brow, deg in zip(_shadow(big, M, l, w), big.degrees):
+        avals = [brow[f] for f in fused]
+        Ri = [
+            sum(a * c for a, c in zip(avals, crow)) * inv_order % l
+            for crow in weighted_conj
+        ]
+        if any(r > deg for r in Ri):
+            raise IntegrityError("restriction multiplicity exceeds the degree")
+        if sum(r * d for r, d in zip(Ri, small.degrees)) != deg:
+            raise IntegrityError("restricted degrees do not sum to the degree")
         R.append(Ri)
+    for j, d in enumerate(small.degrees):
+        induced = sum(Ri[j] * deg for Ri, deg in zip(R, big.degrees))
+        if induced * small.group_order != big.group_order * d:
+            raise IntegrityError("induced degree is not [G:H] psi(1)")
     small._cache[key] = R
     return R
 
@@ -308,7 +354,8 @@ def product_table(tA, tB):
             rowB = [v.rebase(M) for v in tB.irreducibles[j]]
             rows.append([va * vb for va in rowA for vb in rowB])
             degrees.append(tA.degrees[i] * tB.degrees[j])
-    assert sum(d * d for d in degrees) == order
+    if sum(d * d for d in degrees) != order:
+        raise IntegrityError("product degree squares do not sum to the order")
 
     dualA, dualB = tA.dual_map(), tB.dual_map()
     dual = [dualA[i] * kB + dualB[j] for i in range(kA) for j in range(kB)]

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic and character table construction."""
 
 import json
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from indres.chartab import (
     Cyclotomic,
     IntegrityError,
     _dixon_prime,
+    _unit_generators,
     character_table,
     inner_product,
     load_table,
@@ -109,6 +111,21 @@ def test_dixon_prime_conditions():
         assert p % exponent == 1
         assert p * p > 4 * order
         assert p > k
+
+
+def test_unit_generators_generate_all_units():
+    for m in range(1, 401):
+        gens = _unit_generators(m)
+        seen = {1 % m}
+        frontier = list(seen)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = x * g % m
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        assert seen == {a for a in range(m) if gcd(a, m) == 1}, m
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indres.blocks import block_partition, defect_group
-from indres.catalog import build, perm_from_cycles
-from indres.chartab import character_table
+from indres.catalog import build, perm_from_cycles, special_linear2
+from indres.chartab import IntegrityError, character_table, inner_product
 from indres.classfun import (
     VirtualCharacter,
     class_fusion,
@@ -30,7 +30,12 @@ from indres.classfun import (
     trivial_index,
     vanishes_on,
 )
-from indres.groupcore import normalizer, sylow_subgroup
+from indres.correspondence import make_instance, table_for
+from indres.groupcore import (
+    normalizer,
+    qualifying_elementary_subgroups,
+    sylow_subgroup,
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +123,51 @@ def test_restriction_matrix_consistency(s4_s3):
         assert restrict(irr(big, i), small).coeffs == tuple(M[i])
 
 
+def _exact_restriction(big, small):
+    """Reference: R_ij as exact inner products in Z[zeta] of fused values."""
+    fused = class_fusion(big, small)
+    return [
+        [
+            inner_product(small, [row[f] for f in fused], psi).as_int()
+            for psi in small.irreducibles
+        ]
+        for row in big.irreducibles
+    ]
+
+
+@pytest.mark.parametrize(
+    "group,p",
+    [(build("S4"), 2), (build("A5"), 2), (build("C2xA4"), 3), (special_linear2(7), 2)],
+    ids=["S4-2", "A5-2", "C2xA4-3", "SL2_7-2"],
+)
+def test_restriction_matrix_matches_exact_reference(group, p):
+    # every (big, small) pair the induced lattices meet on both sides
+    inst = make_instance(group, p)
+    pairs = [(inst.tG, inst.tH)]
+    for table in (inst.tG, inst.tH):
+        if inst.s_maxima.maxima:
+            subs = qualifying_elementary_subgroups(
+                table.group, inst.p, inst.P, inst.s_maxima
+            )
+            pairs += [(table, table_for(E)) for E in subs]
+    assert len(pairs) > 1
+    for big, small in pairs:
+        assert restriction_matrix(big, small) == _exact_restriction(big, small)
+
+
+def test_restriction_matrix_rejects_swapped_rows(s4_s3):
+    big, _ = s4_s3
+    G = build("S4")
+    small = character_table(
+        G.subgroup([perm_from_cycles([(1, 2)], 4), perm_from_cycles([(1, 2, 3)], 4)])
+    )
+    rows = small.irreducibles
+    assert small.degrees[1] != small.degrees[2]
+    rows[1], rows[2] = rows[2], rows[1]  # degrees left as they were
+    with pytest.raises(IntegrityError):
+        restriction_matrix(big, small)
+
+
 def test_class_fusion_s3_in_s4(s4_s3):
     big, small = s4_s3
     fusion = class_fusion(big, small)
@@ -191,6 +241,13 @@ def test_product_table_s3xs3():
     )
     assert prod.group_order == 36
     assert sum(d * d for d in prod.degrees) == 36
+
+
+def test_product_table_rejects_tampered_degrees():
+    t = character_table(build("S3"))
+    t.degrees = [1, 1, 3]
+    with pytest.raises(IntegrityError):
+        product_table(t, t)
 
 
 def test_outer_product_values():

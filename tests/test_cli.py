@@ -1,11 +1,15 @@
 """Command line behavior: exit codes, report stability, input validation."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import indres
 from indres.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -55,6 +59,21 @@ def test_verify_all_hold(runner, tmp_path):
     assert report["ml_counts"]["equal"] is True
     # big integers travel as decimal strings
     assert report["instance"]["order"] == "24"
+
+
+def test_verify_report_unchanged_under_python_O(runner, tmp_path):
+    # the integrity checks are raises, not asserts, so -O must not alter a run
+    plain, optimized = tmp_path / "plain.json", tmp_path / "optimized.json"
+    assert invoke(runner, "verify", "S4", "-p", "2", "-o", str(plain)).exit_code == 0
+    src = str(Path(indres.__file__).resolve().parent.parent)
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "indres.cli",
+         "verify", "S4", "-p", "2", "-o", str(optimized)],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    assert optimized.read_bytes() == plain.read_bytes()
 
 
 def test_verify_reports_are_byte_stable(runner, tmp_path):
