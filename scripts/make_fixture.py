@@ -26,7 +26,7 @@ from indres.correspondence import (
     I_transform,
     R_transform,
 )
-from indres.groupcore import PermGroup, Permutation, _key
+from indres.groupcore import PermGroup, Permutation
 
 Q = 5
 HALF = 3  # 1/2 in F_5
@@ -98,11 +98,10 @@ def witness_data(G):
     assert e is not None
 
     # phi x 1 is the unique linear character of the pair block trivial on P
-    pkeys = set(P.element_keys())
     pclasses = [
         j
         for j, c in enumerate(tH.classes)
-        if _key(c.representative.images) in pkeys
+        if P.contains_images(c.representative.images)
     ]
     j0 = next(
         j

@@ -15,6 +15,7 @@ from math import gcd
 import sympy
 
 from .chartab import IntegrityError
+from .classfun import class_fusion, trivial_index
 from .groupcore import centralizer, sylow_subgroup, v_p
 
 
@@ -304,8 +305,6 @@ def block_partition(table, p, alternative=0, reduction=None):
         signature.setdefault(sig, []).append(i)
     groups = sorted(signature.items(), key=lambda kv: kv[1][0])
     a = v_p(table.group_order, p)
-    from .classfun import trivial_index
-
     triv = trivial_index(table)
     out = []
     for index, (sig, chars) in enumerate(groups):
@@ -319,7 +318,8 @@ def block_partition(table, p, alternative=0, reduction=None):
                 principal=triv in chars,
             )
         )
-    assert sum(len(b.char_indices) for b in out) == table.k
+    if sum(len(b.char_indices) for b in out) != table.k:
+        raise IntegrityError("blocks do not partition the irreducibles")
     return out
 
 
@@ -328,7 +328,7 @@ def defect_group(table, block, p):
 
     Defect classes: among classes where the central character is nonzero,
     the p-part of the centralizer order is minimized; a Sylow p-subgroup of
-    that centralizer is a defect group, and its order is asserted to be
+    that centralizer is a defect group, and its order is checked to be
     p^defect.
     """
     key = ("defect", block.index, p)
@@ -345,12 +345,12 @@ def defect_group(table, block, p):
         val = v_p(table.classes[j].centralizer_order, p)
         if best is None or val < best[0]:
             best = (val, j)
-    assert best is not None, "central character vanished everywhere"
+    if best is None:
+        raise IntegrityError("central character vanished everywhere")
     rep = table.classes[best[1]].representative
     D = sylow_subgroup(centralizer(G, rep), p)
-    assert D.order() == p**block.defect, (
-        f"defect group order {D.order()} != p^{block.defect}"
-    )
+    if D.order() != p**block.defect:
+        raise IntegrityError(f"defect group order {D.order()} != p^{block.defect}")
     table._cache[key] = D
     return D
 
@@ -368,8 +368,6 @@ def brauer_correspondent(tH, e, tG, blocksG, reduction):
     central character of exactly one block of G.  All values are computed
     in the big group's reduction so both sides live in one field.
     """
-    from .classfun import class_fusion
-
     F = reduction.field
     theta = e.char_indices[0]
     lam_e = [reduction.reduce(v) for v in omega_values(tH, theta)]
@@ -382,7 +380,8 @@ def brauer_correspondent(tH, e, tG, blocksG, reduction):
     matches = [b for b in blocksG if b.central_character == induced]
     if len(matches) == 1:
         return matches[0]
-    assert not matches, "distinct blocks share a central character"
+    if matches:
+        raise IntegrityError("distinct blocks share a central character")
     return None
 
 
@@ -394,10 +393,9 @@ def some_defect_group_inside(table, block, p, P):
     if P.order() % D.order():
         return False
     G = table.group
-    pkeys = frozenset(P.element_keys())
     mask = None
     for g in D.generators:
-        hit = G.rows_in(G.conjugation_sweep(g.images), pkeys)
+        hit = P.rows_in(G.conjugation_sweep(g.images))
         mask = hit if mask is None else mask & hit
     return bool(mask.any())
 

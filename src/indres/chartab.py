@@ -16,7 +16,8 @@ from math import gcd, isqrt, lcm
 import numpy as np
 import sympy
 
-from .groupcore import ConjClassData, class_of_power, conjugacy_classes
+from .groupcore import (ConjClassData, IntegrityError, _member_indices,
+                        class_of_power, conjugacy_classes)
 
 
 @cache
@@ -206,10 +207,6 @@ class Cyclotomic:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-class IntegrityError(ValueError):
-    pass
-
-
 @dataclass(eq=False)
 class CharTable:
     """Ordinary character table, rows sorted by (degree, canonical value key).
@@ -229,20 +226,20 @@ class CharTable:
     name: str = None
     _dual: list = field(default=None, repr=False)
     _value_index: dict = field(default=None, repr=False)
-    _lookup: object = field(default=None, repr=False)  # element key -> class index
+    _lookup: object = field(default=None, repr=False)  # images -> class index
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def k(self):
         return len(self.classes)
 
-    def class_index_of_key(self, key):
-        """Class index (in this table's column order) of a group element key."""
+    def class_index_of(self, images):
+        """Class index (in this table's column order) of a group element."""
         if self._lookup is not None:
-            return self._lookup(key)
+            return self._lookup(images)
         if self.group is None:
             raise ValueError("table has no group attached; cannot fuse elements")
-        return self.group.class_of_key(key)
+        return self.group.class_of(images)
 
     def class_sizes(self):
         return [c.size for c in self.classes]
@@ -322,13 +319,12 @@ def _class_matrices(G):
     k = len(classes)
     E = G.elements()
     Einv = G.inverses()
-    index = G.element_index()
     ids = G.class_ids()
     A = np.zeros((k, k, k), dtype=np.int64)
     for l, c in enumerate(classes):
         z = np.asarray(c.representative.images, dtype=E.dtype)
-        M = np.ascontiguousarray(Einv[:, z])
-        new_ids = np.fromiter((ids[index[row.tobytes()]] for row in M), np.int64, len(M))
+        M = Einv[:, z]
+        new_ids = ids[_member_indices(G, M)]
         np.add.at(A, (ids, new_ids, np.full(len(M), l)), 1)
     return A
 

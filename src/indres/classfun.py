@@ -23,11 +23,10 @@ from .chartab import (
 from .groupcore import (
     ConjClassData,
     Permutation,
-    _from_key,
-    _key,
     class_of_power,
     prime_factors,
     product_group,
+    split_product_images,
 )
 
 
@@ -205,7 +204,7 @@ def class_fusion(big, small):
         if c.representative is None:
             raise ValueError("small table lacks class representatives")
         try:
-            fused.append(big.class_index_of_key(_key(c.representative.images)))
+            fused.append(big.class_index_of(c.representative.images))
         except KeyError:
             raise ValueError(
                 "class representative does not lie in the big group"
@@ -360,13 +359,9 @@ def product_table(tA, tB):
     dualA, dualB = tA.dual_map(), tB.dual_map()
     dual = [dualA[i] * kB + dualB[j] for i in range(kA) for j in range(kB)]
 
-    def lookup(key):
-        images = _from_key(key)
-        left = tuple(images[:dA])
-        right = tuple(x - dA for x in images[dA:])
-        return tA.class_index_of_key(_key(left)) * kB + tB.class_index_of_key(
-            _key(right)
-        )
+    def lookup(images):
+        left, right = split_product_images(images, dA)
+        return tA.class_index_of(left) * kB + tB.class_index_of(right)
 
     t = CharTable(
         group_order=order,

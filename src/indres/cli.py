@@ -457,7 +457,7 @@ def cmd_oracle(kind, group, prime, budget_order, budget_classes):
         sys.exit(0 if ok else 1)
     if kind == "brute-classes":
         brute = brute_conjugacy_classes(G, budget_order=budget_classes)
-        own = _class_key_sets(G, conjugacy_classes(G))
+        own = _class_element_sets(G, conjugacy_classes(G))
         mine = sorted(frozenset(cl) for cl in brute)
         theirs = sorted(frozenset(cl) for cl in own)
         same = mine == theirs
@@ -476,12 +476,10 @@ def cmd_oracle(kind, group, prime, budget_order, budget_classes):
         sys.exit(0 if same else 1)
 
 
-def _class_key_sets(G, classes):
-    ids = G.class_ids()
-    keys = G.element_keys()
+def _class_element_sets(G, classes):
     out = [[] for _ in classes]
-    for key, cid in zip(keys, ids):
-        out[int(cid)].append(key)
+    for row, cid in zip(G.elements(), G.class_ids()):
+        out[int(cid)].append(tuple(int(x) for x in row))
     return out
 
 

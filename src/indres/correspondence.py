@@ -28,6 +28,7 @@ from .classfun import (
     restriction_matrix,
 )
 from .groupcore import (
+    IntegrityError,
     IntersectionSetMaxima,
     Permutation,
     elementary_covering_family,
@@ -71,15 +72,15 @@ class Instance:
         return self.tH.group
 
 
-# The one process-level cache.  Its key is an element set (a value, not an
-# object), so equal subgroups built on different rows of a `paper-table`
-# run share one table.
+# The one process-level cache.  Its key is the degree and the sorted element
+# matrix (a value, not an object), so equal subgroups built on different
+# rows of a `paper-table` run share one table.
 _TABLE_CACHE = {}
 
 
 def table_for(group, name=None):
     """Character table of a subgroup, cached by element set."""
-    key = frozenset(group.element_keys())
+    key = (group.degree, group.elements().tobytes())
     hit = _TABLE_CACHE.get(key)
     if hit is None:
         hit = character_table(group)
@@ -699,7 +700,8 @@ def full_report(inst, props=PROPERTIES, block_pair=None):
     for w in props:
         verdicts[w] = check_property(inst, w, block_pair=block_pair)
         if verdicts[w].holds and verdicts[w].witness:
-            assert degree_congruences_hold(inst, verdicts[w].witness, block_pair)
+            if not degree_congruences_hold(inst, verdicts[w].witness, block_pair):
+                raise IntegrityError(f"witness of {w} breaks the degree congruences")
     q1, q2, per_block = quotients_q1_q2(inst)
     ml_ok, cG, cH = isaacs_navarro_check(inst, block_pair)
     return PropertyReport(

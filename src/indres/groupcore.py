@@ -3,9 +3,14 @@
 Elements are permutations of {0, ..., degree-1} stored as image tuples.
 Bulk work (conjugacy sweeps, normalizer scans) runs on a lexicographically
 sorted numpy matrix holding every group element, so most operations here
-assume the group order fits the element budget.  Public outputs are
-deterministic functions of the abstract group and its degree, never of the
-generator presentation, unless noted otherwise.
+assume the group order fits the element budget.
+
+Inside a group, an element's identity is its row index in that sorted
+matrix (`PermGroup.index_of`).  Indices are in lexicographic order, so a
+sorted set of indices lists its elements lexicographically, and sets of
+elements are sets of ints.  Public outputs are deterministic functions of
+the abstract group and its degree, never of the generator presentation,
+unless noted otherwise.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +24,10 @@ DEFAULT_ORDER_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):
+    pass
+
+
+class IntegrityError(ValueError):
     pass
 
 
@@ -69,14 +78,6 @@ def _perm_power(a, k):
         b = _mul(b, b)
         k >>= 1
     return r
-
-
-def _key(images):
-    return np.asarray(images, dtype=DTYPE).tobytes()
-
-
-def _from_key(key):
-    return tuple(int(x) for x in np.frombuffer(key, dtype=DTYPE))
 
 
 def v_p(n, p):
@@ -213,7 +214,9 @@ class PermGroup:
         self._order = None
         self._elem = None
         self._einv = None
-        self._index = None
+        self._row_of_rank = None
+        self._ranks = None
+        self._cperms = None
         self._classes = None
         self._class_ids = None
 
@@ -337,19 +340,47 @@ class PermGroup:
                 u = np.asarray(lvl.transversal[pt], dtype=DTYPE)
                 blocks.append(u[E])
             E = np.vstack(blocks)
-        E = np.ascontiguousarray(E[np.lexsort(E.T[::-1])])
-        assert len(E) == self.order()
-        self._elem = E
-        return E
+        if len(E) != self.order():
+            raise IntegrityError("element matrix size differs from the chain order")
+        # before sorting, row r is the element of chain rank r
+        order = np.lexsort(E.T[::-1])
+        self._row_of_rank = np.empty_like(order)
+        self._row_of_rank[order] = np.arange(len(order))
+        self._elem = np.ascontiguousarray(E[order])
+        return self._elem
 
-    def element_index(self):
-        if self._index is None:
-            E = self.elements()
-            self._index = {row.tobytes(): i for i, row in enumerate(E)}
-        return self._index
+    def _rank_tables(self):
+        # per level: base point, point -> position in the sorted transversal
+        # (0 off the orbit), and the inverse transversal element by position
+        if self._ranks is None:
+            self._ranks = []
+            for lvl in self._chain():
+                pts = sorted(lvl.transversal)
+                pos = np.zeros(self.degree, dtype=np.intp)
+                pos[pts] = np.arange(len(pts))
+                uinv = np.array([_inv(lvl.transversal[pt]) for pt in pts], dtype=DTYPE)
+                self._ranks.append((lvl.base, pos, uinv))
+        return self._ranks
 
-    def element_keys(self):
-        return self.element_index().keys()
+    def index_of(self, M):
+        """Row index in `elements()` of each row of M, or -1 for a non-member.
+
+        Stripping a row's base images through the chain gives its rank, a
+        mixed-radix number over the sorted transversals, and the rank names
+        one candidate row.  The index is kept only where that row equals
+        the input, so a non-member never aliases a member.
+        """
+        E = self.elements()
+        M = np.asarray(M, dtype=DTYPE)
+        tables = self._rank_tables()
+        B = M[:, [base for base, _, _ in tables]]
+        rank = np.zeros(len(M), dtype=np.intp)
+        for i, (_, pos, uinv) in enumerate(tables):
+            r = pos[B[:, i]]
+            rank = rank * len(uinv) + r
+            B = uinv[r[:, None], B]
+        idx = self._row_of_rank[rank]
+        return np.where(np.all(E[idx] == M, axis=1), idx, -1)
 
     def inverses(self):
         if self._einv is None:
@@ -364,9 +395,9 @@ class PermGroup:
         k = np.asarray(images, dtype=DTYPE)
         return np.take_along_axis(E, k[Einv], axis=1)
 
-    def rows_in(self, M, keys):
-        M = np.ascontiguousarray(M)
-        return np.fromiter((row.tobytes() in keys for row in M), bool, len(M))
+    def rows_in(self, M):
+        """Membership mask of the rows of M."""
+        return self.index_of(M) >= 0
 
     # -- classes ---------------------------------------------------------------
 
@@ -379,12 +410,12 @@ class PermGroup:
         self.class_data()
         return self._class_ids
 
-    def class_of_key(self, key):
-        return int(self.class_ids()[self.element_index()[key]])
-
     def class_of(self, perm):
         images = perm.images if isinstance(perm, Permutation) else perm
-        return self.class_of_key(_key(images))
+        i = int(self.index_of([images])[0])
+        if i < 0:
+            raise KeyError("element is not in the group")
+        return int(self.class_ids()[i])
 
     def exponent(self):
         return lcm(*(c.rep_order for c in self.class_data()))
@@ -415,8 +446,9 @@ class IntersectionSetMaxima:
 
     maxima: list
 
-    def key_sets(self):
-        return [frozenset(S.element_keys()) for S in self.maxima]
+    def index_sets(self, group):
+        """Each maximum as the set of its element indices in `group`."""
+        return [_index_set(group, S.elements()) for S in self.maxima]
 
 
 def group_from_generators(data):
@@ -444,28 +476,19 @@ def conjugacy_classes(G, budget_order=DEFAULT_ORDER_BUDGET):
     if G.order() > budget_order:
         raise BudgetExceeded(f"order {G.order()} exceeds class budget {budget_order}")
     E = G.elements()
-    index = G.element_index()
-    n = len(E)
-    class_id = np.full(n, -1, dtype=np.int32)
-    gens = [g.images for g in G.generators]
-    raw = []
-    for i in range(n):
-        if class_id[i] >= 0:
-            continue
-        start = tuple(int(x) for x in E[i])
-        seen = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for s in gens:
-                y = _conj(s, x)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        cid = len(raw)
-        for member in seen:
-            class_id[index[_key(member)]] = cid
-        raw.append((start, len(seen)))
+    perms = _conjugation_perms(G)
+    # min-label propagation: each class ends up labelled by its least index
+    label = np.arange(len(E))
+    while True:
+        nxt = label
+        for perm in perms:
+            nxt = np.minimum(nxt, nxt[perm])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    reps, class_id, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    raw = [(tuple(int(x) for x in E[r]), int(n)) for r, n in zip(reps, sizes)]
 
     orders = [_perm_order(rep) for rep, _ in raw]
     ranked = sorted(range(len(raw)), key=lambda c: (orders[c], raw[c][1], raw[c][0]))
@@ -490,14 +513,35 @@ def conjugacy_classes(G, budget_order=DEFAULT_ORDER_BUDGET):
     for c in classes:
         rep = c.representative.images
         for q in prime_factors(G.order()):
-            c.power_map[q] = G.class_of_key(_key(_perm_power(rep, q)))
+            c.power_map[q] = G.class_of(_perm_power(rep, q))
     return classes
+
+
+def _conjugation_perms(G):
+    """For each generator s, the map x -> s x s^{-1} on element indices."""
+    if G._cperms is None:
+        E = G.elements()
+        gens = [np.asarray(s.images, dtype=DTYPE) for s in G.generators]
+        G._cperms = [_member_indices(G, s[E[:, np.argsort(s)]]) for s in gens]
+    return G._cperms
+
+
+def _member_indices(G, M):
+    """`G.index_of(M)` for rows that must lie in G."""
+    idx = G.index_of(M)
+    if (idx < 0).any():
+        raise IntegrityError("a computed element lies outside its group")
+    return idx
+
+
+def _index_set(G, M):
+    return frozenset(_member_indices(G, M).tolist())
 
 
 def class_of_power(G, class_index, k):
     """Index of the class containing rep^k, rep the given class representative."""
     rep = G.class_data()[class_index].representative.images
-    return G.class_of_key(_key(_perm_power(rep, k)))
+    return G.class_of(_perm_power(rep, k))
 
 
 def _subgroup_of_rows(degree, rows):
@@ -516,7 +560,8 @@ def _subgroup_of_rows(degree, rows):
         if not K.contains_images(images):
             gens.append(Permutation(images))
             K = PermGroup(degree, gens)
-    assert K.order() == target, "rows are not closed under the group operation"
+    if K.order() != target:
+        raise IntegrityError("rows are not closed under the group operation")
     return K
 
 
@@ -531,28 +576,10 @@ def centralizer(G, x):
 def normalizer(G, K):
     """Normalizer N_G(K) of a subgroup K given on the same points."""
     E = G.elements()
-    kkeys = set(K.element_keys())
     mask = np.ones(len(E), dtype=bool)
     for k in K.generators:
-        mask &= G.rows_in(G.conjugation_sweep(k.images), kkeys)
+        mask &= K.rows_in(G.conjugation_sweep(k.images))
     return _subgroup_of_rows(G.degree, E[mask])
-
-
-def _closure_keys(gen_tuples, degree):
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    gen_tuples = [g for g in gen_tuples if g != ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for s in gen_tuples:
-                y = _mul(s, x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return {_key(x) for x in seen}
 
 
 def sylow_subgroup(G, p):
@@ -562,33 +589,22 @@ def sylow_subgroup(G, p):
     element (in element order) of the current normalizer whose p-th power
     falls back into the subgroup, until the full p-part is reached.
     """
-    v = v_p(G.order(), p)
-    if v == 0:
-        return PermGroup(G.degree, [])
-    E = G.elements()
-    gens = []
-    s_keys = {_key(range(G.degree))}
-    while len(s_keys) < p**v:
-        if gens:
-            mask = np.ones(len(E), dtype=bool)
-            for k in gens:
-                mask &= G.rows_in(G.conjugation_sweep(k.images), s_keys)
-            candidates = E[mask]
-        else:
-            candidates = E
-        found = None
-        for row in candidates:
-            key = np.ascontiguousarray(row).tobytes()
-            if key in s_keys:
-                continue
-            images = tuple(int(x) for x in row)
-            if _key(_perm_power(images, p)) in s_keys:
-                found = images
-                break
-        assert found is not None, "normalizer ascent found no p-extension"
-        gens.append(Permutation(found))
-        s_keys = _closure_keys([g.images for g in gens], G.degree)
-    return PermGroup(G.degree, gens)
+    S = PermGroup(G.degree, [])
+    target = p ** v_p(G.order(), p)
+    while S.order() < target:
+        E = G.elements()
+        mask = np.ones(len(E), dtype=bool)
+        for k in S.generators:
+            mask &= S.rows_in(G.conjugation_sweep(k.images))
+        candidates = E[mask]
+        power = candidates
+        for _ in range(p - 1):
+            power = np.take_along_axis(candidates, power, axis=1)
+        hit = ~S.rows_in(candidates) & S.rows_in(power)
+        if not hit.any():
+            raise IntegrityError("normalizer ascent found no p-extension")
+        S = PermGroup(G.degree, S.generators + (Permutation(candidates[hit.argmax()]),))
+    return S
 
 
 def intersection_set_maxima(G, P, H):
@@ -598,57 +614,46 @@ def intersection_set_maxima(G, P, H):
     maxima (the intersection set is empty).
     """
     N = normalizer(G, P)
-    hkeys = set(H.element_keys())
-    for g in N.generators:
-        if _key(g.images) not in hkeys:
-            raise ValueError("H does not contain the normalizer of P")
+    if not all(H.contains_images(g.images) for g in N.generators):
+        raise ValueError("H does not contain the normalizer of P")
     if H.order() == G.order():
         return IntersectionSetMaxima(maxima=[])
 
-    E = G.elements()
-    NE = N.elements()
-    pkeys = set(P.element_keys())
-    p_elems = [_from_key(k) for k in sorted(pkeys)]
-    visited = set()
+    E, Einv = G.elements(), G.inverses()
+    NE, PE = N.elements(), P.elements()
+    in_H = H.rows_in(E)
+    visited = np.zeros(len(E), dtype=bool)
     seen_inters = set()
-    for row in E:
-        key = row.tobytes()
-        if key in visited:
+    for i in range(len(E)):
+        if visited[i]:
             continue
-        coset = np.asarray(row)[NE]
-        for r in coset:
-            visited.add(r.tobytes())
-        if key in hkeys:
+        visited[_member_indices(G, E[i][NE])] = True
+        if in_H[i]:
             continue
-        timg = tuple(int(x) for x in row)
-        inter = set()
-        for x in p_elems:
-            ky = _key(_conj(timg, x))
-            if ky in pkeys:
-                inter.add(ky)
-        seen_inters.add(frozenset(inter))
+        # P ∩ tPt^{-1} as indices in P, t = E[i]
+        idx = P.index_of(E[i][PE[:, Einv[i]]])
+        seen_inters.add(frozenset(idx[idx >= 0].tolist()))
 
     maxima, kept = [], []
-    for kset in sorted(seen_inters, key=lambda s: (-len(s), sorted(s))):
-        if any(kset <= big for big in kept):
+    for iset in sorted(seen_inters, key=lambda s: (-len(s), sorted(s))):
+        if any(iset <= big for big in kept):
             continue
-        kept.append(kset)
-        rows = [_from_key(k) for k in sorted(kset)]
-        maxima.append(_subgroup_of_rows(G.degree, rows))
+        kept.append(iset)
+        maxima.append(_subgroup_of_rows(G.degree, PE[sorted(iset)]))
     return IntersectionSetMaxima(maxima=maxima)
 
 
-def _orbit_of_keyset(group, kset):
-    """All conjugates of an element-key set under the given group."""
-    gens = [g.images for g in group.generators]
-    seen = {kset}
-    frontier = [kset]
+def _conjugates_of_set(group, iset):
+    """All conjugates, under `group`, of a set of its element indices."""
+    perms = _conjugation_perms(group)
+    seen = {iset}
+    frontier = [iset]
     while frontier:
         new = []
         for S in frontier:
-            members = [_from_key(k) for k in S]
-            for s in gens:
-                T = frozenset(_key(_conj(s, x)) for x in members)
+            members = np.fromiter(S, dtype=np.intp, count=len(S))
+            for perm in perms:
+                T = frozenset(perm[members].tolist())
                 if T not in seen:
                     seen.add(T)
                     new.append(T)
@@ -665,32 +670,34 @@ class QualificationTester:
     """
 
     def __init__(self, group, s_maxima):
-        self.original = s_maxima.key_sets()
+        self.group = group
+        self.original = s_maxima.index_sets(group)
         merged = set()
-        for kset in self.original:
-            merged |= _orbit_of_keyset(group, kset)
+        for iset in self.original:
+            merged |= _conjugates_of_set(group, iset)
         self.copies = []
         for c in sorted(merged, key=lambda s: (-len(s), sorted(s))):
             if not any(c <= big for big in self.copies):
                 self.copies.append(c)
         self.nonempty = bool(self.copies)
 
-    def qualifies_keys(self, keys):
-        return any(keys <= c for c in self.copies)
+    def qualifies(self, iset):
+        return any(iset <= c for c in self.copies)
 
-    def qualifies_element(self, images, degree):
+    def qualifies_element(self, images):
         if all(i == x for i, x in enumerate(images)):
             return self.nonempty
-        return self.qualifies_keys(_closure_keys([images], degree))
+        cyclic = PermGroup(self.group.degree, [images])
+        return self.qualifies(_index_set(self.group, cyclic.elements()))
 
-    def maximal_original_reps(self, group):
+    def maximal_original_reps(self):
         """Original maxima that are not strictly contained in any copy."""
-        out = []
-        for kset in self.original:
-            if not any(kset < c for c in self.copies):
-                rows = [_from_key(k) for k in sorted(kset)]
-                out.append(_subgroup_of_rows(group.degree, rows))
-        return out
+        E = self.group.elements()
+        return [
+            _subgroup_of_rows(self.group.degree, E[sorted(iset)])
+            for iset in self.original
+            if not any(iset < c for c in self.copies)
+        ]
 
 
 def _p_part_exponent(order, p):
@@ -702,60 +709,59 @@ def _p_part_exponent(order, p):
     return (rest * pow(rest, -1, pv)) % order
 
 
-def _frattini_maximal_subgroups(F_keys, degree):
-    """Maximal subgroups of a p-group given by its element keys."""
-    members = [_from_key(k) for k in sorted(F_keys)]
-    order = len(members)
-    ps = prime_factors(order)
-    assert len(ps) == 1, "maximal-subgroup descent expects a p-group"
+def _frattini_maximal_subgroups(group, F):
+    """Maximal subgroups of a p-group given as a set of `group` indices."""
+    E = group.elements()
+    members = sorted(F)
+    rows = [tuple(int(x) for x in E[m]) for m in members]
+    ps = prime_factors(len(members))
+    if len(ps) != 1:
+        raise IntegrityError("maximal-subgroup descent expects a p-group")
     p = ps[0]
-    ident = tuple(range(degree))
-    phi_gens = [_perm_power(a, p) for a in members]
-    for a in members:
-        for b in members:
+    phi_gens = [_perm_power(a, p) for a in rows]
+    for a in rows:
+        for b in rows:
             phi_gens.append(_mul(_inv(_mul(b, a)), _mul(a, b)))
-    phi = _closure_keys(phi_gens, degree)
+    phi = PermGroup(group.degree, phi_gens).elements()
 
     coset_of = {}
     reps = []
-    phi_members = [_from_key(k) for k in phi]
-    for m in members:
-        if _key(m) in coset_of:
+    for m, row in zip(members, rows):
+        if m in coset_of:
             continue
         cid = len(reps)
-        reps.append(m)
-        for ph in phi_members:
-            coset_of[_key(_mul(m, ph))] = cid
+        reps.append((m, row))
+        for j in _member_indices(group, np.asarray(row, dtype=DTYPE)[phi]).tolist():
+            coset_of[j] = cid
 
-    base_cid = coset_of[_key(ident)]
-    coords = {base_cid: ()}
+    ident = tuple(range(group.degree))
+    coords = {coset_of[0]: ()}  # the identity is the lex-least element
     r = 0
-    for rep in reps:
-        cid = coset_of[_key(rep)]
-        if cid in coords:
+    for m, rep in reps:
+        if coset_of[m] in coords:
             continue
         labeled = list(coords.items())
         coords = {c: vec + (0,) for c, vec in labeled}
         power = ident
         for e in range(1, p):
             power = _mul(rep, power)
-            for c, vec in labeled:
-                target = coset_of[_key(_mul(power, reps[c]))]
-                coords[target] = vec + (e,)
+            targets = _member_indices(group, [_mul(power, reps[c][1]) for c, _ in labeled])
+            for t, (c, vec) in zip(targets.tolist(), labeled):
+                coords[coset_of[t]] = vec + (e,)
         r += 1
-    assert len(coords) == len(reps)
+    if len(coords) != len(reps):
+        raise IntegrityError("Frattini quotient coordinates are incomplete")
     if r == 0:
         return []
 
-    out = []
-    for w in _projective_vectors(p, r):
-        sub = frozenset(
-            _key(m)
+    return [
+        frozenset(
+            m
             for m in members
-            if sum(a * b for a, b in zip(coords[coset_of[_key(m)]], w)) % p == 0
+            if sum(a * b for a, b in zip(coords[coset_of[m]], w)) % p == 0
         )
-        out.append(sub)
-    return out
+        for w in _projective_vectors(p, r)
+    ]
 
 
 def _projective_vectors(p, r):
@@ -777,29 +783,39 @@ def _projective_vectors(p, r):
     return sorted(out)
 
 
-def _maximal_qualifying_psubgroups(T_keys, degree, tester):
-    """Containment-maximal qualifying subgroups of the p-group with keys T_keys."""
+def _maximal_qualifying_psubgroups(tester, T):
+    """Containment-maximal qualifying subgroups of the p-group T, a set of
+    indices in the tester's group."""
     if not tester.nonempty:
         return []
     out = []
     seen = set()
-    stack = [frozenset(T_keys)]
+    stack = [T]
     while stack:
         F = stack.pop()
         if F in seen:
             continue
         seen.add(F)
-        if tester.qualifies_keys(F):
+        if tester.qualifies(F):
             out.append(F)
             continue
         if len(F) == 1:
             continue
-        stack.extend(_frattini_maximal_subgroups(F, degree))
+        stack.extend(_frattini_maximal_subgroups(tester.group, F))
     kept = []
     for F in sorted(set(out), key=lambda s: (-len(s), sorted(s))):
         if not any(F <= big for big in kept):
             kept.append(F)
     return kept
+
+
+def _distinct_subgroups(group, subgroups):
+    """One subgroup per element set (the first met), ordered by order and
+    then by sorted element indices."""
+    found = {}
+    for sub in subgroups:
+        found.setdefault(_index_set(group, sub.elements()), sub)
+    return [found[k] for k in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
 def qualifying_elementary_subgroups(group, p, P, s_maxima):
@@ -816,14 +832,9 @@ def qualifying_elementary_subgroups(group, p, P, s_maxima):
     if not tester.nonempty:
         return []
     degree = group.degree
+    E = group.elements()
     classes = group.class_data()
-    found = {}
-
-    def record(gen_perms):
-        sub = PermGroup(degree, gen_perms)
-        kset = frozenset(sub.element_keys())
-        if kset not in found:
-            found[kset] = sub
+    subs = []
 
     for ell in prime_factors(group.order()):
         if ell == p:
@@ -833,28 +844,26 @@ def qualifying_elementary_subgroups(group, p, P, s_maxima):
                 continue
             rep = c.representative
             p_part = _perm_power(rep.images, _p_part_exponent(c.rep_order, p))
-            if not tester.qualifies_element(p_part, degree):
+            if not tester.qualifies_element(p_part):
                 continue
             C = centralizer(group, rep)
             S = sylow_subgroup(C, ell)
-            record([rep] + list(S.generators))
+            subs.append(PermGroup(degree, [rep] + list(S.generators)))
 
     for c in classes:
         if c.rep_order % p == 0:
             continue
         rep = c.representative
         if c.rep_order == 1:
-            for S in tester.maximal_original_reps(group):
-                record(list(S.generators))
+            subs.extend(tester.maximal_original_reps())
             continue
         C = centralizer(group, rep)
         T = sylow_subgroup(C, p)
-        for F in _maximal_qualifying_psubgroups(frozenset(T.element_keys()), degree, tester):
-            rows = [_from_key(k) for k in sorted(F)]
-            sub = _subgroup_of_rows(degree, rows)
-            record([rep] + list(sub.generators))
+        for F in _maximal_qualifying_psubgroups(tester, _index_set(group, T.elements())):
+            sub = _subgroup_of_rows(degree, E[sorted(F)])
+            subs.append(PermGroup(degree, [rep] + list(sub.generators)))
 
-    return [found[k] for k in sorted(found, key=lambda s: (len(s), sorted(s)))]
+    return _distinct_subgroups(group, subs)
 
 
 def elementary_covering_family(group):
@@ -863,26 +872,22 @@ def elementary_covering_family(group):
     One subgroup ⟨c⟩ x Sylow_ℓ(C(c)) per prime ℓ dividing the order and per
     class of ℓ'-elements c.
     """
-    found = {}
+    subs = []
     for ell in prime_factors(group.order()):
         for c in group.class_data():
             if c.rep_order % ell == 0:
                 continue
             rep = c.representative
-            C = centralizer(group, rep)
-            S = sylow_subgroup(C, ell)
-            sub = PermGroup(group.degree, [rep] + list(S.generators))
-            kset = frozenset(sub.element_keys())
-            if kset not in found:
-                found[kset] = sub
-    return [found[k] for k in sorted(found, key=lambda s: (len(s), sorted(s)))]
+            S = sylow_subgroup(centralizer(group, rep), ell)
+            subs.append(PermGroup(group.degree, [rep] + list(S.generators)))
+    return _distinct_subgroups(group, subs)
 
 
 def product_group(A, B):
     """Direct product acting on the disjoint union of the factors' points.
 
     Factor A keeps its points; factor B is shifted up by A's degree.  The
-    result's order is asserted to be |A|*|B|.
+    result's order is checked to be |A|*|B|.
     """
     dA, dB = A.degree, B.degree
     gens = []
@@ -891,7 +896,8 @@ def product_group(A, B):
     for g in B.generators:
         gens.append(Permutation(tuple(range(dA)) + tuple(x + dA for x in g.images)))
     P = PermGroup(dA + dB, gens)
-    assert P.order() == A.order() * B.order()
+    if P.order() != A.order() * B.order():
+        raise IntegrityError("product order differs from the product of the orders")
     return P
 
 

@@ -10,6 +10,8 @@ number of irreducible characters, so quadratic row operations are cheap.
 
 from dataclasses import dataclass
 
+from .groupcore import IntegrityError
+
 
 class IntLattice:
     """Mutable-by-insertion lattice; canonical() freezes a comparable form."""
@@ -299,6 +301,7 @@ def quotient_shape(ambient, sub):
         raise ValueError("ambient dimension mismatch")
     rows = [express_in_basis(ambient, r) for r in sub.canonical()]
     inv = smith_invariants(rows)
-    assert all(d > 0 for d in inv)
+    if not all(d > 0 for d in inv):
+        raise IntegrityError("Smith invariants of a sublattice must be positive")
     free = ambient.rank - len(inv)
     return QuotientShape(free, tuple(d for d in inv if d > 1))

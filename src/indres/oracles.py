@@ -11,9 +11,8 @@ deliberately slow and apply only to small groups.
 from fractions import Fraction
 from math import gcd
 
-from .chartab import Cyclotomic
-from .groupcore import (BudgetExceeded, Permutation, _conj, _from_key, _inv,
-                        _key, _mul, v_p)
+from .chartab import Cyclotomic, character_table, inner_product
+from .groupcore import BudgetExceeded, Permutation, _conj, _inv, _mul, v_p
 from .lattice import IntLattice
 
 
@@ -21,6 +20,11 @@ def _check_budget(group, budget):
     n = group.order()
     if n > budget:
         raise BudgetExceeded(f"group order {n} exceeds oracle budget {budget}")
+
+
+def _element_tuples(group):
+    """The elements as image tuples, the oracles' own element identity."""
+    return [tuple(int(x) for x in row) for row in group.elements()]
 
 
 # -- subgroup enumeration -------------------------------------------------------
@@ -32,7 +36,7 @@ def all_subgroups(group, budget_order=200):
     frontier = []
     for row in group.elements():
         S = group.subgroup([Permutation(tuple(int(x) for x in row))])
-        ks = frozenset(S.element_keys())
+        ks = frozenset(_element_tuples(S))
         if ks not in seen:
             seen[ks] = S
             frontier.append(ks)
@@ -45,26 +49,25 @@ def all_subgroups(group, budget_order=200):
                 if ls <= ks:
                     continue
                 J = group.subgroup(list(A.generators) + list(B.generators))
-                js = frozenset(J.element_keys())
+                js = frozenset(_element_tuples(J))
                 if js not in seen:
                     seen[js] = J
                     new.append(js)
         frontier = new
-    return sorted(seen.values(), key=lambda S: (S.order(), sorted(S.element_keys())))
+    return sorted(seen.values(), key=lambda S: (S.order(), sorted(_element_tuples(S))))
 
 
 # -- literal induced-lattice construction ---------------------------------------
 
-def _in_intersection_set(G, P, H, Qkeys):
+def _in_intersection_set(G, P, H, Q):
     """Q belongs to the intersection set iff some element outside H moves Q
     into P; this tests the defining condition elementwise."""
-    pset = set(P.element_keys())
-    hset = set(H.element_keys())
-    for row in G.elements():
-        t = tuple(int(x) for x in row)
-        if _key(t) in hset:
+    pset = set(_element_tuples(P))
+    hset = set(_element_tuples(H))
+    for t in _element_tuples(G):
+        if t in hset:
             continue
-        if all(_key(_conj(t, _from_key(q))) in pset for q in Qkeys):
+        if all(_conj(t, q) in pset for q in Q):
             return True
     return False
 
@@ -73,11 +76,8 @@ def _induced_values(table, sub, subtable):
     """Values of Ind of every irreducible of sub, by the defining sum."""
     group = table.group
     m = table.exponent
-    sub_lookup = {
-        key: subtable.class_index_of_key(key) for key in sub.element_keys()
-    }
-    elements = group.elements()
-    inverses = group.inverses()
+    sub_lookup = {x: subtable.class_index_of(x) for x in _element_tuples(sub)}
+    inverses = [tuple(int(v) for v in row) for row in group.inverses()]
     reps = [c.representative.images for c in table.classes]
     out = []
     for i in range(subtable.k):
@@ -85,10 +85,8 @@ def _induced_values(table, sub, subtable):
         row = []
         for rep in reps:
             acc = Cyclotomic(m)
-            for r in range(elements.shape[0]):
-                x = tuple(int(v) for v in elements[r])
-                xi = tuple(int(v) for v in inverses[r])
-                j = sub_lookup.get(_key(_conj(xi, rep)))
+            for xi in inverses:
+                j = sub_lookup.get(_conj(xi, rep))
                 if j is not None:
                     acc = acc + vals[j]
             row.append(acc.exact_div(sub.order()))
@@ -104,16 +102,14 @@ def definition_lattice(inst, target, budget_order=200):
     intersection set.  Meant for comparison with the fast path by
     canonical form.
     """
-    from .chartab import character_table, inner_product
-
     table = inst.tG if target == "G" else inst.tH
     group = table.group
     _check_budget(group, budget_order)
-    pkeys = set(inst.P.element_keys())
+    pset = set(_element_tuples(inst.P))
     p = inst.p
     L = IntLattice(table.k)
     for S in all_subgroups(group, budget_order):
-        inter = [key for key in S.element_keys() if key in pkeys]
+        inter = [x for x in _element_tuples(S) if x in pset]
         if len(inter) != p ** v_p(S.order(), p):
             continue
         if not _in_intersection_set(inst.G, inst.P, inst.H, inter):
@@ -133,23 +129,21 @@ def definition_lattice(inst, target, budget_order=200):
 def brute_conjugacy_classes(group, budget_order=5000):
     """Conjugacy classes by elementwise orbit closure under the generators."""
     _check_budget(group, budget_order)
-    elements = [tuple(int(x) for x in row) for row in group.elements()]
     gens = [g.images for g in group.generators]
-    remaining = {_key(e): e for e in elements}
+    remaining = set(_element_tuples(group))
     classes = []
     while remaining:
-        key = min(remaining)
-        start = remaining.pop(key)
-        orbit = {key: start}
+        start = min(remaining)
+        remaining.discard(start)
+        orbit = {start}
         stack = [start]
         while stack:
             x = stack.pop()
             for g in gens:
                 y = _conj(g, x)
-                ky = _key(y)
-                if ky not in orbit:
-                    orbit[ky] = y
-                    remaining.pop(ky, None)
+                if y not in orbit:
+                    orbit.add(y)
+                    remaining.discard(y)
                     stack.append(y)
         classes.append(sorted(orbit))
     classes.sort(key=lambda c: (len(c), c[0]))
@@ -240,28 +234,26 @@ def _derived_subgroup(S):
 
 
 def _linear_characters(S, m):
-    """All linear characters of S, as dicts element-key -> value in Z[zeta_m].
+    """All linear characters of S, as dicts image tuple -> value in Z[zeta_m].
 
     Works through the abelianization: cosets of the derived subgroup form an
     abelian group, decomposed into cyclic factors by a greedy maximal-order
     basis within each primary part.
     """
     K = _derived_subgroup(S)
-    kelems = [_from_key(key) for key in K.element_keys()]
+    kelems = _element_tuples(K)
     coset_key = {}
-    for row in S.elements():
-        x = tuple(int(v) for v in row)
-        coset_key[_key(x)] = min(_key(_mul(x, k)) for k in kelems)
-    ids = sorted(set(coset_key.values()))
-    index = {cid: i for i, cid in enumerate(ids)}
-    rep = [_from_key(cid) for cid in ids]
-    n = len(ids)
+    for x in _element_tuples(S):
+        coset_key[x] = min(_mul(x, k) for k in kelems)
+    rep = sorted(set(coset_key.values()))
+    index = {cid: i for i, cid in enumerate(rep)}
+    n = len(rep)
 
     def q_mul(i, j):
-        return index[coset_key[_key(_mul(rep[i], rep[j]))]]
+        return index[coset_key[_mul(rep[i], rep[j])]]
 
     def q_pow(i, e):
-        acc = index[coset_key[_key(tuple(range(S.degree)))]]
+        acc = index[coset_key[tuple(range(S.degree))]]
         base = i
         while e:
             if e & 1:
@@ -270,7 +262,7 @@ def _linear_characters(S, m):
             e >>= 1
         return acc
 
-    one = index[coset_key[_key(tuple(range(S.degree)))]]
+    one = index[coset_key[tuple(range(S.degree))]]
     orders = []
     for i in range(n):
         e, j = 1, i
@@ -467,27 +459,26 @@ def brute_character_table(group, budget_order=200):
     Builds class functions by explicit induction sums (the trivial character
     of every subgroup and every linear character of every cyclic subgroup),
     splits off irreducibles greedily, and reduces any residual span with
-    exact LLL.  Returns (classes, rows): classes as sorted element-key
-    lists, rows as value tuples over those classes.
+    exact LLL.  Returns (classes, rows): classes as sorted lists of image
+    tuples, rows as value tuples over those classes.
     """
     _check_budget(group, budget_order)
     classes = brute_conjugacy_classes(group, budget_order)
     k = len(classes)
     order = group.order()
     m = group.exponent()
-    reps = [_from_key(cl[0]) for cl in classes]
-    idkey = _key(tuple(range(group.degree)))
-    one = next(t for t, cl in enumerate(classes) if cl[0] == idkey)
+    reps = [cl[0] for cl in classes]
+    ident = tuple(range(group.degree))
+    one = next(t for t, cl in enumerate(classes) if cl[0] == ident)
 
-    elements = [tuple(int(x) for x in row) for row in group.elements()]
     inverses = [tuple(int(x) for x in row) for row in group.inverses()]
 
-    def induce_from(n_sub, values_by_key):
+    def induce_from(n_sub, values):
         rows = []
         for rep in reps:
             acc = Cyclotomic(m)
-            for x, xi in zip(elements, inverses):
-                v = values_by_key.get(_key(_conj(xi, rep)))
+            for xi in inverses:
+                v = values.get(_conj(xi, rep))
                 if v is not None:
                     acc = acc + v
             rows.append(acc.exact_div(n_sub))
@@ -593,7 +584,7 @@ def compare_with_table(group, table, budget_order=200):
     if len(classes) != table.k:
         return False
     m = max(table.exponent, group.exponent())
-    perm = [table.class_index_of_key(cl[0]) for cl in classes]
+    perm = [table.class_index_of(cl[0]) for cl in classes]
     mine = set()
     for row in rows:
         mine.add(tuple(v.rebase(m).sort_key() for v in row))

@@ -1,9 +1,11 @@
 """p-block partitions, defect groups, and the Brauer correspondence."""
 
+import dataclasses
+
 import pytest
 
 from indres.catalog import build
-from indres.chartab import character_table
+from indres.chartab import IntegrityError, character_table
 from indres.blocks import (
     Block,
     ModularReduction,
@@ -103,6 +105,13 @@ def test_defect_group_orders():
         defect_group(t, b, 2).order() for b in block_partition(t, 2)
     )
     assert orders == [2, 8]
+
+
+def test_defect_group_rejects_wrong_defect():
+    t = character_table(build("A5"))
+    b = next(b for b in block_partition(t, 2) if b.principal)
+    with pytest.raises(IntegrityError):
+        defect_group(t, dataclasses.replace(b, defect=b.defect - 1), 2)
 
 
 def test_principal_defect_group_is_sylow():

@@ -1,12 +1,17 @@
 """Permutation arithmetic, stabilizer chains, and the intersection set."""
 
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indres.catalog import build, perm_from_cycles
+from indres.catalog import build, perm_from_cycles, special_linear2
 from indres.groupcore import (
     BudgetExceeded,
+    IntegrityError,
     PermGroup,
     Permutation,
     conjugacy_classes,
@@ -19,7 +24,10 @@ from indres.groupcore import (
     split_product_images,
     sylow_subgroup,
     v_p,
+    _subgroup_of_rows,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 perms6 = st.permutations(range(6)).map(Permutation)
 
@@ -101,7 +109,7 @@ def test_chain_order_matches_brute_closure(gens):
 def test_membership_and_element_listing():
     S4 = build("S4")
     assert perm_from_cycles([(1, 2, 3, 4)], 4) in S4
-    assert len(S4.element_keys()) == 24
+    assert len(S4.elements()) == 24
     A4 = S4.subgroup(
         [perm_from_cycles([(1, 2, 3)], 4), perm_from_cycles([(1, 2), (3, 4)], 4)]
     )
@@ -123,7 +131,7 @@ def test_conjugacy_classes_s4():
     assert sum(c.size for c in data) == 24
 
 
-def test_class_of_key_consistency():
+def test_class_of_consistency():
     G = build("A5")
     data = conjugacy_classes(G)
     for i, c in enumerate(data):
@@ -185,15 +193,16 @@ def test_intersection_set_empty_when_h_is_g():
     assert list(sm.maxima) == []
 
 
-def test_key_sets_are_downward_closed_markers():
+def test_index_sets_are_downward_closed_markers():
     # every maximal overlap really arises as P meet some outside conjugate
     G = build("A5")
     P = sylow_subgroup(G, 2)
     H = normalizer(G, P)
     sm = intersection_set_maxima(G, P, H)
-    pkeys = set(P.element_keys())
-    for ks in sm.key_sets():
-        assert set(ks) <= pkeys
+    for S, ks in zip(sm.maxima, sm.index_sets(P)):
+        assert len(ks) == S.order()
+        assert ks <= set(range(P.order()))
+        assert S.rows_in(P.elements()[sorted(ks)]).all()
 
 
 def test_product_group_and_splitting():
@@ -222,3 +231,68 @@ def test_group_from_generators_rejects_garbage():
 def test_conjugacy_budget_enforced():
     with pytest.raises(BudgetExceeded):
         conjugacy_classes(build("M11"), budget_order=100)
+
+
+def test_subgroup_of_rows_rejects_unclosed_rows():
+    rows = [(0, 1, 2, 3), (1, 2, 0, 3)]  # the identity and a 3-cycle alone
+    with pytest.raises(IntegrityError):
+        _subgroup_of_rows(4, rows)
+
+
+# index_of: S4..M11 have small degree; the fixture group has degree 125 and
+# SL2_17 degree 288, past where int16 bytes order and lex order part ways
+INDEX_GROUPS = {
+    "S4": lambda: build("S4"),
+    "A5": lambda: build("A5"),
+    "SL2_7": lambda: special_linear2(7),
+    "M11": lambda: build("M11"),
+    "fixture": lambda: group_from_generators(
+        json.loads((FIXTURES / "fixture_group.json").read_text())
+    ),
+    "SL2_17": lambda: build("SL2_17"),
+}
+
+
+@pytest.fixture(scope="module", params=list(INDEX_GROUPS))
+def indexed_group(request):
+    return INDEX_GROUPS[request.param]()
+
+
+def test_index_of_elements_is_arange(indexed_group):
+    G = indexed_group
+    assert np.array_equal(G.index_of(G.elements()), np.arange(G.order()))
+
+
+def test_elements_are_lex_sorted(indexed_group):
+    E = indexed_group.elements().astype(np.int64)
+    diff = E[1:] != E[:-1]
+    first = diff.argmax(axis=1)  # first column where neighbours differ
+    rows = np.arange(len(first))
+    assert diff.any(axis=1).all()
+    assert (E[rows, first] < E[rows + 1, first]).all()
+
+
+@st.composite
+def member_or_not(draw, G):
+    """A random permutation, a member, or a member with two points swapped."""
+    E = G.elements()
+    kind = draw(st.sampled_from(["random", "member", "near"]))
+    if kind == "random":
+        return tuple(draw(st.permutations(range(G.degree))))
+    row = [int(x) for x in E[draw(st.integers(0, len(E) - 1))]]
+    if kind == "near":
+        a, b = draw(st.lists(st.integers(0, G.degree - 1), min_size=2,
+                             max_size=2, unique=True))
+        row[a], row[b] = row[b], row[a]
+    return tuple(row)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_index_of_agrees_with_contains_images(indexed_group, data):
+    G = indexed_group
+    row = data.draw(member_or_not(G))
+    i = int(G.index_of([row])[0])
+    assert (i >= 0) == G.contains_images(row)
+    if i >= 0:
+        assert tuple(int(x) for x in G.elements()[i]) == row

@@ -2,10 +2,10 @@
 
 import pytest
 
-from indres.catalog import build
+from indres.catalog import build, special_linear2
 from indres.chartab import character_table
 from indres.correspondence import build_induced_lattice, make_instance
-from indres.groupcore import BudgetExceeded, _key, _mul, conjugacy_classes
+from indres.groupcore import BudgetExceeded, _mul, conjugacy_classes
 from indres.oracles import (
     _linear_characters,
     all_subgroups,
@@ -55,14 +55,13 @@ def test_brute_classes_sizes(name, sizes):
 
 
 def test_brute_classes_agree_with_fast():
-    for name in ("S4", "Q8", "D12", "SL2_3"):
-        G = build(name)
+    groups = [build(n) for n in ("S4", "Q8", "D12", "SL2_3", "A5")]
+    for G in groups + [special_linear2(7)]:
         brute = {frozenset(c) for c in brute_conjugacy_classes(G)}
         ids = G.class_ids()
-        keys = G.element_keys()
         fast = {}
-        for key, cid in zip(keys, ids):
-            fast.setdefault(int(cid), set()).add(key)
+        for row, cid in zip(G.elements(), ids):
+            fast.setdefault(int(cid), set()).add(tuple(int(x) for x in row))
         assert brute == {frozenset(v) for v in fast.values()}
 
 
@@ -81,16 +80,14 @@ def test_linear_character_counts(name, count):
     m = t.exponent
     linears = _linear_characters(G, m)
     assert len(linears) == count
-    idkey = _key(tuple(range(G.degree)))
-    keys = sorted(G.element_keys())
+    ident = tuple(range(G.degree))
+    elems = sorted(tuple(int(x) for x in row) for row in G.elements())
     for chi in linears:
-        assert chi[idkey].as_int() == 1
+        assert chi[ident].as_int() == 1
         # multiplicative on a sample of products
-        for a in keys[:4]:
-            for b in keys[-4:]:
-                ga = tuple(int(x) for x in G.elements()[G.element_index()[a]])
-                gb = tuple(int(x) for x in G.elements()[G.element_index()[b]])
-                assert chi[_key(_mul(ga, gb))] == chi[a] * chi[b]
+        for a in elems[:4]:
+            for b in elems[-4:]:
+                assert chi[_mul(a, b)] == chi[a] * chi[b]
 
 
 @pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4"])
