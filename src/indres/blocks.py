@@ -14,9 +14,9 @@ from math import gcd
 
 import sympy
 
-from .chartab import IntegrityError
+from .chartab import IntegrityError, _memo
 from .classfun import class_fusion, trivial_index
-from .groupcore import centralizer, sylow_subgroup, v_p
+from .groupcore import _transporter_mask, centralizer, sylow_subgroup, v_p
 
 
 # -- finite fields -----------------------------------------------------------
@@ -323,17 +323,15 @@ def block_partition(table, p, alternative=0, reduction=None):
     return out
 
 
+@_memo
 def defect_group(table, block, p):
     """A defect group of the block, up to conjugacy.
 
     Defect classes: among classes where the central character is nonzero,
     the p-part of the centralizer order is minimized; a Sylow p-subgroup of
     that centralizer is a defect group, and its order is checked to be
-    p^defect.
+    p^defect.  Memoized on the table by the block's value.
     """
-    key = ("defect", block.index, p)
-    if key in table._cache:
-        return table._cache[key]
     G = table.group
     if G is None:
         raise ValueError("defect groups need the table's group attached")
@@ -351,7 +349,6 @@ def defect_group(table, block, p):
     D = sylow_subgroup(centralizer(G, rep), p)
     if D.order() != p**block.defect:
         raise IntegrityError(f"defect group order {D.order()} != p^{block.defect}")
-    table._cache[key] = D
     return D
 
 
@@ -392,12 +389,7 @@ def some_defect_group_inside(table, block, p, P):
         return True
     if P.order() % D.order():
         return False
-    G = table.group
-    mask = None
-    for g in D.generators:
-        hit = P.rows_in(G.conjugation_sweep(g.images))
-        mask = hit if mask is None else mask & hit
-    return bool(mask.any())
+    return bool(_transporter_mask(table.group, D, P).any())
 
 
 def char_subsets(table, p, P, blks=None):

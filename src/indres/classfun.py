@@ -18,6 +18,7 @@ from .chartab import (
     Cyclotomic,
     IntegrityError,
     _dixon_prime,
+    _memo,
     inner_product,
 )
 from .groupcore import (
@@ -104,13 +105,6 @@ class VirtualCharacter:
     def values(self):
         return [self.value_at(j) for j in range(self.table.k)]
 
-    def signed_irreducible(self):
-        """(sign, row index) when this is ±(one irreducible), else None."""
-        sup = self.support()
-        if len(sup) != 1 or abs(self.coeffs[sup[0]]) != 1:
-            return None
-        return (self.coeffs[sup[0]], sup[0])
-
     def conjugate(self):
         dual = self.table.dual_map()
         out = [0] * self.table.k
@@ -189,6 +183,11 @@ def pointwise_product(a, b):
 
 
 # -- fusion and the induction/restriction matrix ----------------------------
+#
+# class_fusion and restriction_matrix memoize by hand rather than through
+# `_memo`: their owner is the second argument, the small table, so a
+# subgroup table dropped by its caller is freed even while the big table
+# lives on.
 
 def class_fusion(big, small):
     """For each class of the small table, its class index in the big table.
@@ -213,25 +212,23 @@ def class_fusion(big, small):
     return fused
 
 
+@_memo
 def _shadow(table, M, l, w):
     """The table's rows in F_l under the ring homomorphism zeta_M -> w.
 
-    Memoized on the table under (M, l, w), so the images live and die with
-    the table; w^-1 in place of w gives the complex conjugates.
+    Memoized on the table, so the images live and die with the table;
+    w^-1 in place of w gives the complex conjugates.
     """
-    key = ("shadow", M, l, w)
-    if key not in table._cache:
-        pw = [1] * M
-        for t in range(1, M):
-            pw[t] = pw[t - 1] * w % l
-        table._cache[key] = [
-            [
-                sum(c * pw[e * (M // v.modulus)] for e, c in v.terms.items()) % l
-                for v in row
-            ]
-            for row in table.irreducibles
+    pw = [1] * M
+    for t in range(1, M):
+        pw[t] = pw[t - 1] * w % l
+    return [
+        [
+            sum(c * pw[e * (M // v.modulus)] for e, c in v.terms.items()) % l
+            for v in row
         ]
-    return table._cache[key]
+        for row in table.irreducibles
+    ]
 
 
 def restriction_matrix(big, small):
@@ -363,7 +360,7 @@ def product_table(tA, tB):
         left, right = split_product_images(images, dA)
         return tA.class_index_of(left) * kB + tB.class_index_of(right)
 
-    t = CharTable(
+    return CharTable(
         group_order=order,
         exponent=M,
         classes=classes,
@@ -371,17 +368,15 @@ def product_table(tA, tB):
         degrees=degrees,
         group=product_group(GA, GB),
         name=f"({tA.name} x {tB.name})" if tA.name and tB.name else None,
+        factors=(tA, tB),
         _dual=dual,
         _lookup=lookup,
     )
-    t._factors = (tA, tB)
-    return t
 
 
 def outer_product(chi, theta, prod):
     """(chi x theta)(g, h) = chi(g) theta(h) as a row-coefficient tensor."""
-    factors = getattr(prod, "_factors", None)
-    if factors is None or factors[0] is not chi.table or factors[1] is not theta.table:
+    if prod.factors != (chi.table, theta.table):
         raise ValueError("product table does not match the factor tables")
     kB = theta.table.k
     coeffs = [0] * prod.k

@@ -16,7 +16,7 @@ strings.
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import lcm
 
 import click
@@ -32,7 +32,6 @@ from .correspondence import (PROPERTIES, blocks_of, build_induced_lattice,
                              pair_table, quotients_q1_q2, table_for)
 from .groupcore import (BudgetExceeded, conjugacy_classes,
                         group_from_generators, normalizer, sylow_subgroup)
-from .lattice import QuotientShape
 from .oracles import (brute_conjugacy_classes, compare_with_table,
                       definition_lattice)
 
@@ -226,12 +225,12 @@ def run_verify(spec):
     return (0 if ok else 1), data
 
 
-def _shape_tuple(q):
-    return (q.free_rank, tuple(q.torsion))
-
-
 def evaluate_row(row):
-    """Compute (q1, irc, q2, pieces) for one reference table row."""
+    """Compute (q1, irc, q2, pieces) for one reference table row.
+
+    The quotients are QuotientShapes; pieces is None unless the row lists
+    per-block components, then the Q1 and the Q2 pieces as two lists.
+    """
     inst, block_pair = build_instance(
         JobSpec(group=row["group"], p=row["p"], subgroup_mode=row["mode"])
     )
@@ -242,16 +241,8 @@ def evaluate_row(row):
     irc = check_property(inst, "irc", block_pair=block_pair).holds
     pieces = None
     if row["pieces"] is not None:
-        pieces = (
-            [_shape_tuple(a) for _, a, _ in per_block],
-            [_shape_tuple(c) for _, _, c in per_block],
-        )
-    return _shape_tuple(q1), irc, _shape_tuple(q2), pieces
-
-
-def _fmt_shape(t):
-    q = QuotientShape(free_rank=t[0], torsion=tuple(t[1]))
-    return str(q)
+        pieces = ([a for _, a, _ in per_block], [c for _, _, c in per_block])
+    return q1, irc, q2, pieces
 
 
 class _Main(click.Group):
@@ -362,8 +353,7 @@ def cmd_verify(group, prime, props, subgroup_mode, h_mode, table_g, table_h,
 @click.option("-o", "--output", default=None)
 def cmd_quotients(group, prime, output):
     """Print the two lattice quotients and their block pieces."""
-    G = load_group(group)
-    inst = make_instance(G, prime, name=group if group in BUILDERS else "")
+    inst, _ = build_instance(JobSpec(group, prime))
     q1, q2, per_block = quotients_q1_q2(inst)
     click.echo(f"Q1 = {q1}")
     click.echo(f"Q2 = {q2}")
@@ -374,14 +364,10 @@ def cmd_quotients(group, prime, output):
             {
                 "group": group,
                 "p": prime,
-                "q1": {"free_rank": q1.free_rank, "torsion": list(q1.torsion)},
-                "q2": {"free_rank": q2.free_rank, "torsion": list(q2.torsion)},
+                "q1": q1.to_json(),
+                "q2": q2.to_json(),
                 "per_block": [
-                    {
-                        "block": idx,
-                        "q1": {"free_rank": a.free_rank, "torsion": list(a.torsion)},
-                        "q2": {"free_rank": b.free_rank, "torsion": list(b.torsion)},
-                    }
+                    {"block": idx, "q1": a.to_json(), "q2": b.to_json()}
                     for idx, a, b in per_block
                 ],
             },
@@ -400,15 +386,16 @@ def cmd_paper_table(suite, output):
     bad = 0
     for row in rows:
         q1, irc, q2, pieces = evaluate_row(row)
-        ok = q1 == row["q1"] and irc == row["irc"] and q2 == row["q2"]
+        ok = (astuple(q1), irc, astuple(q2)) == (row["q1"], row["irc"], row["q2"])
         if row["pieces"] is not None:
-            ok = ok and pieces == row["pieces"]
+            got = tuple([astuple(q) for q in half] for half in pieces)
+            ok = ok and got == row["pieces"]
         bad += 0 if ok else 1
         state = "match" if ok else "MISMATCH"
         line = (
             f"{row['group']} p={row['p']} [{row['mode']}]: "
-            f"Q1 = {_fmt_shape(q1)}, IRC = {'Yes' if irc else 'No'}, "
-            f"Q2 = {_fmt_shape(q2)}  {state}"
+            f"Q1 = {q1}, IRC = {'Yes' if irc else 'No'}, "
+            f"Q2 = {q2}  {state}"
         )
         click.echo(line)
         results.append(
@@ -416,9 +403,9 @@ def cmd_paper_table(suite, output):
                 "group": row["group"],
                 "p": row["p"],
                 "mode": row["mode"],
-                "q1": {"free_rank": q1[0], "torsion": list(q1[1])},
+                "q1": q1.to_json(),
                 "irc": irc,
-                "q2": {"free_rank": q2[0], "torsion": list(q2[1])},
+                "q2": q2.to_json(),
                 "match": ok,
             }
         )
@@ -438,23 +425,23 @@ def cmd_paper_table(suite, output):
 @click.option("--budget-classes", default=5000, show_default=True)
 def cmd_oracle(kind, group, prime, budget_order, budget_classes):
     """Recompute data by brute force and compare with the fast path."""
-    G = load_group(group)
-    name = group if group in BUILDERS else ""
     if kind == "subgroup-lattice":
         if prime is None:
             raise ValueError("subgroup-lattice needs -p")
-        inst = make_instance(G, prime, name=name)
+        inst, _ = build_instance(JobSpec(group, prime))
         ok = True
-        for target in ("G", "H"):
-            fast = build_induced_lattice(inst, target)
-            slow = definition_lattice(inst, target, budget_order=budget_order)
+        for side in ("G", "H"):
+            fast = build_induced_lattice(inst, side)
+            slow = definition_lattice(inst, side, budget_order=budget_order)
             same = fast.canonical() == slow.canonical()
             ok = ok and same
             click.echo(
-                f"{target}: fast rank {fast.rank}, brute rank {slow.rank}, "
+                f"{side}: fast rank {fast.rank}, brute rank {slow.rank}, "
                 f"HNF {'equal' if same else 'DIFFERENT'}"
             )
         sys.exit(0 if ok else 1)
+    G = load_group(group)
+    name = group if group in BUILDERS else ""
     if kind == "brute-classes":
         brute = brute_conjugacy_classes(G, budget_order=budget_classes)
         own = _class_element_sets(G, conjugacy_classes(G))

@@ -6,6 +6,15 @@ subgroups, the coordinate lattices spanned by character subsets, their sums
 and intersections.  Property verdicts therefore come with finite witnesses
 (a signed matching) or certificates (a character whose image misses the
 lattice), never with numerical tolerance.
+
+Every check compares a G side with an H side.  A side is named by the
+string "G" or "H" (the parameter is always `side`), and `Instance.table`
+picks its table.  Data derived from one instance (induced lattices,
+blocks, character subsets, C^p + I moduli, block correspondents, the
+product table) is memoized on the instance by `chartab._memo`, keyed by
+the function's name and its remaining positional arguments; memoized
+functions take no keyword arguments and no defaults, so one call has one
+key, and the data is freed with the instance.
 """
 
 from dataclasses import dataclass, field
@@ -17,15 +26,18 @@ from .blocks import (
     char_subsets,
     some_defect_group_inside,
 )
-from .chartab import character_table
+from .chartab import _memo, character_table
 from .classfun import (
     VirtualCharacter,
     induce,
     irr,
     ml_counts,
     p_prime_part,
+    p_singular_classes,
     product_table,
+    restrict,
     restriction_matrix,
+    vanishes_on,
 )
 from .groupcore import (
     IntegrityError,
@@ -53,7 +65,10 @@ PROPERTIES = ("irc", "wirc", "wircstar", "pres", "pind")
 
 @dataclass
 class Instance:
-    """One (G, p, P, H) quadruple with its tables and intersection data."""
+    """One (G, p, P, H) quadruple with its tables and intersection data.
+
+    `_cache` holds what `_memo` derives from the instance.
+    """
 
     p: int
     tG: object
@@ -70,6 +85,10 @@ class Instance:
     @property
     def H(self):
         return self.tH.group
+
+    def table(self, side):
+        """The table of the G side or the H side."""
+        return self.tG if side == "G" else self.tH
 
 
 # The one process-level cache.  Its key is the degree and the sorted element
@@ -104,61 +123,63 @@ def make_instance(G, p, P=None, H=None, tG=None, tH=None, name=""):
 
 # -- lattice builders ---------------------------------------------------------
 
-def build_induced_lattice(inst, target):
-    """The lattice spanned by inductions from qualifying elementary subgroups.
-
-    target is "G" or "H"; qualification means a target-conjugate of the
-    subgroup's Sylow p-part lies inside a member of the intersection set.
-    """
-    key = ("lat", target)
-    if key in inst._cache:
-        return inst._cache[key]
-    table = inst.tG if target == "G" else inst.tH
-    group = table.group
+def _induced_span(table, subgroups):
+    """Span of the inductions of every irreducible of each subgroup."""
     L = IntLattice(table.k)
-    if inst.s_maxima.maxima:
-        subs = qualifying_elementary_subgroups(group, inst.p, inst.P, inst.s_maxima)
-        for E in subs:
-            tE = table_for(E)
-            for i in range(tE.k):
-                L.insert(induce(irr(tE, i), table).coeffs)
-    inst._cache[key] = L
+    for E in subgroups:
+        tE = table_for(E)
+        for i in range(tE.k):
+            L.insert(induce(irr(tE, i), table).coeffs)
     return L
 
 
+@_memo
+def build_induced_lattice(inst, side):
+    """The lattice spanned by inductions from qualifying elementary subgroups.
+
+    Qualification means a side-conjugate of the subgroup's Sylow p-part
+    lies inside a member of the intersection set.
+    """
+    table = inst.table(side)
+    subs = []
+    if inst.s_maxima.maxima:
+        subs = qualifying_elementary_subgroups(
+            table.group, inst.p, inst.P, inst.s_maxima
+        )
+    return _induced_span(table, subs)
+
+
+@_memo
 def blocks_of(inst, side):
-    key = ("blocks", side)
-    if key in inst._cache:
-        return inst._cache[key]
-    table = inst.tG if side == "G" else inst.tH
-    out = block_partition(table, inst.p)
-    inst._cache[key] = out
-    return out
+    return block_partition(inst.table(side), inst.p)
 
 
+@_memo
 def subsets_of(inst, side):
     """(Irr(·,P), Irr_0(·,P), Irr^p(·,P)) for the chosen side."""
-    key = ("subsets", side)
-    if key in inst._cache:
-        return inst._cache[key]
-    table = inst.tG if side == "G" else inst.tH
-    out = char_subsets(table, inst.p, inst.P, blks=blocks_of(inst, side))
-    inst._cache[key] = out
-    return out
+    return char_subsets(inst.table(side), inst.p, inst.P, blks=blocks_of(inst, side))
 
 
-def cp_plus_lattice(inst, side):
-    """C^p(side, P) + I(side, P, S), the (WIRC)/(pRes)/(pInd) modulus."""
-    key = ("cp+I", side)
-    if key in inst._cache:
-        return inst._cache[key]
-    table = inst.tG if side == "G" else inst.tH
-    _, _, irrp = subsets_of(inst, side)
-    out = lattice_sum(
-        coordinate_lattice(table.k, irrp), build_induced_lattice(inst, side)
+def _side_sets(inst, side, block_pair):
+    """Irr_0 and Irr^p of one side, global or cut to that side's block."""
+    if block_pair is None:
+        _, irr0, irrp = subsets_of(inst, side)
+        return list(irr0), list(irrp)
+    blk = block_pair[0 if side == "G" else 1]
+    hz = blk.height_zero(inst.table(side), inst.p)
+    return list(hz), [i for i in blk.char_indices if i not in hz]
+
+
+@_memo
+def cp_plus_lattice(inst, side, block_pair):
+    """C^p(side, P) + I(side, P, S), the (WIRC)/(pRes)/(pInd) modulus.
+
+    C^p is global when block_pair is None, else cut to the side's block.
+    """
+    _, irrp = _side_sets(inst, side, block_pair)
+    return lattice_sum(
+        coordinate_lattice(inst.table(side).k, irrp), build_induced_lattice(inst, side)
     )
-    inst._cache[key] = out
-    return out
 
 
 def proj_res_vector(inst, i):
@@ -176,18 +197,14 @@ def ind_vector(inst, j):
 
 # -- block pairing under the correspondence -----------------------------------
 
+@_memo
 def reduction_for(inst):
-    key = ("reduction",)
-    if key in inst._cache:
-        return inst._cache[key]
-    red = ModularReduction(inst.p, inst.tG.exponent)
-    inst._cache[key] = red
-    return red
+    return ModularReduction(inst.p, inst.tG.exponent)
 
 
 def blocks_with_defect_group_P(inst, side):
     """Blocks whose defect group is conjugate (in the side's group) to P."""
-    table = inst.tG if side == "G" else inst.tH
+    table = inst.table(side)
     target = v_p(inst.P.order(), inst.p)
     out = []
     for b in blocks_of(inst, side):
@@ -198,21 +215,16 @@ def blocks_with_defect_group_P(inst, side):
     return out
 
 
+@_memo
 def correspondent_of(inst, b):
     """The H-block e with defect group P and e^G = b, or None."""
-    key = ("corr", b.index)
-    if key in inst._cache:
-        return inst._cache[key]
     red = reduction_for(inst)
     bsG = block_partition(inst.tG, inst.p, reduction=red)
-    found = None
     for e in blocks_with_defect_group_P(inst, "H"):
         eG = brauer_correspondent(inst.tH, e, inst.tG, bsG, red)
         if eG is not None and eG.char_indices == b.char_indices:
-            found = e
-            break
-    inst._cache[key] = found
-    return found
+            return e
+    return None
 
 
 # -- property verdicts ---------------------------------------------------------
@@ -226,35 +238,11 @@ class Verdict:
     level: str = "global"
 
 
-def _h_side_sets(inst, block_pair):
-    """Irr_0 and Irr^p for the H side, global or block-substituted."""
-    if block_pair is None:
-        _, irr0, irrp = subsets_of(inst, "H")
-        return list(irr0), list(irrp)
-    _, e = block_pair
-    hz = e.height_zero(inst.tH, inst.p)
-    return list(hz), [i for i in e.char_indices if i not in hz]
-
-
-def _g_side_sets(inst, block_pair):
-    if block_pair is None:
-        _, irr0, irrp = subsets_of(inst, "G")
-        return list(irr0), list(irrp)
-    b, _ = block_pair
-    hz = b.height_zero(inst.tG, inst.p)
-    return list(hz), [i for i in b.char_indices if i not in hz]
-
-
 def _modulus_lattice(inst, side, block_pair, with_cp):
     """I(side,P,S), plus C^p of the (possibly block-substituted) side."""
-    L = build_induced_lattice(inst, side)
-    if not with_cp:
-        return L
-    if block_pair is None:
-        return cp_plus_lattice(inst, side)
-    table = inst.tG if side == "G" else inst.tH
-    _, irrp = (_g_side_sets if side == "G" else _h_side_sets)(inst, block_pair)
-    return lattice_sum(coordinate_lattice(table.k, irrp), L)
+    if with_cp:
+        return cp_plus_lattice(inst, side, block_pair)
+    return build_induced_lattice(inst, side)
 
 
 def _lex_signed_matching(rows, cols, edge_sign):
@@ -326,7 +314,7 @@ def check_property(inst, which, block_pair=None):
 
     if which == "pres":
         L = _modulus_lattice(inst, "H", block_pair, with_cp=True)
-        _, irrp_g = _g_side_sets(inst, block_pair)
+        _, irrp_g = _side_sets(inst, "G", block_pair)
         for i in irrp_g:
             if not L.contains(proj_res_vector(inst, i)):
                 return Verdict(
@@ -336,7 +324,7 @@ def check_property(inst, which, block_pair=None):
 
     if which == "pind":
         L = _modulus_lattice(inst, "G", block_pair, with_cp=True)
-        _, irrp_h = _h_side_sets(inst, block_pair)
+        _, irrp_h = _side_sets(inst, "H", block_pair)
         for j in irrp_h:
             if not L.contains(ind_vector(inst, j)):
                 return Verdict(
@@ -344,8 +332,8 @@ def check_property(inst, which, block_pair=None):
                 )
         return Verdict(which, True, level=level)
 
-    irr0_g, _ = _g_side_sets(inst, block_pair)
-    irr0_h, _ = _h_side_sets(inst, block_pair)
+    irr0_g, _ = _side_sets(inst, "G", block_pair)
+    irr0_h, _ = _side_sets(inst, "H", block_pair)
     if len(irr0_g) != len(irr0_h):
         return Verdict(
             which,
@@ -412,7 +400,7 @@ def quotients_q1_q2(inst):
     tH = inst.tH
     IH = build_induced_lattice(inst, "H")
     irr_hp, _, _ = subsets_of(inst, "H")
-    S2 = cp_plus_lattice(inst, "H")
+    S2 = cp_plus_lattice(inst, "H", None)
     amb = coordinate_lattice(tH.k, irr_hp)
     q1 = quotient_shape(amb, coordinate_restrict(IH, irr_hp))
     q2 = quotient_shape(amb, coordinate_restrict(S2, irr_hp))
@@ -433,9 +421,8 @@ def quotients_q1_q2(inst):
 
 def block_splitting_holds(inst, side):
     """Proposition-style theorem check: I splits as the sum of its block parts."""
-    table = inst.tG if side == "G" else inst.tH
     L = build_induced_lattice(inst, side)
-    total = IntLattice(table.k)
+    total = IntLattice(inst.table(side).k)
     for b in blocks_of(inst, side):
         total = lattice_sum(total, coordinate_restrict(L, list(b.char_indices)))
     return total == L
@@ -449,16 +436,9 @@ def theorem26_selftest(inst):
     irr_gp, _, _ = subsets_of(inst, "G")
     irr_hp, _, _ = subsets_of(inst, "H")
     hp = set(irr_hp)
-    R = restriction_matrix(tG, tH)
     for j in irr_hp:
         # Proj_P Res Ind psi_j - psi_j must lie in I(H,P,S) ∩ C(H,P)
-        ind = ind_vector(inst, j)
-        back = [0] * tH.k
-        for i, c in enumerate(ind):
-            if c:
-                for jj in range(tH.k):
-                    if R[i][jj]:
-                        back[jj] += c * R[i][jj]
+        back = restrict(induce(irr(tH, j), tG), tH).coeffs
         vec = [
             (back[jj] - (1 if jj == j else 0)) if jj in hp else 0
             for jj in range(tH.k)
@@ -481,11 +461,7 @@ def theorem26_selftest(inst):
 def brauer_completeness_check(group, table=None):
     """Inductions from all elementary subgroups must span all of C(G)."""
     table = table if table is not None else table_for(group)
-    L = IntLattice(table.k)
-    for E in elementary_covering_family(group):
-        tE = table_for(E)
-        for i in range(tE.k):
-            L.insert(induce(irr(tE, i), table).coeffs)
+    L = _induced_span(table, elementary_covering_family(group))
     expect = tuple(
         tuple(1 if a == b else 0 for a in range(table.k)) for b in range(table.k)
     )
@@ -518,13 +494,9 @@ def isaacs_navarro_check(inst, block_pair=None):
 
 # -- omega, mu transforms, property (G) ----------------------------------------
 
+@_memo
 def pair_table(inst):
-    key = ("prod",)
-    if key in inst._cache:
-        return inst._cache[key]
-    prod = product_table(inst.tG, inst.tH)
-    inst._cache[key] = prod
-    return prod
+    return product_table(inst.tG, inst.tH)
 
 
 def omega_character(inst, b, e):
@@ -543,7 +515,7 @@ def omega_character(inst, b, e):
 
 def I_transform(mu, phi):
     """I_mu: C(H) -> C(G) in coefficient space."""
-    tG, tH = mu.table._factors
+    tG, tH = mu.table.factors
     if phi.table is not tH:
         raise ValueError("phi must live over the H factor")
     dualH = tH.dual_map()
@@ -558,7 +530,7 @@ def I_transform(mu, phi):
 
 def R_transform(mu, chi):
     """R_mu: C(G) -> C(H) in coefficient space."""
-    tG, tH = mu.table._factors
+    tG, tH = mu.table.factors
     if chi.table is not tG:
         raise ValueError("chi must live over the G factor")
     dualG = tG.dual_map()
@@ -575,11 +547,9 @@ def _s_is_trivial(inst):
     return all(S.order() == 1 for S in inst.s_maxima.maxima)
 
 
+@_memo
 def product_induced_lattice(inst):
     """I(G x H, diag P, diag S) built over the product group."""
-    key = ("prodlat",)
-    if key in inst._cache:
-        return inst._cache[key]
     prod = pair_table(inst)
     GH = prod.group
     dG = inst.G.degree
@@ -588,15 +558,11 @@ def product_induced_lattice(inst):
     dmax = [
         GH.subgroup([diag(g) for g in S.generators]) for S in inst.s_maxima.maxima
     ]
-    smax = IntersectionSetMaxima(maxima=dmax)
-    L = IntLattice(prod.k)
+    subs = []
     if dmax:
-        for E in qualifying_elementary_subgroups(GH, inst.p, dP, smax):
-            tE = table_for(E)
-            for i in range(tE.k):
-                L.insert(induce(irr(tE, i), prod).coeffs)
-    inst._cache[key] = L
-    return L
+        smax = IntersectionSetMaxima(maxima=dmax)
+        subs = qualifying_elementary_subgroups(GH, inst.p, dP, smax)
+    return _induced_span(prod, subs)
 
 
 def check_property_G_with_witness(inst, b, e, mu):
@@ -622,13 +588,7 @@ def check_property_G_with_witness(inst, b, e, mu):
 
     diff = mu - omega_character(inst, b, e)
     if _s_is_trivial(inst):
-        p = inst.p
-        singular = [
-            t
-            for t, c in enumerate(prod.classes)
-            if c.rep_order % p == 0
-        ]
-        ok_lattice = all(diff.value_at(t).is_zero() for t in singular)
+        ok_lattice = vanishes_on(diff, p_singular_classes(prod, inst.p))
     else:
         ok_lattice = product_induced_lattice(inst).contains(diff.coeffs)
     if not ok_lattice:
@@ -665,17 +625,14 @@ class PropertyReport:
     ml_ok: bool
 
     def to_json(self):
-        def shape(q):
-            return {"free_rank": q.free_rank, "torsion": list(q.torsion)}
-
         return {
             "instance": self.instance,
             "s_maxima": self.s_maxima,
             "lattice_ranks": self.lattice_ranks,
-            "q1": shape(self.q1),
-            "q2": shape(self.q2),
+            "q1": self.q1.to_json(),
+            "q2": self.q2.to_json(),
             "per_block": [
-                {"block": i, "q1": shape(a), "q2": shape(bq)}
+                {"block": i, "q1": a.to_json(), "q2": bq.to_json()}
                 for i, a, bq in self.per_block
             ],
             "verdicts": {

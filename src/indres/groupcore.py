@@ -179,6 +179,21 @@ class Permutation:
         return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cyc)
 
 
+def _strip(levels, g):
+    """Sift the image tuple g down the chain levels.
+
+    Returns the residue and the index of the level where sifting stopped
+    (len(levels) when it ran through); g lies in the group exactly when
+    the residue is the identity.
+    """
+    for i, lvl in enumerate(levels):
+        pt = g[lvl.base]
+        if pt not in lvl.transversal:
+            return g, i
+        g = _mul(_inv(lvl.transversal[pt]), g)
+    return g, len(levels)
+
+
 class _Level:
     __slots__ = ("base", "gens", "transversal")
 
@@ -251,14 +266,6 @@ class PermGroup:
                             new.append(q)
                 frontier = new
 
-        def strip(g):
-            for i, lvl in enumerate(levels):
-                pt = g[lvl.base]
-                if pt not in lvl.transversal:
-                    return g, i
-                g = _mul(_inv(lvl.transversal[pt]), g)
-            return g, len(levels)
-
         def augment(g, at):
             if at == len(levels):
                 base = min(i for i, x in enumerate(g) if x != i)
@@ -268,7 +275,7 @@ class PermGroup:
                 rebuild(j)
 
         for g in self.generators:
-            r, at = strip(g.images)
+            r, at = _strip(levels, g.images)
             if r != ident:
                 augment(r, at)
 
@@ -285,7 +292,7 @@ class PermGroup:
                     for s in gens:
                         h = _mul(s, u)
                         rep = lvl.transversal[h[lvl.base]]
-                        r, at = strip(_mul(_inv(rep), h))
+                        r, at = _strip(levels, _mul(_inv(rep), h))
                         if r != ident:
                             augment(r, at)
                             dirty = True
@@ -307,14 +314,7 @@ class PermGroup:
         return self._order
 
     def contains_images(self, images):
-        g = tuple(images)
-        ident = self._identity()
-        for lvl in self._chain():
-            pt = g[lvl.base]
-            if pt not in lvl.transversal:
-                return False
-            g = _mul(_inv(lvl.transversal[pt]), g)
-        return g == ident
+        return _strip(self._chain(), tuple(images))[0] == self._identity()
 
     def __contains__(self, perm):
         if isinstance(perm, Permutation):
@@ -548,21 +548,32 @@ def _subgroup_of_rows(degree, rows):
     """The subgroup whose elements are `rows`, with a greedy generating set.
 
     Rows are image sequences, scanned in the given order; each one not yet
-    generated becomes a generator, so the order fixes the generators.
+    generated becomes a generator, so the order fixes the generators.  Once
+    the generated order reaches the row count, the rows not yet scanned
+    are checked for membership in one sweep.
     """
+    rows = np.asarray(rows, dtype=DTYPE)
     target = len(rows)
     gens = []
     K = PermGroup(degree, [])
-    for row in rows:
-        if K.order() == target:
-            break
-        images = tuple(int(v) for v in row)
+    pos = 0
+    while pos < target and K.order() < target:
+        images = tuple(int(v) for v in rows[pos])
         if not K.contains_images(images):
             gens.append(Permutation(images))
             K = PermGroup(degree, gens)
-    if K.order() != target:
+        pos += 1
+    if K.order() != target or not K.rows_in(rows[pos:]).all():
         raise IntegrityError("rows are not closed under the group operation")
     return K
+
+
+def _transporter_mask(G, K, L):
+    """Mask over G's elements of the g with g K g^-1 inside L."""
+    mask = np.ones(len(G.elements()), dtype=bool)
+    for k in K.generators:
+        mask &= L.rows_in(G.conjugation_sweep(k.images))
+    return mask
 
 
 def centralizer(G, x):
@@ -575,11 +586,7 @@ def centralizer(G, x):
 
 def normalizer(G, K):
     """Normalizer N_G(K) of a subgroup K given on the same points."""
-    E = G.elements()
-    mask = np.ones(len(E), dtype=bool)
-    for k in K.generators:
-        mask &= K.rows_in(G.conjugation_sweep(k.images))
-    return _subgroup_of_rows(G.degree, E[mask])
+    return _subgroup_of_rows(G.degree, G.elements()[_transporter_mask(G, K, K)])
 
 
 def sylow_subgroup(G, p):
@@ -592,11 +599,7 @@ def sylow_subgroup(G, p):
     S = PermGroup(G.degree, [])
     target = p ** v_p(G.order(), p)
     while S.order() < target:
-        E = G.elements()
-        mask = np.ones(len(E), dtype=bool)
-        for k in S.generators:
-            mask &= S.rows_in(G.conjugation_sweep(k.images))
-        candidates = E[mask]
+        candidates = G.elements()[_transporter_mask(G, S, S)]
         power = candidates
         for _ in range(p - 1):
             power = np.take_along_axis(candidates, power, axis=1)

@@ -201,6 +201,9 @@ class QuotientShape:
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
+    def to_json(self):
+        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
+
     def __str__(self):
         parts = []
         if self.free_rank == 1:

@@ -102,7 +102,7 @@ def definition_lattice(inst, target, budget_order=200):
     intersection set.  Meant for comparison with the fast path by
     canonical form.
     """
-    table = inst.tG if target == "G" else inst.tH
+    table = inst.table(target)
     group = table.group
     _check_budget(group, budget_order)
     pset = set(_element_tuples(inst.P))

@@ -110,6 +110,9 @@ def test_defect_group_orders():
 def test_defect_group_rejects_wrong_defect():
     t = character_table(build("A5"))
     b = next(b for b in block_partition(t, 2) if b.principal)
+    # the memo keys by the block's value: a block equal to the cached one
+    # but for its defect must not be served the cached group
+    assert defect_group(t, b, 2).order() == 4
     with pytest.raises(IntegrityError):
         defect_group(t, dataclasses.replace(b, defect=b.defect - 1), 2)
 

@@ -1,0 +1,57 @@
+"""Derived data has one owner: the object it is derived from.
+
+Checked modules hold one module-level mutable container, the element-set
+keyed `correspondence._TABLE_CACHE`, and `functools.cache` memoizes only
+`chartab._phi_reduction`, whose key is an integer; everything else is
+memoized on a table or an instance (`chartab._memo`).
+"""
+
+import ast
+
+from test_no_assert import CHECKED, SRC
+
+MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                    ast.SetComp)
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque",
+                 "Counter"}
+PROCESS_CACHES = {"cache", "lru_cache"}
+
+
+def _trees():
+    for module in CHECKED:
+        yield module, ast.parse((SRC / f"{module}.py").read_text())
+
+
+def _name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_one_module_level_mutable_container():
+    found = set()
+    for module, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if isinstance(value, MUTABLE_LITERALS) or (
+                isinstance(value, ast.Call) and _name(value) in MUTABLE_CALLS
+            ):
+                found |= {(module, t.id) for t in targets if isinstance(t, ast.Name)}
+    assert found == {("correspondence", "_TABLE_CACHE")}
+
+
+def test_functools_cache_only_on_phi_reduction():
+    found = set()
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_name(d) in PROCESS_CACHES for d in node.decorator_list):
+                    found.add((module, node.name))
+    assert found == {("chartab", "_phi_reduction")}

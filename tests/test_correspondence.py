@@ -1,5 +1,8 @@
 """Correspondence properties, quotient shapes, and structural identities."""
 
+import gc
+import weakref
+
 import pytest
 
 from indres.blocks import block_partition
@@ -16,6 +19,7 @@ from indres.correspondence import (
     check_property,
     check_property_G_with_witness,
     correspondent_of,
+    cp_plus_lattice,
     degree_congruences_hold,
     full_report,
     isaacs_navarro_check,
@@ -293,3 +297,18 @@ def test_quotient_group_verdicts_and_lattices_agree():
     LH_big = build_induced_lattice(inst_big, "H")
     lifted_h = _lift(LH_small.canonical(), coords_h, inst_big.tH.k)
     assert lifted_h == coordinate_restrict(LH_big, coords_h)
+
+
+def test_memoized_results_live_on_the_instance():
+    inst = make_instance(build("S4"), 2, name="S4")
+    b = blocks_with_defect_group_P(inst, "G")[0]
+    pair = (b, correspondent_of(inst, b))
+    L = build_induced_lattice(inst, "H")
+    S = cp_plus_lattice(inst, "H", pair)
+    assert build_induced_lattice(inst, "H") is L
+    assert cp_plus_lattice(inst, "H", pair) is S
+    assert correspondent_of(inst, b) is pair[1]
+    refs = [weakref.ref(L), weakref.ref(S)]
+    del inst, L, S
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

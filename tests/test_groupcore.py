@@ -234,9 +234,14 @@ def test_conjugacy_budget_enforced():
 
 
 def test_subgroup_of_rows_rejects_unclosed_rows():
-    rows = [(0, 1, 2, 3), (1, 2, 0, 3)]  # the identity and a 3-cycle alone
-    with pytest.raises(IntegrityError):
-        _subgroup_of_rows(4, rows)
+    for rows in (
+        [(0, 1, 2, 3), (1, 2, 0, 3)],  # the identity and a 3-cycle alone
+        # (01) and (23) generate a group of order 4 before the last row, a
+        # 4-cycle outside it
+        [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 2, 3, 0)],
+    ):
+        with pytest.raises(IntegrityError):
+            _subgroup_of_rows(4, rows)
 
 
 # index_of: S4..M11 have small degree; the fixture group has degree 125 and
