@@ -159,7 +159,7 @@ def _least_irreducible(p, d):
         )
         if poly.is_irreducible:
             return digits
-    raise AssertionError("no irreducible polynomial found")
+    raise IntegrityError("no irreducible polynomial found")
 
 
 def _build_field(p, d):
@@ -179,7 +179,7 @@ def _multiplicative_order(a, n):
         x = (x * a) % n
         order += 1
         if order > n:
-            raise AssertionError("order computation ran away")
+            raise IntegrityError("order computation ran away")
     return order
 
 
@@ -244,7 +244,7 @@ class ModularReduction:
                 return el
             enc += 1
             if enc > self.p**self.d:
-                raise AssertionError("no primitive element found")
+                raise IntegrityError("no primitive element found")
 
     def reduce(self, value):
         """Image of a cyclotomic integer; modulus must divide m."""

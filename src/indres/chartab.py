@@ -215,7 +215,9 @@ class CharTable:
     from this table (fusions and restriction matrices into a bigger table,
     keyed by that table; through `_memo`, the rows' images in F_l and
     defect groups), so it is freed with the table.  `factors` is the pair
-    of factor tables of a product table, None otherwise.
+    of factor tables of a product table, None otherwise.  A product table
+    (`classfun.product_table`) has `irreducibles = None` and no group: its
+    values come from `factors`.
     """
 
     group_order: int
@@ -245,9 +247,6 @@ class CharTable:
 
     def class_sizes(self):
         return [c.size for c in self.classes]
-
-    def value_row(self, i):
-        return self.irreducibles[i]
 
     def row_index(self):
         if self._value_index is None:

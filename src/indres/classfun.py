@@ -1,9 +1,11 @@
 """Virtual characters over a fixed table: induction, restriction, products.
 
 A virtual character is an integer coefficient vector over the irreducible
-rows of one CharTable.  All arithmetic stays in coefficient space; values
-are materialized only when a computation genuinely needs them (decomposing
-a pointwise product, testing vanishing on a set of classes).  Induction and
+characters of one CharTable; a product table's characters are the pairs of
+factor characters, and its values come from the factors.  All arithmetic
+stays in coefficient space; values are materialized only when a
+computation genuinely needs them (decomposing a pointwise product, testing
+vanishing on a set of classes).  Induction and
 restriction run through a cached integer matrix of inner products, so
 Frobenius reciprocity is exact by construction and the matrix itself is
 what unit tests pin down.
@@ -26,7 +28,6 @@ from .groupcore import (
     Permutation,
     class_of_power,
     prime_factors,
-    product_group,
     split_product_images,
 )
 
@@ -96,10 +97,17 @@ class VirtualCharacter:
 
     def value_at(self, j):
         t = self.table
-        acc = Cyclotomic(t.exponent)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + t.irreducibles[i][j] * c
+        if t.factors is None:
+            return _column_sum(t, self.coeffs, j)
+        # at class (a, b) of a product: sum_i chi_i(a) * sum_i' c_(i,i') psi_i'(b)
+        tA, tB = t.factors
+        a, b = divmod(j, tB.k)
+        M = t.exponent
+        acc = Cyclotomic(M)
+        for i, row in enumerate(tA.irreducibles):
+            part = self.coeffs[i * tB.k:(i + 1) * tB.k]
+            if any(part):
+                acc = acc + row[a].rebase(M) * _column_sum(tB, part, b).rebase(M)
         return acc
 
     def values(self):
@@ -120,6 +128,15 @@ class VirtualCharacter:
             if c
         ]
         return f"VirtualCharacter({''.join(parts) or '0'})"
+
+
+def _column_sum(table, coeffs, j):
+    """sum_i c_i chi_i(j) over the rows of a table that has them."""
+    acc = Cyclotomic(table.exponent)
+    for c, row in zip(coeffs, table.irreducibles):
+        if c:
+            acc = acc + row[j] * c
+    return acc
 
 
 def irr(table, i):
@@ -217,8 +234,13 @@ def _shadow(table, M, l, w):
     """The table's rows in F_l under the ring homomorphism zeta_M -> w.
 
     Memoized on the table, so the images live and die with the table;
-    w^-1 in place of w gives the complex conjugates.
+    w^-1 in place of w gives the complex conjugates.  A product table's
+    images are the Kronecker product of its factors' images, in the
+    product's pair order.
     """
+    if table.factors is not None:
+        SA, SB = (_shadow(f, M, l, w) for f in table.factors)
+        return [[x * y % l for x in ra for y in rb] for ra in SA for rb in SB]
     pw = [1] * M
     for t in range(1, M):
         pw[t] = pw[t - 1] * w % l
@@ -304,21 +326,21 @@ def restrict(chi, small):
 # -- direct products ---------------------------------------------------------
 
 def product_table(tA, tB):
-    """Tensor table of a direct product, classes and rows in pair order.
+    """Table of a direct product, classes and characters in pair order.
 
-    Class (a, b) has index a*kB + b, row (i, j) likewise; the row-(i, j)
-    value at class (a, b) is the product of the factor values.  Both factor
-    tables must carry groups; the product group acts on the disjoint union
-    of the factors' points and is attached for subgroup computations, while
-    class identification goes through the pair structure, not the product
-    group's own class order.
+    Class (a, b) has index a*kB + b, character (i, j) likewise; its value at
+    class (a, b) is the product of the factor values (Isaacs, Thm 4.21).
+    The table keeps no rows and no group: `irreducibles` is None, `value_at`
+    and `_shadow` derive values from `factors`, and a reader that needs the
+    product group builds it with `product_group` from the factor groups.
+    Class representatives act on the disjoint union of the factors' points,
+    as there; class identification goes through the pair structure.
     """
     if tA.group is None or tB.group is None:
         raise ValueError("product_table needs both factor groups")
     GA, GB = tA.group, tB.group
     dA = GA.degree
-    kA, kB = tA.k, tB.k
-    M = lcm(tA.exponent, tB.exponent)
+    kB = tB.k
     order = tA.group_order * tB.group_order
 
     classes = []
@@ -336,25 +358,18 @@ def product_table(tA, tB):
                 )
             )
     for q in prime_factors(order):
-        for ia in range(kA):
-            pa = class_of_power(GA, ia, q)
-            for ib in range(kB):
-                pb = class_of_power(GB, ib, q)
+        powA = [class_of_power(GA, ia, q) for ia in range(tA.k)]
+        powB = [class_of_power(GB, ib, q) for ib in range(kB)]
+        for ia, pa in enumerate(powA):
+            for ib, pb in enumerate(powB):
                 classes[ia * kB + ib].power_map[q] = pa * kB + pb
 
-    rows = []
-    degrees = []
-    for i in range(kA):
-        rowA = [v.rebase(M) for v in tA.irreducibles[i]]
-        for j in range(kB):
-            rowB = [v.rebase(M) for v in tB.irreducibles[j]]
-            rows.append([va * vb for va in rowA for vb in rowB])
-            degrees.append(tA.degrees[i] * tB.degrees[j])
+    degrees = [da * db for da in tA.degrees for db in tB.degrees]
     if sum(d * d for d in degrees) != order:
         raise IntegrityError("product degree squares do not sum to the order")
 
     dualA, dualB = tA.dual_map(), tB.dual_map()
-    dual = [dualA[i] * kB + dualB[j] for i in range(kA) for j in range(kB)]
+    dual = [da * kB + db for da in dualA for db in dualB]
 
     def lookup(images):
         left, right = split_product_images(images, dA)
@@ -362,11 +377,10 @@ def product_table(tA, tB):
 
     return CharTable(
         group_order=order,
-        exponent=M,
+        exponent=lcm(tA.exponent, tB.exponent),
         classes=classes,
-        irreducibles=rows,
+        irreducibles=None,
         degrees=degrees,
-        group=product_group(GA, GB),
         name=f"({tA.name} x {tB.name})" if tA.name and tB.name else None,
         factors=(tA, tB),
         _dual=dual,

@@ -46,6 +46,7 @@ from .groupcore import (
     elementary_covering_family,
     intersection_set_maxima,
     normalizer,
+    product_group,
     qualifying_elementary_subgroups,
     sylow_subgroup,
     v_p,
@@ -375,7 +376,7 @@ def check_property(inst, which, block_pair=None):
     return Verdict(which, True, witness=matching, level=level)
 
 
-def degree_congruences_hold(inst, matching, block_pair=None):
+def degree_congruences_hold(inst, matching):
     """Check chi(1)_{p'} = +-|G:H|_{p'} F(chi)(1)_{p'} mod p on a matching."""
     p = inst.p
     m = p_prime_part(inst.tG.group_order // inst.tH.group_order, p)
@@ -551,7 +552,7 @@ def _s_is_trivial(inst):
 def product_induced_lattice(inst):
     """I(G x H, diag P, diag S) built over the product group."""
     prod = pair_table(inst)
-    GH = prod.group
+    GH = product_group(inst.G, inst.H)
     dG = inst.G.degree
     diag = lambda g: Permutation(tuple(g.images) + tuple(x + dG for x in g.images))
     dP = GH.subgroup([diag(g) for g in inst.P.generators])
@@ -657,7 +658,7 @@ def full_report(inst, props=PROPERTIES, block_pair=None):
     for w in props:
         verdicts[w] = check_property(inst, w, block_pair=block_pair)
         if verdicts[w].holds and verdicts[w].witness:
-            if not degree_congruences_hold(inst, verdicts[w].witness, block_pair):
+            if not degree_congruences_hold(inst, verdicts[w].witness):
                 raise IntegrityError(f"witness of {w} breaks the degree congruences")
     q1, q2, per_block = quotients_q1_q2(inst)
     ml_ok, cG, cH = isaacs_navarro_check(inst, block_pair)

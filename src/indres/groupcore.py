@@ -549,8 +549,8 @@ def _subgroup_of_rows(degree, rows):
 
     Rows are image sequences, scanned in the given order; each one not yet
     generated becomes a generator, so the order fixes the generators.  Once
-    the generated order reaches the row count, the rows not yet scanned
-    are checked for membership in one sweep.
+    the generated order reaches the row count, every row is located in the
+    group in one sweep; the rows must be members and pairwise distinct.
     """
     rows = np.asarray(rows, dtype=DTYPE)
     target = len(rows)
@@ -563,8 +563,13 @@ def _subgroup_of_rows(degree, rows):
             gens.append(Permutation(images))
             K = PermGroup(degree, gens)
         pos += 1
-    if K.order() != target or not K.rows_in(rows[pos:]).all():
+    idx = K.index_of(rows)
+    if K.order() != target or (idx < 0).any():
         raise IntegrityError("rows are not closed under the group operation")
+    seen = np.zeros(target, dtype=bool)
+    seen[idx] = True
+    if not seen.all():
+        raise IntegrityError("rows repeat an element")
     return K
 
 

@@ -76,7 +76,7 @@ def suite_row(row):
         q1, q2 = entry[1], entry[2]
     verdict = check_property(inst, "irc", block_pair=block_pair)
     if verdict.witness:
-        _MATCHINGS.append((key + ("irc",), inst, verdict.witness, block_pair))
+        _MATCHINGS.append((key + ("irc",), inst, verdict.witness))
     ok = (
         _shape(q1) == row["q1"]
         and verdict.holds == row["irc"]
@@ -149,7 +149,7 @@ def fixture_results():
     }
     for w, v in verdicts.items():
         if v.witness:
-            _MATCHINGS.append((("fixture", 2, w), inst, v.witness, block_pair))
+            _MATCHINGS.append((("fixture", 2, w), inst, v.witness))
     wit = json.loads((ROOT / "fixtures" / "fixture_witness.json").read_text())
     prod = pair_table(inst)
     mu = VirtualCharacter(prod, tuple(int(c) for c in wit["coeffs"]))
@@ -211,12 +211,7 @@ def test_criterion_5_universal_weak_properties():
             v = check_property(e["inst"], w, block_pair=e["block_pair"])
             if v.witness:
                 _MATCHINGS.append(
-                    (
-                        (e["row"]["group"], e["row"]["p"], w),
-                        e["inst"],
-                        v.witness,
-                        e["block_pair"],
-                    )
+                    ((e["row"]["group"], e["row"]["p"], w), e["inst"], v.witness)
                 )
             if not v.holds:
                 bad.append(f"{e['row']['group']}/{e['row']['p']}:{w}")
@@ -247,8 +242,8 @@ def test_criterion_6_theorem_checks():
             and block_splitting_holds(inst, "H")
         )
     congruences = all(
-        degree_congruences_hold(inst, witness, bp)
-        for _, inst, witness, bp in _MATCHINGS
+        degree_congruences_hold(inst, witness)
+        for _, inst, witness in _MATCHINGS
     )
     invariance = True
     for name in ("S4", "A5", "SL2_11"):

@@ -1,17 +1,27 @@
 """Virtual characters: induction, restriction, fusion, products, counts."""
 
 import gc
+import random
 import weakref
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 
 from indres.blocks import block_partition, defect_group
 from indres.catalog import build, perm_from_cycles, special_linear2
-from indres.chartab import IntegrityError, character_table, inner_product
+from indres.chartab import (
+    Cyclotomic,
+    IntegrityError,
+    _dixon_prime,
+    character_table,
+    inner_product,
+)
 from indres.classfun import (
     VirtualCharacter,
+    _shadow,
     class_fusion,
     from_values,
     induce,
@@ -241,6 +251,7 @@ def test_product_table_s3xs3():
     )
     assert prod.group_order == 36
     assert sum(d * d for d in prod.degrees) == 36
+    assert prod.irreducibles is None and prod.group is None
 
 
 def test_product_table_rejects_tampered_degrees():
@@ -248,6 +259,70 @@ def test_product_table_rejects_tampered_degrees():
     t.degrees = [1, 1, 3]
     with pytest.raises(IntegrityError):
         product_table(t, t)
+
+
+def _tensor_rows(tA, tB):
+    """Reference: the explicit rows of the product table, in pair order."""
+    M = lcm(tA.exponent, tB.exponent)
+    A = [[v.rebase(M) for v in row] for row in tA.irreducibles]
+    B = [[v.rebase(M) for v in row] for row in tB.irreducibles]
+    return [[va * vb for va in ra for vb in rb] for ra in A for rb in B]
+
+
+def _s4_pair_at_2():
+    inst = make_instance(build("S4"), 2)
+    return inst.tG, inst.tH
+
+
+PRODUCT_PAIRS = {
+    "S3xS3": lambda: (character_table(build("S3")),) * 2,
+    "S4xN(P)-2": _s4_pair_at_2,  # exponents 12 and 4: values need rebasing
+}
+
+
+def _field_of(table):
+    """(M, l, w) as restriction_matrix picks them for a table and a subgroup."""
+    M = table.exponent
+    l = _dixon_prime(table.group_order, M, table.k)
+    return M, l, pow(sympy.primitive_root(l), (l - 1) // M, l)
+
+
+@pytest.fixture(scope="module", params=list(PRODUCT_PAIRS))
+def product_and_reference(request):
+    tA, tB = PRODUCT_PAIRS[request.param]()
+    return product_table(tA, tB), _tensor_rows(tA, tB)
+
+
+def test_product_values_match_tensor_rows(product_and_reference):
+    prod, rows = product_and_reference
+    rng = random.Random(7)
+    chars = [irr(prod, t) for t in (0, prod.k - 1)]
+    while len(chars) < 6:
+        coeffs = [rng.choice((-2, -1, 0, 0, 1, 3)) for _ in range(prod.k)]
+        if min(coeffs) < 0 < max(coeffs):
+            chars.append(VirtualCharacter(prod, coeffs))
+    for chi in chars:
+        for j in range(prod.k):
+            expect = sum(
+                (row[j] * c for c, row in zip(chi.coeffs, rows) if c),
+                start=Cyclotomic(prod.exponent),
+            )
+            assert chi.value_at(j) == expect
+
+
+def test_product_shadow_is_image_of_tensor_rows(product_and_reference):
+    prod, rows = product_and_reference
+    M, l, w = _field_of(prod)
+    for root in (w, pow(w, -1, l)):
+        expect = [
+            [
+                sum(c * pow(root, e * (M // v.modulus), l) for e, c in v.terms.items())
+                % l
+                for v in row
+            ]
+            for row in rows
+        ]
+        assert _shadow(prod, M, l, root) == expect
 
 
 def test_outer_product_values():
@@ -282,7 +357,10 @@ def test_dropped_tables_are_freed():
     tH = character_table(normalizer(G, sylow_subgroup(G, 2)))
     restriction_matrix(tG, tH)
     defect_group(tG, block_partition(tG, 2)[0], 2)
-    refs = [weakref.ref(tG), weakref.ref(tH)]
-    del G, tG, tH
+    prod = product_table(tG, tH)
+    _shadow(prod, *_field_of(prod))
+    vanishes_on(irr(prod, 1).conjugate(), p_singular_classes(prod, 2))
+    refs = [weakref.ref(tG), weakref.ref(tH), weakref.ref(prod)]
+    del G, tG, tH, prod
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert [r() for r in refs] == [None, None, None]

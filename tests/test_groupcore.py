@@ -244,6 +244,13 @@ def test_subgroup_of_rows_rejects_unclosed_rows():
             _subgroup_of_rows(4, rows)
 
 
+def test_subgroup_of_rows_rejects_duplicate_rows():
+    # three rows but only two elements: the 3-cycle generates C3 before the
+    # repeat, so a count of rows alone matches the order
+    with pytest.raises(IntegrityError):
+        _subgroup_of_rows(3, [(0, 1, 2), (1, 2, 0), (1, 2, 0)])
+
+
 # index_of: S4..M11 have small degree; the fixture group has degree 125 and
 # SL2_17 degree 288, past where int16 bytes order and lex order part ways
 INDEX_GROUPS = {
