@@ -14,9 +14,10 @@ from math import gcd
 
 import sympy
 
-from .chartab import IntegrityError, _memo
+from .chartab import IntegrityError
 from .classfun import class_fusion, trivial_index
-from .groupcore import _transporter_mask, centralizer, sylow_subgroup, v_p
+from .groupcore import (_first_hit, _memo, _transporter_mask, centralizer,
+                        sylow_subgroup, v_p)
 
 
 # -- finite fields -----------------------------------------------------------
@@ -296,9 +297,15 @@ def omega_values(table, chi_index, class_indices=None):
     return out
 
 
-def block_partition(table, p, alternative=0, reduction=None):
+@_memo
+def _table_reduction(table, p, alternative):
+    """The reduction of the table's values at p, built once per table."""
+    return ModularReduction(p, table.exponent, alternative)
+
+
+def block_partition(table, p, alternative=0):
     """All p-blocks of the table, ordered by least character index."""
-    red = reduction or ModularReduction(p, table.exponent, alternative)
+    red = _table_reduction(table, p, alternative)
     signature = {}
     for i in range(table.k):
         sig = tuple(red.reduce(v) for v in omega_values(table, i))
@@ -389,7 +396,8 @@ def some_defect_group_inside(table, block, p, P):
         return True
     if P.order() % D.order():
         return False
-    return bool(_transporter_mask(table.group, D, P).any())
+    G = table.group
+    return _first_hit(G, lambda lo, hi: _transporter_mask(G, D, P, lo, hi)) >= 0
 
 
 def char_subsets(table, p, P, blks=None):

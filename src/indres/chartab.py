@@ -9,7 +9,7 @@ returned, so a table object in hand is always internally consistent.
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, wraps
+from functools import cache
 from itertools import chain
 from math import gcd, isqrt, lcm
 
@@ -212,12 +212,12 @@ class CharTable:
     """Ordinary character table, rows sorted by (degree, canonical value key).
 
     Tables compare and hash by identity.  `_cache` memoizes data derived
-    from this table (fusions and restriction matrices into a bigger table,
-    keyed by that table; through `_memo`, the rows' images in F_l and
-    defect groups), so it is freed with the table.  `factors` is the pair
-    of factor tables of a product table, None otherwise.  A product table
-    (`classfun.product_table`) has `irreducibles = None` and no group: its
-    values come from `factors`.
+    from this table (fusions and restriction matrices of a table pair, see
+    `classfun.class_fusion`; through `groupcore._memo`, the rows' images in
+    F_l, modular reductions and defect groups), so it is freed with the
+    table.  `factors` is the pair of factor tables of a product table, None
+    otherwise.  A product table (`classfun.product_table`) has
+    `irreducibles = None` and no group: its values come from `factors`.
     """
 
     group_order: int
@@ -285,24 +285,6 @@ class CharTable:
                 raise IntegrityError("row conjugation is not an involution")
             self._dual = out
         return self._dual
-
-
-def _memo(fn):
-    """Memoize fn(owner, *args) in owner._cache under (fn.__name__, *args).
-
-    The result lives and dies with its owner (a CharTable, or any object
-    with a `_cache` dict).  Arguments are positional and hashable, and the
-    function has no defaults, so one call has exactly one key.
-    """
-
-    @wraps(fn)
-    def memoized(owner, *args):
-        key = (fn.__name__, *args)
-        if key not in owner._cache:
-            owner._cache[key] = fn(owner, *args)
-        return owner._cache[key]
-
-    return memoized
 
 
 def inner_product(table, avalues, bvalues):

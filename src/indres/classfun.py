@@ -20,12 +20,12 @@ from .chartab import (
     Cyclotomic,
     IntegrityError,
     _dixon_prime,
-    _memo,
     inner_product,
 )
 from .groupcore import (
     ConjClassData,
     Permutation,
+    _memo,
     class_of_power,
     prime_factors,
     split_product_images,
@@ -202,9 +202,22 @@ def pointwise_product(a, b):
 # -- fusion and the induction/restriction matrix ----------------------------
 #
 # class_fusion and restriction_matrix memoize by hand rather than through
-# `_memo`: their owner is the second argument, the small table, so a
-# subgroup table dropped by its caller is freed even while the big table
-# lives on.
+# `_memo`: their owner is whichever table of the pair dies first (see
+# `_pair_cache`).
+
+def _pair_cache(big, small, name):
+    """The memo dict and key for data of the pair (big, small).
+
+    The small table owns it, so a subgroup table dropped by its caller is
+    freed even while the big table lives on.  A product table is the
+    exception: it lives on its instance, while the subgroup tables it
+    induces from stay in the process-level table cache, so it owns the
+    data of its pairs itself.
+    """
+    if big.factors is not None:
+        return big._cache, (name, small)
+    return small._cache, (name, big)
+
 
 def class_fusion(big, small):
     """For each class of the small table, its class index in the big table.
@@ -212,9 +225,9 @@ def class_fusion(big, small):
     The small table must carry class representatives that are literally
     elements of the big table's group (same ambient degree).
     """
-    key = ("fusion", big)
-    if key in small._cache:
-        return small._cache[key]
+    cache, key = _pair_cache(big, small, "fusion")
+    if key in cache:
+        return cache[key]
     fused = []
     for c in small.classes:
         if c.representative is None:
@@ -225,7 +238,7 @@ def class_fusion(big, small):
             raise ValueError(
                 "class representative does not lie in the big group"
             ) from None
-    small._cache[key] = fused
+    cache[key] = fused
     return fused
 
 
@@ -270,9 +283,9 @@ def restriction_matrix(big, small):
     entry above chi_i(1), or a failure of sum_j R_ij psi_j(1) = chi_i(1) or
     of sum_i R_ij chi_i(1) = [G:H] psi_j(1), raises IntegrityError.
     """
-    key = ("res", big)
-    if key in small._cache:
-        return small._cache[key]
+    cache, key = _pair_cache(big, small, "res")
+    if key in cache:
+        return cache[key]
     fused = class_fusion(big, small)
     M = lcm(big.exponent, small.exponent)
     l = _dixon_prime(big.group_order, M, big.k)  # l > 2 sqrt|G| > every chi(1)
@@ -299,7 +312,7 @@ def restriction_matrix(big, small):
         induced = sum(Ri[j] * deg for Ri, deg in zip(R, big.degrees))
         if induced * small.group_order != big.group_order * d:
             raise IntegrityError("induced degree is not [G:H] psi(1)")
-    small._cache[key] = R
+    cache[key] = R
     return R
 
 

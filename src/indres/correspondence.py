@@ -11,7 +11,7 @@ Every check compares a G side with an H side.  A side is named by the
 string "G" or "H" (the parameter is always `side`), and `Instance.table`
 picks its table.  Data derived from one instance (induced lattices,
 blocks, character subsets, C^p + I moduli, block correspondents, the
-product table) is memoized on the instance by `chartab._memo`, keyed by
+product table) is memoized on the instance by `groupcore._memo`, keyed by
 the function's name and its remaining positional arguments; memoized
 functions take no keyword arguments and no defaults, so one call has one
 key, and the data is freed with the instance.
@@ -20,13 +20,13 @@ key, and the data is freed with the instance.
 from dataclasses import dataclass, field
 
 from .blocks import (
-    ModularReduction,
+    _table_reduction,
     block_partition,
     brauer_correspondent,
     char_subsets,
     some_defect_group_inside,
 )
-from .chartab import _memo, character_table
+from .chartab import character_table
 from .classfun import (
     VirtualCharacter,
     induce,
@@ -43,6 +43,7 @@ from .groupcore import (
     IntegrityError,
     IntersectionSetMaxima,
     Permutation,
+    _memo,
     elementary_covering_family,
     intersection_set_maxima,
     normalizer,
@@ -198,11 +199,6 @@ def ind_vector(inst, j):
 
 # -- block pairing under the correspondence -----------------------------------
 
-@_memo
-def reduction_for(inst):
-    return ModularReduction(inst.p, inst.tG.exponent)
-
-
 def blocks_with_defect_group_P(inst, side):
     """Blocks whose defect group is conjugate (in the side's group) to P."""
     table = inst.table(side)
@@ -219,10 +215,9 @@ def blocks_with_defect_group_P(inst, side):
 @_memo
 def correspondent_of(inst, b):
     """The H-block e with defect group P and e^G = b, or None."""
-    red = reduction_for(inst)
-    bsG = block_partition(inst.tG, inst.p, reduction=red)
+    red = _table_reduction(inst.tG, inst.p, 0)
     for e in blocks_with_defect_group_P(inst, "H"):
-        eG = brauer_correspondent(inst.tH, e, inst.tG, bsG, red)
+        eG = brauer_correspondent(inst.tH, e, inst.tG, blocks_of(inst, "G"), red)
         if eG is not None and eG.char_indices == b.char_indices:
             return e
     return None

@@ -11,9 +11,15 @@ sorted set of indices lists its elements lexicographically, and sets of
 elements are sets of ints.  Public outputs are deterministic functions of
 the abstract group and its degree, never of the generator presentation,
 unless noted otherwise.
+
+Data derived from a group, its centralizers and Sylow subgroups, lives in
+`PermGroup._cache` (filled by `_memo`), so it is computed once and freed
+with the group.  `_memo` is the one memo helper of the package: tables and
+instances memoize their derived data through it too.
 """
 
 from dataclasses import dataclass, field
+from functools import wraps
 from math import lcm
 
 import numpy as np
@@ -22,6 +28,9 @@ DTYPE = np.int16
 
 DEFAULT_ORDER_BUDGET = 10**6
 
+# Rows per block of a first-hit scan over a group's element matrix.
+_SCAN_BLOCK = 1024
+
 
 class BudgetExceeded(RuntimeError):
     pass
@@ -29,6 +38,25 @@ class BudgetExceeded(RuntimeError):
 
 class IntegrityError(ValueError):
     pass
+
+
+def _memo(fn):
+    """Memoize fn(owner, *args) in owner._cache under (fn.__name__, *args).
+
+    The result lives and dies with its owner (a PermGroup, a CharTable, or
+    any object with a `_cache` dict).  Arguments are positional and
+    hashable, and the function has no defaults, so one call has exactly
+    one key.
+    """
+
+    @wraps(fn)
+    def memoized(owner, *args):
+        key = (fn.__name__, *args)
+        if key not in owner._cache:
+            owner._cache[key] = fn(owner, *args)
+        return owner._cache[key]
+
+    return memoized
 
 
 def _mul(a, b):
@@ -208,7 +236,8 @@ class PermGroup:
 
     The element matrix returned by :meth:`elements` is sorted
     lexicographically, which makes "first element such that ..." scans
-    presentation-independent.
+    presentation-independent.  `_cache` holds what `_memo` derives from
+    the group (centralizers, Sylow subgroups).
     """
 
     def __init__(self, degree, generators=()):
@@ -234,6 +263,7 @@ class PermGroup:
         self._cperms = None
         self._classes = None
         self._class_ids = None
+        self._cache = {}
 
     # -- stabilizer chain --------------------------------------------------
 
@@ -389,9 +419,9 @@ class PermGroup:
             )
         return self._einv
 
-    def conjugation_sweep(self, images):
-        """Rows g k g^{-1} for every element g, with k fixed."""
-        E, Einv = self.elements(), self.inverses()
+    def conjugation_sweep(self, images, lo=0, hi=None):
+        """Rows g k g^{-1} for the elements g in rows lo:hi, with k fixed."""
+        E, Einv = self.elements()[lo:hi], self.inverses()[lo:hi]
         k = np.asarray(images, dtype=DTYPE)
         return np.take_along_axis(E, k[Einv], axis=1)
 
@@ -573,19 +603,44 @@ def _subgroup_of_rows(degree, rows):
     return K
 
 
-def _transporter_mask(G, K, L):
-    """Mask over G's elements of the g with g K g^-1 inside L."""
-    mask = np.ones(len(G.elements()), dtype=bool)
+def _transporter_mask(G, K, L, lo=0, hi=None):
+    """Mask over G's elements lo:hi of the g with g K g^-1 inside L."""
+    mask = np.ones(len(G.elements()[lo:hi]), dtype=bool)
     for k in K.generators:
-        mask &= L.rows_in(G.conjugation_sweep(k.images))
+        mask &= L.rows_in(G.conjugation_sweep(k.images, lo, hi))
     return mask
 
 
+def _first_hit(G, hits):
+    """Index of the first element of G where the block mask `hits(lo, hi)`
+    is true, or -1.
+
+    G's lex-sorted elements are scanned in blocks of `_SCAN_BLOCK` rows, and
+    the scan stops at the first block with a hit, so the answer is the one
+    a mask over all of G would give.
+    """
+    n = G.order()
+    for lo in range(0, n, _SCAN_BLOCK):
+        mask = hits(lo, min(lo + _SCAN_BLOCK, n))
+        if mask.any():
+            return lo + int(mask.argmax())
+    return -1
+
+
 def centralizer(G, x):
-    """Centralizer of a permutation x in G, as a PermGroup."""
+    """Centralizer of a permutation x in G, as a PermGroup; G itself when x
+    is central.  Memoized on G by x's images."""
+    images = x.images if isinstance(x, Permutation) else x
+    return _centralizer(G, tuple(int(v) for v in images))
+
+
+@_memo
+def _centralizer(G, images):
     E = G.elements()
-    xa = np.asarray(x.images if isinstance(x, Permutation) else x, dtype=DTYPE)
+    xa = np.asarray(images, dtype=DTYPE)
     mask = np.all(E[:, xa] == xa[E], axis=1)
+    if mask.all():
+        return G
     return _subgroup_of_rows(G.degree, E[mask])
 
 
@@ -594,24 +649,34 @@ def normalizer(G, K):
     return _subgroup_of_rows(G.degree, G.elements()[_transporter_mask(G, K, K)])
 
 
+@_memo
 def sylow_subgroup(G, p):
     """A Sylow p-subgroup, deterministic for a fixed abstract group.
 
     Normalizer ascent: starting from the trivial subgroup, adjoin the first
     element (in element order) of the current normalizer whose p-th power
     falls back into the subgroup, until the full p-part is reached.
+    Memoized on G.
     """
+    E = G.elements()
     S = PermGroup(G.degree, [])
     target = p ** v_p(G.order(), p)
-    while S.order() < target:
-        candidates = G.elements()[_transporter_mask(G, S, S)]
+
+    def extends(lo, hi):
+        hit = _transporter_mask(G, S, S, lo, hi)
+        idx = np.flatnonzero(hit)
+        candidates = E[lo:hi][idx]
         power = candidates
         for _ in range(p - 1):
             power = np.take_along_axis(candidates, power, axis=1)
-        hit = ~S.rows_in(candidates) & S.rows_in(power)
-        if not hit.any():
+        hit[idx] = ~S.rows_in(candidates) & S.rows_in(power)
+        return hit
+
+    while S.order() < target:
+        i = _first_hit(G, extends)
+        if i < 0:
             raise IntegrityError("normalizer ascent found no p-extension")
-        S = PermGroup(G.degree, S.generators + (Permutation(candidates[hit.argmax()]),))
+        S = PermGroup(G.degree, S.generators + (Permutation(E[i]),))
     return S
 
 

@@ -1,10 +1,13 @@
 """p-block partitions, defect groups, and the Brauer correspondence."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
-from indres.catalog import build
+from indres import blocks
+from indres.catalog import build, special_linear2
 from indres.chartab import IntegrityError, character_table
 from indres.blocks import (
     Block,
@@ -15,7 +18,8 @@ from indres.blocks import (
     some_defect_group_inside,
 )
 from indres.correspondence import correspondent_of, make_instance, table_for
-from indres.groupcore import sylow_subgroup, v_p
+from indres.groupcore import (_transporter_mask, group_from_generators,
+                              prime_factors, sylow_subgroup, v_p)
 
 
 def degrees_by_block(table, p, **kw):
@@ -193,3 +197,46 @@ def test_brauer_correspondent_preserves_defect():
             e = correspondent_of(inst, b)
             if e is not None:
                 assert e.defect == b.defect == v_p(inst.P.order(), p)
+
+
+DEFECT_GROUPS = {
+    "S4": lambda: build("S4"),
+    "A5": lambda: build("A5"),
+    "SL2_7": lambda: special_linear2(7),
+    "M11": lambda: build("M11"),
+    "fixture": lambda: group_from_generators(json.loads(
+        (Path(__file__).resolve().parent.parent / "fixtures"
+         / "fixture_group.json").read_text())),
+}
+
+
+@pytest.mark.parametrize("name", list(DEFECT_GROUPS))
+def test_first_hit_defect_search_matches_full_mask(name):
+    t = table_for(DEFECT_GROUPS[name]())
+    G = t.group
+    for p in prime_factors(G.order()):
+        S = sylow_subgroup(G, p)
+        # the Sylow subgroup holds every defect group; a cyclic subgroup of
+        # it misses the larger ones
+        for P in (S, G.subgroup(S.generators[:1])):
+            for b in block_partition(t, p):
+                D = defect_group(t, b, p)
+                full = bool(_transporter_mask(G, D, P).any())
+                assert some_defect_group_inside(t, b, p, P) == full
+
+
+def test_one_reduction_per_table_and_prime(monkeypatch):
+    built = []
+
+    class Counting(ModularReduction):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(blocks, "ModularReduction", Counting)
+    t = character_table(build("S4"))
+    for _ in range(3):
+        block_partition(t, 2)
+        block_partition(t, 3)
+    block_partition(t, 2, alternative=0)
+    assert built == [(2, t.exponent, 0), (3, t.exponent, 0)]

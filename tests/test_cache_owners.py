@@ -2,8 +2,8 @@
 
 Checked modules hold one module-level mutable container, the element-set
 keyed `correspondence._TABLE_CACHE`, and `functools.cache` memoizes only
-`chartab._phi_reduction`, whose key is an integer; everything else is
-memoized on a table or an instance (`chartab._memo`).
+`chartab._phi_reduction`, whose key is an integer; all other derived data
+is memoized on a table, an instance or a group by `groupcore._memo`.
 """
 
 import ast

@@ -40,8 +40,14 @@ from indres.classfun import (
     trivial_index,
     vanishes_on,
 )
-from indres.correspondence import make_instance, table_for
+from indres.correspondence import (
+    make_instance,
+    pair_table,
+    product_induced_lattice,
+    table_for,
+)
 from indres.groupcore import (
+    centralizer,
     normalizer,
     qualifying_elementary_subgroups,
     sylow_subgroup,
@@ -360,7 +366,22 @@ def test_dropped_tables_are_freed():
     prod = product_table(tG, tH)
     _shadow(prod, *_field_of(prod))
     vanishes_on(irr(prod, 1).conjugate(), p_singular_classes(prod, 2))
-    refs = [weakref.ref(tG), weakref.ref(tH), weakref.ref(prod)]
-    del G, tG, tH, prod
+    # centralizers and Sylow subgroups are memoized on the group
+    C = centralizer(G, G.class_data()[1].representative)
+    P = sylow_subgroup(G, 3)
+    refs = [weakref.ref(x) for x in (tG, tH, prod, G, C, P)]
+    del G, tG, tH, prod, C, P
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+    assert [r() for r in refs] == [None] * 6
+
+
+def test_product_table_dies_with_its_instance():
+    # the subgroup tables it induces from outlive it in the process-level
+    # table cache, so they must not hold its fusions and restrictions
+    inst = make_instance(build("S3"), 2)
+    prod = pair_table(inst)
+    product_induced_lattice(inst)
+    refs = [weakref.ref(inst), weakref.ref(prod)]
+    del inst, prod
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indres import groupcore
 from indres.catalog import build, perm_from_cycles, special_linear2
 from indres.groupcore import (
     BudgetExceeded,
@@ -24,6 +25,7 @@ from indres.groupcore import (
     split_product_images,
     sylow_subgroup,
     v_p,
+    _mul,
     _subgroup_of_rows,
 )
 
@@ -308,3 +310,71 @@ def test_index_of_agrees_with_contains_images(indexed_group, data):
     assert (i >= 0) == G.contains_images(row)
     if i >= 0:
         assert tuple(int(x) for x in G.elements()[i]) == row
+
+
+# Sylow subgroups and centralizers are memoized on their group, and the
+# Sylow ascent stops scanning at its first hit
+SYLOW_GROUPS = ["S4", "A5", "SL2_7", "M11", "fixture"]
+
+
+def _full_scan_sylow(G, p):
+    """The normalizer ascent with every step masking all of G's elements
+    before it takes the first hit."""
+    E, Einv = G.elements(), G.inverses()
+    S = PermGroup(G.degree, [])
+    while S.order() < p ** v_p(G.order(), p):
+        mask = np.ones(len(E), dtype=bool)
+        for k in S.generators:
+            ka = np.asarray(k.images, dtype=E.dtype)
+            mask &= S.rows_in(np.take_along_axis(E, ka[Einv], axis=1))
+        candidates = E[mask]
+        power = candidates
+        for _ in range(p - 1):
+            power = np.take_along_axis(candidates, power, axis=1)
+        hit = ~S.rows_in(candidates) & S.rows_in(power)
+        S = PermGroup(G.degree, S.generators + (Permutation(candidates[hit.argmax()]),))
+    return S
+
+
+@pytest.mark.parametrize("block", [5, groupcore._SCAN_BLOCK])
+@pytest.mark.parametrize("name", SYLOW_GROUPS)
+def test_first_hit_ascent_matches_full_scan(name, block, monkeypatch):
+    # a block of 5 rows makes the scan cross many block boundaries
+    monkeypatch.setattr(groupcore, "_SCAN_BLOCK", block)
+    G = INDEX_GROUPS[name]()
+    for p in prime_factors(G.order()):
+        got = [g.images for g in sylow_subgroup(G, p).generators]
+        assert got == [g.images for g in _full_scan_sylow(G, p).generators]
+
+
+def test_sylow_subgroup_is_memoized():
+    G = build("A5")
+    assert sylow_subgroup(G, 2) is sylow_subgroup(G, 2)
+    assert sylow_subgroup(G, 3) is not sylow_subgroup(G, 2)
+
+
+def test_centralizer_is_memoized_by_images():
+    G = build("A5")
+    x = conjugacy_classes(G)[1].representative
+    C = centralizer(G, x)
+    assert centralizer(G, x) is C
+    assert centralizer(G, x.images) is C
+
+
+def test_centralizer_of_a_central_element_is_the_group():
+    G = special_linear2(7)
+    minus_one = next(c.representative for c in conjugacy_classes(G)
+                     if c.size == 1 and c.rep_order == 2)
+    assert centralizer(G, minus_one) is G
+    assert centralizer(G, Permutation.identity(G.degree)) is G
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "SL2_7"])
+def test_centralizer_elements_are_the_commuting_rows(name):
+    G = INDEX_GROUPS[name]()
+    rows = [tuple(int(v) for v in r) for r in G.elements()]
+    for c in conjugacy_classes(G):
+        x = c.representative.images
+        commuting = {g for g in rows if _mul(g, x) == _mul(x, g)}
+        got = {tuple(int(v) for v in r) for r in centralizer(G, x).elements()}
+        assert got == commuting
