@@ -3,8 +3,9 @@
 Character values are elements of Z[zeta_m], m the group exponent, stored in
 canonical form on the power basis {zeta^e : 0 <= e < phi(m)}.  The whole
 table is computed modulo a prime l ≡ 1 (mod m) with l > 2*sqrt(|G|) and then
-lifted exactly; orthogonality of the lifted table is checked before it is
-returned, so a table object in hand is always internally consistent.
+lifted exactly; `verify_table` proves the lifted table square with orthonormal
+rows (hence orthogonal columns) before it is returned, so a table object in
+hand is always internally consistent.
 """
 
 import json
@@ -456,8 +457,11 @@ def character_table(G, budget_order=None):
     mats = [A[i] % p for i in range(k)]
     vecs = _common_eigenvectors(mats, k, p)
 
-    sizes = [c.size for c in classes]
-    inv_class = [class_of_power(G, i, classes[i].rep_order - 1) for i in range(k)]
+    size_inv = [pow(c.size, -1, p) for c in classes]
+    # power-class lookup per class; rep^(ord-1) is the inverse
+    pow_class = [[class_of_power(G, i, t) for t in range(c.rep_order)]
+                 for i, c in enumerate(classes)]
+    inv_class = [pc[-1] for pc in pow_class]
     # normalize so the identity-class coordinate is 1
     omegas = []
     for v in vecs:
@@ -468,31 +472,17 @@ def character_table(G, budget_order=None):
     g0 = sympy.primitive_root(p)
     w = pow(g0, (p - 1) // m, p)
 
-    # power-class lookup per class
-    pow_class = []
-    for i, c in enumerate(classes):
-        pow_class.append([class_of_power(G, i, t) for t in range(c.rep_order)])
-
     rows = []
     for u in omegas:
-        t = 0
-        for i in range(k):
-            t = (t + int(u[i]) * int(u[inv_class[i]]) * pow(sizes[i], -1, p)) % p
+        t = sum(int(u[i]) * int(u[inv_class[i]]) * size_inv[i] for i in range(k)) % p
         deg_sq = (order * pow(t, -1, p)) % p
-        deg = None
-        for dcand in range(1, isqrt(order) + 1):
-            if (dcand * dcand) % p == deg_sq:
-                deg = dcand
-                break
+        deg = next((d for d in range(1, isqrt(order) + 1) if d * d % p == deg_sq), None)
         if deg is None:
             raise IntegrityError("degree recovery failed")
-        chi_mod = [(deg * int(u[i]) * pow(sizes[i], -1, p)) % p for i in range(k)]
+        chi_mod = [(deg * int(u[i]) * size_inv[i]) % p for i in range(k)]
         values = []
         for i, c in enumerate(classes):
             n = c.rep_order
-            if n == 1:
-                values.append(Cyclotomic.from_int(m, deg))
-                continue
             z = pow(w, m // n, p)
             n_inv = pow(n, -1, p)
             val = Cyclotomic(m)
@@ -531,14 +521,22 @@ def character_table(G, budget_order=None):
 
 
 def verify_table(table):
-    """Exact orthogonality, degree, and Galois-stability checks."""
+    """Square shape, degree, orthogonality and Galois-stability checks.
+
+    Square (k rows, k degrees, k values per row) plus row orthogonality is
+    the whole orthogonality proof (Isaacs, Thm 2.18): with D the diagonal of
+    class sizes, X D X* = |G| I makes X invertible with X^-1 = D X*/|G|, so
+    X* X = |G| D^-1, which is column orthogonality.
+    """
     k = table.k
+    rows = table.irreducibles
+    if len(rows) != k or len(table.degrees) != k or any(len(r) != k for r in rows):
+        raise IntegrityError(f"table over {k} classes is not square")
     order = table.group_order
     if sum(d * d for d in table.degrees) != order:
         raise IntegrityError("degree squares do not sum to the group order")
     if sum(c.size for c in table.classes) != order:
         raise IntegrityError("class sizes do not sum to the group order")
-    rows = table.irreducibles
     for i in range(k):
         if not (rows[i][0].is_integer() and rows[i][0].as_int() == table.degrees[i] > 0):
             raise IntegrityError("identity-class value disagrees with the degree")
@@ -550,17 +548,8 @@ def verify_table(table):
             expected = 1 if i == j else 0
             if not (ip.is_integer() and ip.as_int() == expected):
                 raise IntegrityError(f"row orthogonality fails at ({i},{j})")
-    sizes = table.class_sizes()
-    for i in range(k):
-        for j in range(i, k):
-            acc = Cyclotomic(table.exponent)
-            for r in range(k):
-                acc = acc + rows[r][i] * rows[r][j].conjugate()
-            expected = order // sizes[i] if i == j else 0
-            if not (acc.is_integer() and acc.as_int() == expected):
-                raise IntegrityError(f"column orthogonality fails at ({i},{j})")
     # stability under generators of (Z/m)^x is stability under all of it
-    keys = {tuple(v.sort_key() for v in row) for row in rows}
+    keys = table.row_index()
     for a in _unit_generators(table.exponent):
         for row in rows:
             twisted = tuple(v.galois(a).sort_key() for v in row)
@@ -609,32 +598,31 @@ def save_table(table, path):
 
 
 def table_from_json(data, group=None):
-    classes = []
-    for c in data["classes"]:
-        classes.append(
+    try:
+        order, exponent = int(data["order"]), int(data["exponent"])
+        classes = [
             ConjClassData(
                 representative=None,
                 size=int(c["size"]),
                 rep_order=int(c["rep_order"]),
                 power_map={int(q): int(i) for q, i in c["powermap"].items()},
+                centralizer_order=order // int(c["size"]),
             )
-        )
-    rows = [[Cyclotomic.from_json(v) for v in row] for row in data["irreducibles"]]
-    degrees = []
-    for row in rows:
-        if not row or not row[0].is_integer():
-            raise IntegrityError("identity value of a loaded row is not an integer")
-        degrees.append(row[0].as_int())
+            for c in data["classes"]
+        ]
+        rows = [[Cyclotomic.from_json(v) for v in row] for row in data["irreducibles"]]
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise IntegrityError(f"malformed table data: {exc}") from exc
+    if not all(row and row[0].is_integer() for row in rows):
+        raise IntegrityError("identity value of a loaded row is not an integer")
     table = CharTable(
-        group_order=int(data["order"]),
-        exponent=int(data["exponent"]),
+        group_order=order,
+        exponent=exponent,
         classes=classes,
         irreducibles=rows,
-        degrees=degrees,
+        degrees=[row[0].as_int() for row in rows],
         group=None,
     )
-    for c in table.classes:
-        c.centralizer_order = table.group_order // c.size
     verify_table(table)
     if group is not None:
         reconcile_classes(table, group)

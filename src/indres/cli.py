@@ -23,8 +23,7 @@ import click
 
 from .blocks import block_partition, defect_group
 from .catalog import BUILDERS, build, rows_for_suite
-from .chartab import (IntegrityError, character_table, load_table, save_table,
-                      verify_table)
+from .chartab import IntegrityError, character_table, load_table, save_table
 from .classfun import VirtualCharacter
 from .correspondence import (PROPERTIES, blocks_of, build_induced_lattice,
                              check_property, check_property_G_with_witness,
@@ -56,7 +55,7 @@ def load_group(spec_group):
         return build(spec_group)
     with open(spec_group) as fh:
         data = json.load(fh)
-    if data.get("format") != "perm-group":
+    if not isinstance(data, dict) or data.get("format") != "perm-group":
         raise IntegrityError(f"{spec_group}: not a perm-group file")
     G = group_from_generators(data)
     if "order" in data and G.order() != int(data["order"]):
@@ -196,20 +195,23 @@ def run_verify(spec):
             raise ValueError("property g needs --witness")
         with open(spec.witness) as fh:
             wit = json.load(fh)
-        if wit.get("format") != "virtual-character" or wit.get("space") != "product":
-            raise IntegrityError("witness file is not a product virtual character")
-        prod = pair_table(inst)
-        mu = VirtualCharacter(prod, tuple(int(c) for c in wit["coeffs"]))
+        try:
+            if (wit.get("format"), wit.get("space")) != ("virtual-character", "product"):
+                raise IntegrityError("witness file is not a product virtual character")
+            coeffs = tuple(int(c) for c in wit["coeffs"])
+            chars_b = sorted(wit["block_chars"])
+            chars_e = sorted(wit["correspondent_chars"])
+        except (TypeError, AttributeError) as exc:
+            raise IntegrityError(f"malformed witness data: {exc}") from exc
+        mu = VirtualCharacter(pair_table(inst), coeffs)
         b = next(
-            (bb for bb in blocks_of(inst, "G")
-             if sorted(bb.char_indices) == sorted(wit["block_chars"])),
+            (bb for bb in blocks_of(inst, "G") if sorted(bb.char_indices) == chars_b),
             None,
         )
         if b is None:
             raise ValueError("witness block_chars name no block of G")
         e = next(
-            (ee for ee in blocks_of(inst, "H")
-             if sorted(ee.char_indices) == sorted(wit["correspondent_chars"])),
+            (ee for ee in blocks_of(inst, "H") if sorted(ee.char_indices) == chars_e),
             None,
         )
         if e is None:
@@ -269,7 +271,6 @@ def cmd_table(group, output, budget_order):
     """Compute and check a character table."""
     G = load_group(group)
     t = character_table(G, budget_order=budget_order)
-    verify_table(t)
     if output:
         save_table(t, output)
     click.echo(

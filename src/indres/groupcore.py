@@ -12,10 +12,10 @@ elements are sets of ints.  Public outputs are deterministic functions of
 the abstract group and its degree, never of the generator presentation,
 unless noted otherwise.
 
-Data derived from a group, its centralizers and Sylow subgroups, lives in
-`PermGroup._cache` (filled by `_memo`), so it is computed once and freed
-with the group.  `_memo` is the one memo helper of the package: tables and
-instances memoize their derived data through it too.
+Data derived from a group (centralizers, normalizers, Sylow subgroups)
+lives in `PermGroup._cache` (filled by `_memo`), so it is computed once and
+freed with the group.  `_memo` is the one memo helper of the package:
+tables and instances memoize their derived data through it too.
 """
 
 from dataclasses import dataclass, field
@@ -237,7 +237,7 @@ class PermGroup:
     The element matrix returned by :meth:`elements` is sorted
     lexicographically, which makes "first element such that ..." scans
     presentation-independent.  `_cache` holds what `_memo` derives from
-    the group (centralizers, Sylow subgroups).
+    the group (centralizers, normalizers, Sylow subgroups).
     """
 
     def __init__(self, degree, generators=()):
@@ -483,15 +483,18 @@ class IntersectionSetMaxima:
 
 def group_from_generators(data):
     """Build a PermGroup from {"degree": n, "generators": [[1-based images]]}."""
-    degree = int(data.get("ambient", data["degree"]))
-    gens = []
-    for images in data["generators"]:
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("generator is not a permutation of 1..n")
-        if len(images) > degree:
-            raise ValueError("generator degree exceeds ambient degree")
-        padded = list(images) + list(range(len(images) + 1, degree + 1))
-        gens.append(Permutation.from_one_based(padded))
+    try:
+        degree = int(data.get("ambient", data["degree"]))
+        gens = []
+        for images in data["generators"]:
+            if sorted(images) != list(range(1, len(images) + 1)):
+                raise ValueError("generator is not a permutation of 1..n")
+            if len(images) > degree:
+                raise ValueError("generator degree exceeds ambient degree")
+            padded = list(images) + list(range(len(images) + 1, degree + 1))
+            gens.append(Permutation.from_one_based(padded))
+    except (TypeError, AttributeError) as exc:
+        raise IntegrityError(f"malformed group data: {exc}") from exc
     return PermGroup(degree, gens)
 
 
@@ -645,7 +648,13 @@ def _centralizer(G, images):
 
 
 def normalizer(G, K):
-    """Normalizer N_G(K) of a subgroup K given on the same points."""
+    """N_G(K) for a subgroup K on the same points; memoized by K's generators."""
+    return _normalizer(G, tuple(g.images for g in K.generators))
+
+
+@_memo
+def _normalizer(G, gen_images):
+    K = PermGroup(G.degree, gen_images)
     return _subgroup_of_rows(G.degree, G.elements()[_transporter_mask(G, K, K)])
 
 

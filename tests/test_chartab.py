@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indres.catalog import build
+from indres.catalog import build, special_linear2
 from indres.chartab import (
     CharTable,
     Cyclotomic,
@@ -190,17 +190,51 @@ def test_row_inner_products():
 
 def test_verify_catches_tampering():
     t = character_table(build("S3"))
-    bad = CharTable(
-        group_order=t.group_order,
-        exponent=t.exponent,
-        classes=t.classes,
-        irreducibles=[list(r) for r in t.irreducibles],
-        degrees=list(t.degrees),
-        group=t.group,
-    )
+
+    def copy():
+        return CharTable(
+            group_order=t.group_order,
+            exponent=t.exponent,
+            classes=t.classes,
+            irreducibles=[list(r) for r in t.irreducibles],
+            degrees=list(t.degrees),
+            group=t.group,
+        )
+
+    bad = copy()
     bad.irreducibles[2][1] = Cyclotomic.from_int(t.exponent, 1)
     with pytest.raises(IntegrityError):
         verify_table(bad)
+    short = copy()
+    short.irreducibles[2].pop()
+    with pytest.raises(IntegrityError, match="not square"):
+        verify_table(short)
+
+
+def _assert_columns_orthogonal(table):
+    """Column orthogonality, sum_r X[r][i] conj(X[r][j]) = |C_G(x_i)| [i = j],
+    checked entry by entry.  `verify_table` proves it from squareness and
+    row orthogonality instead; this keeps the identity pinned on its own."""
+    k, rows = table.k, table.irreducibles
+    sizes = table.class_sizes()
+    for i in range(k):
+        for j in range(i, k):
+            acc = Cyclotomic(table.exponent)
+            for r in range(k):
+                acc = acc + rows[r][i] * rows[r][j].conjugate()
+            assert acc == (table.group_order // sizes[i] if i == j else 0), (i, j)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "SL2_7", "M11"])
+def test_columns_are_orthogonal(name):
+    G = special_linear2(7) if name == "SL2_7" else build(name)
+    _assert_columns_orthogonal(character_table(G))
+
+
+def test_columns_of_a_loaded_table_are_orthogonal():
+    G = build("SL2_3")
+    loaded = table_from_json(table_to_json(character_table(G)), group=G)
+    _assert_columns_orthogonal(loaded)
 
 
 def test_sum_of_degree_squares():

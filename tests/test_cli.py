@@ -267,3 +267,79 @@ def test_malformed_group_file_exits_2(runner, tmp_path, args):
     )
     r = invoke(runner, *(str(path) if a == "GROUP" else a for a in args))
     _assert_one_line_error(r)
+
+
+
+def _s4_table_args(runner, tmp_path, edit):
+    """`verify S4` arguments with a --table-g file that `indres table S4 -o`
+    wrote and `edit` (data -> data) changed."""
+    path = tmp_path / "s4table.json"
+    assert invoke(runner, "table", "S4", "-o", str(path)).exit_code == 0
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return ["verify", "S4", "-p", "2", "--table-g", str(path)]
+
+
+def _zero_row(data):
+    zero = {"modulus": data["exponent"], "terms": []}
+    data["irreducibles"].append([zero] * len(data["classes"]))
+    return data
+
+
+def _short_row(data):
+    # drop a trailing zero value, so row orthogonality alone still holds
+    next(row for row in data["irreducibles"] if not row[-1]["terms"]).pop()
+    return data
+
+
+def _missing_row(data):
+    data["irreducibles"].pop()
+    return data
+
+
+@pytest.mark.parametrize("edit", [_zero_row, _short_row, _missing_row],
+                         ids=["extra-zero-row", "short-row", "missing-row"])
+def test_non_square_table_exits_2(runner, tmp_path, edit):
+    _assert_one_line_error(invoke(runner, *_s4_table_args(runner, tmp_path, edit)))
+
+
+def _bare_int_value(data):
+    data["irreducibles"][1][1] = 5
+    return data
+
+
+def _empty_class(data):
+    data["classes"][1]["size"] = 0
+    return data
+
+
+def _group_args(tmp_path, data):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    return ["verify", str(path), "-p", "2"]
+
+
+def _witness_list_args(tmp_path):
+    path = tmp_path / "witness.json"
+    wit = json.loads((FIXTURES / "fixture_witness.json").read_text())
+    path.write_text(json.dumps(list(wit.values())))
+    return ["verify", str(FIXTURES / "fixture_group.json"), "-p", "2",
+            "--subgroup-mode", "block:1", "--props", "irc,g",
+            "--witness", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda r, t: _s4_table_args(r, t, lambda d: list(d.values())),
+        lambda r, t: _s4_table_args(r, t, _bare_int_value),
+        lambda r, t: _s4_table_args(r, t, _empty_class),
+        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
+                                     "generators": 5}),
+        lambda r, t: _group_args(t, [[2, 1, 3], [2, 3, 1]]),
+        lambda r, t: _witness_list_args(t),
+    ],
+    ids=["table-list", "table-bare-int", "table-empty-class",
+         "group-generators-int", "group-list", "witness-list"],
+)
+def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
+    _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))

@@ -312,8 +312,8 @@ def test_index_of_agrees_with_contains_images(indexed_group, data):
         assert tuple(int(x) for x in G.elements()[i]) == row
 
 
-# Sylow subgroups and centralizers are memoized on their group, and the
-# Sylow ascent stops scanning at its first hit
+# Sylow subgroups, centralizers and normalizers are memoized on their group,
+# and the Sylow ascent stops scanning at its first hit
 SYLOW_GROUPS = ["S4", "A5", "SL2_7", "M11", "fixture"]
 
 
@@ -351,6 +351,12 @@ def test_sylow_subgroup_is_memoized():
     G = build("A5")
     assert sylow_subgroup(G, 2) is sylow_subgroup(G, 2)
     assert sylow_subgroup(G, 3) is not sylow_subgroup(G, 2)
+    # the normalizer is memoized by the images of the subgroup's generators
+    P = sylow_subgroup(G, 2)
+    N = normalizer(G, P)
+    assert normalizer(G, P) is N
+    assert normalizer(G, PermGroup(G.degree, P.generators)) is N
+    assert N.order() == 12
 
 
 def test_centralizer_is_memoized_by_images():
