@@ -22,64 +22,14 @@ from .groupcore import (_first_hit, _memo, _transporter_mask, centralizer,
 
 # -- finite fields -----------------------------------------------------------
 
-class F2Field:
-    """F_{2^d}; elements are ints whose bits are polynomial coefficients."""
-
-    def __init__(self, d, fpoly):
-        self.p = 2
-        self.d = d
-        self.fpoly = fpoly
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return a ^ b
-
-    def mul(self, a, b):
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-        return self.reduce_poly(acc)
-
-    def reduce_poly(self, a):
-        d, f = self.d, self.fpoly
-        top = a.bit_length() - 1
-        while top >= d:
-            a ^= f << (top - d)
-            top = a.bit_length() - 1
-        return a
-
-    def pow(self, a, k):
-        acc, base = self.one, a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
-
-    def scalar(self, c):
-        return c & 1
-
-    def encode(self, a):
-        return a
-
-    def decode(self, enc):
-        return enc
-
-
 class FpField:
-    """F_{p^d} for odd p; elements are length-d digit tuples, low degree first."""
+    """F_{p^d} for any prime p; elements are d-digit tuples, low degree first."""
 
     def __init__(self, p, d, fdigits):
         self.p = p
         self.d = d
         self.fdigits = fdigits  # f = x^d + sum fdigits[i] x^i
-        self.zero = (0,) * d
-        self.one = ((1,) + (0,) * (d - 1)) if d else ()
+        self.one = (1,) + (0,) * (d - 1)
         # x^e mod f for d <= e <= 2d - 2
         xpow = []
         cur = tuple((-c) % p for c in fdigits)  # x^d
@@ -92,10 +42,6 @@ class FpField:
             )
             xpow.append(cur)
         self.xpow = xpow
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
 
     def mul(self, a, b):
         p, d = self.p, self.d
@@ -123,9 +69,6 @@ class FpField:
             k >>= 1
         return acc
 
-    def scalar(self, c):
-        return ((c % self.p,) + (0,) * (self.d - 1)) if self.d else ()
-
     def encode(self, a):
         acc = 0
         for digit in reversed(a):
@@ -146,8 +89,6 @@ def _least_irreducible(p, d):
     "Least" means the smallest base-p encoding of the non-leading
     coefficients.  Returned as that digit list (low degree first).
     """
-    if d == 1:
-        return [0] if p == 2 else [0]  # f = x, irreducible; field is F_p
     x = sympy.symbols("x")
     for enc in range(p**d):
         digits = []
@@ -161,27 +102,6 @@ def _least_irreducible(p, d):
         if poly.is_irreducible:
             return digits
     raise IntegrityError("no irreducible polynomial found")
-
-
-def _build_field(p, d):
-    digits = _least_irreducible(p, d)
-    if p == 2:
-        f = (1 << d) | sum(bit << i for i, bit in enumerate(digits))
-        return F2Field(d, f)
-    return FpField(p, d, tuple(digits))
-
-
-def _multiplicative_order(a, n):
-    if n == 1:
-        return 1
-    order = 1
-    x = a % n
-    while x != 1:
-        x = (x * a) % n
-        order += 1
-        if order > n:
-            raise IntegrityError("order computation ran away")
-    return order
 
 
 class ModularReduction:
@@ -199,49 +119,40 @@ class ModularReduction:
         while m_prime % p == 0:
             m_prime //= p
         self.m_prime = m_prime
-        self.d = _multiplicative_order(p, m_prime)
-        self.field = _build_field(p, self.d)
-        self.rho = self._root_image(alternative)
-        # rho^j for j in [0, m')
-        powers = [self.field.one]
-        for _ in range(m_prime - 1):
-            powers.append(self.field.mul(powers[-1], self.rho))
-        self.rho_powers = powers
+        self.d = sympy.n_order(p, m_prime) if m_prime > 1 else 1
+        F = self.field = FpField(p, self.d, tuple(_least_irreducible(p, self.d)))
+        # g^0, ..., g^(m'-1) with g of order m'; the elements of order m'
+        # are the g^k with k a unit mod m'
+        g_powers = [F.one]
+        if m_prime > 1:
+            q1 = p**self.d - 1
+            g = F.pow(self._least_primitive(q1), q1 // m_prime)
+            for _ in range(m_prime - 1):
+                g_powers.append(F.mul(g_powers[-1], g))
+        units = sorted(
+            (k for k in range(m_prime) if gcd(k, m_prime) == 1),
+            key=lambda k: F.encode(g_powers[k]),
+        )
+        if alternative >= len(units):
+            raise ValueError(
+                f"there are only {len(units)} elements of order {m_prime}"
+            )
+        # rho^j for j in [0, m'), rho the chosen image of zeta_{m'}
+        k = units[alternative]
+        self.rho_powers = [g_powers[k * j % m_prime] for j in range(m_prime)]
         # exponent map: zeta_m^e -> rho^{e * kappa mod m'}
         kappa = pow(m // m_prime, -1, m_prime) if m_prime > 1 else 0
         self.exp_map = [(e * kappa) % m_prime for e in range(m)]
 
-    def _root_image(self, alternative):
-        F = self.field
-        q1 = self.p**self.d - 1
-        mp = self.m_prime
-        if mp == 1:
-            if alternative:
-                raise ValueError("the only element of order 1 is 1")
-            return F.one
-        gamma = self._least_primitive(q1)
-        step = q1 // mp
-        candidates = {
-            F.encode(F.pow(gamma, k * step))
-            for k in range(1, mp)
-            if gcd(k, mp) == 1
-        }
-        ordered = sorted(candidates)
-        return F.decode(ordered[alternative])
-
     def _least_primitive(self, q1):
+        """The least-encoded generator of F^x (q1 = |F^x| > 1)."""
         F = self.field
-        if q1 == 1:
-            return F.one
         qs = sorted(sympy.factorint(q1))
-        enc = 2 if self.p == 2 else 1
+        # encodings 0 and 1 are the elements 0 and 1
+        enc = 2
         while True:
-            # encoding 1 is the element 1 (order 1); start past it for p = 2,
-            # and skip it via the order test otherwise
             el = F.decode(enc)
-            if el != F.one and all(
-                F.pow(el, q1 // q) != F.one for q in qs
-            ):
+            if all(F.pow(el, q1 // q) != F.one for q in qs):
                 return el
             enc += 1
             if enc > self.p**self.d:
@@ -252,14 +163,12 @@ class ModularReduction:
         if self.m % value.modulus:
             raise ValueError("value modulus does not divide the reduction modulus")
         scale = self.m // value.modulus
-        F = self.field
-        acc = F.zero
+        acc = [0] * self.d
         for e, c in value.terms.items():
-            cs = c % self.p
-            if cs:
-                term = self.rho_powers[self.exp_map[(e * scale) % self.m]]
-                acc = F.add(acc, F.mul(F.scalar(cs), term))
-        return acc
+            term = self.rho_powers[self.exp_map[(e * scale) % self.m]]
+            for i, digit in enumerate(term):
+                acc[i] += c * digit
+        return tuple(a % self.p for a in acc)
 
 
 # -- blocks -------------------------------------------------------------------
@@ -342,10 +251,9 @@ def defect_group(table, block, p):
     G = table.group
     if G is None:
         raise ValueError("defect groups need the table's group attached")
-    zero = _field_zero(block)
     best = None
     for j, lam in enumerate(block.central_character):
-        if lam == zero:
+        if not any(lam):
             continue
         val = v_p(table.classes[j].centralizer_order, p)
         if best is None or val < best[0]:
@@ -359,11 +267,6 @@ def defect_group(table, block, p):
     return D
 
 
-def _field_zero(block):
-    z = block.central_character[0]
-    return 0 if isinstance(z, int) else (0,) * len(z)
-
-
 def brauer_correspondent(tH, e, tG, blocksG, reduction):
     """The induced block e^G, or None when it is not defined.
 
@@ -372,15 +275,15 @@ def brauer_correspondent(tH, e, tG, blocksG, reduction):
     central character of exactly one block of G.  All values are computed
     in the big group's reduction so both sides live in one field.
     """
-    F = reduction.field
     theta = e.char_indices[0]
     lam_e = [reduction.reduce(v) for v in omega_values(tH, theta)]
     fused = class_fusion(tG, tH)
-    induced = [F.zero] * tG.k
+    sums = [[0] * reduction.d for _ in range(tG.k)]
     for j, lam in enumerate(lam_e):
-        C = fused[j]
-        induced[C] = F.add(induced[C], lam)
-    induced = tuple(induced)
+        acc = sums[fused[j]]
+        for i, digit in enumerate(lam):
+            acc[i] += digit
+    induced = tuple(tuple(a % reduction.p for a in acc) for acc in sums)
     matches = [b for b in blocksG if b.central_character == induced]
     if len(matches) == 1:
         return matches[0]

@@ -613,6 +613,8 @@ def table_from_json(data, group=None):
         rows = [[Cyclotomic.from_json(v) for v in row] for row in data["irreducibles"]]
     except (TypeError, AttributeError, ZeroDivisionError) as exc:
         raise IntegrityError(f"malformed table data: {exc}") from exc
+    if any(not 0 <= i < len(classes) for c in classes for i in c.power_map.values()):
+        raise IntegrityError("a power map names a class out of range")
     if not all(row and row[0].is_integer() for row in rows):
         raise IntegrityError("identity value of a loaded row is not an integer")
     table = CharTable(

@@ -58,11 +58,16 @@ def load_group(spec_group):
     if not isinstance(data, dict) or data.get("format") != "perm-group":
         raise IntegrityError(f"{spec_group}: not a perm-group file")
     G = group_from_generators(data)
-    if "order" in data and G.order() != int(data["order"]):
-        raise IntegrityError(
-            f"{spec_group}: declared order {data['order']} but the "
-            f"generators produce a group of order {G.order()}"
-        )
+    if "order" in data:
+        try:
+            declared = int(data["order"])
+        except TypeError as exc:
+            raise IntegrityError(f"{spec_group}: malformed order: {exc}") from exc
+        if G.order() != declared:
+            raise IntegrityError(
+                f"{spec_group}: declared order {data['order']} but the "
+                f"generators produce a group of order {G.order()}"
+            )
     return G
 
 

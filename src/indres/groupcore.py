@@ -146,9 +146,6 @@ class Permutation:
     def from_one_based(cls, images):
         return cls(x - 1 for x in images)
 
-    def one_based(self):
-        return [x + 1 for x in self.images]
-
     @property
     def degree(self):
         return len(self.images)

@@ -198,9 +198,6 @@ class QuotientShape:
     free_rank: int
     torsion: tuple  # nontrivial invariant factors, each dividing the next
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def to_json(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 

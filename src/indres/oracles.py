@@ -252,16 +252,6 @@ def _linear_characters(S, m):
     def q_mul(i, j):
         return index[coset_key[_mul(rep[i], rep[j])]]
 
-    def q_pow(i, e):
-        acc = index[coset_key[tuple(range(S.degree))]]
-        base = i
-        while e:
-            if e & 1:
-                acc = q_mul(acc, base)
-            base = q_mul(base, base)
-            e >>= 1
-        return acc
-
     one = index[coset_key[tuple(range(S.degree))]]
     orders = []
     for i in range(n):

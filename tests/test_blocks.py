@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indres import blocks
 from indres.catalog import build, special_linear2
-from indres.chartab import IntegrityError, character_table
+from indres.chartab import Cyclotomic, IntegrityError, character_table
 from indres.blocks import (
     Block,
     ModularReduction,
@@ -240,3 +243,99 @@ def test_one_reduction_per_table_and_prime(monkeypatch):
         block_partition(t, 3)
     block_partition(t, 2, alternative=0)
     assert built == [(2, t.exponent, 0), (3, t.exponent, 0)]
+
+
+# Every block as (row indices, central character read through
+# FpField.encode).  The values depend on the ideal the reduction picks (the
+# least irreducible polynomial and the alternative-th least root image), so
+# they pin it.  At A5, p = 3 the two alternatives swap two defect-zero blocks.
+CENTRAL_CHARACTERS = {
+    ("S5", 2, 0): [((0, 1, 4, 5, 6), (1, 0, 1, 0, 0, 0, 0)),
+                   ((2, 3), (1, 1, 0, 1, 0, 0, 1))],
+    ("S5", 2, 1): [((0, 1, 4, 5, 6), (1, 0, 1, 0, 0, 0, 0)),
+                   ((2, 3), (1, 1, 0, 1, 0, 0, 1))],
+    ("S5", 3, 0): [((0, 3, 5), (1, 2, 0, 2, 0, 0, 1)),
+                   ((1, 2, 4), (1, 1, 0, 2, 0, 0, 2)),
+                   ((6,), (1, 0, 1, 0, 0, 1, 0))],
+    ("S5", 3, 1): [((0, 3, 5), (1, 2, 0, 2, 0, 0, 1)),
+                   ((1, 2, 4), (1, 1, 0, 2, 0, 0, 2)),
+                   ((6,), (1, 0, 1, 0, 0, 1, 0))],
+    ("SL2_3", 2, 0): [((0, 1, 2, 3, 4, 5, 6), (1, 1, 0, 0, 0, 0, 0))],
+    ("SL2_3", 2, 1): [((0, 1, 2, 3, 4, 5, 6), (1, 1, 0, 0, 0, 0, 0))],
+    ("SL2_3", 3, 0): [((0, 1, 2), (1, 1, 1, 1, 0, 1, 1)),
+                      ((3, 4, 5), (1, 2, 1, 1, 0, 2, 2)),
+                      ((6,), (1, 1, 0, 0, 1, 0, 0))],
+    ("SL2_3", 3, 1): [((0, 1, 2), (1, 1, 1, 1, 0, 1, 1)),
+                      ((3, 4, 5), (1, 2, 1, 1, 0, 2, 2)),
+                      ((6,), (1, 1, 0, 0, 1, 0, 0))],
+    ("A5", 3, 0): [((0, 3, 4), (1, 0, 2, 0, 0)),
+                   ((1,), (1, 1, 0, 77, 44)),
+                   ((2,), (1, 1, 0, 44, 77))],
+    ("A5", 3, 1): [((0, 3, 4), (1, 0, 2, 0, 0)),
+                   ((1,), (1, 1, 0, 44, 77)),
+                   ((2,), (1, 1, 0, 77, 44))],
+}
+
+
+@pytest.mark.parametrize("name,p,alternative", list(CENTRAL_CHARACTERS))
+def test_central_characters_frozen(name, p, alternative):
+    t = character_table(build(name))
+    F = ModularReduction(p, t.exponent, alternative).field
+    got = [
+        (b.char_indices, tuple(F.encode(x) for x in b.central_character))
+        for b in block_partition(t, p, alternative=alternative)
+    ]
+    assert got == CENTRAL_CHARACTERS[name, p, alternative]
+
+
+# (p, m) with m' > 1 and fields of degree 1 to 4
+REDUCTIONS = {
+    (p, m): ModularReduction(p, m)
+    for p, m in [(2, 20), (2, 12), (3, 24), (3, 20), (5, 12), (5, 60)]
+}
+
+
+@st.composite
+def reduction_and_values(draw):
+    p, m = draw(st.sampled_from(sorted(REDUCTIONS)))
+    values = []
+    for _ in range(2):
+        terms = draw(st.lists(
+            st.tuples(st.integers(0, m - 1), st.integers(-7, 7)), max_size=5))
+        value = Cyclotomic(m)
+        for e, c in terms:
+            value = value + Cyclotomic.zeta(m, e, c)
+        values.append(value)
+    return REDUCTIONS[p, m], values
+
+
+@given(reduction_and_values())
+@settings(max_examples=150, deadline=None)
+def test_reduce_is_a_ring_homomorphism(case):
+    red, (a, b) = case
+    F = red.field
+    assert red.reduce(a * b) == F.mul(red.reduce(a), red.reduce(b))
+    assert red.reduce(a + b) == tuple(
+        (x + y) % red.p for x, y in zip(red.reduce(a), red.reduce(b)))
+    assert red.reduce(Cyclotomic.from_int(red.m, 1)) == F.one
+
+
+@pytest.mark.parametrize("p,m,q", [(2, 20, 16), (3, 24, 9)])
+def test_root_image_is_the_ith_least_element_of_order_m_prime(p, m, q):
+    red = ModularReduction(p, m)
+    F = red.field
+    assert p**F.d == q
+
+    def order(x):
+        n, y = 1, x
+        while y != F.one:
+            y, n = F.mul(y, x), n + 1
+        return n
+
+    m_prime = red.m_prime
+    of_order = [enc for enc in range(1, q) if order(F.decode(enc)) == m_prime]
+    assert len(of_order) == sum(gcd(k, m_prime) == 1 for k in range(m_prime))
+    for i, enc in enumerate(of_order):
+        assert F.encode(ModularReduction(p, m, i).rho_powers[1]) == enc
+    with pytest.raises(ValueError):
+        ModularReduction(p, m, len(of_order))

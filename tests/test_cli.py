@@ -312,6 +312,13 @@ def _empty_class(data):
     return data
 
 
+def _power_map_target(target):
+    def edit(data):
+        data["classes"][1]["powermap"]["2"] = target
+        return data
+    return edit
+
+
 def _group_args(tmp_path, data):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(data))
@@ -333,13 +340,20 @@ def _witness_list_args(tmp_path):
         lambda r, t: _s4_table_args(r, t, lambda d: list(d.values())),
         lambda r, t: _s4_table_args(r, t, _bare_int_value),
         lambda r, t: _s4_table_args(r, t, _empty_class),
+        lambda r, t: _s4_table_args(r, t, _power_map_target(99)),
+        # S4 has 5 classes: -5 would index class 0, the true square class
+        lambda r, t: _s4_table_args(r, t, _power_map_target(-5)),
         lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
                                      "generators": 5}),
         lambda r, t: _group_args(t, [[2, 1, 3], [2, 3, 1]]),
+        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
+                                     "generators": [[2, 1, 3]], "order": [2]}),
         lambda r, t: _witness_list_args(t),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
-         "group-generators-int", "group-list", "witness-list"],
+         "table-power-map-99", "table-power-map-negative",
+         "group-generators-int", "group-list", "group-order-list",
+         "witness-list"],
 )
 def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
