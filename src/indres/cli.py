@@ -20,6 +20,7 @@ from dataclasses import astuple, dataclass
 from math import lcm
 
 import click
+from sympy import isprime
 
 from .blocks import block_partition, defect_group
 from .catalog import BUILDERS, build, rows_for_suite
@@ -30,7 +31,7 @@ from .correspondence import (PROPERTIES, blocks_of, build_induced_lattice,
                              correspondent_of, full_report, make_instance,
                              pair_table, quotients_q1_q2, table_for)
 from .groupcore import (BudgetExceeded, conjugacy_classes,
-                        group_from_generators, normalizer, sylow_subgroup)
+                        group_from_generators, normalizer, sylow_subgroup, v_p)
 from .oracles import (brute_conjugacy_classes, compare_with_table,
                       definition_lattice)
 
@@ -122,6 +123,9 @@ def build_instance(spec):
         P = G.subgroup(list(S.generators))
         if P.order() != S.order():
             raise IntegrityError("explicit p-subgroup is not inside the group")
+        if P.order() != spec.p ** v_p(P.order(), spec.p):
+            raise IntegrityError(f"explicit p-subgroup has order {P.order()}, "
+                                 f"not a power of {spec.p}")
     elif spec.subgroup_mode.startswith("block:"):
         block_token = spec.subgroup_mode.split(":", 1)[1]
         if tG is None:
@@ -263,6 +267,13 @@ class _Main(click.Group):
             sys.exit(2)
 
 
+def _prime(ctx, param, value):
+    """Shared check of every -p: a ValueError ends in the one error exit."""
+    if value is not None and not isprime(value):
+        raise ValueError(f"-p must be a prime, got {value}")
+    return value
+
+
 @click.group(cls=_Main)
 def main():
     """Exact induced-character lattices and correspondence checks."""
@@ -286,7 +297,7 @@ def cmd_table(group, output, budget_order):
 
 @main.command("blocks")
 @click.argument("group")
-@click.option("-p", "--prime", required=True, type=int)
+@click.option("-p", "--prime", required=True, type=int, callback=_prime)
 @click.option("-o", "--output", default=None)
 def cmd_blocks(group, prime, output):
     """List the p-blocks with defects and character degrees."""
@@ -320,7 +331,7 @@ def cmd_blocks(group, prime, output):
 
 @main.command("verify")
 @click.argument("group")
-@click.option("-p", "--prime", required=True, type=int)
+@click.option("-p", "--prime", required=True, type=int, callback=_prime)
 @click.option("--props", default=",".join(PROPERTIES), show_default=True,
               help="comma list from irc,wirc,wircstar,pres,pind,in,g")
 @click.option("--subgroup-mode", default="sylow", show_default=True,
@@ -355,7 +366,7 @@ def cmd_verify(group, prime, props, subgroup_mode, h_mode, table_g, table_h,
 
 @main.command("quotients")
 @click.argument("group")
-@click.option("-p", "--prime", required=True, type=int)
+@click.option("-p", "--prime", required=True, type=int, callback=_prime)
 @click.option("-o", "--output", default=None)
 def cmd_quotients(group, prime, output):
     """Print the two lattice quotients and their block pieces."""
@@ -425,7 +436,7 @@ def cmd_paper_table(suite, output):
 @click.argument("kind", type=click.Choice(
     ["subgroup-lattice", "brute-classes", "brute-table"]))
 @click.argument("group")
-@click.option("-p", "--prime", default=None, type=int,
+@click.option("-p", "--prime", default=None, type=int, callback=_prime,
               help="needed for subgroup-lattice")
 @click.option("--budget-order", default=200, show_default=True)
 @click.option("--budget-classes", default=5000, show_default=True)

@@ -109,6 +109,8 @@ def _perm_power(a, k):
 
 
 def v_p(n, p):
+    if p < 2 or n == 0:
+        raise ValueError(f"v_p needs n != 0 and p >= 2, got n = {n}, p = {p}")
     v = 0
     while n % p == 0:
         n //= p
@@ -713,13 +715,18 @@ def intersection_set_maxima(G, P, H):
         idx = P.index_of(E[i][PE[:, Einv[i]]])
         seen_inters.add(frozenset(idx[idx >= 0].tolist()))
 
-    maxima, kept = [], []
-    for iset in sorted(seen_inters, key=lambda s: (-len(s), sorted(s))):
-        if any(iset <= big for big in kept):
-            continue
-        kept.append(iset)
-        maxima.append(_subgroup_of_rows(G.degree, PE[sorted(iset)]))
-    return IntersectionSetMaxima(maxima=maxima)
+    maxima = _maximal_sets(seen_inters)
+    return IntersectionSetMaxima([_subgroup_of_rows(G.degree, PE[sorted(s)]) for s in maxima])
+
+
+def _maximal_sets(sets):
+    """The containment-maximal members of `sets`, without repeats, ordered
+    by decreasing size and then by sorted members."""
+    kept = []
+    for s in sorted(set(sets), key=lambda s: (-len(s), sorted(s))):
+        if not any(s <= big for big in kept):
+            kept.append(s)
+    return kept
 
 
 def _conjugates_of_set(group, iset):
@@ -751,21 +758,14 @@ class QualificationTester:
     def __init__(self, group, s_maxima):
         self.group = group
         self.original = s_maxima.index_sets(group)
-        merged = set()
-        for iset in self.original:
-            merged |= _conjugates_of_set(group, iset)
-        self.copies = []
-        for c in sorted(merged, key=lambda s: (-len(s), sorted(s))):
-            if not any(c <= big for big in self.copies):
-                self.copies.append(c)
-        self.nonempty = bool(self.copies)
+        self.copies = _maximal_sets(
+            c for iset in self.original for c in _conjugates_of_set(group, iset)
+        )
 
     def qualifies(self, iset):
         return any(iset <= c for c in self.copies)
 
     def qualifies_element(self, images):
-        if all(i == x for i, x in enumerate(images)):
-            return self.nonempty
         cyclic = PermGroup(self.group.degree, [images])
         return self.qualifies(_index_set(self.group, cyclic.elements()))
 
@@ -788,104 +788,15 @@ def _p_part_exponent(order, p):
     return (rest * pow(rest, -1, pv)) % order
 
 
-def _frattini_maximal_subgroups(group, F):
-    """Maximal subgroups of a p-group given as a set of `group` indices."""
-    E = group.elements()
-    members = sorted(F)
-    rows = [tuple(int(x) for x in E[m]) for m in members]
-    ps = prime_factors(len(members))
-    if len(ps) != 1:
-        raise IntegrityError("maximal-subgroup descent expects a p-group")
-    p = ps[0]
-    phi_gens = [_perm_power(a, p) for a in rows]
-    for a in rows:
-        for b in rows:
-            phi_gens.append(_mul(_inv(_mul(b, a)), _mul(a, b)))
-    phi = PermGroup(group.degree, phi_gens).elements()
-
-    coset_of = {}
-    reps = []
-    for m, row in zip(members, rows):
-        if m in coset_of:
-            continue
-        cid = len(reps)
-        reps.append((m, row))
-        for j in _member_indices(group, np.asarray(row, dtype=DTYPE)[phi]).tolist():
-            coset_of[j] = cid
-
-    ident = tuple(range(group.degree))
-    coords = {coset_of[0]: ()}  # the identity is the lex-least element
-    r = 0
-    for m, rep in reps:
-        if coset_of[m] in coords:
-            continue
-        labeled = list(coords.items())
-        coords = {c: vec + (0,) for c, vec in labeled}
-        power = ident
-        for e in range(1, p):
-            power = _mul(rep, power)
-            targets = _member_indices(group, [_mul(power, reps[c][1]) for c, _ in labeled])
-            for t, (c, vec) in zip(targets.tolist(), labeled):
-                coords[coset_of[t]] = vec + (e,)
-        r += 1
-    if len(coords) != len(reps):
-        raise IntegrityError("Frattini quotient coordinates are incomplete")
-    if r == 0:
-        return []
-
-    return [
-        frozenset(
-            m
-            for m in members
-            if sum(a * b for a, b in zip(coords[coset_of[m]], w)) % p == 0
-        )
-        for w in _projective_vectors(p, r)
-    ]
-
-
-def _projective_vectors(p, r):
-    """One representative per line in F_p^r, first nonzero entry scaled to 1."""
-    out = []
-    vec = [0] * r
-    def rec(i):
-        if i == r:
-            if any(vec):
-                first = next(x for x in vec if x)
-                if first == 1:
-                    out.append(tuple(vec))
-            return
-        for c in range(p):
-            vec[i] = c
-            rec(i + 1)
-        vec[i] = 0
-    rec(0)
-    return sorted(out)
-
-
 def _maximal_qualifying_psubgroups(tester, T):
     """Containment-maximal qualifying subgroups of the p-group T, a set of
-    indices in the tester's group."""
-    if not tester.nonempty:
-        return []
-    out = []
-    seen = set()
-    stack = [T]
-    while stack:
-        F = stack.pop()
-        if F in seen:
-            continue
-        seen.add(F)
-        if tester.qualifies(F):
-            out.append(F)
-            continue
-        if len(F) == 1:
-            continue
-        stack.extend(_frattini_maximal_subgroups(tester.group, F))
-    kept = []
-    for F in sorted(set(out), key=lambda s: (-len(s), sorted(s))):
-        if not any(F <= big for big in kept):
-            kept.append(F)
-    return kept
+    indices in the tester's group.
+
+    F qualifies exactly when F ⊆ c for some c in `tester.copies`.  Each c is
+    a subgroup, so T ∩ c is a qualifying subgroup of T, and every qualifying
+    F ≤ T lies in some T ∩ c: the maxima are the maximal sets T ∩ c.
+    """
+    return _maximal_sets(T & c for c in tester.copies)
 
 
 def _distinct_subgroups(group, subgroups):
@@ -906,9 +817,13 @@ def qualifying_elementary_subgroups(group, p, P, s_maxima):
     Inductions from the returned family span the same lattice as inductions
     from all qualifying subgroups (only containment-maximal members are
     kept, which leaves the span unchanged).
+
+    For a p'-element c ≠ 1 and T = Sylow_p(C(c)), the members ⟨c⟩ x F take
+    F among the maximal sets T ∩ c' over the conjugates c' of the maxima:
+    these are exactly the largest qualifying subgroups of T.
     """
     tester = QualificationTester(group, s_maxima)
-    if not tester.nonempty:
+    if not tester.copies:
         return []
     degree = group.degree
     E = group.elements()

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import gcd
 
 from .chartab import Cyclotomic, character_table, inner_product
-from .groupcore import BudgetExceeded, Permutation, _conj, _inv, _mul, v_p
+from .groupcore import (BudgetExceeded, IntegrityError, Permutation, _conj, _inv,
+                        _mul, v_p)
 from .lattice import IntLattice
 
 
@@ -304,7 +305,8 @@ def _linear_characters(S, m):
             vec.pop()
             ci = q_mul(ci, factor_gens[i])
     fill(0, one, [])
-    assert len(expvec) == n
+    if len(expvec) != n:
+        raise IntegrityError("basis products do not reach every coset")
 
     chars = []
     def emit(jvec):
@@ -419,7 +421,8 @@ def _residual_units(residuals, ip, m):
                 for s in range(dim)
                 for t in range(dim)
             )
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise IntegrityError("residual Gram matrix is not integral")
             row.append(int(val))
         small.append(row)
     U = _lll_reduce(small)

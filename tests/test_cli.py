@@ -334,6 +334,13 @@ def _witness_list_args(tmp_path):
             "--witness", str(path)]
 
 
+def _explicit_c3_args(tmp_path):
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({"format": "perm-group", "degree": 4,
+                                "generators": [[2, 3, 1, 4]]}))
+    return ["verify", "S4", "-p", "2", "--subgroup-mode", f"explicit:{path}"]
+
+
 @pytest.mark.parametrize(
     "make_args",
     [
@@ -349,11 +356,29 @@ def _witness_list_args(tmp_path):
         lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
                                      "generators": [[2, 1, 3]], "order": [2]}),
         lambda r, t: _witness_list_args(t),
+        lambda r, t: _explicit_c3_args(t),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
          "table-power-map-99", "table-power-map-negative",
          "group-generators-int", "group-list", "group-order-list",
-         "witness-list"],
+         "witness-list", "explicit-p-subgroup-c3"],
 )
 def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "S4", "-p", "1"],
+        ["verify", "S4", "-p", "0"],
+        ["blocks", "S4", "-p", "4"],
+        ["verify", "S4", "-p", "4"],
+        ["quotients", "S4", "-p", "6"],
+        ["oracle", "subgroup-lattice", "S4", "-p", "4"],
+    ],
+    ids=["verify-1", "verify-0", "blocks-4", "verify-4", "quotients-6", "oracle-4"],
+)
+def test_non_prime_p_exits_2(runner, args):
+    r = invoke(runner, *args)
+    assert (r.exit_code, r.stderr) == (2, f"error: -p must be a prime, got {args[-1]}\n")

@@ -15,6 +15,7 @@ from indres.groupcore import (
     IntegrityError,
     PermGroup,
     Permutation,
+    QualificationTester,
     conjugacy_classes,
     centralizer,
     group_from_generators,
@@ -25,9 +26,12 @@ from indres.groupcore import (
     split_product_images,
     sylow_subgroup,
     v_p,
+    _index_set,
+    _maximal_qualifying_psubgroups,
     _mul,
     _subgroup_of_rows,
 )
+from indres.oracles import all_subgroups
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -165,6 +169,9 @@ def test_vp_and_prime_factors():
     assert v_p(48, 3) == 1
     assert v_p(1, 7) == 0
     assert prime_factors(360) == [2, 3, 5]
+    for n, p in [(8, 1), (8, 0), (8, -2), (0, 2)]:
+        with pytest.raises(ValueError):
+            v_p(n, p)
 
 
 def test_intersection_set_maxima_s4():
@@ -205,6 +212,31 @@ def test_index_sets_are_downward_closed_markers():
         assert len(ks) == S.order()
         assert ks <= set(range(P.order()))
         assert S.rows_in(P.elements()[sorted(ks)]).all()
+
+
+@pytest.mark.parametrize(
+    "name", ["S4", "S5", "A5", "SL2_3", "SL2_5", "C2xA4", "D8xC3", "S3xS3", "M11"]
+)
+def test_maximal_qualifying_psubgroups_match_brute_force(name):
+    """For T = Sylow_p(C(c)), c a p'-element ≠ 1, the maximal sets T ∩ c'
+    are the containment-maximal qualifying members of all subgroups of T,
+    at every prime and on both sides (G and N_G(P))."""
+    G = build(name)
+    for p in prime_factors(G.order()):
+        P = sylow_subgroup(G, p)
+        H = normalizer(G, P)
+        s_maxima = intersection_set_maxima(G, P, H)
+        for side in (G, H):
+            tester = QualificationTester(side, s_maxima)
+            for c in side.class_data():
+                if c.rep_order == 1 or c.rep_order % p == 0:
+                    continue
+                T = sylow_subgroup(centralizer(side, c.representative), p)
+                subs = [_index_set(side, S.elements()) for S in all_subgroups(T)]
+                good = [F for F in subs if tester.qualifies(F)]
+                brute = [F for F in good if not any(F < K for K in good)]
+                got = _maximal_qualifying_psubgroups(tester, _index_set(side, T.elements()))
+                assert got == sorted(brute, key=lambda s: (-len(s), sorted(s)))
 
 
 def test_product_group_and_splitting():
