@@ -190,13 +190,12 @@ class Block:
         )
 
 
-def omega_values(table, chi_index, class_indices=None):
+def omega_values(table, chi_index):
     """Central-character values |C| chi(x_C) / chi(1), exact in Z[zeta_m]."""
     deg = table.degrees[chi_index]
     row = table.irreducibles[chi_index]
-    idx = range(table.k) if class_indices is None else class_indices
     out = []
-    for j in idx:
+    for j in range(table.k):
         try:
             out.append((row[j] * table.classes[j].size).exact_div(deg))
         except ValueError as exc:
@@ -208,7 +207,14 @@ def omega_values(table, chi_index, class_indices=None):
 
 @_memo
 def _table_reduction(table, p, alternative):
-    """The reduction of the table's values at p, built once per table."""
+    """The reduction of the table's values at p, built once per table.
+
+    p must divide the group order: p-blocks of a p'-group are single
+    characters, and finding a primitive element of the residue field would
+    scan up to p constants.
+    """
+    if table.group_order % p:
+        raise ValueError(f"p = {p} does not divide the group order {table.group_order}")
     return ModularReduction(p, table.exponent, alternative)
 
 

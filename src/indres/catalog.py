@@ -1,11 +1,21 @@
 """Built-in permutation group constructors and the reference row registry.
 
-Groups are built as concrete permutation groups with orders asserted at
-construction time, so a wrong generating set fails loudly rather than
-silently producing a smaller group.
+Groups are built as concrete permutation groups whose orders are checked
+at construction time (`_group`), so a wrong generating set raises
+IntegrityError rather than silently producing a smaller group.
 """
 
-from .groupcore import PermGroup, Permutation, product_group
+from math import factorial
+
+from .groupcore import IntegrityError, PermGroup, Permutation, product_group
+
+
+def _group(degree, gens, order):
+    """PermGroup(degree, gens), checked to have the given order."""
+    G = PermGroup(degree, gens)
+    if G.order() != order:
+        raise IntegrityError(f"built a group of order {G.order()}, expected {order}")
+    return G
 
 
 def perm_from_cycles(cycles, degree):
@@ -23,12 +33,7 @@ def symmetric(n):
     gens = [Permutation(tuple([1, 0] + list(range(2, n))))]
     if n > 2:
         gens.append(Permutation(tuple(list(range(1, n)) + [0])))
-    G = PermGroup(n, gens)
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    assert G.order() == f
-    return G
+    return _group(n, gens, factorial(n))
 
 
 def alternating(n):
@@ -39,27 +44,18 @@ def alternating(n):
         big = Permutation(tuple(list(range(1, n)) + [0]))
     else:
         big = Permutation(tuple([0] + list(range(2, n)) + [1]))
-    G = PermGroup(n, [three, big])
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    assert G.order() == f // 2
-    return G
+    return _group(n, [three, big], factorial(n) // 2)
 
 
 def cyclic(n):
-    G = PermGroup(n, [Permutation(tuple(list(range(1, n)) + [0]))])
-    assert G.order() == n
-    return G
+    return _group(n, [Permutation(tuple(list(range(1, n)) + [0]))], n)
 
 
 def dihedral(n):
     """Dihedral group of order 2n acting on n points, n >= 3."""
     rot = Permutation(tuple(list(range(1, n)) + [0]))
     flip = Permutation(tuple((n - i) % n for i in range(n)))
-    G = PermGroup(n, [rot, flip])
-    assert G.order() == 2 * n
-    return G
+    return _group(n, [rot, flip], 2 * n)
 
 
 def quaternion8():
@@ -86,9 +82,9 @@ def quaternion8():
     gi, gj = (
         Permutation(tuple(idx[mul(g, u)] for u in units)) for g in ("i", "j")
     )
-    G = PermGroup(8, [gi, gj])
-    assert G.order() == 8 and gi * gj != gj * gi
-    return G
+    if gi * gj == gj * gi:
+        raise IntegrityError("the quaternion generators commute")
+    return _group(8, [gi, gj], 8)
 
 
 def special_linear2(q):
@@ -102,9 +98,8 @@ def special_linear2(q):
             imgs.append(idx[((m[0] * a + m[1] * b) % q, (m[2] * a + m[3] * b) % q)])
         return Permutation(tuple(imgs))
 
-    G = PermGroup(len(pts), [act((1, 1, 0, 1)), act((0, -1 % q, 1, 0))])
-    assert G.order() == q * (q - 1) * (q + 1)
-    return G
+    gens = [act((1, 1, 0, 1)), act((0, -1 % q, 1, 0))]
+    return _group(len(pts), gens, q * (q - 1) * (q + 1))
 
 
 def special_linear3_3():
@@ -117,7 +112,8 @@ def special_linear3_3():
         lead = next(x for x in v if x)
         if lead == 1:
             pts.append(v)
-    assert len(pts) == 13
+    if len(pts) != 13:
+        raise IntegrityError(f"{len(pts)} points on the plane, not 13")
     idx = {v: t for t, v in enumerate(pts)}
 
     def act(m):
@@ -131,9 +127,7 @@ def special_linear3_3():
 
     e12 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     cyc = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-    G = PermGroup(13, [act(e12), act(cyc)])
-    assert G.order() == 5616
-    return G
+    return _group(13, [act(e12), act(cyc)], 5616)
 
 
 # F_9 = F_3[t] with t^2 = t + 1; elements are pairs (x, y) meaning x + y t.
@@ -172,7 +166,8 @@ def unitary3_3():
         lead = next(x for x in v if x != zero)
         if lead == one:
             pts.append(v)
-    assert len(pts) == 28
+    if len(pts) != 28:
+        raise IntegrityError(f"{len(pts)} isotropic points, not 28")
     idx = {v: t for t, v in enumerate(pts)}
 
     def act(m):
@@ -193,9 +188,7 @@ def unitary3_3():
     u = ((one, one, one), (zero, one, (2, 0)), (zero, zero, one))
     d = ((t, zero, zero), (zero, t1, zero), (zero, zero, tt))
     w = ((zero, zero, one), (zero, (2, 0), zero), (one, zero, zero))
-    G = PermGroup(28, [act(u), act(d), act(w)])
-    assert G.order() == 6048
-    return G
+    return _group(28, [act(u), act(d), act(w)], 6048)
 
 
 def mathieu11():
@@ -203,9 +196,7 @@ def mathieu11():
         perm_from_cycles([(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)], 11),
         perm_from_cycles([(3, 7, 11, 8), (4, 10, 5, 6)], 11),
     ]
-    G = PermGroup(11, gens)
-    assert G.order() == 7920
-    return G
+    return _group(11, gens, 7920)
 
 
 def mathieu12():
@@ -214,9 +205,7 @@ def mathieu12():
         perm_from_cycles([(3, 7, 11, 8), (4, 10, 5, 6)], 12),
         perm_from_cycles([(1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10)], 12),
     ]
-    G = PermGroup(12, gens)
-    assert G.order() == 95040
-    return G
+    return _group(12, gens, 95040)
 
 
 BUILDERS = {

@@ -114,7 +114,7 @@ def build_instance(spec):
     tG = None
     if spec.table_g:
         tG = load_table(spec.table_g, group=G)
-    block_token = None
+    b = None
     P = None
     if spec.subgroup_mode == "sylow":
         pass
@@ -127,10 +127,9 @@ def build_instance(spec):
             raise IntegrityError(f"explicit p-subgroup has order {P.order()}, "
                                  f"not a power of {spec.p}")
     elif spec.subgroup_mode.startswith("block:"):
-        block_token = spec.subgroup_mode.split(":", 1)[1]
         if tG is None:
             tG = table_for(G, name or None)
-        b = _pick_block(tG, spec.p, block_token)
+        b = _pick_block(tG, spec.p, spec.subgroup_mode.split(":", 1)[1])
         P = defect_group(tG, b, spec.p)
     else:
         raise ValueError(f"unknown subgroup mode {spec.subgroup_mode!r}")
@@ -154,8 +153,7 @@ def build_instance(spec):
         tH = load_table(spec.table_h, group=H)
     inst = make_instance(G, spec.p, P=P, H=H, tG=tG, tH=tH, name=name)
     block_pair = None
-    if block_token is not None:
-        b = _pick_block(inst.tG, spec.p, block_token)
+    if b is not None:
         e = correspondent_of(inst, b)
         if e is None:
             raise IntegrityError("the chosen block has no correspondent")

@@ -41,12 +41,11 @@ from .classfun import (
 )
 from .groupcore import (
     IntegrityError,
-    IntersectionSetMaxima,
     Permutation,
     _memo,
-    elementary_covering_family,
     intersection_set_maxima,
     normalizer,
+    prime_factors,
     product_group,
     qualifying_elementary_subgroups,
     sylow_subgroup,
@@ -76,7 +75,7 @@ class Instance:
     tG: object
     tH: object
     P: object
-    s_maxima: object
+    s_maxima: list
     name: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -143,11 +142,7 @@ def build_induced_lattice(inst, side):
     lies inside a member of the intersection set.
     """
     table = inst.table(side)
-    subs = []
-    if inst.s_maxima.maxima:
-        subs = qualifying_elementary_subgroups(
-            table.group, inst.p, inst.P, inst.s_maxima
-        )
+    subs = qualifying_elementary_subgroups(table.group, inst.p, inst.s_maxima)
     return _induced_span(table, subs)
 
 
@@ -244,56 +239,38 @@ def _modulus_lattice(inst, side, block_pair, with_cp):
 def _lex_signed_matching(rows, cols, edge_sign):
     """Lexicographically least perfect matching on index lists.
 
-    edge_sign(i, j) returns +1, -1 (preferring +1 when both fit) or None.
+    edge_sign(i, j) returns +1, -1 (preferring +1 when both fit) or None;
+    it is called once per pair.  Each row in turn takes the least free
+    column after which the remaining rows still have a perfect matching.
     Returns a list of (i, sign, j) or None when no perfect matching exists.
     """
-    adj = {i: [j for j in cols if edge_sign(i, j) is not None] for i in rows}
+    if len(rows) != len(cols):
+        return None
+    sign = {(i, j): edge_sign(i, j) for i in rows for j in cols}
 
-    def max_matching(order, banned):
+    def perfect(rest, free):
+        # Kuhn's augmenting paths: a row that cannot be placed never will be
         match = {}
 
-        def try_assign(i, seen):
-            for j in adj[i]:
-                if (i, j) in banned or j in seen:
-                    continue
-                seen.add(j)
-                if j not in match or try_assign(match[j], seen):
-                    match[j] = i
-                    return True
+        def place(i, seen):
+            for j in free:
+                if sign[i, j] is not None and j not in seen:
+                    seen.add(j)
+                    if j not in match or place(match[j], seen):
+                        match[j] = i
+                        return True
             return False
 
-        size = 0
-        for i in order:
-            if try_assign(i, set()):
-                size += 1
-        return size
+        return all(place(i, set()) for i in rest)
 
-    n = len(rows)
-    if len(cols) != n or max_matching(rows, set()) != n:
-        return None
-    banned = set()
-    chosen = []
-    remaining = list(rows)
-    free_cols = list(cols)
-    for i in list(rows):
-        for j in free_cols:
-            if edge_sign(i, j) is None or (i, j) in banned:
-                continue
-            rest = [r for r in remaining if r != i]
-            sub_banned = banned | {(r, j) for r in rest}
-            saved_adj = adj[i]
-            adj[i] = [j]
-            ok = max_matching([i] + rest, sub_banned) == len(remaining)
-            adj[i] = saved_adj
-            if ok:
-                chosen.append((i, edge_sign(i, j), j))
-                remaining.remove(i)
-                free_cols.remove(j)
-                banned |= {(i, jj) for jj in free_cols}
-                banned |= {(r, j) for r in remaining}
-                break
-        else:
+    chosen, free = [], list(cols)
+    for t, i in enumerate(rows):
+        j = next((j for j in free if sign[i, j] is not None
+                  and perfect(rows[t + 1:], [c for c in free if c != j])), None)
+        if j is None:
             return None
+        chosen.append((i, sign[i, j], j))
+        free.remove(j)
     return chosen
 
 
@@ -455,9 +432,16 @@ def theorem26_selftest(inst):
 
 
 def brauer_completeness_check(group, table=None):
-    """Inductions from all elementary subgroups must span all of C(G)."""
+    """Inductions from all elementary subgroups must span all of C(G).
+
+    With the Sylow subgroup as the one maximum every p-subgroup qualifies,
+    so the qualifying family at any prime p is Brauer's elementary family.
+    """
     table = table if table is not None else table_for(group)
-    L = _induced_span(table, elementary_covering_family(group))
+    p = min(prime_factors(group.order()), default=2)
+    L = _induced_span(
+        table, qualifying_elementary_subgroups(group, p, [sylow_subgroup(group, p)])
+    )
     expect = tuple(
         tuple(1 if a == b else 0 for a in range(table.k)) for b in range(table.k)
     )
@@ -540,7 +524,7 @@ def R_transform(mu, chi):
 
 
 def _s_is_trivial(inst):
-    return all(S.order() == 1 for S in inst.s_maxima.maxima)
+    return all(S.order() == 1 for S in inst.s_maxima)
 
 
 @_memo
@@ -550,15 +534,8 @@ def product_induced_lattice(inst):
     GH = product_group(inst.G, inst.H)
     dG = inst.G.degree
     diag = lambda g: Permutation(tuple(g.images) + tuple(x + dG for x in g.images))
-    dP = GH.subgroup([diag(g) for g in inst.P.generators])
-    dmax = [
-        GH.subgroup([diag(g) for g in S.generators]) for S in inst.s_maxima.maxima
-    ]
-    subs = []
-    if dmax:
-        smax = IntersectionSetMaxima(maxima=dmax)
-        subs = qualifying_elementary_subgroups(GH, inst.p, dP, smax)
-    return _induced_span(prod, subs)
+    dmax = [GH.subgroup([diag(g) for g in S.generators]) for S in inst.s_maxima]
+    return _induced_span(prod, qualifying_elementary_subgroups(GH, inst.p, dmax))
 
 
 def check_property_G_with_witness(inst, b, e, mu):
@@ -665,7 +642,7 @@ def full_report(inst, props=PROPERTIES, block_pair=None):
             "h_order": inst.tH.group_order,
             "p_subgroup_order": inst.P.order(),
         },
-        s_maxima=[S.order() for S in inst.s_maxima.maxima],
+        s_maxima=[S.order() for S in inst.s_maxima],
         lattice_ranks={
             "H": build_induced_lattice(inst, "H").rank,
             "G": build_induced_lattice(inst, "G").rank,

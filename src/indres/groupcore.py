@@ -465,21 +465,6 @@ class ConjClassData:
     centralizer_order: int = 0
 
 
-@dataclass
-class IntersectionSetMaxima:
-    """Containment-maximal intersections P ∩ tPt^{-1} over cosets t outside H.
-
-    The downward closure of `maxima` under subgroups and conjugacy is the
-    full intersection set of the triple (G, P, H).
-    """
-
-    maxima: list
-
-    def index_sets(self, group):
-        """Each maximum as the set of its element indices in `group`."""
-        return [_index_set(group, S.elements()) for S in self.maxima]
-
-
 def group_from_generators(data):
     """Build a PermGroup from {"degree": n, "generators": [[1-based images]]}."""
     try:
@@ -494,6 +479,8 @@ def group_from_generators(data):
             gens.append(Permutation.from_one_based(padded))
     except (TypeError, AttributeError) as exc:
         raise IntegrityError(f"malformed group data: {exc}") from exc
+    if degree < 1:
+        raise IntegrityError(f"group degree must be at least 1, got {degree}")
     return PermGroup(degree, gens)
 
 
@@ -689,16 +676,19 @@ def sylow_subgroup(G, p):
 
 
 def intersection_set_maxima(G, P, H):
-    """Maximal members of {P ∩ tPt^{-1} : t a coset rep of N_G(P), t ∉ H}.
+    """Maximal members of {P ∩ tPt^{-1} : t a coset rep of N_G(P), t ∉ H},
+    as a list of subgroups of P.
 
-    Requires N_G(P) ≤ H; raises ValueError otherwise.  H = G yields no
-    maxima (the intersection set is empty).
+    Their downward closure under subgroups and conjugacy is the full
+    intersection set of the triple (G, P, H).  Requires N_G(P) ≤ H; raises
+    ValueError otherwise.  H = G yields no maxima (the intersection set is
+    empty).
     """
     N = normalizer(G, P)
     if not all(H.contains_images(g.images) for g in N.generators):
         raise ValueError("H does not contain the normalizer of P")
     if H.order() == G.order():
-        return IntersectionSetMaxima(maxima=[])
+        return []
 
     E, Einv = G.elements(), G.inverses()
     NE, PE = N.elements(), P.elements()
@@ -715,8 +705,7 @@ def intersection_set_maxima(G, P, H):
         idx = P.index_of(E[i][PE[:, Einv[i]]])
         seen_inters.add(frozenset(idx[idx >= 0].tolist()))
 
-    maxima = _maximal_sets(seen_inters)
-    return IntersectionSetMaxima([_subgroup_of_rows(G.degree, PE[sorted(s)]) for s in maxima])
+    return [_subgroup_of_rows(G.degree, PE[sorted(s)]) for s in _maximal_sets(seen_inters)]
 
 
 def _maximal_sets(sets):
@@ -747,36 +736,16 @@ def _conjugates_of_set(group, iset):
     return seen
 
 
-class QualificationTester:
-    """Decides whether a p-subgroup is conjugate into the intersection set.
+def _qualifying_copies(group, maxima):
+    """The containment-maximal conjugates, under `group`, of the maxima, as
+    sets of element indices in `group`.
 
-    Conjugacy is taken inside `group` (G for the source lattice, H for the
-    target lattice); the intersection-set maxima live inside P in either
-    case.
+    A p-subgroup of `group` qualifies exactly when it lies in one of them.
     """
-
-    def __init__(self, group, s_maxima):
-        self.group = group
-        self.original = s_maxima.index_sets(group)
-        self.copies = _maximal_sets(
-            c for iset in self.original for c in _conjugates_of_set(group, iset)
-        )
-
-    def qualifies(self, iset):
-        return any(iset <= c for c in self.copies)
-
-    def qualifies_element(self, images):
-        cyclic = PermGroup(self.group.degree, [images])
-        return self.qualifies(_index_set(self.group, cyclic.elements()))
-
-    def maximal_original_reps(self):
-        """Original maxima that are not strictly contained in any copy."""
-        E = self.group.elements()
-        return [
-            _subgroup_of_rows(self.group.degree, E[sorted(iset)])
-            for iset in self.original
-            if not any(iset < c for c in self.copies)
-        ]
+    return _maximal_sets(
+        c for S in maxima
+        for c in _conjugates_of_set(group, _index_set(group, S.elements()))
+    )
 
 
 def _p_part_exponent(order, p):
@@ -788,17 +757,6 @@ def _p_part_exponent(order, p):
     return (rest * pow(rest, -1, pv)) % order
 
 
-def _maximal_qualifying_psubgroups(tester, T):
-    """Containment-maximal qualifying subgroups of the p-group T, a set of
-    indices in the tester's group.
-
-    F qualifies exactly when F ⊆ c for some c in `tester.copies`.  Each c is
-    a subgroup, so T ∩ c is a qualifying subgroup of T, and every qualifying
-    F ≤ T lies in some T ∩ c: the maxima are the maximal sets T ∩ c.
-    """
-    return _maximal_sets(T & c for c in tester.copies)
-
-
 def _distinct_subgroups(group, subgroups):
     """One subgroup per element set (the first met), ordered by order and
     then by sorted element indices."""
@@ -808,22 +766,30 @@ def _distinct_subgroups(group, subgroups):
     return [found[k] for k in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
-def qualifying_elementary_subgroups(group, p, P, s_maxima):
+def qualifying_elementary_subgroups(group, p, maxima):
     """A family of elementary subgroups spanning the induced-character lattice.
 
     Elementary means (ℓ-group) x (cyclic ℓ'-group) for a single prime ℓ.  A
     subgroup qualifies when its p-part is conjugate, inside `group`, to a
-    subgroup in the downward closure of the intersection-set maxima.
-    Inductions from the returned family span the same lattice as inductions
-    from all qualifying subgroups (only containment-maximal members are
-    kept, which leaves the span unchanged).
+    subgroup in the downward closure of `maxima`, a list of p-subgroups of
+    `group` (the intersection-set maxima).  Inductions from the returned
+    family span the same lattice as inductions from all qualifying
+    subgroups (only containment-maximal members are kept, which leaves the
+    span unchanged).
 
     For a p'-element c ≠ 1 and T = Sylow_p(C(c)), the members ⟨c⟩ x F take
     F among the maximal sets T ∩ c' over the conjugates c' of the maxima:
-    these are exactly the largest qualifying subgroups of T.
+    each c' is a subgroup, so T ∩ c' qualifies, and every qualifying F ≤ T
+    lies in some T ∩ c'.  These are exactly the largest qualifying
+    subgroups of T.
+
+    With maxima = [Sylow_p(group)] every p-subgroup qualifies, and the
+    family is Brauer's: ⟨c⟩ x Sylow_ℓ(C(c)) for every prime ℓ dividing the
+    order and every class of ℓ'-elements c, with the same element sets in
+    the same order.
     """
-    tester = QualificationTester(group, s_maxima)
-    if not tester.copies:
+    copies = _qualifying_copies(group, maxima)
+    if not copies:
         return []
     degree = group.degree
     E = group.elements()
@@ -838,7 +804,9 @@ def qualifying_elementary_subgroups(group, p, P, s_maxima):
                 continue
             rep = c.representative
             p_part = _perm_power(rep.images, _p_part_exponent(c.rep_order, p))
-            if not tester.qualifies_element(p_part):
+            # copies are subgroups: ⟨x⟩ lies in one exactly when x does
+            x = int(group.index_of([p_part])[0])
+            if not any(x in copy for copy in copies):
                 continue
             C = centralizer(group, rep)
             S = sylow_subgroup(C, ell)
@@ -849,31 +817,14 @@ def qualifying_elementary_subgroups(group, p, P, s_maxima):
             continue
         rep = c.representative
         if c.rep_order == 1:
-            subs.extend(tester.maximal_original_reps())
+            # the maxima that no copy strictly contains
+            subs.extend(S for S in maxima if _index_set(group, S.elements()) in copies)
             continue
-        C = centralizer(group, rep)
-        T = sylow_subgroup(C, p)
-        for F in _maximal_qualifying_psubgroups(tester, _index_set(group, T.elements())):
+        T = _index_set(group, sylow_subgroup(centralizer(group, rep), p).elements())
+        for F in _maximal_sets(T & copy for copy in copies):
             sub = _subgroup_of_rows(degree, E[sorted(F)])
             subs.append(PermGroup(degree, [rep] + list(sub.generators)))
 
-    return _distinct_subgroups(group, subs)
-
-
-def elementary_covering_family(group):
-    """Elementary subgroups whose inductions span all virtual characters.
-
-    One subgroup ⟨c⟩ x Sylow_ℓ(C(c)) per prime ℓ dividing the order and per
-    class of ℓ'-elements c.
-    """
-    subs = []
-    for ell in prime_factors(group.order()):
-        for c in group.class_data():
-            if c.rep_order % ell == 0:
-                continue
-            rep = c.representative
-            S = sylow_subgroup(centralizer(group, rep), ell)
-            subs.append(PermGroup(group.degree, [rep] + list(S.generators)))
     return _distinct_subgroups(group, subs)
 
 

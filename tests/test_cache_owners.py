@@ -1,9 +1,10 @@
 """Derived data has one owner: the object it is derived from.
 
-Checked modules hold one module-level mutable container, the element-set
-keyed `correspondence._TABLE_CACHE`, and `functools.cache` memoizes only
-`chartab._phi_reduction`, whose key is an integer; all other derived data
-is memoized on a table, an instance or a group by `groupcore._memo`.
+Library modules other than the catalog hold one module-level mutable
+container, the element-set keyed `correspondence._TABLE_CACHE`, and
+`functools.cache` memoizes only `chartab._phi_reduction`, whose key is an
+integer; all other derived data is memoized on a table, an instance or a
+group by `groupcore._memo`.
 """
 
 import ast
@@ -17,8 +18,13 @@ MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque",
 PROCESS_CACHES = {"cache", "lru_cache"}
 
 
+# catalog's module-level BUILDERS and REFERENCE_ROWS are constant
+# registries, not caches of derived data
+OWNED = tuple(m for m in CHECKED if m != "catalog")
+
+
 def _trees():
-    for module in CHECKED:
+    for module in OWNED:
         yield module, ast.parse((SRC / f"{module}.py").read_text())
 
 

@@ -355,12 +355,17 @@ def _explicit_c3_args(tmp_path):
         lambda r, t: _group_args(t, [[2, 1, 3], [2, 3, 1]]),
         lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
                                      "generators": [[2, 1, 3]], "order": [2]}),
+        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 0,
+                                     "generators": []}),
+        lambda r, t: _group_args(t, {"format": "perm-group", "degree": -3,
+                                     "generators": []}),
         lambda r, t: _witness_list_args(t),
         lambda r, t: _explicit_c3_args(t),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
          "table-power-map-99", "table-power-map-negative",
          "group-generators-int", "group-list", "group-order-list",
+         "group-degree-0", "group-degree-negative",
          "witness-list", "explicit-p-subgroup-c3"],
 )
 def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
@@ -382,3 +387,20 @@ def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
 def test_non_prime_p_exits_2(runner, args):
     r = invoke(runner, *args)
     assert (r.exit_code, r.stderr) == (2, f"error: -p must be a prime, got {args[-1]}\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["blocks", "S4", "-p", "7"],
+        ["verify", "S4", "-p", "5"],
+        ["quotients", "S4", "-p", "5"],
+        # 2^61 - 1: a primitive-element scan over F_p would not finish
+        ["blocks", "S4", "-p", "2305843009213693951"],
+    ],
+    ids=["blocks-7", "verify-5", "quotients-5", "blocks-mersenne-61"],
+)
+def test_prime_not_dividing_order_exits_2(runner, args):
+    r = invoke(runner, *args)
+    assert (r.exit_code, r.stderr) == (
+        2, f"error: p = {args[-1]} does not divide the group order 24\n")

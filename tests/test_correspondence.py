@@ -1,6 +1,7 @@
 """Correspondence properties, quotient shapes, and structural identities."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -30,7 +31,7 @@ from indres.correspondence import (
     quotients_q1_q2,
     theorem26_selftest,
 )
-from indres.correspondence import _s_is_trivial
+from indres.correspondence import _lex_signed_matching, _s_is_trivial
 from indres.groupcore import Permutation, PermGroup, normalizer, sylow_subgroup
 from indres.lattice import IntLattice, coordinate_restrict
 
@@ -312,3 +313,83 @@ def test_memoized_results_live_on_the_instance():
     del inst, L, S
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def _reference_lex_signed_matching(rows, cols, edge_sign):
+    """Reference for `_lex_signed_matching`: one full Kuhn check, then per
+    row and candidate column a Kuhn check under banned pairs and an
+    in-place adjacency edit."""
+    adj = {i: [j for j in cols if edge_sign(i, j) is not None] for i in rows}
+
+    def max_matching(order, banned):
+        match = {}
+
+        def try_assign(i, seen):
+            for j in adj[i]:
+                if (i, j) in banned or j in seen:
+                    continue
+                seen.add(j)
+                if j not in match or try_assign(match[j], seen):
+                    match[j] = i
+                    return True
+            return False
+
+        size = 0
+        for i in order:
+            if try_assign(i, set()):
+                size += 1
+        return size
+
+    n = len(rows)
+    if len(cols) != n or max_matching(rows, set()) != n:
+        return None
+    banned = set()
+    chosen = []
+    remaining = list(rows)
+    free_cols = list(cols)
+    for i in list(rows):
+        for j in free_cols:
+            if edge_sign(i, j) is None or (i, j) in banned:
+                continue
+            rest = [r for r in remaining if r != i]
+            sub_banned = banned | {(r, j) for r in rest}
+            saved_adj = adj[i]
+            adj[i] = [j]
+            ok = max_matching([i] + rest, sub_banned) == len(remaining)
+            adj[i] = saved_adj
+            if ok:
+                chosen.append((i, edge_sign(i, j), j))
+                remaining.remove(i)
+                free_cols.remove(j)
+                banned |= {(i, jj) for jj in free_cols}
+                banned |= {(r, j) for r in remaining}
+                break
+        else:
+            return None
+    return chosen
+
+
+def test_lex_signed_matching_agrees_with_reference():
+    """Random signed bipartite graphs on 0-7 rows (unequal sides included,
+    index lists unsorted): same matching as the reference routine, with
+    each pair's sign asked for at most once."""
+    rng = random.Random(20100)
+    for _ in range(3000):
+        n = rng.randrange(8)
+        m = n if rng.random() < 0.8 else rng.randrange(8)
+        rows = rng.sample(range(20), n)
+        cols = rng.sample(range(20), m)
+        density = rng.random()
+        signs = {
+            (i, j): rng.choice((1, -1)) if rng.random() < density else None
+            for i in rows for j in cols
+        }
+        asked = []
+
+        def edge_sign(i, j):
+            asked.append((i, j))
+            return signs[i, j]
+
+        want = _reference_lex_signed_matching(rows, cols, lambda i, j: signs[i, j])
+        assert _lex_signed_matching(rows, cols, edge_sign) == want
+        assert len(asked) == len(set(asked))

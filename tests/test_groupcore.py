@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indres import groupcore
-from indres.catalog import build, perm_from_cycles, special_linear2
+from indres.catalog import BUILDERS, build, perm_from_cycles, special_linear2
 from indres.groupcore import (
     BudgetExceeded,
     IntegrityError,
     PermGroup,
     Permutation,
-    QualificationTester,
     conjugacy_classes,
     centralizer,
     group_from_generators,
@@ -23,12 +22,14 @@ from indres.groupcore import (
     normalizer,
     prime_factors,
     product_group,
+    qualifying_elementary_subgroups,
     split_product_images,
     sylow_subgroup,
     v_p,
     _index_set,
-    _maximal_qualifying_psubgroups,
+    _maximal_sets,
     _mul,
+    _qualifying_copies,
     _subgroup_of_rows,
 )
 from indres.oracles import all_subgroups
@@ -181,8 +182,8 @@ def test_intersection_set_maxima_s4():
     P = sylow_subgroup(G, 2)
     H = normalizer(G, P)
     sm = intersection_set_maxima(G, P, H)
-    assert sorted(S.order() for S in sm.maxima) == [4]
-    for S in sm.maxima:
+    assert sorted(S.order() for S in sm) == [4]
+    for S in sm:
         assert S.is_subgroup_of(P)
 
 
@@ -192,14 +193,13 @@ def test_intersection_set_maxima_s5():
     H = normalizer(G, P)
     assert H.order() == 8
     sm = intersection_set_maxima(G, P, H)
-    assert sorted(S.order() for S in sm.maxima) == [2, 2, 4]
+    assert sorted(S.order() for S in sm) == [2, 2, 4]
 
 
 def test_intersection_set_empty_when_h_is_g():
     G = build("S4")
     P = sylow_subgroup(G, 2)
-    sm = intersection_set_maxima(G, P, G)
-    assert list(sm.maxima) == []
+    assert intersection_set_maxima(G, P, G) == []
 
 
 def test_index_sets_are_downward_closed_markers():
@@ -208,7 +208,8 @@ def test_index_sets_are_downward_closed_markers():
     P = sylow_subgroup(G, 2)
     H = normalizer(G, P)
     sm = intersection_set_maxima(G, P, H)
-    for S, ks in zip(sm.maxima, sm.index_sets(P)):
+    for S in sm:
+        ks = _index_set(P, S.elements())
         assert len(ks) == S.order()
         assert ks <= set(range(P.order()))
         assert S.rows_in(P.elements()[sorted(ks)]).all()
@@ -227,16 +228,45 @@ def test_maximal_qualifying_psubgroups_match_brute_force(name):
         H = normalizer(G, P)
         s_maxima = intersection_set_maxima(G, P, H)
         for side in (G, H):
-            tester = QualificationTester(side, s_maxima)
+            copies = _qualifying_copies(side, s_maxima)
             for c in side.class_data():
                 if c.rep_order == 1 or c.rep_order % p == 0:
                     continue
                 T = sylow_subgroup(centralizer(side, c.representative), p)
                 subs = [_index_set(side, S.elements()) for S in all_subgroups(T)]
-                good = [F for F in subs if tester.qualifies(F)]
+                good = [F for F in subs if any(F <= K for K in copies)]
                 brute = [F for F in good if not any(F < K for K in good)]
-                got = _maximal_qualifying_psubgroups(tester, _index_set(side, T.elements()))
+                got = _maximal_sets(_index_set(side, T.elements()) & K for K in copies)
                 assert got == sorted(brute, key=lambda s: (-len(s), sorted(s)))
+
+
+def _brauer_family_sets(group):
+    """Element sets of ⟨c⟩ x Sylow_ℓ(C(c)) for every prime ℓ dividing the
+    order and every class of ℓ'-elements c, ordered by size and then by
+    sorted members: the elementary family of Brauer's induction theorem,
+    built directly."""
+    sets = set()
+    for ell in prime_factors(group.order()):
+        for c in group.class_data():
+            if c.rep_order % ell == 0:
+                continue
+            rep = c.representative
+            S = sylow_subgroup(centralizer(group, rep), ell)
+            sets.add(_index_set(group, PermGroup(group.degree, [rep, *S.generators]).elements()))
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, make in BUILDERS.items() if make().order() <= 20000]
+)
+def test_sylow_maximum_gives_brauer_family(name):
+    """With the Sylow p-subgroup as the one maximum every p-subgroup
+    qualifies, and the qualifying family is Brauer's, at every prime."""
+    G = build(name)
+    want = _brauer_family_sets(G)
+    for p in prime_factors(G.order()):
+        got = qualifying_elementary_subgroups(G, p, [sylow_subgroup(G, p)])
+        assert [_index_set(G, E.elements()) for E in got] == want
 
 
 def test_product_group_and_splitting():
