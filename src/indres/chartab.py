@@ -17,8 +17,9 @@ from math import gcd, isqrt, lcm
 import numpy as np
 import sympy
 
-from .groupcore import (ConjClassData, IntegrityError, _member_indices,
-                        class_of_power, conjugacy_classes)
+from .groupcore import (DEFAULT_ORDER_BUDGET, ConjClassData, IntegrityError,
+                        _member_indices, _memo, conjugacy_classes, json_int,
+                        split_product_images)
 
 
 @cache
@@ -179,7 +180,9 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["modulus"]), {int(e): int(c) for e, c in data["terms"]})
+        return cls(json_int(data["modulus"], "cyclotomic modulus"),
+                   {json_int(e, "cyclotomic exponent"): json_int(c, "cyclotomic coefficient")
+                    for e, c in data["terms"]})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -212,13 +215,14 @@ class Cyclotomic:
 class CharTable:
     """Ordinary character table, rows sorted by (degree, canonical value key).
 
-    Tables compare and hash by identity.  `_cache` memoizes data derived
+    Tables compare and hash by identity.  `_cache` memoizes all data derived
     from this table (fusions and restriction matrices of a table pair, see
-    `classfun.class_fusion`; through `groupcore._memo`, the rows' images in
-    F_l, modular reductions and defect groups), so it is freed with the
-    table.  `factors` is the pair of factor tables of a product table, None
-    otherwise.  A product table (`classfun.product_table`) has
-    `irreducibles = None` and no group: its values come from `factors`.
+    `classfun.class_fusion`; through `groupcore._memo`, the row index, the
+    dual map, the rows' images in F_l, modular reductions and defect
+    groups), so it is freed with the table.  `factors` is the pair of factor
+    tables of a product table, None otherwise.  A product table
+    (`classfun.product_table`) has `irreducibles = None` and no group: its
+    values, dual map and class lookup come from `factors`.
     """
 
     group_order: int
@@ -229,9 +233,6 @@ class CharTable:
     group: object = None
     name: str = None
     factors: tuple = field(default=None, repr=False)
-    _dual: list = field(default=None, repr=False)
-    _value_index: dict = field(default=None, repr=False)
-    _lookup: object = field(default=None, repr=False)  # images -> class index
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -240,8 +241,10 @@ class CharTable:
 
     def class_index_of(self, images):
         """Class index (in this table's column order) of a group element."""
-        if self._lookup is not None:
-            return self._lookup(images)
+        if self.factors is not None:
+            tA, tB = self.factors
+            left, right = split_product_images(images, tA.group.degree)
+            return tA.class_index_of(left) * tB.k + tB.class_index_of(right)
         if self.group is None:
             raise ValueError("table has no group attached; cannot fuse elements")
         return self.group.class_of(images)
@@ -249,20 +252,16 @@ class CharTable:
     def class_sizes(self):
         return [c.size for c in self.classes]
 
+    @_memo
     def row_index(self):
-        if self._value_index is None:
-            self._value_index = {
-                tuple(v.sort_key() for v in row): i
-                for i, row in enumerate(self.irreducibles)
-            }
-        return self._value_index
+        return {tuple(v.sort_key() for v in row): i for i, row in enumerate(self.irreducibles)}
 
     def find_row(self, values):
         return self.row_index().get(tuple(v.sort_key() for v in values))
 
     def inverse_class(self, i):
         if self.group is not None and self.classes[i].representative is not None:
-            return class_of_power(self.group, i, self.classes[i].rep_order - 1)
+            return self.group.power_classes()[i][-1]
         # the inverse class is the unique column where every row conjugates
         for j in range(self.k):
             if self.classes[j].size != self.classes[i].size:
@@ -271,21 +270,22 @@ class CharTable:
                 return j
         raise IntegrityError("no inverse class found; table is inconsistent")
 
+    @_memo
     def dual_map(self):
         """Permutation sending each row to the row of its complex conjugate."""
-        if self._dual is None:
-            inv = [self.inverse_class(i) for i in range(self.k)]
-            out = []
-            for row in self.irreducibles:
-                dual_vals = [row[inv[i]] for i in range(self.k)]
-                j = self.find_row(dual_vals)
-                if j is None:
-                    raise IntegrityError("conjugate row missing from table")
-                out.append(j)
-            if any(out[out[i]] != i for i in range(self.k)):
-                raise IntegrityError("row conjugation is not an involution")
-            self._dual = out
-        return self._dual
+        if self.factors is not None:
+            dualA, dualB = (f.dual_map() for f in self.factors)
+            return [a * len(dualB) + b for a in dualA for b in dualB]
+        inv = [self.inverse_class(i) for i in range(self.k)]
+        out = []
+        for row in self.irreducibles:
+            j = self.find_row([row[inv[i]] for i in range(self.k)])
+            if j is None:
+                raise IntegrityError("conjugate row missing from table")
+            out.append(j)
+        if any(out[out[i]] != i for i in range(self.k)):
+            raise IntegrityError("row conjugation is not an involution")
+        return out
 
 
 def inner_product(table, avalues, bvalues):
@@ -448,7 +448,7 @@ def _common_eigenvectors(mats, k, p):
 
 def character_table(G, budget_order=None):
     """Irreducible character table of G with exact cyclotomic values."""
-    classes = conjugacy_classes(G, budget_order=budget_order or 10**6)
+    classes = conjugacy_classes(G, budget_order=budget_order or DEFAULT_ORDER_BUDGET)
     k = len(classes)
     order = G.order()
     m = G.exponent()
@@ -458,9 +458,8 @@ def character_table(G, budget_order=None):
     vecs = _common_eigenvectors(mats, k, p)
 
     size_inv = [pow(c.size, -1, p) for c in classes]
-    # power-class lookup per class; rep^(ord-1) is the inverse
-    pow_class = [[class_of_power(G, i, t) for t in range(c.rep_order)]
-                 for i, c in enumerate(classes)]
+    # rep^(ord-1) is the inverse
+    pow_class = G.power_classes()
     inv_class = [pc[-1] for pc in pow_class]
     # normalize so the identity-class coordinate is 1
     omegas = []
@@ -485,8 +484,7 @@ def character_table(G, budget_order=None):
             n = c.rep_order
             z = pow(w, m // n, p)
             n_inv = pow(n, -1, p)
-            val = Cyclotomic(m)
-            total = 0
+            terms = {}
             for j in range(n):
                 acc = 0
                 zj = pow(z, (-j) % (p - 1), p)
@@ -498,13 +496,12 @@ def character_table(G, budget_order=None):
                 if mult:
                     if mult > deg:
                         raise IntegrityError("multiplicity lift out of range")
-                    total += mult
-                    val = val + Cyclotomic.zeta(m, (m // n) * j, mult)
-            if total != deg:
+                    terms[(m // n) * j] = mult
+            if sum(terms.values()) != deg:
                 raise IntegrityError(
                     "root-of-unity multiplicities do not sum to degree"
                 )
-            values.append(val)
+            values.append(Cyclotomic(m, terms))
         rows.append((deg, values))
 
     rows.sort(key=lambda r: (r[0], tuple(v.sort_key() for v in r[1])))
@@ -599,14 +596,16 @@ def save_table(table, path):
 
 def table_from_json(data, group=None):
     try:
-        order, exponent = int(data["order"]), int(data["exponent"])
+        order = json_int(data["order"], "table order", decimal_string=True)
+        exponent = json_int(data["exponent"], "table exponent")
         classes = [
             ConjClassData(
                 representative=None,
-                size=int(c["size"]),
-                rep_order=int(c["rep_order"]),
-                power_map={int(q): int(i) for q, i in c["powermap"].items()},
-                centralizer_order=order // int(c["size"]),
+                size=json_int(c["size"], "class size"),
+                rep_order=json_int(c["rep_order"], "class element order"),
+                power_map={int(q): json_int(i, "power map class")
+                           for q, i in c["powermap"].items()},
+                centralizer_order=order // c["size"],
             )
             for c in data["classes"]
         ]
@@ -721,7 +720,5 @@ def reconcile_classes(table, group):
     table.classes = own
     table.irreducibles = [[row[inv[j]] for j in range(table.k)] for row in table.irreducibles]
     table.group = group
-    table._dual = None
-    table._value_index = None
     table._cache.clear()
     return table

@@ -22,14 +22,7 @@ from .chartab import (
     _dixon_prime,
     inner_product,
 )
-from .groupcore import (
-    ConjClassData,
-    Permutation,
-    _memo,
-    class_of_power,
-    prime_factors,
-    split_product_images,
-)
+from .groupcore import ConjClassData, Permutation, _memo, prime_factors
 
 
 class ValueDomainError(ValueError):
@@ -200,19 +193,18 @@ def pointwise_product(a, b):
 
 
 # -- fusion and the induction/restriction matrix ----------------------------
-#
-# class_fusion and restriction_matrix memoize by hand rather than through
-# `_memo`: their owner is whichever table of the pair dies first (see
-# `_pair_cache`).
 
 def _pair_cache(big, small, name):
     """The memo dict and key for data of the pair (big, small).
 
-    The small table owns it, so a subgroup table dropped by its caller is
-    freed even while the big table lives on.  A product table is the
-    exception: it lives on its instance, while the subgroup tables it
-    induces from stay in the process-level table cache, so it owns the
-    data of its pairs itself.
+    This is the one memo of the package that is not `groupcore._memo`:
+    `_memo` stores on its first argument, while the data of a pair (class
+    fusions, restriction matrices) belongs to whichever table of the pair
+    dies first.  That is the small table, so a subgroup table dropped by
+    its caller is freed even while the big table lives on.  A product
+    table is the exception: it lives on its instance, while the subgroup
+    tables it induces from stay in the process-level table cache, so it
+    owns the data of its pairs itself.
     """
     if big.factors is not None:
         return big._cache, (name, small)
@@ -343,50 +335,38 @@ def product_table(tA, tB):
 
     Class (a, b) has index a*kB + b, character (i, j) likewise; its value at
     class (a, b) is the product of the factor values (Isaacs, Thm 4.21).
-    The table keeps no rows and no group: `irreducibles` is None, `value_at`
-    and `_shadow` derive values from `factors`, and a reader that needs the
-    product group builds it with `product_group` from the factor groups.
-    Class representatives act on the disjoint union of the factors' points,
-    as there; class identification goes through the pair structure.
+    The table keeps no rows and no group: `irreducibles` is None, and
+    `value_at`, `_shadow`, `CharTable.dual_map` and `CharTable.class_index_of`
+    derive what they need from `factors`.  A reader that needs the product
+    group builds it with `product_group` from the factor groups; class
+    representatives act on the disjoint union of the factors' points, as
+    there.  Power maps come from the factors' power classes.
     """
     if tA.group is None or tB.group is None:
         raise ValueError("product_table needs both factor groups")
-    GA, GB = tA.group, tB.group
-    dA = GA.degree
-    kB = tB.k
+    dA, kB = tA.group.degree, tB.k
+    pcA, pcB = tA.group.power_classes(), tB.group.power_classes()
     order = tA.group_order * tB.group_order
+    primes = prime_factors(order)
 
     classes = []
-    for a in tA.classes:
-        arep = a.representative.images
-        for b in tB.classes:
-            rep = Permutation(tuple(arep) + tuple(x + dA for x in b.representative.images))
+    for ia, a in enumerate(tA.classes):
+        for ib, b in enumerate(tB.classes):
+            images = a.representative.images + tuple(x + dA for x in b.representative.images)
             classes.append(
                 ConjClassData(
-                    representative=rep,
+                    representative=Permutation(images),
                     size=a.size * b.size,
                     rep_order=lcm(a.rep_order, b.rep_order),
-                    power_map={},
+                    power_map={q: pcA[ia][q % a.rep_order] * kB + pcB[ib][q % b.rep_order]
+                               for q in primes},
                     centralizer_order=a.centralizer_order * b.centralizer_order,
                 )
             )
-    for q in prime_factors(order):
-        powA = [class_of_power(GA, ia, q) for ia in range(tA.k)]
-        powB = [class_of_power(GB, ib, q) for ib in range(kB)]
-        for ia, pa in enumerate(powA):
-            for ib, pb in enumerate(powB):
-                classes[ia * kB + ib].power_map[q] = pa * kB + pb
 
     degrees = [da * db for da in tA.degrees for db in tB.degrees]
     if sum(d * d for d in degrees) != order:
         raise IntegrityError("product degree squares do not sum to the order")
-
-    dualA, dualB = tA.dual_map(), tB.dual_map()
-    dual = [da * kB + db for da in dualA for db in dualB]
-
-    def lookup(images):
-        left, right = split_product_images(images, dA)
-        return tA.class_index_of(left) * kB + tB.class_index_of(right)
 
     return CharTable(
         group_order=order,
@@ -396,8 +376,6 @@ def product_table(tA, tB):
         degrees=degrees,
         name=f"({tA.name} x {tB.name})" if tA.name and tB.name else None,
         factors=(tA, tB),
-        _dual=dual,
-        _lookup=lookup,
     )
 
 

@@ -30,8 +30,8 @@ from .correspondence import (PROPERTIES, blocks_of, build_induced_lattice,
                              check_property, check_property_G_with_witness,
                              correspondent_of, full_report, make_instance,
                              pair_table, quotients_q1_q2, table_for)
-from .groupcore import (BudgetExceeded, conjugacy_classes,
-                        group_from_generators, normalizer, sylow_subgroup, v_p)
+from .groupcore import (BudgetExceeded, conjugacy_classes, group_from_generators,
+                        json_int, normalizer, sylow_subgroup, v_p)
 from .oracles import (brute_conjugacy_classes, compare_with_table,
                       definition_lattice)
 
@@ -60,10 +60,7 @@ def load_group(spec_group):
         raise IntegrityError(f"{spec_group}: not a perm-group file")
     G = group_from_generators(data)
     if "order" in data:
-        try:
-            declared = int(data["order"])
-        except TypeError as exc:
-            raise IntegrityError(f"{spec_group}: malformed order: {exc}") from exc
+        declared = json_int(data["order"], f"{spec_group}: order", decimal_string=True)
         if G.order() != declared:
             raise IntegrityError(
                 f"{spec_group}: declared order {data['order']} but the "
@@ -205,9 +202,10 @@ def run_verify(spec):
         try:
             if (wit.get("format"), wit.get("space")) != ("virtual-character", "product"):
                 raise IntegrityError("witness file is not a product virtual character")
-            coeffs = tuple(int(c) for c in wit["coeffs"])
-            chars_b = sorted(wit["block_chars"])
-            chars_e = sorted(wit["correspondent_chars"])
+            coeffs = tuple(json_int(c, "witness coefficient") for c in wit["coeffs"])
+            chars_b = sorted(json_int(i, "witness character") for i in wit["block_chars"])
+            chars_e = sorted(json_int(i, "witness character")
+                             for i in wit["correspondent_chars"])
         except (TypeError, AttributeError) as exc:
             raise IntegrityError(f"malformed witness data: {exc}") from exc
         mu = VirtualCharacter(pair_table(inst), coeffs)

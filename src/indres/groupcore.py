@@ -12,13 +12,15 @@ elements are sets of ints.  Public outputs are deterministic functions of
 the abstract group and its degree, never of the generator presentation,
 unless noted otherwise.
 
-Data derived from a group (centralizers, normalizers, Sylow subgroups)
-lives in `PermGroup._cache` (filled by `_memo`), so it is computed once and
-freed with the group.  `_memo` is the one memo helper of the package:
-tables and instances memoize their derived data through it too.
+Everything derived from a group (its stabilizer chain, order, element
+matrix, classes and power classes, centralizers, normalizers, Sylow
+subgroups) lives in `PermGroup._cache`, filled by `_memo`, so it is
+computed once and freed with the group.  `_memo` is the one memo helper of
+the package: tables and instances memoize their derived data through it
+too.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 from math import lcm
 
@@ -38,6 +40,19 @@ class BudgetExceeded(RuntimeError):
 
 class IntegrityError(ValueError):
     pass
+
+
+def json_int(value, what, decimal_string=False):
+    """A count read from JSON, as an int.
+
+    Floats and bools are not counts, and a decimal string is one only where
+    `decimal_string` allows it (orders are written that way).
+    """
+    if decimal_string and isinstance(value, str) and value.isdigit():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise IntegrityError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _memo(fn):
@@ -235,8 +250,8 @@ class PermGroup:
 
     The element matrix returned by :meth:`elements` is sorted
     lexicographically, which makes "first element such that ..." scans
-    presentation-independent.  `_cache` holds what `_memo` derives from
-    the group (centralizers, normalizers, Sylow subgroups).
+    presentation-independent.  A group keeps its degree, its generators and
+    `_cache`, where `_memo` puts all that is derived from them.
     """
 
     def __init__(self, degree, generators=()):
@@ -253,15 +268,6 @@ class PermGroup:
             seen.add(g.images)
             gens.append(g)
         self.generators = tuple(gens)
-        self._levels = None
-        self._order = None
-        self._elem = None
-        self._einv = None
-        self._row_of_rank = None
-        self._ranks = None
-        self._cperms = None
-        self._classes = None
-        self._class_ids = None
         self._cache = {}
 
     # -- stabilizer chain --------------------------------------------------
@@ -269,9 +275,8 @@ class PermGroup:
     def _identity(self):
         return tuple(range(self.degree))
 
+    @_memo
     def _chain(self):
-        if self._levels is not None:
-            return self._levels
         ident = self._identity()
         levels = []
 
@@ -330,17 +335,14 @@ class PermGroup:
                         break
                 if dirty:
                     break
-
-        self._levels = levels
         return levels
 
+    @_memo
     def order(self):
-        if self._order is None:
-            o = 1
-            for lvl in self._chain():
-                o *= len(lvl.transversal)
-            self._order = o
-        return self._order
+        o = 1
+        for lvl in self._chain():
+            o *= len(lvl.transversal)
+        return o
 
     def contains_images(self, images):
         return _strip(self._chain(), tuple(images))[0] == self._identity()
@@ -355,15 +357,15 @@ class PermGroup:
 
     # -- full element matrix -------------------------------------------------
 
-    def elements(self, budget=None):
+    def elements(self):
         """All elements as a lexicographically sorted (order x degree) matrix."""
-        if self._elem is not None:
-            return self._elem
-        if budget is not None and self.order() > budget:
-            raise BudgetExceeded(f"group order {self.order()} exceeds budget {budget}")
-        levels = self._chain()
+        return self._element_matrix()[0]
+
+    @_memo
+    def _element_matrix(self):
+        # the sorted element matrix, and the row of each chain rank
         E = np.arange(self.degree, dtype=DTYPE)[None, :]
-        for lvl in reversed(levels):
+        for lvl in reversed(self._chain()):
             blocks = []
             for pt in sorted(lvl.transversal):
                 u = np.asarray(lvl.transversal[pt], dtype=DTYPE)
@@ -373,23 +375,22 @@ class PermGroup:
             raise IntegrityError("element matrix size differs from the chain order")
         # before sorting, row r is the element of chain rank r
         order = np.lexsort(E.T[::-1])
-        self._row_of_rank = np.empty_like(order)
-        self._row_of_rank[order] = np.arange(len(order))
-        self._elem = np.ascontiguousarray(E[order])
-        return self._elem
+        row_of_rank = np.empty_like(order)
+        row_of_rank[order] = np.arange(len(order))
+        return np.ascontiguousarray(E[order]), row_of_rank
 
+    @_memo
     def _rank_tables(self):
         # per level: base point, point -> position in the sorted transversal
         # (0 off the orbit), and the inverse transversal element by position
-        if self._ranks is None:
-            self._ranks = []
-            for lvl in self._chain():
-                pts = sorted(lvl.transversal)
-                pos = np.zeros(self.degree, dtype=np.intp)
-                pos[pts] = np.arange(len(pts))
-                uinv = np.array([_inv(lvl.transversal[pt]) for pt in pts], dtype=DTYPE)
-                self._ranks.append((lvl.base, pos, uinv))
-        return self._ranks
+        ranks = []
+        for lvl in self._chain():
+            pts = sorted(lvl.transversal)
+            pos = np.zeros(self.degree, dtype=np.intp)
+            pos[pts] = np.arange(len(pts))
+            uinv = np.array([_inv(lvl.transversal[pt]) for pt in pts], dtype=DTYPE)
+            ranks.append((lvl.base, pos, uinv))
+        return ranks
 
     def index_of(self, M):
         """Row index in `elements()` of each row of M, or -1 for a non-member.
@@ -399,7 +400,7 @@ class PermGroup:
         one candidate row.  The index is kept only where that row equals
         the input, so a non-member never aliases a member.
         """
-        E = self.elements()
+        E, row_of_rank = self._element_matrix()
         M = np.asarray(M, dtype=DTYPE)
         tables = self._rank_tables()
         B = M[:, [base for base, _, _ in tables]]
@@ -408,15 +409,12 @@ class PermGroup:
             r = pos[B[:, i]]
             rank = rank * len(uinv) + r
             B = uinv[r[:, None], B]
-        idx = self._row_of_rank[rank]
+        idx = row_of_rank[rank]
         return np.where(np.all(E[idx] == M, axis=1), idx, -1)
 
+    @_memo
     def inverses(self):
-        if self._einv is None:
-            self._einv = np.ascontiguousarray(
-                np.argsort(self.elements(), axis=1).astype(DTYPE)
-            )
-        return self._einv
+        return np.ascontiguousarray(np.argsort(self.elements(), axis=1).astype(DTYPE))
 
     def conjugation_sweep(self, images, lo=0, hi=None):
         """Rows g k g^{-1} for the elements g in rows lo:hi, with k fixed."""
@@ -430,14 +428,17 @@ class PermGroup:
 
     # -- classes ---------------------------------------------------------------
 
-    def class_data(self, budget=None):
-        if self._classes is None:
-            conjugacy_classes(self, budget_order=budget or DEFAULT_ORDER_BUDGET)
-        return self._classes
+    def class_data(self):
+        """The conjugacy classes, in `conjugacy_classes` order."""
+        return _class_sweep(self)[0]
 
     def class_ids(self):
-        self.class_data()
-        return self._class_ids
+        """The class index of each row of `elements()`."""
+        return _class_sweep(self)[1]
+
+    def power_classes(self):
+        """For each class i, the class of rep_i^t for every t < ord(rep_i)."""
+        return _class_sweep(self)[2]
 
     def class_of(self, perm):
         images = perm.images if isinstance(perm, Permutation) else perm
@@ -461,16 +462,17 @@ class ConjClassData:
     representative: Permutation
     size: int
     rep_order: int
-    power_map: dict = field(default_factory=dict)
-    centralizer_order: int = 0
+    power_map: dict  # prime q dividing the group order -> class of rep^q
+    centralizer_order: int
 
 
 def group_from_generators(data):
     """Build a PermGroup from {"degree": n, "generators": [[1-based images]]}."""
     try:
-        degree = int(data.get("ambient", data["degree"]))
+        degree = json_int(data.get("ambient", data["degree"]), "group degree")
         gens = []
         for images in data["generators"]:
+            images = [json_int(x, "generator image") for x in images]
             if sorted(images) != list(range(1, len(images) + 1)):
                 raise ValueError("generator is not a permutation of 1..n")
             if len(images) > degree:
@@ -488,12 +490,18 @@ def conjugacy_classes(G, budget_order=DEFAULT_ORDER_BUDGET):
     """Conjugacy classes in a canonical order.
 
     Classes are sorted by (element order, class size, lexicographically
-    smallest member); the representative is that smallest member.
+    smallest member); the representative is that smallest member.  The
+    budget is checked on every call, whether or not the classes are known.
     """
-    if G._classes is not None:
-        return G._classes
     if G.order() > budget_order:
         raise BudgetExceeded(f"order {G.order()} exceeds class budget {budget_order}")
+    return G.class_data()
+
+
+@_memo
+def _class_sweep(G):
+    """The classes of G, the class id of each element row, and the power
+    classes (see `PermGroup.power_classes`)."""
     E = G.elements()
     perms = _conjugation_perms(G)
     # min-label propagation: each class ends up labelled by its least index
@@ -512,37 +520,43 @@ def conjugacy_classes(G, budget_order=DEFAULT_ORDER_BUDGET):
     orders = [_perm_order(rep) for rep, _ in raw]
     ranked = sorted(range(len(raw)), key=lambda c: (orders[c], raw[c][1], raw[c][0]))
     remap = np.empty(len(raw), dtype=np.int32)
-    for new, old in enumerate(ranked):
-        remap[old] = new
+    remap[ranked] = np.arange(len(raw))
     class_id = remap[class_id]
 
-    classes = []
+    # rep^t for every class and every t < ord(rep), located in one sweep
+    powers = []
     for old in ranked:
-        rep, size = raw[old]
-        classes.append(
-            ConjClassData(
-                representative=Permutation(rep),
-                size=size,
-                rep_order=orders[old],
-                centralizer_order=G.order() // size,
-            )
+        rep = np.asarray(raw[old][0], dtype=DTYPE)
+        x = np.arange(G.degree, dtype=DTYPE)
+        for _ in range(orders[old]):
+            powers.append(x)
+            x = rep[x]
+    flat = class_id[_member_indices(G, np.array(powers))].tolist()
+    power_classes, at = [], 0
+    for old in ranked:
+        power_classes.append(tuple(flat[at:at + orders[old]]))
+        at += orders[old]
+
+    primes = prime_factors(G.order())
+    classes = [
+        ConjClassData(
+            representative=Permutation(raw[old][0]),
+            size=raw[old][1],
+            rep_order=orders[old],
+            power_map={q: pc[q % orders[old]] for q in primes},
+            centralizer_order=G.order() // raw[old][1],
         )
-    G._classes = classes
-    G._class_ids = class_id
-    for c in classes:
-        rep = c.representative.images
-        for q in prime_factors(G.order()):
-            c.power_map[q] = G.class_of(_perm_power(rep, q))
-    return classes
+        for old, pc in zip(ranked, power_classes)
+    ]
+    return classes, class_id, power_classes
 
 
+@_memo
 def _conjugation_perms(G):
     """For each generator s, the map x -> s x s^{-1} on element indices."""
-    if G._cperms is None:
-        E = G.elements()
-        gens = [np.asarray(s.images, dtype=DTYPE) for s in G.generators]
-        G._cperms = [_member_indices(G, s[E[:, np.argsort(s)]]) for s in gens]
-    return G._cperms
+    E = G.elements()
+    gens = [np.asarray(s.images, dtype=DTYPE) for s in G.generators]
+    return [_member_indices(G, s[E[:, np.argsort(s)]]) for s in gens]
 
 
 def _member_indices(G, M):
@@ -555,12 +569,6 @@ def _member_indices(G, M):
 
 def _index_set(G, M):
     return frozenset(_member_indices(G, M).tolist())
-
-
-def class_of_power(G, class_index, k):
-    """Index of the class containing rep^k, rep the given class representative."""
-    rep = G.class_data()[class_index].representative.images
-    return G.class_of(_perm_power(rep, k))
 
 
 def _subgroup_of_rows(degree, rows):

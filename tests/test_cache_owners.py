@@ -4,7 +4,10 @@ Library modules other than the catalog hold one module-level mutable
 container, the element-set keyed `correspondence._TABLE_CACHE`, and
 `functools.cache` memoizes only `chartab._phi_reduction`, whose key is an
 integer; all other derived data is memoized on a table, an instance or a
-group by `groupcore._memo`.
+group by `groupcore._memo` (or, for a pair of tables, by
+`classfun._pair_cache`).  A group or a table keeps that data in `_cache`
+and nowhere else: `_cache` is the only private attribute that
+`PermGroup.__init__` sets and the only private field of `CharTable`.
 """
 
 import ast
@@ -61,3 +64,31 @@ def test_functools_cache_only_on_phi_reduction():
                 if any(_name(d) in PROCESS_CACHES for d in node.decorator_list):
                     found.add((module, node.name))
     assert found == {("chartab", "_phi_reduction")}
+
+
+def _class(module, name):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+
+
+def test_permgroup_init_sets_no_private_attribute_but_cache():
+    init = next(n for n in _class("groupcore", "PermGroup").body
+                if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    private = {
+        t.attr for node in ast.walk(init)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+        and t.value.id == "self" and t.attr.startswith("_")
+    }
+    assert private == {"_cache"}
+
+
+def test_chartable_declares_no_private_field_but_cache():
+    private = {
+        t.id for node in _class("chartab", "CharTable").body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Name) and t.id.startswith("_")
+    }
+    assert private == {"_cache"}

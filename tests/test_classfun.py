@@ -49,6 +49,8 @@ from indres.correspondence import (
 from indres.groupcore import (
     centralizer,
     normalizer,
+    prime_factors,
+    product_group,
     qualifying_elementary_subgroups,
     sylow_subgroup,
 )
@@ -294,6 +296,24 @@ def _field_of(table):
 def product_and_reference(request):
     tA, tB = PRODUCT_PAIRS[request.param]()
     return product_table(tA, tB), _tensor_rows(tA, tB)
+
+
+def test_product_dual_map_conjugates_tensor_rows(product_and_reference):
+    prod, rows = product_and_reference
+    keys = [[v.sort_key() for v in row] for row in rows]
+    for i, j in enumerate(prod.dual_map()):
+        assert [v.conjugate().sort_key() for v in rows[i]] == keys[j]
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_PAIRS))
+def test_product_power_maps_are_classes_of_powers(name):
+    tA, tB = PRODUCT_PAIRS[name]()
+    prod = product_table(tA, tB)
+    G = product_group(tA.group, tB.group)
+    for c in prod.classes:
+        for q in prime_factors(prod.group_order):
+            target = prod.classes[c.power_map[q]].representative
+            assert G.class_of(c.representative ** q) == G.class_of(target)
 
 
 def test_product_values_match_tensor_rows(product_and_reference):

@@ -334,6 +334,25 @@ def _witness_list_args(tmp_path):
             "--witness", str(path)]
 
 
+def _witness_coeff_args(tmp_path, old, new):
+    """`verify` of the fixture's property (G) with the first witness
+    coefficient equal to `old` replaced by `new`."""
+    path = tmp_path / "witness.json"
+    wit = json.loads((FIXTURES / "fixture_witness.json").read_text())
+    wit["coeffs"][wit["coeffs"].index(old)] = new
+    path.write_text(json.dumps(wit))
+    return ["verify", str(FIXTURES / "fixture_group.json"), "-p", "2",
+            "--subgroup-mode", "block:1", "--props", "g", "--witness", str(path)]
+
+
+S4_GENS = [[2, 1, 3, 4], [2, 3, 4, 1]]
+
+
+def _size_three_float(data):
+    next(c for c in data["classes"] if c["size"] == 3)["size"] = 3.0
+    return data
+
+
 def _explicit_c3_args(tmp_path):
     path = tmp_path / "c3.json"
     path.write_text(json.dumps({"format": "perm-group", "degree": 4,
@@ -361,12 +380,21 @@ def _explicit_c3_args(tmp_path):
                                      "generators": []}),
         lambda r, t: _witness_list_args(t),
         lambda r, t: _explicit_c3_args(t),
+        lambda r, t: _witness_coeff_args(t, -1, -1.4),
+        lambda r, t: _witness_coeff_args(t, -1, True),
+        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4,
+                                     "generators": S4_GENS, "order": 24.9}),
+        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4.7,
+                                     "generators": S4_GENS}),
+        lambda r, t: _s4_table_args(r, t, _size_three_float),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
          "table-power-map-99", "table-power-map-negative",
          "group-generators-int", "group-list", "group-order-list",
          "group-degree-0", "group-degree-negative",
-         "witness-list", "explicit-p-subgroup-c3"],
+         "witness-list", "explicit-p-subgroup-c3",
+         "witness-float-coeff", "witness-bool-coeff", "group-order-float",
+         "group-degree-float", "table-float-size"],
 )
 def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from indres import groupcore
 from indres.catalog import BUILDERS, build, perm_from_cycles, special_linear2
+from indres.chartab import character_table
 from indres.groupcore import (
     BudgetExceeded,
     IntegrityError,
@@ -297,6 +298,15 @@ def test_conjugacy_budget_enforced():
         conjugacy_classes(build("M11"), budget_order=100)
 
 
+def test_class_budget_does_not_depend_on_call_history():
+    G = build("S4")
+    conjugacy_classes(G)
+    with pytest.raises(BudgetExceeded):
+        conjugacy_classes(G, budget_order=10)
+    with pytest.raises(BudgetExceeded):
+        character_table(G, budget_order=10)
+
+
 def test_subgroup_of_rows_rejects_unclosed_rows():
     for rows in (
         [(0, 1, 2, 3), (1, 2, 0, 3)],  # the identity and a 3-cycle alone
@@ -332,6 +342,22 @@ INDEX_GROUPS = {
 @pytest.fixture(scope="module", params=list(INDEX_GROUPS))
 def indexed_group(request):
     return INDEX_GROUPS[request.param]()
+
+
+POWER_GROUPS = {
+    **{name: INDEX_GROUPS[name] for name in ("S4", "A5", "SL2_7", "M11", "fixture")},
+    "S3xA4": lambda: product_group(build("S3"), build("A4")),  # intransitive
+}
+
+
+@pytest.mark.parametrize("name", list(POWER_GROUPS))
+def test_power_classes_are_the_classes_of_powers(name):
+    G = POWER_GROUPS[name]()
+    primes = prime_factors(G.order())
+    for c, pc in zip(G.class_data(), G.power_classes()):
+        rep = c.representative
+        assert list(pc) == [G.class_of(rep ** t) for t in range(c.rep_order)]
+        assert c.power_map == {q: G.class_of(rep ** q) for q in primes}
 
 
 def test_index_of_elements_is_arange(indexed_group):
