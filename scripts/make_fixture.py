@@ -26,7 +26,7 @@ from indres.correspondence import (
     I_transform,
     R_transform,
 )
-from indres.groupcore import PermGroup, Permutation
+from indres.groupcore import PermGroup
 
 Q = 5
 HALF = 3  # 1/2 in F_5
@@ -43,7 +43,7 @@ def hmul(s, t):
 
 
 def left_translation(x, pts, idx):
-    return Permutation(tuple(idx[hmul(x, w)] for w in pts))
+    return tuple(idx[hmul(x, w)] for w in pts)
 
 
 def twist(m, pts, idx):
@@ -64,7 +64,7 @@ def twist(m, pts, idx):
         a2 = (a * al + b * ga) % Q
         b2 = (a * be + b * de) % Q
         imgs.append(idx[(a2, b2, (c + q_corr(a, b)) % Q)])
-    return Permutation(tuple(imgs))
+    return tuple(imgs)
 
 
 def build_group():
@@ -101,7 +101,7 @@ def witness_data(G):
     pclasses = [
         j
         for j, c in enumerate(tH.classes)
-        if P.contains_images(c.representative.images)
+        if P.contains_images(c.representative)
     ]
     j0 = next(
         j
@@ -163,7 +163,7 @@ def main(outdir):
                 "degree": 125,
                 "order": "1000",
                 "generators": [
-                    [x + 1 for x in g.images] for g in G.generators
+                    [x + 1 for x in g] for g in G.generators
                 ],
             },
             f,

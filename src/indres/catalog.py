@@ -7,7 +7,7 @@ IntegrityError rather than silently producing a smaller group.
 
 from math import factorial
 
-from .groupcore import IntegrityError, PermGroup, Permutation, product_group
+from .groupcore import IntegrityError, PermGroup, _mul, product_group
 
 
 def _group(degree, gens, order):
@@ -19,42 +19,42 @@ def _group(degree, gens, order):
 
 
 def perm_from_cycles(cycles, degree):
-    """Permutation from disjoint 1-based cycles."""
+    """Image tuple of the permutation with the given disjoint 1-based cycles."""
     images = list(range(degree))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a - 1] = b - 1
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def symmetric(n):
     if n < 2:
         raise ValueError("need n >= 2")
-    gens = [Permutation(tuple([1, 0] + list(range(2, n))))]
+    gens = [[1, 0] + list(range(2, n))]
     if n > 2:
-        gens.append(Permutation(tuple(list(range(1, n)) + [0])))
+        gens.append(list(range(1, n)) + [0])
     return _group(n, gens, factorial(n))
 
 
 def alternating(n):
     if n < 3:
         raise ValueError("need n >= 3")
-    three = Permutation(tuple([1, 2, 0] + list(range(3, n))))
+    three = [1, 2, 0] + list(range(3, n))
     if n % 2:
-        big = Permutation(tuple(list(range(1, n)) + [0]))
+        big = list(range(1, n)) + [0]
     else:
-        big = Permutation(tuple([0] + list(range(2, n)) + [1]))
+        big = [0] + list(range(2, n)) + [1]
     return _group(n, [three, big], factorial(n) // 2)
 
 
 def cyclic(n):
-    return _group(n, [Permutation(tuple(list(range(1, n)) + [0]))], n)
+    return _group(n, [list(range(1, n)) + [0]], n)
 
 
 def dihedral(n):
     """Dihedral group of order 2n acting on n points, n >= 3."""
-    rot = Permutation(tuple(list(range(1, n)) + [0]))
-    flip = Permutation(tuple((n - i) % n for i in range(n)))
+    rot = list(range(1, n)) + [0]
+    flip = [(n - i) % n for i in range(n)]
     return _group(n, [rot, flip], 2 * n)
 
 
@@ -80,9 +80,9 @@ def quaternion8():
 
     idx = {u: t for t, u in enumerate(units)}
     gi, gj = (
-        Permutation(tuple(idx[mul(g, u)] for u in units)) for g in ("i", "j")
+        tuple(idx[mul(g, u)] for u in units) for g in ("i", "j")
     )
-    if gi * gj == gj * gi:
+    if _mul(gi, gj) == _mul(gj, gi):
         raise IntegrityError("the quaternion generators commute")
     return _group(8, [gi, gj], 8)
 
@@ -96,7 +96,7 @@ def special_linear2(q):
         imgs = []
         for a, b in pts:
             imgs.append(idx[((m[0] * a + m[1] * b) % q, (m[2] * a + m[3] * b) % q)])
-        return Permutation(tuple(imgs))
+        return tuple(imgs)
 
     gens = [act((1, 1, 0, 1)), act((0, -1 % q, 1, 0))]
     return _group(len(pts), gens, q * (q - 1) * (q + 1))
@@ -123,7 +123,7 @@ def special_linear3_3():
             lead = next(x for x in w if x)
             inv = pow(lead, q - 2, q)
             imgs.append(idx[tuple(x * inv % q for x in w)])
-        return Permutation(tuple(imgs))
+        return tuple(imgs)
 
     e12 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     cyc = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
@@ -182,7 +182,7 @@ def unitary3_3():
             lead = next(x for x in w if x != zero)
             inv = next(u for u in F if _f9_mul(lead, u) == one)
             imgs.append(idx[tuple(_f9_mul(inv, x) for x in w)])
-        return Permutation(tuple(imgs))
+        return tuple(imgs)
 
     t, t1, tt = (0, 1), (1, 1), (0, 2)
     u = ((one, one, one), (zero, one, (2, 0)), (zero, zero, one))

@@ -231,7 +231,6 @@ class CharTable:
     irreducibles: list  # rows of Cyclotomic values, one row per character
     degrees: list
     group: object = None
-    name: str = None
     factors: tuple = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -324,7 +323,7 @@ def _class_matrices(G):
     ids = G.class_ids()
     A = np.zeros((k, k, k), dtype=np.int64)
     for l, c in enumerate(classes):
-        z = np.asarray(c.representative.images, dtype=E.dtype)
+        z = np.asarray(c.representative, dtype=E.dtype)
         M = Einv[:, z]
         new_ids = ids[_member_indices(G, M)]
         np.add.at(A, (ids, new_ids, np.full(len(M), l)), 1)
@@ -448,7 +447,8 @@ def _common_eigenvectors(mats, k, p):
 
 def character_table(G, budget_order=None):
     """Irreducible character table of G with exact cyclotomic values."""
-    classes = conjugacy_classes(G, budget_order=budget_order or DEFAULT_ORDER_BUDGET)
+    budget_order = DEFAULT_ORDER_BUDGET if budget_order is None else budget_order
+    classes = conjugacy_classes(G, budget_order=budget_order)
     k = len(classes)
     order = G.order()
     m = G.exponent()

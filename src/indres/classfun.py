@@ -22,7 +22,7 @@ from .chartab import (
     _dixon_prime,
     inner_product,
 )
-from .groupcore import ConjClassData, Permutation, _memo, prime_factors
+from .groupcore import ConjClassData, _memo, prime_factors
 
 
 class ValueDomainError(ValueError):
@@ -225,7 +225,7 @@ def class_fusion(big, small):
         if c.representative is None:
             raise ValueError("small table lacks class representatives")
         try:
-            fused.append(big.class_index_of(c.representative.images))
+            fused.append(big.class_index_of(c.representative))
         except KeyError:
             raise ValueError(
                 "class representative does not lie in the big group"
@@ -352,10 +352,10 @@ def product_table(tA, tB):
     classes = []
     for ia, a in enumerate(tA.classes):
         for ib, b in enumerate(tB.classes):
-            images = a.representative.images + tuple(x + dA for x in b.representative.images)
+            images = a.representative + tuple(x + dA for x in b.representative)
             classes.append(
                 ConjClassData(
-                    representative=Permutation(images),
+                    representative=images,
                     size=a.size * b.size,
                     rep_order=lcm(a.rep_order, b.rep_order),
                     power_map={q: pcA[ia][q % a.rep_order] * kB + pcB[ib][q % b.rep_order]
@@ -374,7 +374,6 @@ def product_table(tA, tB):
         classes=classes,
         irreducibles=None,
         degrees=degrees,
-        name=f"({tA.name} x {tB.name})" if tA.name and tB.name else None,
         factors=(tA, tB),
     )
 

@@ -125,7 +125,7 @@ def build_instance(spec):
                                  f"not a power of {spec.p}")
     elif spec.subgroup_mode.startswith("block:"):
         if tG is None:
-            tG = table_for(G, name or None)
+            tG = table_for(G)
         b = _pick_block(tG, spec.p, spec.subgroup_mode.split(":", 1)[1])
         P = defect_group(tG, b, spec.p)
     else:
@@ -298,7 +298,7 @@ def cmd_table(group, output, budget_order):
 def cmd_blocks(group, prime, output):
     """List the p-blocks with defects and character degrees."""
     G = load_group(group)
-    t = table_for(G, group if group in BUILDERS else None)
+    t = table_for(G)
     blks = block_partition(t, prime)
     data = {
         "group": group,
@@ -454,7 +454,6 @@ def cmd_oracle(kind, group, prime, budget_order, budget_classes):
             )
         sys.exit(0 if ok else 1)
     G = load_group(group)
-    name = group if group in BUILDERS else ""
     if kind == "brute-classes":
         brute = brute_conjugacy_classes(G, budget_order=budget_classes)
         own = _class_element_sets(G, conjugacy_classes(G))
@@ -467,7 +466,7 @@ def cmd_oracle(kind, group, prime, budget_order, budget_classes):
         )
         sys.exit(0 if same else 1)
     if kind == "brute-table":
-        t = table_for(G, name or None)
+        t = table_for(G)
         same = compare_with_table(G, t, budget_order=budget_order)
         click.echo(
             f"{t.k} irreducibles, degrees {sorted(t.degrees)}, "

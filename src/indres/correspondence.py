@@ -41,7 +41,6 @@ from .classfun import (
 )
 from .groupcore import (
     IntegrityError,
-    Permutation,
     _memo,
     intersection_set_maxima,
     normalizer,
@@ -98,13 +97,12 @@ class Instance:
 _TABLE_CACHE = {}
 
 
-def table_for(group, name=None):
+def table_for(group):
     """Character table of a subgroup, cached by element set."""
     key = (group.degree, group.elements().tobytes())
     hit = _TABLE_CACHE.get(key)
     if hit is None:
         hit = character_table(group)
-        hit.name = name
         _TABLE_CACHE[key] = hit
     return hit
 
@@ -114,10 +112,10 @@ def make_instance(G, p, P=None, H=None, tG=None, tH=None, name=""):
         P = sylow_subgroup(G, p)
     if H is None:
         H = normalizer(G, P)
-    tG = tG if tG is not None else table_for(G, name or None)
+    tG = tG if tG is not None else table_for(G)
     if tG.group is None:
         raise ValueError("the big table must have its group attached")
-    tH = tH if tH is not None else table_for(H, f"{name}-H" if name else None)
+    tH = tH if tH is not None else table_for(H)
     smax = intersection_set_maxima(G, P, H)
     return Instance(p=p, tG=tG, tH=tH, P=P, s_maxima=smax, name=name)
 
@@ -533,7 +531,7 @@ def product_induced_lattice(inst):
     prod = pair_table(inst)
     GH = product_group(inst.G, inst.H)
     dG = inst.G.degree
-    diag = lambda g: Permutation(tuple(g.images) + tuple(x + dG for x in g.images))
+    diag = lambda g: g + tuple(x + dG for x in g)
     dmax = [GH.subgroup([diag(g) for g in S.generators]) for S in inst.s_maxima]
     return _induced_span(prod, qualifying_elementary_subgroups(GH, inst.p, dmax))
 

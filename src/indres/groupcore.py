@@ -1,6 +1,8 @@
 """Finite permutation groups with exact, deterministic invariants.
 
-Elements are permutations of {0, ..., degree-1} stored as image tuples.
+Elements are permutations of {0, ..., degree-1}, each one its image tuple
+of Python ints; `_mul`, `_inv`, `_conj`, `_perm_order` and `_perm_power`
+are the arithmetic on them.
 Bulk work (conjugacy sweeps, normalizer scans) runs on a lexicographically
 sorted numpy matrix holding every group element, so most operations here
 assume the group order fits the element budget.
@@ -147,80 +149,6 @@ def prime_factors(n):
     return out
 
 
-class Permutation:
-    """Immutable permutation given by its image tuple on {0..n-1}."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        self.images = tuple(int(x) for x in images)
-
-    @classmethod
-    def identity(cls, degree):
-        return cls(range(degree))
-
-    @classmethod
-    def from_one_based(cls, images):
-        return cls(x - 1 for x in images)
-
-    @property
-    def degree(self):
-        return len(self.images)
-
-    def __call__(self, point):
-        return self.images[point]
-
-    def __mul__(self, other):
-        return Permutation(_mul(self.images, other.images))
-
-    def inverse(self):
-        return Permutation(_inv(self.images))
-
-    def __pow__(self, k):
-        if k < 0:
-            return Permutation(_perm_power(_inv(self.images), -k))
-        return Permutation(_perm_power(self.images, k))
-
-    def order(self):
-        return _perm_order(self.images)
-
-    def is_identity(self):
-        return all(i == x for i, x in enumerate(self.images))
-
-    def conjugate(self, other):
-        # self * other * self^{-1}
-        return Permutation(_conj(self.images, other.images))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def cycles(self):
-        n = self.degree
-        seen = [False] * n
-        out = []
-        for i in range(n):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
-
-    def __repr__(self):
-        cyc = self.cycles()
-        if not cyc:
-            return "()"
-        return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cyc)
-
-
 def _strip(levels, g):
     """Sift the image tuple g down the chain levels.
 
@@ -257,16 +185,12 @@ class PermGroup:
     def __init__(self, degree, generators=()):
         self.degree = int(degree)
         gens = []
-        seen = set()
         for g in generators:
-            if not isinstance(g, Permutation):
-                g = Permutation(g)
-            if g.degree != self.degree:
+            g = tuple(int(x) for x in g)
+            if len(g) != self.degree:
                 raise ValueError("generator degree mismatch")
-            if g.is_identity() or g.images in seen:
-                continue
-            seen.add(g.images)
-            gens.append(g)
+            if g != self._identity() and g not in gens:
+                gens.append(g)
         self.generators = tuple(gens)
         self._cache = {}
 
@@ -309,7 +233,7 @@ class PermGroup:
                 rebuild(j)
 
         for g in self.generators:
-            r, at = _strip(levels, g.images)
+            r, at = _strip(levels, g)
             if r != ident:
                 augment(r, at)
 
@@ -347,13 +271,11 @@ class PermGroup:
     def contains_images(self, images):
         return _strip(self._chain(), tuple(images))[0] == self._identity()
 
-    def __contains__(self, perm):
-        if isinstance(perm, Permutation):
-            perm = perm.images
-        return self.contains_images(perm)
+    def __contains__(self, images):
+        return self.contains_images(images)
 
     def is_subgroup_of(self, other):
-        return all(g.images in other for g in self.generators)
+        return all(g in other for g in self.generators)
 
     # -- full element matrix -------------------------------------------------
 
@@ -440,8 +362,7 @@ class PermGroup:
         """For each class i, the class of rep_i^t for every t < ord(rep_i)."""
         return _class_sweep(self)[2]
 
-    def class_of(self, perm):
-        images = perm.images if isinstance(perm, Permutation) else perm
+    def class_of(self, images):
         i = int(self.index_of([images])[0])
         if i < 0:
             raise KeyError("element is not in the group")
@@ -459,7 +380,7 @@ class PermGroup:
 
 @dataclass
 class ConjClassData:
-    representative: Permutation
+    representative: tuple  # image tuple; None for a loaded table
     size: int
     rep_order: int
     power_map: dict  # prime q dividing the group order -> class of rep^q
@@ -469,16 +390,15 @@ class ConjClassData:
 def group_from_generators(data):
     """Build a PermGroup from {"degree": n, "generators": [[1-based images]]}."""
     try:
-        degree = json_int(data.get("ambient", data["degree"]), "group degree")
+        degree = json_int(data["degree"], "group degree")
         gens = []
         for images in data["generators"]:
             images = [json_int(x, "generator image") for x in images]
             if sorted(images) != list(range(1, len(images) + 1)):
                 raise ValueError("generator is not a permutation of 1..n")
             if len(images) > degree:
-                raise ValueError("generator degree exceeds ambient degree")
-            padded = list(images) + list(range(len(images) + 1, degree + 1))
-            gens.append(Permutation.from_one_based(padded))
+                raise ValueError("generator degree exceeds the group degree")
+            gens.append([x - 1 for x in images] + list(range(len(images), degree)))
     except (TypeError, AttributeError) as exc:
         raise IntegrityError(f"malformed group data: {exc}") from exc
     if degree < 1:
@@ -540,7 +460,7 @@ def _class_sweep(G):
     primes = prime_factors(G.order())
     classes = [
         ConjClassData(
-            representative=Permutation(raw[old][0]),
+            representative=raw[old][0],
             size=raw[old][1],
             rep_order=orders[old],
             power_map={q: pc[q % orders[old]] for q in primes},
@@ -555,7 +475,7 @@ def _class_sweep(G):
 def _conjugation_perms(G):
     """For each generator s, the map x -> s x s^{-1} on element indices."""
     E = G.elements()
-    gens = [np.asarray(s.images, dtype=DTYPE) for s in G.generators]
+    gens = [np.asarray(s, dtype=DTYPE) for s in G.generators]
     return [_member_indices(G, s[E[:, np.argsort(s)]]) for s in gens]
 
 
@@ -587,7 +507,7 @@ def _subgroup_of_rows(degree, rows):
     while pos < target and K.order() < target:
         images = tuple(int(v) for v in rows[pos])
         if not K.contains_images(images):
-            gens.append(Permutation(images))
+            gens.append(images)
             K = PermGroup(degree, gens)
         pos += 1
     idx = K.index_of(rows)
@@ -604,7 +524,7 @@ def _transporter_mask(G, K, L, lo=0, hi=None):
     """Mask over G's elements lo:hi of the g with g K g^-1 inside L."""
     mask = np.ones(len(G.elements()[lo:hi]), dtype=bool)
     for k in K.generators:
-        mask &= L.rows_in(G.conjugation_sweep(k.images, lo, hi))
+        mask &= L.rows_in(G.conjugation_sweep(k, lo, hi))
     return mask
 
 
@@ -627,8 +547,7 @@ def _first_hit(G, hits):
 def centralizer(G, x):
     """Centralizer of a permutation x in G, as a PermGroup; G itself when x
     is central.  Memoized on G by x's images."""
-    images = x.images if isinstance(x, Permutation) else x
-    return _centralizer(G, tuple(int(v) for v in images))
+    return _centralizer(G, tuple(int(v) for v in x))
 
 
 @_memo
@@ -643,7 +562,7 @@ def _centralizer(G, images):
 
 def normalizer(G, K):
     """N_G(K) for a subgroup K on the same points; memoized by K's generators."""
-    return _normalizer(G, tuple(g.images for g in K.generators))
+    return _normalizer(G, K.generators)
 
 
 @_memo
@@ -679,7 +598,7 @@ def sylow_subgroup(G, p):
         i = _first_hit(G, extends)
         if i < 0:
             raise IntegrityError("normalizer ascent found no p-extension")
-        S = PermGroup(G.degree, S.generators + (Permutation(E[i]),))
+        S = PermGroup(G.degree, S.generators + (E[i],))
     return S
 
 
@@ -693,7 +612,7 @@ def intersection_set_maxima(G, P, H):
     empty).
     """
     N = normalizer(G, P)
-    if not all(H.contains_images(g.images) for g in N.generators):
+    if not all(H.contains_images(g) for g in N.generators):
         raise ValueError("H does not contain the normalizer of P")
     if H.order() == G.order():
         return []
@@ -811,7 +730,7 @@ def qualifying_elementary_subgroups(group, p, maxima):
             if c.rep_order % ell == 0:
                 continue
             rep = c.representative
-            p_part = _perm_power(rep.images, _p_part_exponent(c.rep_order, p))
+            p_part = _perm_power(rep, _p_part_exponent(c.rep_order, p))
             # copies are subgroups: ⟨x⟩ lies in one exactly when x does
             x = int(group.index_of([p_part])[0])
             if not any(x in copy for copy in copies):
@@ -843,11 +762,8 @@ def product_group(A, B):
     result's order is checked to be |A|*|B|.
     """
     dA, dB = A.degree, B.degree
-    gens = []
-    for g in A.generators:
-        gens.append(Permutation(tuple(g.images) + tuple(range(dA, dA + dB))))
-    for g in B.generators:
-        gens.append(Permutation(tuple(range(dA)) + tuple(x + dA for x in g.images)))
+    gens = [g + tuple(range(dA, dA + dB)) for g in A.generators]
+    gens += [tuple(range(dA)) + tuple(x + dA for x in g) for g in B.generators]
     P = PermGroup(dA + dB, gens)
     if P.order() != A.order() * B.order():
         raise IntegrityError("product order differs from the product of the orders")

@@ -12,8 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chartab import Cyclotomic, character_table, inner_product
-from .groupcore import (BudgetExceeded, IntegrityError, Permutation, _conj, _inv,
-                        _mul, v_p)
+from .groupcore import BudgetExceeded, IntegrityError, _conj, _inv, _mul, v_p
 from .lattice import IntLattice
 
 
@@ -36,7 +35,7 @@ def all_subgroups(group, budget_order=200):
     seen = {}
     frontier = []
     for row in group.elements():
-        S = group.subgroup([Permutation(tuple(int(x) for x in row))])
+        S = group.subgroup([row])
         ks = frozenset(_element_tuples(S))
         if ks not in seen:
             seen[ks] = S
@@ -79,7 +78,7 @@ def _induced_values(table, sub, subtable):
     m = table.exponent
     sub_lookup = {x: subtable.class_index_of(x) for x in _element_tuples(sub)}
     inverses = [tuple(int(v) for v in row) for row in group.inverses()]
-    reps = [c.representative.images for c in table.classes]
+    reps = [c.representative for c in table.classes]
     out = []
     for i in range(subtable.k):
         vals = [v.rebase(m) for v in subtable.irreducibles[i]]
@@ -130,7 +129,7 @@ def definition_lattice(inst, target, budget_order=200):
 def brute_conjugacy_classes(group, budget_order=5000):
     """Conjugacy classes by elementwise orbit closure under the generators."""
     _check_budget(group, budget_order)
-    gens = [g.images for g in group.generators]
+    gens = group.generators
     remaining = set(_element_tuples(group))
     classes = []
     while remaining:
@@ -213,14 +212,14 @@ def _lll_reduce(gram):
 
 def _derived_subgroup(S):
     """Commutator subgroup, as the normal closure of generator commutators."""
-    gens = [g.images for g in S.generators]
+    gens = S.generators
     base = []
     for a in gens:
         for b in gens:
             base.append(_mul(_mul(_inv(a), _inv(b)), _mul(a, b)))
     idn = tuple(range(S.degree))
     current = [c for c in base if c != idn]
-    D = S.subgroup([Permutation(c) for c in current] or [Permutation(idn)])
+    D = S.subgroup(current)
     changed = True
     while changed:
         changed = False
@@ -229,7 +228,7 @@ def _derived_subgroup(S):
                 cc = _conj(g, c)
                 if not D.contains_images(cc):
                     current.append(cc)
-                    D = S.subgroup([Permutation(x) for x in current])
+                    D = S.subgroup(current)
                     changed = True
     return D
 

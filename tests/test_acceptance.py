@@ -65,7 +65,7 @@ def suite_row(row):
         block_pair = None
     else:
         token = row["mode"].split(":", 1)[1]
-        tG = table_for(G, name)
+        tG = table_for(G)
         b = _pick_block(tG, p, token)
         P = defect_group(tG, b, p)
         inst = make_instance(G, p, P=P, tG=tG, name=name)
@@ -247,7 +247,7 @@ def test_criterion_6_theorem_checks():
     )
     invariance = True
     for name in ("S4", "A5", "SL2_11"):
-        t = table_for(build(name), name)
+        t = table_for(build(name))
         for p in prime_factors(t.group_order):
             base = {frozenset(b.char_indices) for b in block_partition(t, p)}
             alt = {
@@ -349,7 +349,7 @@ def test_criterion_8_table_layer():
     for name in TABLE_CORPUS:
         G = build(name)
         assert G.order() <= 2000
-        t = table_for(G, name)
+        t = table_for(G)
         try:
             verify_table(t)
         except Exception:

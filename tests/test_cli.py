@@ -31,6 +31,11 @@ def test_table_command(runner):
     assert "degrees [1, 1, 2, 3, 3]" in r.output
 
 
+def test_table_budget_zero_is_a_budget(runner):
+    r = runner.invoke(main, ["table", "S4", "--budget-order", "0"])
+    assert (r.exit_code, r.stderr) == (2, "error: order 24 exceeds class budget 0\n")
+
+
 def test_table_unknown_group(runner):
     r = runner.invoke(main, ["table", "nosuch"])
     assert r.exit_code == 2

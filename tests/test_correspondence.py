@@ -32,7 +32,7 @@ from indres.correspondence import (
     theorem26_selftest,
 )
 from indres.correspondence import _lex_signed_matching, _s_is_trivial
-from indres.groupcore import Permutation, PermGroup, normalizer, sylow_subgroup
+from indres.groupcore import PermGroup, normalizer, sylow_subgroup
 from indres.lattice import IntLattice, coordinate_restrict
 
 
@@ -231,9 +231,9 @@ def _project(g):
     keys = [frozenset(frozenset(p) for p in part) for part in PARTITION_TRIPLE]
     images = []
     for part in PARTITION_TRIPLE:
-        moved = frozenset(frozenset(g(i) for i in pair) for pair in part)
+        moved = frozenset(frozenset(g[i] for i in pair) for pair in part)
         images.append(keys.index(moved))
-    return Permutation(images)
+    return tuple(images)
 
 
 def _pullback_row_map(tq, tb, project):
