@@ -2,34 +2,65 @@
 
 Character values are elements of Z[zeta_m], m the group exponent, stored in
 canonical form on the power basis {zeta^e : 0 <= e < phi(m)}.  The whole
-table is computed modulo a prime l ≡ 1 (mod m) with l > 2*sqrt(|G|) and then
-lifted exactly; `verify_table` proves the lifted table square with orthonormal
-rows (hence orthogonal columns) before it is returned, so a table object in
-hand is always internally consistent.
+table is computed modulo a prime p ≡ 1 (mod m) with p > 2*sqrt(|G|) and then
+lifted exactly.  The class matrices are built one at a time, smallest class
+first, each from the members of its own class, and only until every common
+eigenspace has dimension 1.  `verify_table` proves the lifted table square,
+Galois stable and with orthonormal rows (hence orthogonal columns) before it
+is returned, so a table object in hand is always internally consistent.  The
+orthogonality proof maps the table once to F_l, for a prime l ≡ 1 (mod m)
+above a bound on its values, through `_shadow`, the one routine that
+evaluates table rows in a prime field (`classfun.restriction_matrix` uses it
+too); neither building nor verifying a table multiplies two cyclotomics.
 """
 
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain
-from math import gcd, isqrt, lcm
+from itertools import chain, combinations, count
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 import numpy as np
 import sympy
 
 from .groupcore import (DEFAULT_ORDER_BUDGET, ConjClassData, IntegrityError,
                         _member_indices, _memo, conjugacy_classes, json_int,
-                        split_product_images)
+                        prime_factors, split_product_images)
+
+
+def _cyclotomic_coeffs(m):
+    """Integer coefficients of Phi_m, constant term first.
+
+    Phi_m is the product of (x^d - 1)^mu(m/d) over the divisors d of m, and
+    mu(m/d) is nonzero only where m/d is a product of distinct primes of m.
+    The factors with mu = 1 are multiplied in first (a shift-subtract each),
+    then those with mu = -1 divided out (a strided prefix sum each), so
+    every division is exact.
+    """
+    primes = prime_factors(m)
+    num, den = [], []
+    for r in range(len(primes) + 1):
+        for qs in combinations(primes, r):
+            (den if r % 2 else num).append(m // prod(qs))
+    c = [1]
+    for d in num:  # c * (x^d - 1)
+        c = [(c[i - d] if i >= d else 0) - (c[i] if i < len(c) else 0)
+             for i in range(len(c) + d)]
+    for d in den:  # c / (x^d - 1): q[i] = q[i - d] - c[i]
+        q = []
+        for i in range(len(c) - d):
+            q.append((q[i - d] if i >= d else 0) - c[i])
+        c = q
+    return c
 
 
 @cache
 def _phi_reduction(m):
     """Degree d = phi(m) and reduction rows for x^e (d <= e < m) mod Phi_m."""
-    x = sympy.symbols("x")
-    poly = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
-    coeffs = [int(c) for c in poly.all_coeffs()]  # leading first, monic
+    coeffs = _cyclotomic_coeffs(m)  # constant first, monic
     d = len(coeffs) - 1
-    tail = [-c for c in coeffs[1:][::-1]]  # x^d = sum tail[i] x^i
+    tail = [-c for c in coeffs[:-1]]  # x^d = sum tail[i] x^i
     rows = {}
     if d < m:
         cur = list(tail)
@@ -180,7 +211,10 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, data):
-        return cls(json_int(data["modulus"], "cyclotomic modulus"),
+        modulus = json_int(data["modulus"], "cyclotomic modulus")
+        if modulus < 1:
+            raise IntegrityError(f"cyclotomic modulus must be positive, got {modulus}")
+        return cls(modulus,
                    {json_int(e, "cyclotomic exponent"): json_int(c, "cyclotomic coefficient")
                     for e, c in data["terms"]})
 
@@ -303,31 +337,77 @@ def inner_product(table, avalues, bvalues):
     return acc.exact_div(table.group_order)
 
 
+def _prime_above(bound, m):
+    """The least prime l ≡ 1 (mod m) with l > bound."""
+    l = -(-bound // m) * m + 1
+    while not sympy.isprime(l):
+        l += m
+    return l
+
+
+def _root_of_unity(l, m):
+    """An element of order exactly m in F_l^x, for m dividing l - 1."""
+    qs = prime_factors(m)
+    for g in count(2):
+        w = pow(g, (l - 1) // m, l)
+        if all(pow(w, m // q, l) != 1 for q in qs):
+            return w
+
+
 def _dixon_prime(order, exponent, k):
     # the prime must exceed 2*sqrt(|G|) so degrees are determined by their
     # squares mod l, and exceed k so characteristic-polynomial recovery can
-    # divide by 1..k
-    t = 1
-    while True:
-        cand = t * exponent + 1
-        if cand * cand > 4 * order and cand > k and sympy.isprime(cand):
-            return cand
-        t += 1
+    # divide by 1..k; l > isqrt(4|G|) is l^2 > 4|G|
+    return _prime_above(max(isqrt(4 * order), k), exponent)
 
 
-def _class_matrices(G):
+@_memo
+def _shadow(table, M, l, w):
+    """The table's rows in F_l under the ring homomorphism zeta_M -> w.
+
+    Memoized on the table, so the images live and die with the table;
+    w^-1 in place of w gives the complex conjugates.  A product table's
+    images are the Kronecker product of its factors' images, in the
+    product's pair order.
+    """
+    if table.factors is not None:
+        SA, SB = (_shadow(f, M, l, w) for f in table.factors)
+        return [[x * y % l for x in ra for y in rb] for ra in SA for rb in SB]
+    pw = [1] * M
+    for t in range(1, M):
+        pw[t] = pw[t - 1] * w % l
+    return [
+        [
+            sum(c * pw[e * (M // v.modulus)] for e, c in v.terms.items()) % l
+            for v in row
+        ]
+        for row in table.irreducibles
+    ]
+
+
+def _class_matrices(G, p):
+    """The class matrices A_i mod p, one at a time, smallest class first.
+
+    A_i[j][l] counts the g in C_i with g^-1 z_l in C_j, z_l the
+    representative of class l: the structure constants of the class
+    algebra.  Each matrix is built from the members of C_i alone, one
+    `index_of` of |C_i| rows per column, so a caller that stops early never
+    sweeps the rest of G.  The identity class, whose matrix is I, is
+    skipped.
+    """
     classes = G.class_data()
     k = len(classes)
-    E = G.elements()
-    Einv = G.inverses()
     ids = G.class_ids()
-    A = np.zeros((k, k, k), dtype=np.int64)
-    for l, c in enumerate(classes):
-        z = np.asarray(c.representative, dtype=E.dtype)
-        M = Einv[:, z]
-        new_ids = ids[_member_indices(G, M)]
-        np.add.at(A, (ids, new_ids, np.full(len(M), l)), 1)
-    return A
+    members = np.argsort(ids, kind="stable")  # class by class, in class order
+    starts = np.cumsum([0] + [c.size for c in classes])
+    Einv = G.inverses()
+    reps = np.array([c.representative for c in classes], dtype=Einv.dtype)
+    for i in sorted(range(1, k), key=lambda i: classes[i].size):
+        inv = Einv[members[starts[i]:starts[i + 1]]]
+        A = np.empty((k, k), dtype=np.int64)
+        for l, z in enumerate(reps):
+            A[:, l] = np.bincount(ids[_member_indices(G, inv[:, z])], minlength=k)
+        yield A % p
 
 
 def _charpoly_mod(R, p):
@@ -409,10 +489,16 @@ def _nullspace_mod(M, p):
 
 
 def _common_eigenvectors(mats, k, p):
-    """Split F_p^k under the commuting matrices; returns k projective vectors."""
+    """Split F_p^k under the commuting matrices; returns k projective vectors.
+
+    The next matrix is drawn from the iterable `mats` only while some
+    eigenspace still has dimension above 1.
+    """
     spaces = [np.eye(k, dtype=np.int64)]  # each: rows spanning the subspace
-    for A in mats:
-        if all(len(S) == 1 for S in spaces):
+    mats = iter(mats)
+    while any(len(S) > 1 for S in spaces):
+        A = next(mats, None)
+        if A is None:
             break
         out = []
         for S in spaces:
@@ -453,9 +539,7 @@ def character_table(G, budget_order=None):
     order = G.order()
     m = G.exponent()
     p = _dixon_prime(order, m, k)
-    A = _class_matrices(G)
-    mats = [A[i] % p for i in range(k)]
-    vecs = _common_eigenvectors(mats, k, p)
+    vecs = _common_eigenvectors(_class_matrices(G, p), k, p)
 
     size_inv = [pow(c.size, -1, p) for c in classes]
     # rep^(ord-1) is the inverse
@@ -468,8 +552,7 @@ def character_table(G, budget_order=None):
             raise IntegrityError("eigenvector vanishes on the identity class")
         omegas.append((v * pow(int(v[0]), -1, p)) % p)
 
-    g0 = sympy.primitive_root(p)
-    w = pow(g0, (p - 1) // m, p)
+    w = _root_of_unity(p, m)
 
     rows = []
     for u in omegas:
@@ -518,12 +601,30 @@ def character_table(G, budget_order=None):
 
 
 def verify_table(table):
-    """Square shape, degree, orthogonality and Galois-stability checks.
+    """Prove the table square, Galois stable and orthogonal, or raise.
 
     Square (k rows, k degrees, k values per row) plus row orthogonality is
     the whole orthogonality proof (Isaacs, Thm 2.18): with D the diagonal of
     class sizes, X D X* = |G| I makes X invertible with X^-1 = D X*/|G|, so
     X* X = |G| D^-1, which is column orthogonality.
+
+    Row orthogonality is proved in F_l, with no cyclotomic product.  Every
+    value must lie in Z[zeta_m], m the table's exponent, and the k rows
+    must be distinct and Galois stable, so each sigma_a: zeta -> zeta^a
+    permutes them.  Let alpha_ij = sum_C |C| chi_i(C) conj chi_j(C)
+    - |G| delta_ij; then sigma_a(alpha_ij) = alpha_i'j' for the rows i', j'
+    that sigma_a sends i, j to, as i = j exactly when i' = j'.  Take a
+    prime l ≡ 1 (mod m) with l > B = |G| (1 + N^2), N the largest
+    ||v||_1 (the sum of the absolute power-basis coefficients) over the
+    values, and map zeta to w of order m in F_l.  If every alpha_ij
+    vanishes there, every alpha lies in the kernel L of that map, a prime
+    above l.  As sigma_a(alpha_ij) is again an alpha, alpha_ij lies in
+    sigma_a^-1(L) for every unit a, and these are all the primes above l.
+    l ≡ 1 (mod m) splits completely in Z[zeta_m], so l divides alpha_ij.
+    Each conjugate of alpha_ij has absolute value at most B, so a nonzero
+    alpha_ij would have l^phi(m) <= |Norm(alpha_ij)| <= B^phi(m) < l^phi(m).
+    Hence every alpha_ij is 0 (Washington, Introduction to Cyclotomic
+    Fields, ch. 2).
     """
     k = table.k
     rows = table.irreducibles
@@ -534,24 +635,32 @@ def verify_table(table):
         raise IntegrityError("degree squares do not sum to the group order")
     if sum(c.size for c in table.classes) != order:
         raise IntegrityError("class sizes do not sum to the group order")
-    for i in range(k):
-        if not (rows[i][0].is_integer() and rows[i][0].as_int() == table.degrees[i] > 0):
+    for row, deg in zip(rows, table.degrees):
+        if not (row[0].is_integer() and row[0].as_int() == deg > 0):
             raise IntegrityError("identity-class value disagrees with the degree")
-        for j in range(i, k):
-            try:
-                ip = inner_product(table, rows[i], rows[j])
-            except ValueError as exc:
-                raise IntegrityError(f"inner product not integral: {exc}") from exc
-            expected = 1 if i == j else 0
-            if not (ip.is_integer() and ip.as_int() == expected):
-                raise IntegrityError(f"row orthogonality fails at ({i},{j})")
+    m = table.exponent
+    if any(v.modulus != m for row in rows for v in row):
+        raise IntegrityError("a value does not lie in the table's cyclotomic field")
+    index = table.row_index()
+    if len(index) != k:
+        raise IntegrityError("table repeats a row")
+    row_keys = sorted(index, key=index.get)
+    value_of = {key: v for row, keys in zip(rows, row_keys) for key, v in zip(keys, row)}
     # stability under generators of (Z/m)^x is stability under all of it
-    keys = table.row_index()
-    for a in _unit_generators(table.exponent):
-        for row in rows:
-            twisted = tuple(v.galois(a).sort_key() for v in row)
-            if twisted not in keys:
-                raise IntegrityError("table is not Galois stable")
+    for a in _unit_generators(m):
+        image = {key: v.galois(a).sort_key() for key, v in value_of.items()}
+        if any(tuple(image[key] for key in keys) not in index for keys in row_keys):
+            raise IntegrityError("table is not Galois stable")
+    norm = max((sum(map(abs, v.terms.values())) for v in value_of.values()), default=0)
+    l = _prime_above(order * (1 + norm * norm), m)
+    w = _root_of_unity(l, m)
+    sizes = table.class_sizes()
+    conj = _shadow(table, m, l, pow(w, -1, l))
+    for i, xi in enumerate(_shadow(table, m, l, w)):
+        weighted = [x * s for x, s in zip(xi, sizes)]
+        for j, yj in enumerate(conj):
+            if (sum(map(mul, weighted, yj)) - (order if i == j else 0)) % l:
+                raise IntegrityError(f"row orthogonality fails at ({i},{j})")
 
 
 def _unit_generators(m):
@@ -612,6 +721,12 @@ def table_from_json(data, group=None):
         rows = [[Cyclotomic.from_json(v) for v in row] for row in data["irreducibles"]]
     except (TypeError, AttributeError, ZeroDivisionError) as exc:
         raise IntegrityError(f"malformed table data: {exc}") from exc
+    if order < 1 or exponent < 1:
+        raise IntegrityError("table order and exponent must be positive")
+    # one field for every value, so a value's power-basis key names it
+    if any(exponent % v.modulus for row in rows for v in row):
+        raise IntegrityError("a value's modulus does not divide the table exponent")
+    rows = [[v.rebase(exponent) for v in row] for row in rows]
     if any(not 0 <= i < len(classes) for c in classes for i in c.power_map.values()):
         raise IntegrityError("a power map names a class out of range")
     if not all(row and row[0].is_integer() for row in rows):

@@ -13,16 +13,16 @@ what unit tests pin down.
 
 from math import lcm
 
-import sympy
-
 from .chartab import (
     CharTable,
     Cyclotomic,
     IntegrityError,
     _dixon_prime,
+    _root_of_unity,
+    _shadow,
     inner_product,
 )
-from .groupcore import ConjClassData, _memo, prime_factors
+from .groupcore import ConjClassData, prime_factors
 
 
 class ValueDomainError(ValueError):
@@ -234,30 +234,6 @@ def class_fusion(big, small):
     return fused
 
 
-@_memo
-def _shadow(table, M, l, w):
-    """The table's rows in F_l under the ring homomorphism zeta_M -> w.
-
-    Memoized on the table, so the images live and die with the table;
-    w^-1 in place of w gives the complex conjugates.  A product table's
-    images are the Kronecker product of its factors' images, in the
-    product's pair order.
-    """
-    if table.factors is not None:
-        SA, SB = (_shadow(f, M, l, w) for f in table.factors)
-        return [[x * y % l for x in ra for y in rb] for ra in SA for rb in SB]
-    pw = [1] * M
-    for t in range(1, M):
-        pw[t] = pw[t - 1] * w % l
-    return [
-        [
-            sum(c * pw[e * (M // v.modulus)] for e, c in v.terms.items()) % l
-            for v in row
-        ]
-        for row in table.irreducibles
-    ]
-
-
 def restriction_matrix(big, small):
     """R[i][j] = <Res chi_i, psi_j> over the small table; exact integers.
 
@@ -281,7 +257,7 @@ def restriction_matrix(big, small):
     fused = class_fusion(big, small)
     M = lcm(big.exponent, small.exponent)
     l = _dixon_prime(big.group_order, M, big.k)  # l > 2 sqrt|G| > every chi(1)
-    w = pow(sympy.primitive_root(l), (l - 1) // M, l)
+    w = _root_of_unity(l, M)
     inv_order = pow(small.group_order, -1, l)
     sizes = small.class_sizes()
     weighted_conj = [

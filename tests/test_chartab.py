@@ -3,7 +3,9 @@
 import json
 from math import gcd
 
+import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,9 @@ from indres.chartab import (
     CharTable,
     Cyclotomic,
     IntegrityError,
+    _class_matrices,
+    _common_eigenvectors,
+    _cyclotomic_coeffs,
     _dixon_prime,
     _unit_generators,
     character_table,
@@ -105,6 +110,13 @@ def test_root_relations():
     assert i * i == Cyclotomic.from_int(4, -1)
 
 
+def test_cyclotomic_coeffs_match_sympy():
+    x = sympy.symbols("x")
+    for m in range(1, 400):
+        expect = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert _cyclotomic_coeffs(m) == [int(c) for c in expect], m
+
+
 def test_dixon_prime_conditions():
     for order, exponent, k in [(24, 12, 5), (60, 30, 5), (720, 60, 11)]:
         p = _dixon_prime(order, exponent, k)
@@ -188,27 +200,101 @@ def test_row_inner_products():
             assert ip == (1 if i == j else 0)
 
 
+def _with_rows(t, rows):
+    return CharTable(
+        group_order=t.group_order,
+        exponent=t.exponent,
+        classes=t.classes,
+        irreducibles=rows,
+        degrees=list(t.degrees),
+        group=t.group,
+    )
+
+
 def test_verify_catches_tampering():
     t = character_table(build("S3"))
-
-    def copy():
-        return CharTable(
-            group_order=t.group_order,
-            exponent=t.exponent,
-            classes=t.classes,
-            irreducibles=[list(r) for r in t.irreducibles],
-            degrees=list(t.degrees),
-            group=t.group,
-        )
-
-    bad = copy()
+    bad = _with_rows(t, [list(r) for r in t.irreducibles])
     bad.irreducibles[2][1] = Cyclotomic.from_int(t.exponent, 1)
     with pytest.raises(IntegrityError):
         verify_table(bad)
-    short = copy()
+    short = _with_rows(t, [list(r) for r in t.irreducibles])
     short.irreducibles[2].pop()
     with pytest.raises(IntegrityError, match="not square"):
         verify_table(short)
+
+
+@pytest.mark.parametrize("name", ["A5", "M11"])
+def test_every_single_entry_tampering_is_caught(name):
+    """+1 or +zeta_m at any entry off the identity class breaks the table."""
+    t = character_table(build(name))
+    m = t.exponent
+    for i in range(t.k):
+        for j in range(1, t.k):
+            for delta in (Cyclotomic.from_int(m, 1), Cyclotomic.zeta(m)):
+                rows = [list(r) for r in t.irreducibles]
+                rows[i][j] = rows[i][j] + delta
+                with pytest.raises(IntegrityError):
+                    verify_table(_with_rows(t, rows))
+
+
+def test_repeated_row_is_caught():
+    """S3 with its sign row replaced by the trivial row: the rows must be
+    distinct for the Galois action to permute them."""
+    t = character_table(build("S3"))
+    rows = [list(t.irreducibles[1]), list(t.irreducibles[1]), list(t.irreducibles[2])]
+    with pytest.raises(IntegrityError, match="repeats a row"):
+        verify_table(_with_rows(t, rows))
+
+
+def test_value_outside_the_table_field_is_caught():
+    t = character_table(build("S3"))
+    rows = [list(r) for r in t.irreducibles]
+    rows[2][2] = Cyclotomic.from_int(2 * t.exponent, -1)
+    with pytest.raises(IntegrityError, match="cyclotomic field"):
+        verify_table(_with_rows(t, rows))
+
+
+def test_table_building_multiplies_no_cyclotomics(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("a cyclotomic product was computed")
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", refuse)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", refuse)
+    verify_table(character_table(build("M11")))
+
+
+def _full_class_matrices(G, p):
+    """A_i[j][l] = #{g in C_i : g^-1 z_l in C_j} mod p from one sweep over
+    every g in G, for the non-identity classes, smallest class first."""
+    classes = G.class_data()
+    k = len(classes)
+    E, Einv, ids = G.elements(), G.inverses(), G.class_ids()
+    A = np.zeros((k, k, k), dtype=np.int64)
+    for l, c in enumerate(classes):
+        lands = G.index_of(Einv[:, np.asarray(c.representative, dtype=E.dtype)])
+        np.add.at(A, (ids, ids[lands], l), 1)
+    return [A[i] % p for i in sorted(range(1, k), key=lambda i: classes[i].size)]
+
+
+@pytest.mark.parametrize("name", ["S4", "M11", "SL2_13"])
+def test_class_matrices_match_a_full_build(name):
+    G = build(name)
+    k = len(G.class_data())
+    p = _dixon_prime(G.order(), G.exponent(), k)
+    got = list(_class_matrices(G, p))
+    expect = _full_class_matrices(G, p)
+    assert len(got) == len(expect) == k - 1
+    for A, B in zip(got, expect):
+        assert np.array_equal(A, B)
+
+
+def test_common_eigenvectors_stop_before_the_next_matrix():
+    def mats():
+        yield np.diag([0, 1, 2])
+        raise AssertionError("a matrix was drawn after the split was complete")
+
+    vecs = _common_eigenvectors(mats(), 3, 7)
+    assert sorted(tuple(int(x) for x in v) for v in vecs) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def _assert_columns_orthogonal(table):
@@ -297,3 +383,24 @@ def test_load_reconciles_class_order(tmp_path):
         assert [v.sort_key() for v in back.irreducibles[i]] == [
             v.sort_key() for v in t.irreducibles[i]
         ]
+
+
+def test_load_rebases_values_to_the_exponent():
+    """A value stored over a divisor of the exponent loads as the same
+    element of the table's field; one over a non-divisor is refused."""
+    G = build("S4")
+    t = character_table(G)
+    data = table_to_json(t)
+    for row in data["irreducibles"]:
+        for v in row:
+            if all(e == 0 for e, _ in v["terms"]):
+                v["modulus"] = 1
+    back = table_from_json(data, group=G)
+    assert all(v.modulus == t.exponent for row in back.irreducibles for v in row)
+    assert [[v.sort_key() for v in row] for row in back.irreducibles] == [
+        [v.sort_key() for v in row] for row in t.irreducibles
+    ]
+    zero = next(v for row in data["irreducibles"] for v in row if not v["terms"])
+    zero["modulus"] = 5
+    with pytest.raises(IntegrityError, match="does not divide"):
+        table_from_json(data, group=G)

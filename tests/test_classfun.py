@@ -16,12 +16,12 @@ from indres.chartab import (
     Cyclotomic,
     IntegrityError,
     _dixon_prime,
+    _shadow,
     character_table,
     inner_product,
 )
 from indres.classfun import (
     VirtualCharacter,
-    _shadow,
     class_fusion,
     from_values,
     induce,

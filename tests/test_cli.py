@@ -307,6 +307,28 @@ def test_non_square_table_exits_2(runner, tmp_path, edit):
     _assert_one_line_error(invoke(runner, *_s4_table_args(runner, tmp_path, edit)))
 
 
+def _plus_one_at_trivial_row(data):
+    # S4's trivial row is integral, so the table stays Galois stable; only
+    # the orthogonality proof can catch the change
+    v = data["irreducibles"][1][1]
+    terms = dict(v["terms"])
+    terms[0] = terms.get(0, 0) + 1
+    v["terms"] = sorted(terms.items())
+    return data
+
+
+def test_tampered_table_exits_2(runner, tmp_path):
+    r = invoke(runner, *_s4_table_args(runner, tmp_path, _plus_one_at_trivial_row))
+    _assert_one_line_error(r)
+    assert "row orthogonality fails" in r.stderr
+
+
+def _zero_at_modulus_5(data):
+    # 5 does not divide S4's exponent 12
+    next(v for row in data["irreducibles"] for v in row if not v["terms"])["modulus"] = 5
+    return data
+
+
 def _bare_int_value(data):
     data["irreducibles"][1][1] = 5
     return data
@@ -392,6 +414,8 @@ def _explicit_c3_args(tmp_path):
         lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4.7,
                                      "generators": S4_GENS}),
         lambda r, t: _s4_table_args(r, t, _size_three_float),
+        lambda r, t: _s4_table_args(r, t, _zero_at_modulus_5),
+        lambda r, t: _s4_table_args(r, t, lambda d: {**d, "exponent": 0}),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
          "table-power-map-99", "table-power-map-negative",
@@ -399,7 +423,8 @@ def _explicit_c3_args(tmp_path):
          "group-degree-0", "group-degree-negative",
          "witness-list", "explicit-p-subgroup-c3",
          "witness-float-coeff", "witness-bool-coeff", "group-order-float",
-         "group-degree-float", "table-float-size"],
+         "group-degree-float", "table-float-size", "table-value-modulus-5",
+         "table-exponent-0"],
 )
 def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
