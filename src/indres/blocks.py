@@ -12,12 +12,11 @@ root-of-unity image is available precisely so tests can demonstrate that.
 from dataclasses import dataclass
 from math import gcd
 
-import sympy
-
 from .chartab import IntegrityError
 from .classfun import class_fusion, trivial_index
 from .groupcore import (_first_hit, _memo, _transporter_mask, centralizer,
-                        sylow_subgroup, v_p)
+                        multiplicative_order, prime_factors, sylow_subgroup,
+                        v_p)
 
 
 # -- finite fields -----------------------------------------------------------
@@ -61,12 +60,13 @@ class FpField:
         return tuple(out)
 
     def pow(self, a, k):
-        acc, base = self.one, a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
+        if k == 0:
+            return self.one
+        acc = a
+        for bit in bin(k)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
         return acc
 
     def encode(self, a):
@@ -83,24 +83,59 @@ class FpField:
         return tuple(digits)
 
 
+def _coprime(a, b, p):
+    """Whether polynomials a, b over F_p (digit lists, low first) are coprime."""
+    a, b = list(a), list(b)
+    for c in (a, b):
+        while c and c[-1] == 0:
+            c.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def _least_irreducible(p, d):
     """Lexicographically least monic irreducible of degree d over F_p.
 
     "Least" means the smallest base-p encoding of the non-leading
     coefficients.  Returned as that digit list (low degree first).
+
+    A candidate f passes Rabin's test (SIAM J. Comput. 9, 1980): f is
+    irreducible exactly when x^(p^d) = x mod f and gcd(x^(p^(d/r)) - x, f)
+    = 1 for every prime r dividing d.  The powers are taken in
+    FpField(p, d, f), whose arithmetic mod f needs no irreducibility, one
+    p-th power at a time; a gcd that fails rejects f at once.
     """
-    x = sympy.symbols("x")
+    if d == 1:
+        return [0]
+    x = (0, 1) + (0,) * (d - 2)
+    checks = {d // r for r in prime_factors(d)}
     for enc in range(p**d):
-        digits = []
-        e = enc
+        if enc % p == 0:  # x divides f
+            continue
+        digits, rest = [], enc
         for _ in range(d):
-            e, r = divmod(e, p)
+            rest, r = divmod(rest, p)
             digits.append(r)
-        poly = sympy.Poly(
-            [1] + [digits[d - 1 - i] for i in range(d)], x, modulus=p
-        )
-        if poly.is_irreducible:
-            return digits
+        F = FpField(p, d, tuple(digits))
+        y = x
+        for i in range(1, d + 1):
+            y = F.pow(y, p)
+            if i in checks:
+                h = [(a - b) % p for a, b in zip(y, x)]
+                if not _coprime(digits + [1], h, p):
+                    break
+        else:
+            if y == x:
+                return digits
     raise IntegrityError("no irreducible polynomial found")
 
 
@@ -119,14 +154,13 @@ class ModularReduction:
         while m_prime % p == 0:
             m_prime //= p
         self.m_prime = m_prime
-        self.d = sympy.n_order(p, m_prime) if m_prime > 1 else 1
+        self.d = multiplicative_order(p, m_prime)
         F = self.field = FpField(p, self.d, tuple(_least_irreducible(p, self.d)))
         # g^0, ..., g^(m'-1) with g of order m'; the elements of order m'
-        # are the g^k with k a unit mod m'
+        # are the g^k with k a unit mod m', whichever g of order m' it is
         g_powers = [F.one]
         if m_prime > 1:
-            q1 = p**self.d - 1
-            g = F.pow(self._least_primitive(q1), q1 // m_prime)
+            g = self._root_of_unity()
             for _ in range(m_prime - 1):
                 g_powers.append(F.mul(g_powers[-1], g))
         units = sorted(
@@ -144,19 +178,23 @@ class ModularReduction:
         kappa = pow(m // m_prime, -1, m_prime) if m_prime > 1 else 0
         self.exp_map = [(e * kappa) % m_prime for e in range(m)]
 
-    def _least_primitive(self, q1):
-        """The least-encoded generator of F^x (q1 = |F^x| > 1)."""
-        F = self.field
-        qs = sorted(sympy.factorint(q1))
+    def _root_of_unity(self):
+        """An element of order m' in F^x, found from the factors of m' alone.
+
+        F^x is cyclic of order p^d - 1, a multiple of m', so the
+        (p^d - 1)/m'-th power of an element has order dividing m'; the
+        first one of order exactly m' is taken, and p^d - 1 is never
+        factored.
+        """
+        F, m_prime = self.field, self.m_prime
+        cofactor = (self.p**self.d - 1) // m_prime
+        qs = prime_factors(m_prime)
         # encodings 0 and 1 are the elements 0 and 1
-        enc = 2
-        while True:
-            el = F.decode(enc)
-            if all(F.pow(el, q1 // q) != F.one for q in qs):
-                return el
-            enc += 1
-            if enc > self.p**self.d:
-                raise IntegrityError("no primitive element found")
+        for enc in range(2, self.p**self.d):
+            w = F.pow(F.decode(enc), cofactor)
+            if all(F.pow(w, m_prime // q) != F.one for q in qs):
+                return w
+        raise IntegrityError(f"no element of order {m_prime} found")
 
     def reduce(self, value):
         """Image of a cyclotomic integer; modulus must divide m."""

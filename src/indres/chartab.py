@@ -22,11 +22,11 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 import numpy as np
-import sympy
 
 from .groupcore import (DEFAULT_ORDER_BUDGET, ConjClassData, IntegrityError,
-                        _member_indices, _memo, conjugacy_classes, json_int,
-                        prime_factors, split_product_images)
+                        _member_indices, _memo, conjugacy_classes, is_prime,
+                        json_int, least_primitive_root, prime_factors,
+                        split_product_images, v_p)
 
 
 def _cyclotomic_coeffs(m):
@@ -338,9 +338,13 @@ def inner_product(table, avalues, bvalues):
 
 
 def _prime_above(bound, m):
-    """The least prime l ≡ 1 (mod m) with l > bound."""
+    """The least prime l ≡ 1 (mod m) with l > bound.
+
+    `is_prime` raises `IntegrityError` once l reaches the Miller-Rabin
+    bound, which only a hostile table file's values can force.
+    """
     l = -(-bound // m) * m + 1
-    while not sympy.isprime(l):
+    while not is_prime(l):
         l += m
     return l
 
@@ -666,17 +670,18 @@ def verify_table(table):
 def _unit_generators(m):
     """A generating set of (Z/m)^x, one CRT lift per local generator.
 
-    Each odd prime power q contributes a primitive root mod q; the 2-part
+    Each odd prime power q contributes its least primitive root; the 2-part
     2^e contributes -1 for e = 2, and -1 and 5 for e >= 3.  Each local
     generator is lifted to the residue that is 1 modulo the rest of m.
     """
     gens = []
-    for p, e in sympy.factorint(m).items():
+    for p in prime_factors(m):
+        e = v_p(m, p)
         q = p**e
         if p == 2:
             local = [q - 1, 5][: e - 1]
         else:
-            local = [sympy.primitive_root(q)]
+            local = [least_primitive_root(p, e)]
         rest = m // q
         gens.extend((1 + rest * ((g - 1) * pow(rest, -1, q))) % m for g in local)
     return gens

@@ -20,7 +20,6 @@ from dataclasses import astuple, dataclass
 from math import lcm
 
 import click
-from sympy import isprime
 
 from .blocks import block_partition, defect_group
 from .catalog import BUILDERS, build, rows_for_suite
@@ -31,7 +30,7 @@ from .correspondence import (PROPERTIES, blocks_of, build_induced_lattice,
                              correspondent_of, full_report, make_instance,
                              pair_table, quotients_q1_q2, table_for)
 from .groupcore import (BudgetExceeded, conjugacy_classes, group_from_generators,
-                        json_int, normalizer, sylow_subgroup, v_p)
+                        is_prime, json_int, normalizer, sylow_subgroup, v_p)
 from .oracles import (brute_conjugacy_classes, compare_with_table,
                       definition_lattice)
 
@@ -265,7 +264,7 @@ class _Main(click.Group):
 
 def _prime(ctx, param, value):
     """Shared check of every -p: a ValueError ends in the one error exit."""
-    if value is not None and not isprime(value):
+    if value is not None and not is_prime(value):
         raise ValueError(f"-p must be a prime, got {value}")
     return value
 

@@ -24,6 +24,7 @@ too.
 
 from dataclasses import dataclass
 from functools import wraps
+from itertools import count
 from math import lcm
 
 import numpy as np
@@ -147,6 +148,69 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Whether n is prime, by deterministic Miller-Rabin.
+
+    Exact below `MILLER_RABIN_BOUND`; at or above it the test proves
+    nothing, so it raises `IntegrityError` rather than guess.
+    """
+    if n >= MILLER_RABIN_BOUND:
+        raise IntegrityError(
+            f"cannot decide whether {n} is prime: at or above the "
+            f"Miller-Rabin bound {MILLER_RABIN_BOUND}"
+        )
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def multiplicative_order(a, n):
+    """The order of a in (Z/n)^x, from the factors of phi(n); a must be a unit."""
+    order = n
+    for q in prime_factors(n):
+        order = order // q * (q - 1)
+    for q in prime_factors(order):
+        while order % q == 0 and pow(a, order // q, n) == 1:
+            order //= q
+    return order
+
+
+def least_primitive_root(q, e):
+    """The least generator of (Z/q^e)^x, q an odd prime.
+
+    g generates it exactly when g generates (Z/q)^x and, for e >= 2,
+    g^(q-1) is not 1 mod q^2.
+    """
+    rs = prime_factors(q - 1)
+    for g in count(2):
+        if (g % q and all(pow(g, (q - 1) // r, q) != 1 for r in rs)
+                and (e == 1 or pow(g, q - 1, q * q) != 1)):
+            return g
 
 
 def _strip(levels, g):

@@ -17,6 +17,7 @@ from indres.blocks import (
     ModularReduction,
     block_partition,
     defect_group,
+    _least_irreducible,
     omega_values,
     some_defect_group_inside,
 )
@@ -339,3 +340,37 @@ def test_root_image_is_the_ith_least_element_of_order_m_prime(p, m, q):
         assert F.encode(ModularReduction(p, m, i).rho_powers[1]) == enc
     with pytest.raises(ValueError):
         ModularReduction(p, m, len(of_order))
+
+
+@pytest.mark.parametrize("p,top", [(2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3)])
+def test_least_irreducible_matches_sympy(p, top):
+    # sympy is an independent reference, used by the tests only
+    import sympy
+
+    x = sympy.symbols("x")
+
+    def irreducible(digits):
+        return sympy.Poly([1] + digits[::-1], x, modulus=p).is_irreducible
+
+    for d in range(1, top + 1):
+        got = _least_irreducible(p, d)
+        assert len(got) == d and irreducible(got), (p, d)
+        # every smaller encoding of the non-leading coefficients is reducible
+        enc = sum(c * p**i for i, c in enumerate(got))
+        assert not any(irreducible([e // p**i % p for i in range(d)]) for e in range(enc))
+
+
+def test_reduction_factors_only_m_prime(monkeypatch):
+    # the root of unity comes from the factors of m' = 101, never from
+    # those of 2^100 - 1
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(blocks, "prime_factors", recording)
+    red = ModularReduction(2, 101)
+    assert red.d == 100 and max(seen) == 101
+    rho = red.rho_powers[1]
+    assert rho != red.field.one and red.field.pow(rho, 101) == red.field.one

@@ -18,6 +18,7 @@ from indres.chartab import (
     _common_eigenvectors,
     _cyclotomic_coeffs,
     _dixon_prime,
+    _prime_above,
     _unit_generators,
     character_table,
     inner_product,
@@ -27,6 +28,7 @@ from indres.chartab import (
     table_to_json,
     verify_table,
 )
+from indres.groupcore import MILLER_RABIN_BOUND
 
 
 def cyc(modulus, pairs):
@@ -123,6 +125,13 @@ def test_dixon_prime_conditions():
         assert p % exponent == 1
         assert p * p > 4 * order
         assert p > k
+
+
+def test_prime_above_refuses_the_miller_rabin_bound():
+    assert _prime_above(10**6, 12) == next(
+        l for l in range(10**6 + 1, 2 * 10**6) if l % 12 == 1 and sympy.isprime(l))
+    with pytest.raises(IntegrityError, match="Miller-Rabin bound"):
+        _prime_above(MILLER_RABIN_BOUND - 1, 12)
 
 
 def test_unit_generators_generate_all_units():

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import indres
 from indres.cli import main
+from indres.groupcore import MILLER_RABIN_BOUND
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -79,6 +80,17 @@ def test_verify_report_unchanged_under_python_O(runner, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert optimized.read_bytes() == plain.read_bytes()
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is a test-only reference; the library must not pay for its import
+    src = str(Path(indres.__file__).resolve().parent.parent)
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, indres.cli; print('sympy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
 
 
 def test_verify_reports_are_byte_stable(runner, tmp_path):
@@ -323,6 +335,19 @@ def test_tampered_table_exits_2(runner, tmp_path):
     assert "row orthogonality fails" in r.stderr
 
 
+def _huge_value_at_trivial_row(data):
+    # an integral value of size 10^13 passes every check before the
+    # orthogonality proof, whose prime must then exceed 24 * 10^26
+    data["irreducibles"][1][1]["terms"] = [[0, 10**13]]
+    return data
+
+
+def test_table_value_past_the_prime_bound_exits_2(runner, tmp_path):
+    r = invoke(runner, *_s4_table_args(runner, tmp_path, _huge_value_at_trivial_row))
+    _assert_one_line_error(r)
+    assert "Miller-Rabin bound" in r.stderr
+
+
 def _zero_at_modulus_5(data):
     # 5 does not divide S4's exponent 12
     next(v for row in data["irreducibles"] for v in row if not v["terms"])["modulus"] = 5
@@ -430,21 +455,28 @@ def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
 
 
+_UNDECIDED = (f"cannot decide whether {MILLER_RABIN_BOUND} is prime: at or above "
+              f"the Miller-Rabin bound {MILLER_RABIN_BOUND}")
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["verify", "S4", "-p", "1"],
-        ["verify", "S4", "-p", "0"],
-        ["blocks", "S4", "-p", "4"],
-        ["verify", "S4", "-p", "4"],
-        ["quotients", "S4", "-p", "6"],
-        ["oracle", "subgroup-lattice", "S4", "-p", "4"],
+        (["verify", "S4", "-p", "1"], "-p must be a prime, got 1"),
+        (["verify", "S4", "-p", "0"], "-p must be a prime, got 0"),
+        (["blocks", "S4", "-p", "4"], "-p must be a prime, got 4"),
+        (["verify", "S4", "-p", "4"], "-p must be a prime, got 4"),
+        (["quotients", "S4", "-p", "6"], "-p must be a prime, got 6"),
+        (["oracle", "subgroup-lattice", "S4", "-p", "4"], "-p must be a prime, got 4"),
+        # the least composite that passes all 13 Miller-Rabin bases
+        (["verify", "S4", "-p", str(MILLER_RABIN_BOUND)], _UNDECIDED),
     ],
-    ids=["verify-1", "verify-0", "blocks-4", "verify-4", "quotients-6", "oracle-4"],
+    ids=["verify-1", "verify-0", "blocks-4", "verify-4", "quotients-6", "oracle-4",
+         "verify-miller-rabin-bound"],
 )
-def test_non_prime_p_exits_2(runner, args):
+def test_non_prime_p_exits_2(runner, args, message):
     r = invoke(runner, *args)
-    assert (r.exit_code, r.stderr) == (2, f"error: -p must be a prime, got {args[-1]}\n")
+    assert (r.exit_code, r.stderr) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

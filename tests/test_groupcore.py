@@ -1,6 +1,7 @@
 """Arithmetic on image tuples, stabilizer chains, and the intersection set."""
 
 import json
+from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from indres import groupcore
 from indres.catalog import BUILDERS, build, perm_from_cycles, special_linear2
 from indres.chartab import character_table
 from indres.groupcore import (
+    MILLER_RABIN_BOUND,
     BudgetExceeded,
     IntegrityError,
     PermGroup,
@@ -19,6 +21,9 @@ from indres.groupcore import (
     centralizer,
     group_from_generators,
     intersection_set_maxima,
+    is_prime,
+    least_primitive_root,
+    multiplicative_order,
     normalizer,
     prime_factors,
     product_group,
@@ -175,6 +180,79 @@ def test_vp_and_prime_factors():
     for n, p in [(8, 1), (8, 0), (8, -2), (0, 2)]:
         with pytest.raises(ValueError):
             v_p(n, p)
+
+
+# sympy is an independent reference for the number theory, used by the
+# tests only
+def test_is_prime_matches_sympy_below_200000():
+    import sympy
+
+    assert [n for n in range(200000) if is_prime(n)] == [
+        n for n in range(200000) if sympy.isprime(n)]
+
+
+def _chernick_carmichael_numbers(k_from, count):
+    # (6k + 1)(12k + 1)(18k + 1) is a Carmichael number when all three
+    # factors are prime
+    import sympy
+
+    out, k = [], k_from
+    while len(out) < count:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(map(sympy.isprime, factors)):
+            out.append(prod(factors))
+        k += 1
+    return out
+
+
+def test_is_prime_matches_sympy_on_pseudoprimes_and_large_primes():
+    import sympy
+
+    pseudoprimes = [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # ... to the first 9 prime bases
+        318665857834031151167461,  # ... to the first 12 prime bases
+    ]
+    carmichael = (_chernick_carmichael_numbers(1, 10)
+                  + _chernick_carmichael_numbers(10**5, 3)
+                  + _chernick_carmichael_numbers(10**7, 3))
+    large = [2**31 - 1, 2**61 - 1, 2**67 - 1, sympy.prevprime(MILLER_RABIN_BOUND)]
+    large += [sympy.nextprime(10**k) for k in range(10, 25)]
+    large += [sympy.nextprime(10**11) * sympy.nextprime(10**12)]
+    for n in pseudoprimes + carmichael + large:
+        assert n < MILLER_RABIN_BOUND
+        assert is_prime(n) == sympy.isprime(n), n
+    assert not any(map(is_prime, pseudoprimes + carmichael))
+
+
+def test_is_prime_refuses_the_miller_rabin_bound():
+    import sympy
+
+    # the bound is the least composite that passes all 13 bases
+    assert not sympy.isprime(MILLER_RABIN_BOUND)
+    for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 2**89 - 1):
+        with pytest.raises(IntegrityError, match="Miller-Rabin bound"):
+            is_prime(n)
+
+
+def test_least_primitive_root_matches_sympy():
+    import sympy
+
+    for q in sympy.primerange(3, 1000):
+        for e in (1, 2, 3):
+            assert least_primitive_root(q, e) == sympy.primitive_root(q**e), (q, e)
+
+
+def test_multiplicative_order_matches_sympy():
+    import sympy
+
+    assert multiplicative_order(2, 1) == 1
+    for n in range(2, 300):
+        for a in range(n):
+            if gcd(a, n) == 1:
+                assert multiplicative_order(a, n) == sympy.n_order(a, n), (a, n)
+    for a, n in [(2, 1009), (2, 2019), (3, 2**20 + 7), (10, 10**9 + 7), (2, 3**12)]:
+        assert multiplicative_order(a, n) == sympy.n_order(a, n), (a, n)
 
 
 def test_intersection_set_maxima_s4():
