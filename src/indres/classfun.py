@@ -185,13 +185,6 @@ def from_values(table, values):
     return VirtualCharacter(table, coeffs)
 
 
-def pointwise_product(a, b):
-    """Product of class functions; characters are closed under it."""
-    a._check(b)
-    vals = [x * y.rebase(x.modulus) for x, y in zip(a.values(), b.values())]
-    return from_values(a.table, vals)
-
-
 # -- fusion and the induction/restriction matrix ----------------------------
 
 def _pair_cache(big, small, name):

@@ -182,6 +182,8 @@ def emit(data, output):
 
 def run_verify(spec):
     """Execute a JobSpec; returns (exit_code, report dict)."""
+    if not spec.properties:
+        raise ValueError("--props names no property")
     wants = [w for w in spec.properties if w in PROPERTIES]
     extras = [w for w in spec.properties if w not in PROPERTIES]
     for w in extras:

@@ -667,36 +667,36 @@ def sylow_subgroup(G, p):
 
 
 def intersection_set_maxima(G, P, H):
-    """Maximal members of {P ∩ tPt^{-1} : t a coset rep of N_G(P), t ∉ H},
-    as a list of subgroups of P.
+    """Maximal members of {P ∩ tPt^{-1} : t ∈ G ∖ H}, as a list of subgroups
+    of P.
 
     Their downward closure under subgroups and conjugacy is the full
-    intersection set of the triple (G, P, H).  Requires N_G(P) ≤ H; raises
-    ValueError otherwise.  H = G yields no maxima (the intersection set is
-    empty).
+    intersection set of the triple (G, P, H).  Requires N = N_G(P) ≤ H;
+    raises ValueError otherwise.  H = G yields no maxima (the intersection
+    set is empty).
+
+    With N ≤ H, tPt^{-1} = hPh^{-1} for an h ∈ H puts h^{-1}t in N ≤ H, so
+    t ∉ H exactly when tPt^{-1} is a G-conjugate of P but no H-conjugate:
+    the conjugates tPt^{-1} are the G-orbit of P minus its H-orbit.  The
+    orbits have |G : N| and |H : N ∩ H| members, so N ≤ H holds exactly
+    when |orbit_G| |H| = |orbit_H| |G|.
     """
-    N = normalizer(G, P)
-    if not all(H.contains_images(g) for g in N.generators):
+    if not P.is_subgroup_of(H):
         raise ValueError("H does not contain the normalizer of P")
     if H.order() == G.order():
         return []
-
-    E, Einv = G.elements(), G.inverses()
-    NE, PE = N.elements(), P.elements()
-    in_H = H.rows_in(E)
-    visited = np.zeros(len(E), dtype=bool)
-    seen_inters = set()
-    for i in range(len(E)):
-        if visited[i]:
-            continue
-        visited[_member_indices(G, E[i][NE])] = True
-        if in_H[i]:
-            continue
-        # P ∩ tPt^{-1} as indices in P, t = E[i]
-        idx = P.index_of(E[i][PE[:, Einv[i]]])
-        seen_inters.add(frozenset(idx[idx >= 0].tolist()))
-
-    return [_subgroup_of_rows(G.degree, PE[sorted(s)]) for s in _maximal_sets(seen_inters)]
+    E = G.elements()
+    in_G = _member_indices(G, H.elements())
+    p_set = _index_set(G, P.elements())
+    conj_G = _conjugates_of_set(G, p_set)
+    conj_H = {frozenset(in_G[list(Q)].tolist())
+              for Q in _conjugates_of_set(H, _index_set(H, P.elements()))}
+    if len(conj_G) * H.order() != len(conj_H) * G.order():
+        raise ValueError("H does not contain the normalizer of P")
+    # G-indices of P's elements ascend with P's own, so sets of either kind
+    # sort alike and list the same rows
+    return [_subgroup_of_rows(G.degree, E[sorted(s)])
+            for s in _maximal_sets(p_set & Q for Q in conj_G - conj_H)]
 
 
 def _maximal_sets(sets):

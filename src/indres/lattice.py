@@ -70,25 +70,7 @@ class IntLattice:
         v = [int(x) for x in vector]
         if len(v) != self.dim:
             raise ValueError("vector dimension mismatch")
-        i = 0
-        rows = self._rows
-        while True:
-            c = self._pivot(v)
-            if c is None:
-                return True
-            while i < len(rows) and self._pivot(rows[i]) < c:
-                i += 1
-            if i == len(rows) or self._pivot(rows[i]) > c:
-                return False
-            p = rows[i][c]
-            if v[c] % p:
-                return False
-            q = v[c] // p
-            v = [y - q * x for x, y in zip(rows[i], v)]
-            i += 1
-
-    def contains_lattice(self, other):
-        return all(self.contains(r) for r in other._rows)
+        return _coordinates(self._rows, v) is not None
 
     def canonical(self):
         """Hermite canonical basis: tuple of rows, the comparison key."""
@@ -273,20 +255,29 @@ def smith_invariants(matrix):
     return out
 
 
-def express_in_basis(L, vector):
-    """Coordinates of a lattice member on the canonical basis (or error)."""
-    rows = L.canonical()
-    v = [int(x) for x in vector]
-    coeffs = [0] * len(rows)
-    for i, r in enumerate(rows):
+def _coordinates(rows, v):
+    """Coordinates of v on echelon rows sorted by pivot column, or None when
+    v is not in their span.
+
+    Back-substitution pivot by pivot: the rows after a row are zero at its
+    pivot, so that entry of v forces the row's coefficient.
+    """
+    coeffs = []
+    for r in rows:
         c = next(j for j, x in enumerate(r) if x)
-        if v[c] % r[c]:
-            raise ValueError("vector is not in the lattice")
-        q = v[c] // r[c]
-        coeffs[i] = q
+        q, rem = divmod(v[c], r[c])
+        if rem:
+            return None
+        coeffs.append(q)
         if q:
             v = [x - q * y for x, y in zip(v, r)]
-    if any(v):
+    return None if any(v) else coeffs
+
+
+def express_in_basis(L, vector):
+    """Coordinates of a lattice member on the canonical basis (or error)."""
+    coeffs = _coordinates(L.canonical(), [int(x) for x in vector])
+    if coeffs is None:
         raise ValueError("vector is not in the lattice")
     return coeffs
 

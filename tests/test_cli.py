@@ -115,6 +115,23 @@ def test_verify_bad_property_name(runner):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("props", ["", ",", " , "])
+def test_verify_empty_props_exits_2(runner, props):
+    # checking nothing must not pass for "all hold"
+    r = invoke(runner, "verify", "S4", "-p", "2", "--props", props)
+    assert (r.exit_code, r.stderr) == (2, "error: --props names no property\n")
+
+
+def test_overgroup_without_the_normalizer_exits_2(runner, tmp_path):
+    # H = P = <(1 2 3)> in S4, whose normalizer S3 is larger
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({"format": "perm-group", "degree": 4,
+                                "generators": [[2, 3, 1, 4]]}))
+    r = invoke(runner, "verify", "S4", "-p", "3", "--subgroup-mode", f"explicit:{path}",
+               "--h-mode", f"explicit:{path}")
+    assert (r.exit_code, r.stderr) == (2, "error: H does not contain the normalizer of P\n")
+
+
 def test_group_json_input(runner, tmp_path):
     path = tmp_path / "s3.json"
     path.write_text(

@@ -295,6 +295,57 @@ def test_index_sets_are_downward_closed_markers():
         assert S.rows_in(P.elements()[sorted(ks)]).all()
 
 
+def _coset_loop_maxima(G, P, H):
+    """Maximal sets P ∩ tPt^{-1}, as indices in P, over one t per coset
+    tN of N = N_G(P) with t ∉ H: a direct reference for the orbit algebra
+    of `intersection_set_maxima`."""
+    N = normalizer(G, P)
+    E, Einv = G.elements(), G.inverses()
+    NE, PE = N.elements(), P.elements()
+    in_H = H.rows_in(E)
+    visited = np.zeros(len(E), dtype=bool)
+    seen = set()
+    for i in range(len(E)):
+        if visited[i]:
+            continue
+        visited[G.index_of(E[i][NE])] = True
+        if not in_H[i]:
+            idx = P.index_of(E[i][PE[:, Einv[i]]])
+            seen.add(frozenset(idx[idx >= 0].tolist()))
+    return _maximal_sets(seen)
+
+
+@pytest.mark.parametrize(
+    "name", ["S4", "S5", "S6", "S7", "A6", "A7", "A8", "M11", "SL2_11", "SL2_13",
+             "SL3_3", "PSU3_3", "C2xA4", "D12", "S3xS3"]
+)
+def test_intersection_set_maxima_match_the_coset_loop(name):
+    """At every prime, with H = N_G(P) and with H = ⟨N_G(P), g⟩ for the
+    first generator g of G that gives a proper overgroup of N_G(P)."""
+    G = build(name)
+    for p in prime_factors(G.order()):
+        P = sylow_subgroup(G, p)
+        N = normalizer(G, P)
+        overs = (PermGroup(G.degree, N.generators + (g,)) for g in G.generators)
+        overgroup = next((K for K in overs if N.order() < K.order() < G.order()), None)
+        for H in (N, overgroup):
+            if H is None:
+                continue
+            got = [_index_set(P, S.elements()) for S in intersection_set_maxima(G, P, H)]
+            assert got == _coset_loop_maxima(G, P, H), (p, H.order())
+
+
+@pytest.mark.parametrize("H_gens", [[(1, 2, 0, 3)], [(1, 0, 2, 3), (0, 1, 3, 2)]],
+                         ids=["H-misses-normalizer", "H-misses-P"])
+def test_intersection_set_maxima_rejects_h_without_the_normalizer(H_gens):
+    """P = ⟨(0 1 2)⟩ in S4 has N_G(P) ≅ S3: neither ⟨(0 1 2)⟩, which holds P
+    but not N_G(P), nor ⟨(0 1), (2 3)⟩, which misses P itself, contains it."""
+    G = build("S4")
+    P = PermGroup(4, [(1, 2, 0, 3)])
+    with pytest.raises(ValueError, match="^H does not contain the normalizer of P$"):
+        intersection_set_maxima(G, P, PermGroup(4, H_gens))
+
+
 @pytest.mark.parametrize(
     "name", ["S4", "S5", "A5", "SL2_3", "SL2_5", "C2xA4", "D8xC3", "S3xS3", "M11"]
 )
