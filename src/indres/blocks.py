@@ -15,8 +15,8 @@ from math import gcd
 from .chartab import IntegrityError
 from .classfun import class_fusion, trivial_index
 from .groupcore import (_first_hit, _memo, _transporter_mask, centralizer,
-                        multiplicative_order, prime_factors, sylow_subgroup,
-                        v_p)
+                        multiplicative_order, p_prime_part, prime_factors,
+                        sylow_subgroup, v_p)
 
 
 # -- finite fields -----------------------------------------------------------
@@ -150,10 +150,7 @@ class ModularReduction:
     def __init__(self, p, m, alternative=0):
         self.p = p
         self.m = m
-        m_prime = m
-        while m_prime % p == 0:
-            m_prime //= p
-        self.m_prime = m_prime
+        self.m_prime = m_prime = p_prime_part(m, p)
         self.d = multiplicative_order(p, m_prime)
         F = self.field = FpField(p, self.d, tuple(_least_irreducible(p, self.d)))
         # g^0, ..., g^(m'-1) with g of order m'; the elements of order m'

@@ -22,7 +22,7 @@ from .chartab import (
     _shadow,
     inner_product,
 )
-from .groupcore import ConjClassData, prime_factors
+from .groupcore import ConjClassData, _memo, p_prime_part, prime_factors
 
 
 class ValueDomainError(ValueError):
@@ -138,10 +138,6 @@ def irr(table, i):
     return VirtualCharacter(table, coeffs)
 
 
-def zero(table):
-    return VirtualCharacter(table, [0] * table.k)
-
-
 def trivial_index(table):
     one = Cyclotomic.from_int(table.exponent, 1)
     for i, row in enumerate(table.irreducibles):
@@ -186,23 +182,12 @@ def from_values(table, values):
 
 
 # -- fusion and the induction/restriction matrix ----------------------------
-
-def _pair_cache(big, small, name):
-    """The memo dict and key for data of the pair (big, small).
-
-    This is the one memo of the package that is not `groupcore._memo`:
-    `_memo` stores on its first argument, while the data of a pair (class
-    fusions, restriction matrices) belongs to whichever table of the pair
-    dies first.  That is the small table, so a subgroup table dropped by
-    its caller is freed even while the big table lives on.  A product
-    table is the exception: it lives on its instance, while the subgroup
-    tables it induces from stay in the process-level table cache, so it
-    owns the data of its pairs itself.
-    """
-    if big.factors is not None:
-        return big._cache, (name, small)
-    return small._cache, (name, big)
-
+#
+# The data of a table pair (class fusions, restriction matrices) belongs to
+# whichever table of the pair dies first: the small one.  So each public
+# function here hands its pair, small table first, to a `_memo` helper, and
+# a subgroup table dropped by its caller is freed even while the big table
+# lives on.
 
 def class_fusion(big, small):
     """For each class of the small table, its class index in the big table.
@@ -210,9 +195,11 @@ def class_fusion(big, small):
     The small table must carry class representatives that are literally
     elements of the big table's group (same ambient degree).
     """
-    cache, key = _pair_cache(big, small, "fusion")
-    if key in cache:
-        return cache[key]
+    return _fusion(small, big)
+
+
+@_memo
+def _fusion(small, big):
     fused = []
     for c in small.classes:
         if c.representative is None:
@@ -223,7 +210,6 @@ def class_fusion(big, small):
             raise ValueError(
                 "class representative does not lie in the big group"
             ) from None
-    cache[key] = fused
     return fused
 
 
@@ -244,10 +230,12 @@ def restriction_matrix(big, small):
     entry above chi_i(1), or a failure of sum_j R_ij psi_j(1) = chi_i(1) or
     of sum_i R_ij chi_i(1) = [G:H] psi_j(1), raises IntegrityError.
     """
-    cache, key = _pair_cache(big, small, "res")
-    if key in cache:
-        return cache[key]
-    fused = class_fusion(big, small)
+    return _restriction(small, big)
+
+
+@_memo
+def _restriction(small, big):
+    fused = _fusion(small, big)
     M = lcm(big.exponent, small.exponent)
     l = _dixon_prime(big.group_order, M, big.k)  # l > 2 sqrt|G| > every chi(1)
     w = _root_of_unity(l, M)
@@ -273,7 +261,6 @@ def restriction_matrix(big, small):
         induced = sum(Ri[j] * deg for Ri, deg in zip(R, big.degrees))
         if induced * small.group_order != big.group_order * d:
             raise IntegrityError("induced degree is not [G:H] psi(1)")
-    cache[key] = R
     return R
 
 
@@ -362,12 +349,6 @@ def outer_product(chi, theta, prod):
 
 
 # -- counts ------------------------------------------------------------------
-
-def p_prime_part(n, p):
-    while n % p == 0:
-        n //= p
-    return n
-
 
 def ml_counts(table, p, mode="global", subset=None):
     """Character counts by degree residue, folded under l ~ -l (mod p).

@@ -17,7 +17,9 @@ strings.
 import json
 import sys
 from dataclasses import astuple, dataclass
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 
 import click
 
@@ -98,14 +100,14 @@ def _pick_block(tG, p, token):
     raise ValueError(f"no block with defect group of shape {token}")
 
 
-def build_instance(spec):
+def build_instance(spec, G):
     """Construct the (G, p, P, H) instance a JobSpec describes.
 
+    G is the group that `spec.group` names, as `load_group` returns it.
     Returns (inst, block_pair): block_pair is None unless the p-subgroup
     was chosen as the defect group of a named block, in which case the
     property checks run at that block.
     """
-    G = load_group(spec.group)
     name = spec.group if spec.group in BUILDERS else ""
     tG = None
     if spec.table_g:
@@ -189,7 +191,7 @@ def run_verify(spec):
     for w in extras:
         if w not in ("in", "g"):
             raise ValueError(f"unknown property {w!r}")
-    inst, block_pair = build_instance(spec)
+    inst, block_pair = build_instance(spec, load_group(spec.group))
     report = full_report(inst, props=wants, block_pair=block_pair)
     data = report.to_json()
     ok = all(v.holds for v in report.verdicts.values())
@@ -233,14 +235,14 @@ def run_verify(spec):
     return (0 if ok else 1), data
 
 
-def evaluate_row(row):
-    """Compute (q1, irc, q2, pieces) for one reference table row.
+def evaluate_row(row, G):
+    """Compute (q1, irc, q2, pieces) for one reference table row over G.
 
     The quotients are QuotientShapes; pieces is None unless the row lists
     per-block components, then the Q1 and the Q2 pieces as two lists.
     """
     inst, block_pair = build_instance(
-        JobSpec(group=row["group"], p=row["p"], subgroup_mode=row["mode"])
+        JobSpec(group=row["group"], p=row["p"], subgroup_mode=row["mode"]), G
     )
     q1, q2, per_block = quotients_q1_q2(inst)
     if block_pair is not None:
@@ -367,7 +369,7 @@ def cmd_verify(group, prime, props, subgroup_mode, h_mode, table_g, table_h,
 @click.option("-o", "--output", default=None)
 def cmd_quotients(group, prime, output):
     """Print the two lattice quotients and their block pieces."""
-    inst, _ = build_instance(JobSpec(group, prime))
+    inst, _ = build_instance(JobSpec(group, prime), load_group(group))
     q1, q2, per_block = quotients_q1_q2(inst)
     click.echo(f"Q1 = {q1}")
     click.echo(f"Q2 = {q2}")
@@ -398,31 +400,34 @@ def cmd_paper_table(suite, output):
     rows = rows_for_suite(suite)
     results = []
     bad = 0
-    for row in rows:
-        q1, irc, q2, pieces = evaluate_row(row)
-        ok = (astuple(q1), irc, astuple(q2)) == (row["q1"], row["irc"], row["q2"])
-        if row["pieces"] is not None:
-            got = tuple([astuple(q) for q in half] for half in pieces)
-            ok = ok and got == row["pieces"]
-        bad += 0 if ok else 1
-        state = "match" if ok else "MISMATCH"
-        line = (
-            f"{row['group']} p={row['p']} [{row['mode']}]: "
-            f"Q1 = {q1}, IRC = {'Yes' if irc else 'No'}, "
-            f"Q2 = {q2}  {state}"
-        )
-        click.echo(line)
-        results.append(
-            {
-                "group": row["group"],
-                "p": row["p"],
-                "mode": row["mode"],
-                "q1": q1.to_json(),
-                "irc": irc,
-                "q2": q2.to_json(),
-                "match": ok,
-            }
-        )
+    for name, same_group in groupby(rows, key=itemgetter("group")):
+        G = load_group(name)  # built once for its consecutive rows
+        for row in same_group:
+            q1, irc, q2, pieces = evaluate_row(row, G)
+            ok = (astuple(q1), irc, astuple(q2)) == (row["q1"], row["irc"], row["q2"])
+            if row["pieces"] is not None:
+                got = tuple([astuple(q) for q in half] for half in pieces)
+                ok = ok and got == row["pieces"]
+            bad += 0 if ok else 1
+            state = "match" if ok else "MISMATCH"
+            line = (
+                f"{row['group']} p={row['p']} [{row['mode']}]: "
+                f"Q1 = {q1}, IRC = {'Yes' if irc else 'No'}, "
+                f"Q2 = {q2}  {state}"
+            )
+            click.echo(line)
+            results.append(
+                {
+                    "group": row["group"],
+                    "p": row["p"],
+                    "mode": row["mode"],
+                    "q1": q1.to_json(),
+                    "irc": irc,
+                    "q2": q2.to_json(),
+                    "match": ok,
+                }
+            )
+        del G  # freed, with its tables, before the next group is built
     click.echo(f"{len(rows) - bad} of {len(rows)} rows match")
     if output:
         emit({"suite": suite, "rows": results}, output)
@@ -442,7 +447,7 @@ def cmd_oracle(kind, group, prime, budget_order, budget_classes):
     if kind == "subgroup-lattice":
         if prime is None:
             raise ValueError("subgroup-lattice needs -p")
-        inst, _ = build_instance(JobSpec(group, prime))
+        inst, _ = build_instance(JobSpec(group, prime), load_group(group))
         ok = True
         for side in ("G", "H"):
             fast = build_induced_lattice(inst, side)

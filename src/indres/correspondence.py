@@ -32,7 +32,6 @@ from .classfun import (
     induce,
     irr,
     ml_counts,
-    p_prime_part,
     p_singular_classes,
     product_table,
     restrict,
@@ -44,6 +43,7 @@ from .groupcore import (
     _memo,
     intersection_set_maxima,
     normalizer,
+    p_prime_part,
     prime_factors,
     product_group,
     qualifying_elementary_subgroups,
@@ -91,20 +91,12 @@ class Instance:
         return self.tG if side == "G" else self.tH
 
 
-# The one process-level cache.  Its key is the degree and the sorted element
-# matrix (a value, not an object), so equal subgroups built on different
-# rows of a `paper-table` run share one table.
-_TABLE_CACHE = {}
-
-
+# A group's table is memoized on the group, beside its classes and chain,
+# so it lives and dies with the group.
+@_memo
 def table_for(group):
-    """Character table of a subgroup, cached by element set."""
-    key = (group.degree, group.elements().tobytes())
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        hit = character_table(group)
-        _TABLE_CACHE[key] = hit
-    return hit
+    """Character table of a group, computed once per group."""
+    return character_table(group)
 
 
 def make_instance(G, p, P=None, H=None, tG=None, tH=None, name=""):

@@ -16,10 +16,10 @@ unless noted otherwise.
 
 Everything derived from a group (its stabilizer chain, order, element
 matrix, classes and power classes, centralizers, normalizers, Sylow
-subgroups) lives in `PermGroup._cache`, filled by `_memo`, so it is
-computed once and freed with the group.  `_memo` is the one memo helper of
-the package: tables and instances memoize their derived data through it
-too.
+subgroups, and its character table) lives in `PermGroup._cache`, filled
+by `_memo`, so it is computed once and freed with the group.  `_memo` is
+the one memo helper of the package: tables and instances memoize their
+derived data through it too.
 """
 
 from dataclasses import dataclass
@@ -134,6 +134,11 @@ def v_p(n, p):
         n //= p
         v += 1
     return v
+
+
+def p_prime_part(n, p):
+    """n with every factor p removed; ValueError where v_p raises."""
+    return n // p ** v_p(n, p)
 
 
 def prime_factors(n):

@@ -3,7 +3,8 @@
 Every test prints one `ACCEPTANCE n: PASS/FAIL (...)` line; conftest lifts
 the lines into the terminal summary so a log scan shows all verdicts.
 Instances are cached at module level because later criteria quantify over
-"every instance of criteria 1-4".
+"every instance of criteria 1-4".  Groups come from `conftest.shared_group`,
+so the rows and criteria that revisit a group share its derived data.
 """
 
 import json
@@ -11,8 +12,9 @@ import time
 from pathlib import Path
 
 import conftest
+from conftest import shared_group
 from indres.blocks import block_partition, defect_group
-from indres.catalog import REFERENCE_ROWS, build
+from indres.catalog import REFERENCE_ROWS
 from indres.chartab import character_table, table_from_json, table_to_json, verify_table
 from indres.classfun import VirtualCharacter
 from indres.cli import JobSpec, _pick_block, build_instance
@@ -59,7 +61,7 @@ def suite_row(row):
         return _ROWS[key]
     t0 = time.perf_counter()
     name, p = row["group"], row["p"]
-    G = build(name)
+    G = shared_group(name)
     if row["mode"] == "sylow":
         inst = make_instance(G, p, name=name)
         block_pair = None
@@ -142,7 +144,7 @@ def fixture_results():
         p=2,
         subgroup_mode="block:1",
     )
-    inst, block_pair = build_instance(spec)
+    inst, block_pair = build_instance(spec, shared_group(spec.group))
     verdicts = {
         w: check_property(inst, w, block_pair=block_pair)
         for w in ("irc", "wirc", "pres", "pind")
@@ -228,7 +230,7 @@ def test_criterion_5_universal_weak_properties():
 
 def test_criterion_6_theorem_checks():
     completeness = {
-        name: brauer_completeness_check(build(name))
+        name: brauer_completeness_check(shared_group(name))
         for name in ("S3", "S4", "A5", "Q8", "D8", "SL2_3")
     }
     entries = [suite_row(r) for n in (1, 2, 3) for r in rows_for_criterion(n)]
@@ -247,7 +249,7 @@ def test_criterion_6_theorem_checks():
     )
     invariance = True
     for name in ("S4", "A5", "SL2_11"):
-        t = table_for(build(name))
+        t = table_for(shared_group(name))
         for p in prime_factors(t.group_order):
             base = {frozenset(b.char_indices) for b in block_partition(t, p)}
             alt = {
@@ -299,7 +301,7 @@ def test_criterion_7_oracle_equivalence():
     t0 = time.perf_counter()
     bad = []
     for name, p in ORACLE_INSTANCES:
-        inst = make_instance(build(name), p, name=name)
+        inst = make_instance(shared_group(name), p, name=name)
         for side in ("G", "H"):
             fast = build_induced_lattice(inst, side)
             slow = definition_lattice(inst, side)
@@ -312,7 +314,7 @@ def test_criterion_7_oracle_equivalence():
         and elapsed < 600.0
         and len(groups) >= 10
         and {"S4", "D8xC3", "SL2_3", "C2xA4"} <= groups
-        and all(build(name).order() <= 200 for name in groups)
+        and all(shared_group(name).order() <= 200 for name in groups)
     )
     detail = (
         f"{len(ORACLE_INSTANCES)} instances over {len(groups)} groups, "
@@ -347,7 +349,7 @@ TABLE_CORPUS = [
 def test_criterion_8_table_layer():
     bad = []
     for name in TABLE_CORPUS:
-        G = build(name)
+        G = shared_group(name)
         assert G.order() <= 2000
         t = table_for(G)
         try:

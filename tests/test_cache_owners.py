@@ -1,11 +1,11 @@
 """Derived data has one owner: the object it is derived from.
 
-Library modules other than the catalog hold one module-level mutable
-container, the element-set keyed `correspondence._TABLE_CACHE`, and
-`functools.cache` memoizes only `chartab._phi_reduction`, whose key is an
-integer; all other derived data is memoized on a table, an instance or a
-group by `groupcore._memo` (or, for a pair of tables, by
-`classfun._pair_cache`).  A group or a table keeps that data in `_cache`
+Library modules other than the catalog hold no module-level mutable
+container, and `functools.cache` memoizes only `chartab._phi_reduction`,
+whose key is an integer; all other derived data, a group's character table
+included, is memoized on a table, an instance or a group by
+`groupcore._memo` (the data of a pair of tables on the small table of the
+pair).  A group or a table keeps that data in `_cache`
 and nowhere else: `_cache` is the only private attribute that
 `PermGroup.__init__` sets and the only private field of `CharTable`.
 """
@@ -53,7 +53,7 @@ def test_one_module_level_mutable_container():
                 isinstance(value, ast.Call) and _name(value) in MUTABLE_CALLS
             ):
                 found |= {(module, t.id) for t in targets if isinstance(t, ast.Name)}
-    assert found == {("correspondence", "_TABLE_CACHE")}
+    assert found == set()
 
 
 def test_functools_cache_only_on_phi_reduction():

@@ -29,7 +29,6 @@ from indres.classfun import (
     irr,
     ml_counts,
     outer_product,
-    p_prime_part,
     p_singular_classes,
     product_table,
     regular,
@@ -48,6 +47,7 @@ from indres.correspondence import (
 from indres.groupcore import (
     centralizer,
     normalizer,
+    p_prime_part,
     prime_factors,
     product_group,
     qualifying_elementary_subgroups,
@@ -385,18 +385,20 @@ def test_dropped_tables_are_freed():
     prod = product_table(tG, tH)
     _shadow(prod, *_field_of(prod))
     vanishes_on(irr(prod, 1).conjugate(), p_singular_classes(prod, 2))
-    # centralizers and Sylow subgroups are memoized on the group
+    # centralizers, Sylow subgroups and `table_for` tables are memoized on
+    # the group
     C = centralizer(G, G.class_data()[1].representative)
     P = sylow_subgroup(G, 3)
-    refs = [weakref.ref(x) for x in (tG, tH, prod, G, C, P)]
-    del G, tG, tH, prod, C, P
+    inst = make_instance(G, 2)
+    refs = [weakref.ref(x) for x in (tG, tH, prod, G, C, P, inst.tG, inst.tH)]
+    del G, tG, tH, prod, C, P, inst
     gc.collect()
-    assert [r() for r in refs] == [None] * 6
+    assert [r() for r in refs] == [None] * 8
 
 
 def test_product_table_dies_with_its_instance():
-    # the subgroup tables it induces from outlive it in the process-level
-    # table cache, so they must not hold its fusions and restrictions
+    # the subgroup tables it induces from hold its fusions and restrictions,
+    # and they live on subgroups of the product group, which dies with it
     inst = make_instance(build("S3"), 2)
     prod = pair_table(inst)
     product_induced_lattice(inst)

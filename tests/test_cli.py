@@ -10,6 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import indres
+from conftest import shared_group
+from indres import cli
+from indres.catalog import build
 from indres.cli import main
 from indres.groupcore import MILLER_RABIN_BOUND
 
@@ -19,6 +22,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def shared_groups(monkeypatch):
+    """Runs load their groups through `conftest.shared_group`, so the runs on
+    the order-1000 fixture group share its tables."""
+    monkeypatch.setattr(cli, "load_group", shared_group)
 
 
 def invoke(runner, *args):
@@ -197,13 +207,17 @@ def test_oracle_budget_exceeded_is_usage_error(runner):
     assert r.exit_code == 2
 
 
-def test_paper_table_small_suite(runner):
+def test_paper_table_small_suite(runner, monkeypatch):
+    # each group is built once for its consecutive rows: 17 groups, 27 rows
+    built = []
+    monkeypatch.setattr(cli, "build", lambda name: built.append(name) or build(name))
     r = invoke(runner, "paper-table", "small")
     assert r.exit_code == 0
     assert "27 of 27 rows match" in r.output
+    assert len(built) == len(set(built)) == 17
 
 
-def test_fixture_witness_run_passes(runner, tmp_path):
+def test_fixture_witness_run_passes(runner, tmp_path, shared_groups):
     out = tmp_path / "fxg.json"
     r = runner.invoke(
         main,
@@ -228,7 +242,7 @@ def test_fixture_witness_run_passes(runner, tmp_path):
     assert all(v["holds"] for v in report["verdicts"].values())
 
 
-def test_fixture_block_irc_fails_with_certificate(runner, tmp_path):
+def test_fixture_block_irc_fails_with_certificate(runner, tmp_path, shared_groups):
     out = tmp_path / "fx.json"
     r = runner.invoke(
         main,
@@ -259,7 +273,7 @@ def _assert_one_line_error(r):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_witness_naming_no_block_exits_2(runner, tmp_path):
+def test_witness_naming_no_block_exits_2(runner, tmp_path, shared_groups):
     wit = json.loads((FIXTURES / "fixture_witness.json").read_text())
     wit["block_chars"] = [999]
     path = tmp_path / "bad_witness.json"
@@ -468,7 +482,7 @@ def _explicit_c3_args(tmp_path):
          "group-degree-float", "table-float-size", "table-value-modulus-5",
          "table-exponent-0"],
 )
-def test_wrong_json_shape_exits_2(runner, tmp_path, make_args):
+def test_wrong_json_shape_exits_2(runner, tmp_path, make_args, shared_groups):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
 
 

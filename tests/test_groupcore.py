@@ -25,6 +25,7 @@ from indres.groupcore import (
     least_primitive_root,
     multiplicative_order,
     normalizer,
+    p_prime_part,
     prime_factors,
     product_group,
     qualifying_elementary_subgroups,
@@ -180,6 +181,8 @@ def test_vp_and_prime_factors():
     for n, p in [(8, 1), (8, 0), (8, -2), (0, 2)]:
         with pytest.raises(ValueError):
             v_p(n, p)
+        with pytest.raises(ValueError):
+            p_prime_part(n, p)
 
 
 # sympy is an independent reference for the number theory, used by the
