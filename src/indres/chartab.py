@@ -2,12 +2,13 @@
 
 Character values are elements of Z[zeta_m], m the group exponent, stored in
 canonical form on the power basis {zeta^e : 0 <= e < phi(m)}.  The whole
-table is computed modulo a prime p ≡ 1 (mod m) with p > 2*sqrt(|G|) and then
-lifted exactly.  The class matrices are built one at a time, smallest class
-first, each from the members of its own class, and only until every common
-eigenspace has dimension 1.  `verify_table` proves the lifted table square,
-Galois stable and with orthonormal rows (hence orthogonal columns) before it
-is returned, so a table object in hand is always internally consistent.  The
+table is computed modulo a prime p ≡ 1 (mod m) with p > 2*sqrt(|G|), in int64
+arrays whose sums `_check_int64` proves exact, and then lifted exactly.  The
+class matrices are built one at a time, smallest class first, each from the
+members of its own class, and only until every common eigenspace has
+dimension 1.  `verify_table` proves the lifted table square, Galois stable
+and with orthonormal rows (hence orthogonal columns) before it is returned,
+so a table object in hand is always internally consistent.  The
 orthogonality proof maps the table once to F_l, for a prime l ≡ 1 (mod m)
 above a bound on its values, through `_shadow`, the one routine that
 evaluates table rows in a prime field (`classfun.restriction_matrix` uses it
@@ -23,10 +24,14 @@ from operator import mul
 
 import numpy as np
 
-from .groupcore import (DEFAULT_ORDER_BUDGET, ConjClassData, IntegrityError,
-                        _member_indices, _memo, conjugacy_classes, is_prime,
-                        json_int, least_primitive_root, prime_factors,
+from .groupcore import (DEFAULT_ORDER_BUDGET, BudgetExceeded, ConjClassData,
+                        IntegrityError, _member_indices, _memo,
+                        conjugacy_classes, is_prime, json_int,
+                        least_primitive_root, prime_factors,
                         split_product_images, v_p)
+
+# Points per block of the root scan in `_poly_roots_mod`.
+_ROOT_BLOCK = 1 << 16
 
 
 def _cyclotomic_coeffs(m):
@@ -439,57 +444,67 @@ def _charpoly_mod(R, p):
 
 
 def _poly_roots_mod(coeffs, p):
+    """The roots in F_p of a monic polynomial (leading coefficient first),
+    ascending.
+
+    Horner's rule runs on blocks of `_ROOT_BLOCK` points at a time, and the
+    scan stops at the block where the d-th root turns up, so memory stays
+    bounded however large p is.
+    """
     d = len(coeffs) - 1
     roots = []
-    for x in range(p):
-        acc = 0
+    for lo in range(0, p, _ROOT_BLOCK):
+        x = np.arange(lo, min(lo + _ROOT_BLOCK, p), dtype=np.int64)
+        acc = np.zeros_like(x)
         for c in coeffs:
             acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-            if len(roots) == d:
-                break
+        roots.extend(x[acc == 0].tolist())
+        if len(roots) >= d:
+            break
     return roots
 
 
 def _rref_mod(M, p):
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
+    """Reduced row echelon form mod p; returns (matrix, pivot columns).
+
+    Each pivot column is cleared from every other row by one outer-product
+    update of the columns from the pivot on (those before it are already 0
+    in the pivot row).
+    """
     M = M % p
     rows, cols = M.shape
     r = 0
     pivots = []
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if M[i, c] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        M[[r, pivot]] = M[[pivot, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and M[i, c]:
-                M[i] = (M[i] - M[i, c] * M[r]) % p
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
+        nz = np.flatnonzero(M[r:, c])
+        if not len(nz):
+            continue
+        i = r + int(nz[0])
+        M[[r, i]] = M[[i, r]]
+        M[r, c:] = M[r, c:] * pow(int(M[r, c]), -1, p) % p
+        f = M[:, c].copy()
+        f[r] = 0
+        M[:, c:] = (M[:, c:] - np.outer(f, M[r, c:])) % p
+        pivots.append(c)
+        r += 1
     return M[:r], pivots
 
 
 def _nullspace_mod(M, p):
-    """Basis rows of the kernel of M (acting on column vectors) mod p."""
-    R, pivots = _rref_mod(M.copy(), p)
-    cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-R[r, f]) % p
-        basis.append(v % p)
+    """Basis rows of the kernel of M (acting on column vectors) mod p.
+
+    One row per free column f of the RREF: 1 at f, and minus column f of
+    the RREF at the pivot columns.
+    """
+    R, pivots = _rref_mod(M, p)
+    free = np.ones(M.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), M.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[:, free].T) % p
     return basis
 
 
@@ -499,41 +514,58 @@ def _common_eigenvectors(mats, k, p):
     The next matrix is drawn from the iterable `mats` only while some
     eigenspace still has dimension above 1.
     """
-    spaces = [np.eye(k, dtype=np.int64)]  # each: rows spanning the subspace
+    # each space: its basis in RREF and the pivot columns, so a vector w of
+    # the span has coordinates w[pivots] in that basis
+    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     mats = iter(mats)
-    while any(len(S) > 1 for S in spaces):
+    while any(len(S) > 1 for S, _ in spaces):
         A = next(mats, None)
         if A is None:
             break
         out = []
-        for S in spaces:
+        for S, pivots in spaces:
             if len(S) == 1:
-                out.append(S)
+                out.append((S, pivots))
                 continue
-            C = S.T % p  # columns span the subspace
-            AC = (A @ C) % p
-            # solve C R = AC column-by-column via RREF of [C | AC]
-            aug, pivots = _rref_mod(np.hstack([C, AC]), p)
-            d = C.shape[1]
-            if pivots[:d] != list(range(d)):
-                raise IntegrityError("subspace basis not independent")
-            R = np.zeros((d, d), dtype=np.int64)
-            for r in range(len(aug)):
-                if r < d:
-                    R[r] = aug[r, d:]
-            coeffs = _charpoly_mod(R, p)
-            roots = _poly_roots_mod(coeffs, p)
-            for lam in sorted(roots):
+            # A restricted to the span: column j holds the coordinates of A s_j
+            R = (A @ S.T % p)[pivots]
+            d = len(S)
+            for lam in _poly_roots_mod(_charpoly_mod(R, p), p):
                 ker = _nullspace_mod((R - lam * np.eye(d, dtype=np.int64)) % p, p)
-                if not ker:
-                    continue
-                sub = (np.vstack(ker) @ S) % p
-                sub, _ = _rref_mod(sub, p)
-                out.append(sub)
+                if len(ker):
+                    out.append(_rref_mod(ker @ S % p, p))
         spaces = out
-    if len(spaces) != k or any(len(S) != 1 for S in spaces):
+    if len(spaces) != k or any(len(S) != 1 for S, _ in spaces):
         raise IntegrityError("class matrices do not split into k eigenvectors")
-    return [S[0] % p for S in spaces]
+    return [S[0] for S, _ in spaces]
+
+
+def _check_int64(n, p):
+    """Refuse array arithmetic mod p whose sums of n products overflow int64.
+
+    Every array product of the table build (class matrix times basis,
+    matrix powers, the lift's transforms) sums at most n terms, each below
+    (p - 1)^2, so n (p - 1)^2 < 2^63 keeps every int64 sum exact.
+    """
+    if n * (p - 1) ** 2 >= 2**63:
+        raise BudgetExceeded(
+            f"sums of {n} products mod {p} overflow 64-bit integers; "
+            "the table is out of reach")
+
+
+def _inverse_dft(n, z, p):
+    """F[t, j] = z^(-jt) / n mod p, for z of order n in F_p^x.
+
+    A row of chi(g^t), t < n = ord(g), times F is the row of multiplicities
+    of the eigenvalues z^j of g in the representation of chi, mod p.  F is
+    read off the n powers of z^-1 / n, indexed by jt mod n.
+    """
+    zinv = pow(z, -1, p)
+    pw = [pow(n, -1, p)]
+    for _ in range(n - 1):
+        pw.append(pw[-1] * zinv % p)
+    t = np.arange(n)
+    return np.array(pw, dtype=np.int64)[np.outer(t, t) % n]
 
 
 def character_table(G, budget_order=None):
@@ -544,55 +576,51 @@ def character_table(G, budget_order=None):
     order = G.order()
     m = G.exponent()
     p = _dixon_prime(order, m, k)
+    _check_int64(max(k, max(c.rep_order for c in classes)), p)
     vecs = _common_eigenvectors(_class_matrices(G, p), k, p)
 
-    size_inv = [pow(c.size, -1, p) for c in classes]
+    # normalize so the identity-class coordinate is 1
+    U = np.empty((k, k), dtype=np.int64)
+    for r, v in enumerate(vecs):
+        if not v[0] % p:
+            raise IntegrityError("eigenvector vanishes on the identity class")
+        U[r] = v * pow(int(v[0]), -1, p) % p
+    size_inv = np.array([pow(c.size, -1, p) for c in classes], dtype=np.int64)
     # rep^(ord-1) is the inverse
     pow_class = G.power_classes()
     inv_class = [pc[-1] for pc in pow_class]
-    # normalize so the identity-class coordinate is 1
-    omegas = []
-    for v in vecs:
-        if not v[0] % p:
-            raise IntegrityError("eigenvector vanishes on the identity class")
-        omegas.append((v * pow(int(v[0]), -1, p)) % p)
-
-    w = _root_of_unity(p, m)
-
-    rows = []
-    for u in omegas:
-        t = sum(int(u[i]) * int(u[inv_class[i]]) * size_inv[i] for i in range(k)) % p
-        deg_sq = (order * pow(t, -1, p)) % p
-        deg = next((d for d in range(1, isqrt(order) + 1) if d * d % p == deg_sq), None)
+    t = (U * U[:, inv_class] % p * size_inv % p).sum(axis=1) % p
+    root_of = {d * d % p: d for d in range(isqrt(order), 0, -1)}
+    degrees = []
+    for tr in t.tolist():
+        deg = root_of.get(order * pow(tr, -1, p) % p)
         if deg is None:
             raise IntegrityError("degree recovery failed")
-        chi_mod = [(deg * int(u[i]) * size_inv[i]) % p for i in range(k)]
-        values = []
-        for i, c in enumerate(classes):
-            n = c.rep_order
-            z = pow(w, m // n, p)
-            n_inv = pow(n, -1, p)
-            terms = {}
-            for j in range(n):
-                acc = 0
-                zj = pow(z, (-j) % (p - 1), p)
-                zjk = 1
-                for t2 in range(n):
-                    acc = (acc + chi_mod[pow_class[i][t2]] * zjk) % p
-                    zjk = (zjk * zj) % p
-                mult = (acc * n_inv) % p
-                if mult:
-                    if mult > deg:
-                        raise IntegrityError("multiplicity lift out of range")
-                    terms[(m // n) * j] = mult
-            if sum(terms.values()) != deg:
-                raise IntegrityError(
-                    "root-of-unity multiplicities do not sum to degree"
-                )
-            values.append(Cyclotomic(m, terms))
-        rows.append((deg, values))
+        degrees.append(deg)
+    deg = np.array(degrees, dtype=np.int64)
+    chi = U * size_inv % p * deg[:, None] % p  # chi[r, i] = chi_r(rep_i) mod p
 
-    rows.sort(key=lambda r: (r[0], tuple(v.sort_key() for v in r[1])))
+    # multiplicity of each n-th root of unity in chi_r(rep_i), n = ord(rep_i),
+    # one class (a k x n block of values on the powers of rep_i) at a time
+    w = _root_of_unity(p, m)
+    dft = {}
+    made = {}  # few values recur across a table: build each one once
+    values = [[] for _ in range(k)]
+    for i, c in enumerate(classes):
+        n = c.rep_order
+        if n not in dft:
+            dft[n] = _inverse_dft(n, pow(w, m // n, p), p)
+        mult = chi[:, pow_class[i]] @ dft[n] % p
+        if (mult > deg[:, None]).any():
+            raise IntegrityError("multiplicity lift out of range")
+        if (mult.sum(axis=1) != deg).any():
+            raise IntegrityError("root-of-unity multiplicities do not sum to degree")
+        for row, mr in zip(values, map(tuple, mult.tolist())):
+            if (n, mr) not in made:
+                made[n, mr] = Cyclotomic(m, {(m // n) * j: x for j, x in enumerate(mr) if x})
+            row.append(made[n, mr])
+
+    rows = sorted(zip(degrees, values), key=lambda r: (r[0], tuple(v.sort_key() for v in r[1])))
     table = CharTable(
         group_order=order,
         exponent=m,

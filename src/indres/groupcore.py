@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import wraps
 from itertools import count
 from math import lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -78,8 +79,10 @@ def _memo(fn):
 
 
 def _mul(a, b):
-    # apply b first, then a
-    return tuple(a[x] for x in b)
+    # apply b first, then a; a one-index itemgetter returns a bare int
+    if len(b) < 2:
+        return tuple(a[x] for x in b)
+    return itemgetter(*b)(a)
 
 
 def _inv(a):
@@ -229,17 +232,25 @@ def _strip(levels, g):
         pt = g[lvl.base]
         if pt not in lvl.transversal:
             return g, i
-        g = _mul(_inv(lvl.transversal[pt]), g)
+        g = _mul(lvl.inverse(pt), g)
     return g, len(levels)
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal")
+    __slots__ = ("base", "gens", "transversal", "inverses")
 
     def __init__(self, base):
         self.base = base
         self.gens = []  # strong generators first needed at this level
         self.transversal = {}
+        self.inverses = {}  # point -> inverse of its transversal element
+
+    def inverse(self, pt):
+        """The inverse of transversal[pt], computed once per transversal."""
+        u = self.inverses.get(pt)
+        if u is None:
+            u = self.inverses[pt] = _inv(self.transversal[pt])
+        return u
 
 
 class PermGroup:
@@ -281,6 +292,7 @@ class PermGroup:
             lvl = levels[i]
             gens = level_gens(i)
             lvl.transversal = {lvl.base: ident}
+            lvl.inverses = {}
             frontier = [lvl.base]
             while frontier:
                 new = []
@@ -318,8 +330,7 @@ class PermGroup:
                     u = lvl.transversal[pt]
                     for s in gens:
                         h = _mul(s, u)
-                        rep = lvl.transversal[h[lvl.base]]
-                        r, at = _strip(levels, _mul(_inv(rep), h))
+                        r, at = _strip(levels, _mul(lvl.inverse(h[lvl.base]), h))
                         if r != ident:
                             augment(r, at)
                             dirty = True
@@ -328,6 +339,10 @@ class PermGroup:
                         break
                 if dirty:
                     break
+        # the inverses served the closure; drop them rather than keep one
+        # tuple per point for the group's lifetime
+        for lvl in levels:
+            lvl.inverses = {}
         return levels
 
     @_memo

@@ -9,16 +9,23 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indres.catalog import build, special_linear2
+from indres.catalog import build, cyclic, special_linear2
 from indres.chartab import (
+    _ROOT_BLOCK,
     CharTable,
     Cyclotomic,
     IntegrityError,
+    _check_int64,
     _class_matrices,
     _common_eigenvectors,
     _cyclotomic_coeffs,
     _dixon_prime,
+    _inverse_dft,
+    _nullspace_mod,
+    _poly_roots_mod,
     _prime_above,
+    _root_of_unity,
+    _rref_mod,
     _unit_generators,
     character_table,
     inner_product,
@@ -28,7 +35,8 @@ from indres.chartab import (
     table_to_json,
     verify_table,
 )
-from indres.groupcore import MILLER_RABIN_BOUND
+from indres.groupcore import (MILLER_RABIN_BOUND, BudgetExceeded, PermGroup,
+                              _perm_power, product_group)
 
 
 def cyc(modulus, pairs):
@@ -304,6 +312,202 @@ def test_common_eigenvectors_stop_before_the_next_matrix():
 
     vecs = _common_eigenvectors(mats(), 3, 7)
     assert sorted(tuple(int(x) for x in v) for v in vecs) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+# Scalar F_p kernels, one row operation or one point at a time: the
+# array kernels of `chartab` must agree with them exactly.
+
+def _scalar_rref(M, p):
+    M = M % p
+    rows, cols = M.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if M[i, c] % p:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        M[[r, pivot]] = M[[pivot, r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and M[i, c]:
+                M[i] = (M[i] - M[i, c] * M[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M[:r], pivots
+
+
+def _scalar_nullspace(M, p):
+    R, pivots = _scalar_rref(M.copy(), p)
+    cols = M.shape[1]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = np.zeros(cols, dtype=np.int64)
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-R[r, f]) % p
+        basis.append(v)
+    return basis
+
+
+def _scalar_roots(coeffs, p):
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(x)
+            if len(roots) == len(coeffs) - 1:
+                break
+    return roots
+
+
+def _scalar_lift(block, z, p):
+    """mult[r][j] = (1/n) sum_t block[r][t] z^(-jt) mod p, entry by entry."""
+    n = len(block[0])
+    n_inv = pow(n, -1, p)
+    out = []
+    for row in block:
+        mult = []
+        for j in range(n):
+            acc = 0
+            zj = pow(z, (-j) % (p - 1), p)
+            zjk = 1
+            for t in range(n):
+                acc = (acc + row[t] * zjk) % p
+                zjk = (zjk * zj) % p
+            mult.append(acc * n_inv % p)
+        out.append(mult)
+    return out
+
+
+# 65537 and 1000003 lie above 2^16, so a product of two residues overflows
+# int32; at 2^31 - 1 a product of two residues nearly fills int64.
+KERNEL_PRIMES = [2, 7, 1093, 65537, 1000003, 2**31 - 1]
+
+
+def _random_matrices(rng, p):
+    """Full-rank, rank-deficient, wide, tall and zero matrices mod p."""
+    for rows, cols in [(1, 1), (3, 3), (4, 7), (7, 4), (9, 9)]:
+        yield rng.integers(0, p, (rows, cols), dtype=np.int64)
+        rank = max(1, min(rows, cols) - 2)
+        left = rng.integers(0, p, (rows, rank), dtype=np.int64)
+        right = rng.integers(0, p, (rank, cols), dtype=np.int64)
+        yield (left.astype(object) @ right % p).astype(np.int64)
+        yield np.zeros((rows, cols), dtype=np.int64)
+    yield np.diag([0, 1, 0, 1]).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_rref_and_nullspace_match_the_scalar_loops(p):
+    rng = np.random.default_rng(p)
+    for M in _random_matrices(rng, p):
+        R, pivots = _rref_mod(M, p)
+        R0, pivots0 = _scalar_rref(M.copy(), p)
+        assert pivots == pivots0 and np.array_equal(R, R0)
+        ker = _nullspace_mod(M, p)
+        ker0 = _scalar_nullspace(M, p)
+        assert len(ker) == len(ker0) == M.shape[1] - len(pivots)
+        assert all(np.array_equal(v, v0) for v, v0 in zip(ker, ker0))
+        assert not (M.astype(object) @ ker.T.astype(object) % p).any()
+
+
+@pytest.mark.parametrize("p", [2, 7, 1093, 65537])
+def test_poly_roots_match_the_scalar_scan(p):
+    rng = np.random.default_rng(p)
+    for d in (1, 2, 3, 5):
+        for _ in range(4):
+            # a random monic polynomial, and one that splits with a repeat
+            coeffs = [1] + rng.integers(0, p, d).tolist()
+            assert _poly_roots_mod(coeffs, p) == _scalar_roots(coeffs, p)
+            roots = rng.integers(0, p, d).tolist()
+            roots[-1] = roots[0]
+            split = [1]
+            for r in roots:
+                split = [(a - r * b) % p for a, b in zip(split + [0], [0] + split)]
+            assert _poly_roots_mod(split, p) == _scalar_roots(split, p) == sorted(set(roots))
+
+
+def test_poly_roots_span_blocks_and_stop_at_the_last_root():
+    p = 1000003
+    roots = [5, _ROOT_BLOCK - 1, _ROOT_BLOCK, 3 * _ROOT_BLOCK + 7]
+    coeffs = [1]
+    for r in roots:
+        coeffs = [(a - r * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
+    assert _poly_roots_mod(coeffs, p) == roots
+    assert _poly_roots_mod([1, 0, 1], 3) == []  # x^2 + 1 has no root mod 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 53])
+def test_inverse_dft_lift_matches_the_scalar_transform(n):
+    rng = np.random.default_rng(n)
+    for bound in (2, 2**16, 2**28):
+        p = _prime_above(max(bound, n), n)
+        _check_int64(n, p)
+        z = _root_of_unity(p, n)
+        block = rng.integers(0, p, (5, n), dtype=np.int64)
+        got = block @ _inverse_dft(n, z, p) % p
+        assert got.tolist() == _scalar_lift(block.tolist(), z, p)
+
+
+def test_int64_guard():
+    _check_int64(15, 2641)
+    _check_int64(1, 3037000500)  # 3037000499^2 < 2^63
+    with pytest.raises(BudgetExceeded, match="overflow 64-bit"):
+        _check_int64(1, 3037000501)
+    with pytest.raises(BudgetExceeded, match="overflow 64-bit"):
+        _check_int64(10**6, 22_000_001)
+
+
+def _row_set(table):
+    return {tuple(v.sort_key() for v in row) for row in table.irreducibles}
+
+
+def _exponents(g, n):
+    """The exponent b < n of each element g^b of <g>, by image tuple."""
+    return {_perm_power(g, b): b for b in range(n)}
+
+
+def test_cyclic_table_has_the_closed_form():
+    """chi_a(g^b) = zeta^(ab) on C_106, a 53-cycle times a disjoint
+    transposition: 106 classes, each of one element."""
+    g = tuple(list(range(1, 53)) + [0] + [54, 53])
+    G = PermGroup(55, [g])
+    t = character_table(G)
+    assert (t.group_order, t.k, t.exponent) == (106, 106, 106)
+    b = _exponents(g, 106)
+    bs = [b[c.representative] for c in t.classes]
+    expect = {tuple(Cyclotomic.zeta(106, a * bi).sort_key() for bi in bs)
+              for a in range(106)}
+    assert _row_set(t) == expect
+
+
+def test_product_of_cyclic_groups_has_the_closed_form():
+    """chi_(a,c)(g^x h^y) = zeta_m^(a x m/n1 + c y m/n2) on C_12 x C_10."""
+    n1, n2 = 12, 10
+    G = product_group(cyclic(n1), cyclic(n2))
+    t = character_table(G)
+    m = t.exponent
+    assert (t.k, m) == (n1 * n2, 60)
+    g, h = G.generators
+    xs, ys = _exponents(g, n1), _exponents(h, n2)
+    coords = []
+    for c in t.classes:
+        rep = c.representative
+        coords.append((xs[rep[:n1] + tuple(range(n1, n1 + n2))],
+                       ys[tuple(range(n1)) + rep[n1:]]))
+    expect = {
+        tuple(Cyclotomic.zeta(m, a * x * (m // n1) + c * y * (m // n2)).sort_key()
+              for x, y in coords)
+        for a in range(n1) for c in range(n2)
+    }
+    assert _row_set(t) == expect
 
 
 def _assert_columns_orthogonal(table):

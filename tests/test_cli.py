@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import indres
 from conftest import shared_group
-from indres import cli
+from indres import chartab, cli
 from indres.catalog import build
 from indres.cli import main
 from indres.groupcore import MILLER_RABIN_BOUND
@@ -45,6 +45,14 @@ def test_table_command(runner):
 def test_table_budget_zero_is_a_budget(runner):
     r = runner.invoke(main, ["table", "S4", "--budget-order", "0"])
     assert (r.exit_code, r.stderr) == (2, "error: order 24 exceeds class budget 0\n")
+
+
+def test_table_int64_guard_is_one_line_exit_2(runner, monkeypatch):
+    """A Dixon prime too large for int64 sums is refused up front."""
+    monkeypatch.setattr(chartab, "_dixon_prime", lambda order, m, k: 3037000501)
+    r = runner.invoke(main, ["table", "S4"])
+    _assert_one_line_error(r)
+    assert "overflow 64-bit integers" in r.stderr
 
 
 def test_table_unknown_group(runner):

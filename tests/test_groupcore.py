@@ -121,6 +121,35 @@ def test_chain_order_matches_brute_closure(gens):
     assert all(x in G for x in closure)
 
 
+def test_mul_composes_at_every_degree():
+    """b first, then a, as image tuples, down to degrees 0 and 1."""
+    for n in range(5):
+        for a in [tuple(range(n)), tuple(reversed(range(n)))]:
+            for b in [tuple(range(n)), tuple(range(1, n)) + tuple(range(min(n, 1)))]:
+                got = _mul(a, b)
+                assert type(got) is tuple and got == tuple(a[x] for x in b)
+
+
+@pytest.mark.parametrize("name", ["S4", "M11", "SL2_3", "C2xA4"])
+def test_chain_inverses_match_their_transversals(name, monkeypatch):
+    """Every cached inverse that the Schreier-Sims closure can read is the
+    inverse of its level's current transversal element, so no entry
+    outlives a rebuilt transversal; the cache is dropped with the build."""
+    strip = groupcore._strip
+
+    def checked(levels, g):
+        for lvl in levels:
+            for pt, u in lvl.inverses.items():
+                assert u == _inv(lvl.transversal[pt]), (lvl.base, pt)
+        return strip(levels, g)
+
+    monkeypatch.setattr(groupcore, "_strip", checked)
+    G = build(name)
+    levels = G._chain()
+    assert all(not lvl.inverses for lvl in levels)
+    assert all(tuple(g) in G for g in G.elements()[::97])
+
+
 def test_membership_and_element_listing():
     S4 = build("S4")
     assert perm_from_cycles([(1, 2, 3, 4)], 4) in S4
