@@ -1,209 +1,63 @@
-"""p-block partition via central characters in a deterministic residue field.
+"""p-blocks through central characters reduced in Z[zeta_m']/p.
 
-The cyclotomic integers Z[zeta_m] are reduced modulo a maximal ideal over p:
-the residue field is F_p[x]/(f) with f the lexicographically least monic
-irreducible of degree d (d the order of p modulo the p'-part m' of m), and
-zeta_{m'} is sent to the least field element of multiplicative order m'.
-Everything downstream of the reduction (the block partition, defects, defect
-groups, Brauer correspondents) is ideal-independent; an alternative
-root-of-unity image is available precisely so tests can demonstrate that.
+`ModularReduction(p, m)` maps Z[zeta_m] onto R = F_p[x]/(Phi_m'(x)), m' the
+p'-part of m: zeta of p-power order goes to 1 and zeta_m^e to
+x^(e*kappa mod m'), kappa = (m/m')^-1 mod m', and an image is its d = phi(m')
+power-basis coefficients mod p.  Characters whose central characters have
+equal images share a block.  No residue field, and no prime above p, is
+chosen, and none is needed:
+
+- The kernel.  As p does not divide m', Phi_m' is squarefree mod p, so R is
+  the product of the residue fields F_p[x]/(f) at all primes above p, and
+  the kernel is their intersection: two images are equal exactly when they
+  agree at every prime.
+- (1) The partition does not depend on the prime (Osima's theorem; Navarro,
+  *Characters and Blocks of Finite Groups*, 1998, ch. 3), so agreeing at
+  every prime is agreeing at one.
+- (2) The correspondent.  For theta in a block e of H >= N_G(P) and a block
+  b of G, lambda_e^G(e_b) reduces the rational number
+  |H| sum_{chi in b} chi(1) <Res_H chi, theta> / (|G| theta(1)), whose
+  residue is the same at every prime.  lambda_e^G is a central character at
+  every prime (Brauer, as H >= N_G(P)), so e^G, the b where it is 1, is the
+  same block at every prime, and its image in R is lambda_e^G's.
+- (3) The defect class.  At each prime, the classes where a block's central
+  character is nonzero have centralizers of p-part at least p^defect, and a
+  defect class meets that bound (min-max).  So a class nonzero in R, hence
+  at some prime, with the least p-part of its centralizer is a defect class
+  there.  The defect group depends only on the block's idempotent.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
-from .chartab import IntegrityError
+from .chartab import Cyclotomic, IntegrityError, _phi_reduction
 from .classfun import class_fusion, trivial_index
 from .groupcore import (_first_hit, _memo, _transporter_mask, centralizer,
-                        multiplicative_order, p_prime_part, prime_factors,
-                        sylow_subgroup, v_p)
-
-
-# -- finite fields -----------------------------------------------------------
-
-class FpField:
-    """F_{p^d} for any prime p; elements are d-digit tuples, low degree first."""
-
-    def __init__(self, p, d, fdigits):
-        self.p = p
-        self.d = d
-        self.fdigits = fdigits  # f = x^d + sum fdigits[i] x^i
-        self.one = (1,) + (0,) * (d - 1)
-        # x^e mod f for d <= e <= 2d - 2
-        xpow = []
-        cur = tuple((-c) % p for c in fdigits)  # x^d
-        xpow.append(cur)
-        for _ in range(d - 2):
-            shifted = (0,) + cur[:-1]
-            lead = cur[-1]
-            cur = tuple(
-                (s + lead * r) % p for s, r in zip(shifted, xpow[0])
-            )
-            xpow.append(cur)
-        self.xpow = xpow
-
-    def mul(self, a, b):
-        p, d = self.p, self.d
-        raw = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        raw[i + j] += x * y
-        out = [c % p for c in raw[:d]]
-        for e in range(d, 2 * d - 1):
-            c = raw[e] % p
-            if c:
-                row = self.xpow[e - d]
-                for i in range(d):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
-
-    def pow(self, a, k):
-        if k == 0:
-            return self.one
-        acc = a
-        for bit in bin(k)[3:]:
-            acc = self.mul(acc, acc)
-            if bit == "1":
-                acc = self.mul(acc, a)
-        return acc
-
-    def encode(self, a):
-        acc = 0
-        for digit in reversed(a):
-            acc = acc * self.p + digit
-        return acc
-
-    def decode(self, enc):
-        digits = []
-        for _ in range(self.d):
-            enc, r = divmod(enc, self.p)
-            digits.append(r)
-        return tuple(digits)
-
-
-def _coprime(a, b, p):
-    """Whether polynomials a, b over F_p (digit lists, low first) are coprime."""
-    a, b = list(a), list(b)
-    for c in (a, b):
-        while c and c[-1] == 0:
-            c.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bi) % p
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
-def _least_irreducible(p, d):
-    """Lexicographically least monic irreducible of degree d over F_p.
-
-    "Least" means the smallest base-p encoding of the non-leading
-    coefficients.  Returned as that digit list (low degree first).
-
-    A candidate f passes Rabin's test (SIAM J. Comput. 9, 1980): f is
-    irreducible exactly when x^(p^d) = x mod f and gcd(x^(p^(d/r)) - x, f)
-    = 1 for every prime r dividing d.  The powers are taken in
-    FpField(p, d, f), whose arithmetic mod f needs no irreducibility, one
-    p-th power at a time; a gcd that fails rejects f at once.
-    """
-    if d == 1:
-        return [0]
-    x = (0, 1) + (0,) * (d - 2)
-    checks = {d // r for r in prime_factors(d)}
-    for enc in range(p**d):
-        if enc % p == 0:  # x divides f
-            continue
-        digits, rest = [], enc
-        for _ in range(d):
-            rest, r = divmod(rest, p)
-            digits.append(r)
-        F = FpField(p, d, tuple(digits))
-        y = x
-        for i in range(1, d + 1):
-            y = F.pow(y, p)
-            if i in checks:
-                h = [(a - b) % p for a, b in zip(y, x)]
-                if not _coprime(digits + [1], h, p):
-                    break
-        else:
-            if y == x:
-                return digits
-    raise IntegrityError("no irreducible polynomial found")
+                        p_prime_part, sylow_subgroup, v_p)
 
 
 class ModularReduction:
-    """Ring homomorphism Z[zeta_m] -> F_{p^d} with zeta of p-power order -> 1.
+    """Ring homomorphism Z[zeta_m] -> F_p[x]/(Phi_m'(x)), zeta of p-power order -> 1."""
 
-    `alternative` selects the i-th smallest element of multiplicative order
-    m' as the image of zeta_{m'} (0 = the canonical least); any choice gives
-    the same block partition, which tests exploit.
-    """
-
-    def __init__(self, p, m, alternative=0):
+    def __init__(self, p, m):
         self.p = p
         self.m = m
         self.m_prime = m_prime = p_prime_part(m, p)
-        self.d = multiplicative_order(p, m_prime)
-        F = self.field = FpField(p, self.d, tuple(_least_irreducible(p, self.d)))
-        # g^0, ..., g^(m'-1) with g of order m'; the elements of order m'
-        # are the g^k with k a unit mod m', whichever g of order m' it is
-        g_powers = [F.one]
-        if m_prime > 1:
-            g = self._root_of_unity()
-            for _ in range(m_prime - 1):
-                g_powers.append(F.mul(g_powers[-1], g))
-        units = sorted(
-            (k for k in range(m_prime) if gcd(k, m_prime) == 1),
-            key=lambda k: F.encode(g_powers[k]),
-        )
-        if alternative >= len(units):
-            raise ValueError(
-                f"there are only {len(units)} elements of order {m_prime}"
-            )
-        # rho^j for j in [0, m'), rho the chosen image of zeta_{m'}
-        k = units[alternative]
-        self.rho_powers = [g_powers[k * j % m_prime] for j in range(m_prime)]
-        # exponent map: zeta_m^e -> rho^{e * kappa mod m'}
-        kappa = pow(m // m_prime, -1, m_prime) if m_prime > 1 else 0
+        self.d = _phi_reduction(m_prime)[0]
+        # exponent map: zeta_m^e -> x^(e * kappa mod m')
+        kappa = pow(m // m_prime, -1, m_prime)
         self.exp_map = [(e * kappa) % m_prime for e in range(m)]
-
-    def _root_of_unity(self):
-        """An element of order m' in F^x, found from the factors of m' alone.
-
-        F^x is cyclic of order p^d - 1, a multiple of m', so the
-        (p^d - 1)/m'-th power of an element has order dividing m'; the
-        first one of order exactly m' is taken, and p^d - 1 is never
-        factored.
-        """
-        F, m_prime = self.field, self.m_prime
-        cofactor = (self.p**self.d - 1) // m_prime
-        qs = prime_factors(m_prime)
-        # encodings 0 and 1 are the elements 0 and 1
-        for enc in range(2, self.p**self.d):
-            w = F.pow(F.decode(enc), cofactor)
-            if all(F.pow(w, m_prime // q) != F.one for q in qs):
-                return w
-        raise IntegrityError(f"no element of order {m_prime} found")
 
     def reduce(self, value):
         """Image of a cyclotomic integer; modulus must divide m."""
         if self.m % value.modulus:
             raise ValueError("value modulus does not divide the reduction modulus")
         scale = self.m // value.modulus
-        acc = [0] * self.d
+        raw = {}
         for e, c in value.terms.items():
-            term = self.rho_powers[self.exp_map[(e * scale) % self.m]]
-            for i, digit in enumerate(term):
-                acc[i] += c * digit
-        return tuple(a % self.p for a in acc)
+            f = self.exp_map[(e * scale) % self.m]
+            raw[f] = raw.get(f, 0) + c
+        terms = Cyclotomic(self.m_prime, raw).terms
+        return tuple(terms.get(i, 0) % self.p for i in range(self.d))
 
 
 # -- blocks -------------------------------------------------------------------
@@ -241,21 +95,20 @@ def omega_values(table, chi_index):
 
 
 @_memo
-def _table_reduction(table, p, alternative):
+def _table_reduction(table, p):
     """The reduction of the table's values at p, built once per table.
 
     p must divide the group order: p-blocks of a p'-group are single
-    characters, and finding a primitive element of the residue field would
-    scan up to p constants.
+    characters, and a p the group does not see is refused, not answered.
     """
     if table.group_order % p:
         raise ValueError(f"p = {p} does not divide the group order {table.group_order}")
-    return ModularReduction(p, table.exponent, alternative)
+    return ModularReduction(p, table.exponent)
 
 
-def block_partition(table, p, alternative=0):
+def block_partition(table, p):
     """All p-blocks of the table, ordered by least character index."""
-    red = _table_reduction(table, p, alternative)
+    red = _table_reduction(table, p)
     signature = {}
     for i in range(table.k):
         sig = tuple(red.reduce(v) for v in omega_values(table, i))
@@ -314,7 +167,7 @@ def brauer_correspondent(tH, e, tG, blocksG, reduction):
     The Brauer map sends a G-class sum to the sum of the H-class sums it
     contains; composing with e's central character must reproduce the
     central character of exactly one block of G.  All values are computed
-    in the big group's reduction so both sides live in one field.
+    in the big group's reduction so both sides live in one ring.
     """
     theta = e.char_indices[0]
     lam_e = [reduction.reduce(v) for v in omega_values(tH, theta)]

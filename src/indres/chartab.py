@@ -356,9 +356,9 @@ def _prime_above(bound, m):
 
 
 def _root_of_unity(l, m):
-    """An element of order exactly m in F_l^x, for m dividing l - 1."""
+    """An element of order exactly m in F_l^x, for m dividing l - 1 (1 if m = 1)."""
     qs = prime_factors(m)
-    for g in count(2):
+    for g in count(1):
         w = pow(g, (l - 1) // m, l)
         if all(pow(w, m // q, l) != 1 for q in qs):
             return w

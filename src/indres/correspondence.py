@@ -200,7 +200,7 @@ def blocks_with_defect_group_P(inst, side):
 @_memo
 def correspondent_of(inst, b):
     """The H-block e with defect group P and e^G = b, or None."""
-    red = _table_reduction(inst.tG, inst.p, 0)
+    red = _table_reduction(inst.tG, inst.p)
     for e in blocks_with_defect_group_P(inst, "H"):
         eG = brauer_correspondent(inst.tH, e, inst.tG, blocks_of(inst, "G"), red)
         if eG is not None and eG.char_indices == b.char_indices:

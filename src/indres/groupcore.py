@@ -197,17 +197,6 @@ def is_prime(n):
     return True
 
 
-def multiplicative_order(a, n):
-    """The order of a in (Z/n)^x, from the factors of phi(n); a must be a unit."""
-    order = n
-    for q in prime_factors(n):
-        order = order // q * (q - 1)
-    for q in prime_factors(order):
-        while order % q == 0 and pow(a, order // q, n) == 1:
-            order //= q
-    return order
-
-
 def least_primitive_root(q, e):
     """The least generator of (Z/q^e)^x, q an odd prime.
 

@@ -3,13 +3,18 @@
 Everything here recomputes data by the most literal method available:
 subgroup enumeration by join closure, the induced lattice by testing every
 subgroup against the defining condition, conjugacy classes by elementwise
-orbit search, and an independent character table obtained by decomposing
-directly-induced characters with exact lattice reduction.  These are
+orbit search, an independent character table obtained by decomposing
+directly-induced characters with exact lattice reduction, and the p-blocks
+by testing every set of rows for a p-local central idempotent.  These are
 deliberately slow and apply only to small groups.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import and_
+
+import numpy as np
 
 from .chartab import Cyclotomic, character_table, inner_product
 from .groupcore import BudgetExceeded, IntegrityError, _conj, _inv, _mul, v_p
@@ -585,3 +590,33 @@ def compare_with_table(group, table, budget_order=200):
         reordered = [table.irreducibles[i][j].rebase(m) for j in perm]
         theirs.add(tuple(v.sort_key() for v in reordered))
     return mine == theirs
+
+
+# -- blocks from central idempotents --------------------------------------------
+
+def brute_block_partition(table, p, budget_classes=12):
+    """The p-blocks as row-index tuples, ordered by least index.
+
+    A set S of rows is a union of blocks exactly when its central idempotent,
+    with coefficient (1/|G|) sum_{chi in S} chi(1) conj chi(g_C) on the class
+    C, is p-local: as the power basis is an integral basis of Z[zeta_m], when
+    every power-basis coordinate of the sum is divisible by p^v_p(|G|).  The
+    block of chi is the intersection of the p-local sets that contain it; all
+    2^k sets are tested, and no central character or residue field is used.
+    """
+    k, q = table.k, p ** v_p(table.group_order, p)
+    if k > budget_classes or k * q >= 1 << 63:  # int64 subset sums stay below k*q
+        raise BudgetExceeded(f"{k} classes with p-part {q} exceed the block oracle "
+                             f"budget of {budget_classes} classes and int64 sums")
+    subsets = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    local = np.ones(1 << k, dtype=bool)
+    for j in range(k):
+        cols = [(table.irreducibles[i][j].conjugate() * table.degrees[i]).terms
+                for i in range(k)]
+        exps = sorted(set().union(*cols))
+        V = np.array([[c.get(e, 0) % q for e in exps] for c in cols],
+                     dtype=np.int64).reshape(k, len(exps))
+        local &= ~(subsets @ V % q).any(axis=1)
+    sets = np.flatnonzero(local).tolist()  # holds the set of all rows
+    blocks = {reduce(and_, (s for s in sets if s >> i & 1)) for i in range(k)}
+    return sorted(tuple(i for i in range(k) if b >> i & 1) for b in blocks)

@@ -35,6 +35,7 @@ from indres.correspondence import (
 )
 from indres.groupcore import prime_factors
 from indres.oracles import definition_lattice
+from test_blocks import partitions_at_each_prime
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -252,11 +253,7 @@ def test_criterion_6_theorem_checks():
         t = table_for(shared_group(name))
         for p in prime_factors(t.group_order):
             base = {frozenset(b.char_indices) for b in block_partition(t, p)}
-            alt = {
-                frozenset(b.char_indices)
-                for b in block_partition(t, p, alternative=1)
-            }
-            if alt != base:
+            if any(part != base for part in partitions_at_each_prime(t, p)):
                 invariance = False
     parts = {
         "completeness": all(completeness.values()),
@@ -267,7 +264,7 @@ def test_criterion_6_theorem_checks():
     ok = all(parts.values())
     detail = (
         f"completeness x{len(completeness)}, selftests x{len(selftests)}, "
-        f"congruences x{len(_MATCHINGS)}, ideal invariance x3"
+        f"congruences x{len(_MATCHINGS)}, blocks at every prime above p x3"
     )
     if not ok:
         detail += f", failed: {[k for k, v in parts.items() if not v]}"

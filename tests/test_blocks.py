@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,20 +15,26 @@ from indres.blocks import (
     Block,
     ModularReduction,
     block_partition,
+    brauer_correspondent,
     defect_group,
-    _least_irreducible,
     omega_values,
     some_defect_group_inside,
 )
-from indres.correspondence import correspondent_of, make_instance, table_for
-from indres.groupcore import (_transporter_mask, group_from_generators,
+from indres.classfun import class_fusion
+from indres.correspondence import (blocks_with_defect_group_P, correspondent_of,
+                                   make_instance, table_for)
+from indres.groupcore import (BudgetExceeded, _transporter_mask,
+                              group_from_generators, p_prime_part,
                               prime_factors, sylow_subgroup, v_p)
+from indres.oracles import brute_block_partition
+
+from conftest import shared_group
 
 
-def degrees_by_block(table, p, **kw):
+def degrees_by_block(table, p):
     return sorted(
         (b.defect, sorted(table.degrees[i] for i in b.char_indices))
-        for b in block_partition(table, p, **kw)
+        for b in block_partition(table, p)
     )
 
 
@@ -161,24 +166,131 @@ def test_omega_values_are_algebraic_integers():
         assert vals[0].as_int() == 1
 
 
-@pytest.mark.parametrize(
-    "name,p,alternatives",
-    [("S4", 2, (1,)), ("A5", 2, (1, 2)), ("SL2_3", 3, (1,))],
-)
-def test_partition_invariant_under_reduction_choice(name, p, alternatives):
-    """Different splitting-field embeddings give the same block partition.
+def residue_maps(m, p):
+    """Z[zeta_m] -> F_p[x]/(f), one map for each prime above p.
 
-    How many embeddings exist depends on the p-regular exponent, so each
-    case lists the nonzero alternatives it actually has.
+    Independent of `ModularReduction`: sympy factors Phi_m' mod p into the
+    f, and zeta_m goes to x^kappa, kappa the inverse of m/m' mod m'.
     """
-    t = character_table(build(name))
+    import sympy
+
+    x = sympy.symbols("x")
+    m_prime = p_prime_part(m, p)
+    kappa = pow(m // m_prime, -1, m_prime)
+    phi = sympy.Poly(sympy.cyclotomic_poly(m_prime, x), x, modulus=p)
+    maps = []
+    for f, _ in phi.factor_list()[1]:
+        f = [int(c) % p for c in reversed(f.all_coeffs())]  # monic, constant first
+        # x^e mod f for e < m', constant first: x * g = shifted g - lead * f
+        images = [[1] + [0] * (len(f) - 2)]
+        for _ in range(m_prime - 1):
+            g = images[-1]
+            images.append([(a - g[-1] * b) % p for a, b in zip([0] + g[:-1], f)])
+
+        def image(v, images=images):
+            acc = [0] * len(images[0])
+            for e, c in v.terms.items():
+                img = images[e * (m // v.modulus) * kappa % m_prime]
+                acc = [a + c * b for a, b in zip(acc, img)]
+            return tuple(a % p for a in acc)
+
+        maps.append(image)
+    return maps
+
+
+def partitions_at_each_prime(table, p):
+    """The block partition at each prime above p, one residue field apiece."""
+    omegas = [omega_values(table, i) for i in range(table.k)]
+    out = []
+    for image in residue_maps(table.exponent, p):
+        signature = {}
+        for i, om in enumerate(omegas):
+            signature.setdefault(tuple(map(image, om)), []).append(i)
+        out.append({frozenset(c) for c in signature.values()})
+    return out
+
+
+# Every prime of each group; 14 of the 20 (group, p) have two or more
+# primes above p.
+BLOCK_CASES = [
+    (name, p)
+    for name, primes in [("S4", (2, 3)), ("A5", (2, 3, 5)), ("S5", (2, 3, 5)),
+                         ("SL2_3", (2, 3)), ("SL2_7", (2, 3, 7)),
+                         ("A6", (2, 3, 5)), ("M11", (2, 3, 5, 11))]
+    for p in primes
+]
+
+
+def block_case_group(name):
+    return special_linear2(7) if name == "SL2_7" else shared_group(name)
+
+
+def test_block_cases_cover_every_prime_and_several_primes_above_p():
+    several = 0
+    for name in dict(BLOCK_CASES):
+        t = table_for(block_case_group(name))
+        assert [p for n, p in BLOCK_CASES if n == name] == prime_factors(t.group_order)
+        several += sum(len(partitions_at_each_prime(t, p)) > 1
+                       for n, p in BLOCK_CASES if n == name)
+    assert several == 14
+
+
+@pytest.mark.parametrize("name,p", BLOCK_CASES)
+def test_partition_is_the_one_at_every_prime_above_p(name, p):
+    t = table_for(block_case_group(name))
     base = {frozenset(b.char_indices) for b in block_partition(t, p)}
-    for alternative in alternatives:
-        other = {
-            frozenset(b.char_indices)
-            for b in block_partition(t, p, alternative=alternative)
-        }
-        assert other == base
+    per_prime = partitions_at_each_prime(t, p)
+    assert per_prime and all(part == base for part in per_prime)
+
+
+@pytest.mark.parametrize("name,p", BLOCK_CASES)
+def test_defect_is_met_by_a_nonzero_class_at_every_prime_above_p(name, p):
+    """At each prime, the least p-part of a centralizer over the classes
+    where a block's central character is nonzero is p^defect (min-max)."""
+    t = table_for(block_case_group(name))
+    for image in residue_maps(t.exponent, p):
+        for b in block_partition(t, p):
+            omega = omega_values(t, b.char_indices[0])
+            assert b.defect == min(
+                v_p(c.centralizer_order, p)
+                for c, v in zip(t.classes, omega) if any(image(v)))
+
+
+@pytest.mark.parametrize("name,p", [("S5", 2), ("A6", 2), ("A6", 3), ("SL2_7", 2),
+                                    ("SL2_7", 3), ("M11", 2), ("M11", 3)])
+def test_correspondents_are_the_ones_at_every_prime_above_p(name, p):
+    """Brauer's e^G, found at each prime apart, is the library's."""
+    inst = make_instance(block_case_group(name), p, name=name)
+    tG, tH = inst.tG, inst.tH
+    blocksG = block_partition(tG, p)
+    fused = class_fusion(tG, tH)
+    red = ModularReduction(p, tG.exponent)
+    for e in blocks_with_defect_group_P(inst, "H"):
+        lam = omega_values(tH, e.char_indices[0])
+        at_each = set()
+        for image in residue_maps(tG.exponent, p):
+            induced = [[0] * len(image(lam[0])) for _ in range(tG.k)]
+            for j, v in enumerate(lam):
+                induced[fused[j]] = [a + c for a, c in zip(induced[fused[j]], image(v))]
+            induced = [tuple(a % p for a in acc) for acc in induced]
+            at_each.add(tuple(
+                b.char_indices for b in blocksG
+                if list(map(image, omega_values(tG, b.char_indices[0]))) == induced))
+        eG = brauer_correspondent(tH, e, tG, blocksG, red)
+        assert at_each == {(eG.char_indices,) if eG else ()}
+
+
+@pytest.mark.parametrize("name,p", BLOCK_CASES)
+def test_partition_matches_the_block_oracle(name, p):
+    t = table_for(block_case_group(name))
+    assert ([b.char_indices for b in block_partition(t, p)]
+            == brute_block_partition(t, p))
+
+
+def test_block_oracle_budget():
+    t = table_for(block_case_group("S4"))
+    with pytest.raises(BudgetExceeded, match="block oracle"):
+        brute_block_partition(t, 2, budget_classes=4)
 
 
 def test_brauer_correspondent_a5():
@@ -242,54 +354,40 @@ def test_one_reduction_per_table_and_prime(monkeypatch):
     for _ in range(3):
         block_partition(t, 2)
         block_partition(t, 3)
-    block_partition(t, 2, alternative=0)
-    assert built == [(2, t.exponent, 0), (3, t.exponent, 0)]
+    assert built == [(2, t.exponent), (3, t.exponent)]
 
 
-# Every block as (row indices, central character read through
-# FpField.encode).  The values depend on the ideal the reduction picks (the
-# least irreducible polynomial and the alternative-th least root image), so
-# they pin it.  At A5, p = 3 the two alternatives swap two defect-zero blocks.
+# Every block as (row indices, central character), each image in
+# F_p[x]/(Phi_m') read as the base-p number of its coefficients, constant
+# term lowest.
 CENTRAL_CHARACTERS = {
-    ("S5", 2, 0): [((0, 1, 4, 5, 6), (1, 0, 1, 0, 0, 0, 0)),
-                   ((2, 3), (1, 1, 0, 1, 0, 0, 1))],
-    ("S5", 2, 1): [((0, 1, 4, 5, 6), (1, 0, 1, 0, 0, 0, 0)),
-                   ((2, 3), (1, 1, 0, 1, 0, 0, 1))],
-    ("S5", 3, 0): [((0, 3, 5), (1, 2, 0, 2, 0, 0, 1)),
-                   ((1, 2, 4), (1, 1, 0, 2, 0, 0, 2)),
-                   ((6,), (1, 0, 1, 0, 0, 1, 0))],
-    ("S5", 3, 1): [((0, 3, 5), (1, 2, 0, 2, 0, 0, 1)),
-                   ((1, 2, 4), (1, 1, 0, 2, 0, 0, 2)),
-                   ((6,), (1, 0, 1, 0, 0, 1, 0))],
-    ("SL2_3", 2, 0): [((0, 1, 2, 3, 4, 5, 6), (1, 1, 0, 0, 0, 0, 0))],
-    ("SL2_3", 2, 1): [((0, 1, 2, 3, 4, 5, 6), (1, 1, 0, 0, 0, 0, 0))],
-    ("SL2_3", 3, 0): [((0, 1, 2), (1, 1, 1, 1, 0, 1, 1)),
-                      ((3, 4, 5), (1, 2, 1, 1, 0, 2, 2)),
-                      ((6,), (1, 1, 0, 0, 1, 0, 0))],
-    ("SL2_3", 3, 1): [((0, 1, 2), (1, 1, 1, 1, 0, 1, 1)),
-                      ((3, 4, 5), (1, 2, 1, 1, 0, 2, 2)),
-                      ((6,), (1, 1, 0, 0, 1, 0, 0))],
-    ("A5", 3, 0): [((0, 3, 4), (1, 0, 2, 0, 0)),
-                   ((1,), (1, 1, 0, 77, 44)),
-                   ((2,), (1, 1, 0, 44, 77))],
-    ("A5", 3, 1): [((0, 3, 4), (1, 0, 2, 0, 0)),
-                   ((1,), (1, 1, 0, 44, 77)),
-                   ((2,), (1, 1, 0, 77, 44))],
+    ("S5", 2): [((0, 1, 4, 5, 6), (1, 0, 1, 0, 0, 0, 0)),
+                ((2, 3), (1, 1, 0, 1, 0, 0, 1))],
+    ("S5", 3): [((0, 3, 5), (1, 2, 0, 2, 0, 0, 1)),
+                ((1, 2, 4), (1, 1, 0, 2, 0, 0, 2)),
+                ((6,), (1, 0, 1, 0, 0, 1, 0))],
+    ("SL2_3", 2): [((0, 1, 2, 3, 4, 5, 6), (1, 1, 0, 0, 0, 0, 0))],
+    ("SL2_3", 3): [((0, 1, 2), (1, 1, 1, 1, 0, 1, 1)),
+                   ((3, 4, 5), (1, 2, 1, 1, 0, 2, 2)),
+                   ((6,), (1, 1, 0, 0, 1, 0, 0))],
+    ("A5", 3): [((0, 3, 4), (1, 0, 2, 0, 0)),
+                ((1,), (1, 1, 0, 45, 64)),
+                ((2,), (1, 1, 0, 64, 45))],
 }
 
 
-@pytest.mark.parametrize("name,p,alternative", list(CENTRAL_CHARACTERS))
-def test_central_characters_frozen(name, p, alternative):
+@pytest.mark.parametrize("name,p", list(CENTRAL_CHARACTERS))
+def test_central_characters_frozen(name, p):
     t = character_table(build(name))
-    F = ModularReduction(p, t.exponent, alternative).field
     got = [
-        (b.char_indices, tuple(F.encode(x) for x in b.central_character))
-        for b in block_partition(t, p, alternative=alternative)
+        (b.char_indices,
+         tuple(sum(c * p**i for i, c in enumerate(x)) for x in b.central_character))
+        for b in block_partition(t, p)
     ]
-    assert got == CENTRAL_CHARACTERS[name, p, alternative]
+    assert got == CENTRAL_CHARACTERS[name, p]
 
 
-# (p, m) with m' > 1 and fields of degree 1 to 4
+# (p, m) with m' > 1; Phi_m' mod p is irreducible or has 2 factors
 REDUCTIONS = {
     (p, m): ModularReduction(p, m)
     for p, m in [(2, 20), (2, 12), (3, 24), (3, 20), (5, 12), (5, 60)]
@@ -313,64 +411,24 @@ def reduction_and_values(draw):
 @given(reduction_and_values())
 @settings(max_examples=150, deadline=None)
 def test_reduce_is_a_ring_homomorphism(case):
-    red, (a, b) = case
-    F = red.field
-    assert red.reduce(a * b) == F.mul(red.reduce(a), red.reduce(b))
-    assert red.reduce(a + b) == tuple(
-        (x + y) % red.p for x, y in zip(red.reduce(a), red.reduce(b)))
-    assert red.reduce(Cyclotomic.from_int(red.m, 1)) == F.one
-
-
-@pytest.mark.parametrize("p,m,q", [(2, 20, 16), (3, 24, 9)])
-def test_root_image_is_the_ith_least_element_of_order_m_prime(p, m, q):
-    red = ModularReduction(p, m)
-    F = red.field
-    assert p**F.d == q
-
-    def order(x):
-        n, y = 1, x
-        while y != F.one:
-            y, n = F.mul(y, x), n + 1
-        return n
-
-    m_prime = red.m_prime
-    of_order = [enc for enc in range(1, q) if order(F.decode(enc)) == m_prime]
-    assert len(of_order) == sum(gcd(k, m_prime) == 1 for k in range(m_prime))
-    for i, enc in enumerate(of_order):
-        assert F.encode(ModularReduction(p, m, i).rho_powers[1]) == enc
-    with pytest.raises(ValueError):
-        ModularReduction(p, m, len(of_order))
-
-
-@pytest.mark.parametrize("p,top", [(2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3)])
-def test_least_irreducible_matches_sympy(p, top):
-    # sympy is an independent reference, used by the tests only
+    """Products agree with multiplication in F_p[x]/(Phi_m'), done by sympy."""
     import sympy
 
+    red, (a, b) = case
+    p, d = red.p, red.d
     x = sympy.symbols("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(red.m_prime, x), x, modulus=p)
+    assert phi.degree() == d
 
-    def irreducible(digits):
-        return sympy.Poly([1] + digits[::-1], x, modulus=p).is_irreducible
+    def poly(image):
+        return sympy.Poly(list(reversed(image)), x, modulus=p)
 
-    for d in range(1, top + 1):
-        got = _least_irreducible(p, d)
-        assert len(got) == d and irreducible(got), (p, d)
-        # every smaller encoding of the non-leading coefficients is reducible
-        enc = sum(c * p**i for i, c in enumerate(got))
-        assert not any(irreducible([e // p**i % p for i in range(d)]) for e in range(enc))
-
-
-def test_reduction_factors_only_m_prime(monkeypatch):
-    # the root of unity comes from the factors of m' = 101, never from
-    # those of 2^100 - 1
-    seen = []
-
-    def recording(n):
-        seen.append(n)
-        return prime_factors(n)
-
-    monkeypatch.setattr(blocks, "prime_factors", recording)
-    red = ModularReduction(2, 101)
-    assert red.d == 100 and max(seen) == 101
-    rho = red.rho_powers[1]
-    assert rho != red.field.one and red.field.pow(rho, 101) == red.field.one
+    product = (poly(red.reduce(a)) * poly(red.reduce(b))).rem(phi)
+    coeffs = [int(c) % p for c in reversed(product.all_coeffs())]
+    assert red.reduce(a * b) == tuple(coeffs + [0] * (d - len(coeffs)))
+    assert red.reduce(a + b) == tuple(
+        (u + v) % p for u, v in zip(red.reduce(a), red.reduce(b)))
+    one = (1,) + (0,) * (d - 1)
+    assert red.reduce(Cyclotomic.from_int(red.m, 1)) == one
+    # a root of unity of p-power order maps to 1
+    assert red.reduce(Cyclotomic.zeta(red.m, red.m_prime)) == one

@@ -456,6 +456,14 @@ def test_inverse_dft_lift_matches_the_scalar_transform(n):
         assert got.tolist() == _scalar_lift(block.tolist(), z, p)
 
 
+@pytest.mark.parametrize("l,m", [(2, 1), (3, 1), (3, 2), (7, 3), (7, 6), (13, 4),
+                                 (13, 12), (61, 60), (2521, 2520)])
+def test_root_of_unity_has_order_exactly_m(l, m):
+    w = _root_of_unity(l, m)
+    assert pow(w, m, l) == 1
+    assert all(pow(w, e, l) != 1 for e in range(1, m))
+
+
 def test_int64_guard():
     _check_int64(15, 2641)
     _check_int64(1, 3037000500)  # 3037000499^2 < 2^63

@@ -1,7 +1,7 @@
 """Arithmetic on image tuples, stabilizer chains, and the intersection set."""
 
 import json
-from math import gcd, prod
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from indres.groupcore import (
     intersection_set_maxima,
     is_prime,
     least_primitive_root,
-    multiplicative_order,
     normalizer,
     p_prime_part,
     prime_factors,
@@ -273,18 +272,6 @@ def test_least_primitive_root_matches_sympy():
     for q in sympy.primerange(3, 1000):
         for e in (1, 2, 3):
             assert least_primitive_root(q, e) == sympy.primitive_root(q**e), (q, e)
-
-
-def test_multiplicative_order_matches_sympy():
-    import sympy
-
-    assert multiplicative_order(2, 1) == 1
-    for n in range(2, 300):
-        for a in range(n):
-            if gcd(a, n) == 1:
-                assert multiplicative_order(a, n) == sympy.n_order(a, n), (a, n)
-    for a, n in [(2, 1009), (2, 2019), (3, 2**20 + 7), (10, 10**9 + 7), (2, 3**12)]:
-        assert multiplicative_order(a, n) == sympy.n_order(a, n), (a, n)
 
 
 def test_intersection_set_maxima_s4():
