@@ -376,13 +376,18 @@ CENTRAL_CHARACTERS = {
 }
 
 
-@pytest.mark.parametrize("name,p", list(CENTRAL_CHARACTERS))
-def test_central_characters_frozen(name, p):
+@pytest.mark.parametrize("name,p,call", [(name, p, call)
+                                          for name, p in CENTRAL_CHARACTERS
+                                          for call in (0, 1)])
+def test_central_characters_frozen(name, p, call):
+    """Call 0 builds the reduction; call 1 reuses the one kept on the table."""
     t = character_table(build(name))
+    for _ in range(call + 1):
+        partition = block_partition(t, p)
     got = [
         (b.char_indices,
          tuple(sum(c * p**i for i, c in enumerate(x)) for x in b.central_character))
-        for b in block_partition(t, p)
+        for b in partition
     ]
     assert got == CENTRAL_CHARACTERS[name, p]
 
