@@ -142,9 +142,6 @@ def defect_group(table, block, p):
     that centralizer is a defect group, and its order is checked to be
     p^defect.  Memoized on the table by the block's value.
     """
-    G = table.group
-    if G is None:
-        raise ValueError("defect groups need the table's group attached")
     best = None
     for j, lam in enumerate(block.central_character):
         if not any(lam):
@@ -155,7 +152,7 @@ def defect_group(table, block, p):
     if best is None:
         raise IntegrityError("central character vanished everywhere")
     rep = table.classes[best[1]].representative
-    D = sylow_subgroup(centralizer(G, rep), p)
+    D = sylow_subgroup(centralizer(table.group, rep), p)
     if D.order() != p**block.defect:
         raise IntegrityError(f"defect group order {D.order()} != p^{block.defect}")
     return D

@@ -262,7 +262,9 @@ class CharTable:
     table.  `factors` is the pair of factor tables of a product table, None
     otherwise.  A product table (`classfun.product_table`) has
     `irreducibles = None` and no group: its values, dual map and class
-    lookup come from `factors`.
+    lookup come from `factors`.  Every other table that the library
+    returns lives on its group: `classes` are the group's
+    `conjugacy_classes`, in that order.
     """
 
     group_order: int
@@ -284,8 +286,6 @@ class CharTable:
             tA, tB = self.factors
             left, right = split_product_images(images, tA.group.degree)
             return tA.class_index_of(left) * tB.k + tB.class_index_of(right)
-        if self.group is None:
-            raise ValueError("table has no group attached; cannot fuse elements")
         return self.group.class_of(images)
 
     def class_sizes(self):
@@ -293,21 +293,10 @@ class CharTable:
 
     @_memo
     def row_index(self):
-        return {tuple(v.sort_key() for v in row): i for i, row in enumerate(self.irreducibles)}
+        return {_row_key(row): i for i, row in enumerate(self.irreducibles)}
 
     def find_row(self, values):
-        return self.row_index().get(tuple(v.sort_key() for v in values))
-
-    def inverse_class(self, i):
-        if self.group is not None and self.classes[i].representative is not None:
-            return self.group.power_classes()[i][-1]
-        # the inverse class is the unique column where every row conjugates
-        for j in range(self.k):
-            if self.classes[j].size != self.classes[i].size:
-                continue
-            if all(row[j] == row[i].conjugate() for row in self.irreducibles):
-                return j
-        raise IntegrityError("no inverse class found; table is inconsistent")
+        return self.row_index().get(_row_key(values))
 
     @_memo
     def dual_map(self):
@@ -315,16 +304,21 @@ class CharTable:
         if self.factors is not None:
             dualA, dualB = (f.dual_map() for f in self.factors)
             return [a * len(dualB) + b for a in dualA for b in dualB]
-        inv = [self.inverse_class(i) for i in range(self.k)]
+        inv = [pc[-1] for pc in self.group.power_classes()]
         out = []
         for row in self.irreducibles:
-            j = self.find_row([row[inv[i]] for i in range(self.k)])
+            j = self.find_row([row[i] for i in inv])
             if j is None:
                 raise IntegrityError("conjugate row missing from table")
             out.append(j)
         if any(out[out[i]] != i for i in range(self.k)):
             raise IntegrityError("row conjugation is not an involution")
         return out
+
+
+def _row_key(values):
+    """The canonical key of a row: its values' power-basis terms, in order."""
+    return tuple(v.sort_key() for v in values)
 
 
 def inner_product(table, avalues, bvalues):
@@ -620,7 +614,7 @@ def character_table(G, budget_order=None):
                 made[n, mr] = Cyclotomic(m, {(m // n) * j: x for j, x in enumerate(mr) if x})
             row.append(made[n, mr])
 
-    rows = sorted(zip(degrees, values), key=lambda r: (r[0], tuple(v.sort_key() for v in r[1])))
+    rows = sorted(zip(degrees, values), key=lambda r: (r[0], _row_key(r[1])))
     table = CharTable(
         group_order=order,
         exponent=m,
@@ -737,7 +731,14 @@ def save_table(table, path):
         json.dump(table_to_json(table), fh)
 
 
-def table_from_json(data, group=None):
+def table_from_json(data, group):
+    """The table that `data` stores, proved and re-indexed onto `group`.
+
+    The stored data is parsed and proved by `verify_table` in its own class
+    order; the result is then built once, on the group's classes, with the
+    columns permuted as `reconcile_classes` finds and the rows in the order
+    of every table, by (degree, canonical value key).
+    """
     try:
         order = json_int(data["order"], "table order", decimal_string=True)
         exponent = json_int(data["exponent"], "table exponent")
@@ -765,34 +766,40 @@ def table_from_json(data, group=None):
         raise IntegrityError("a power map names a class out of range")
     if not all(row and row[0].is_integer() for row in rows):
         raise IntegrityError("identity value of a loaded row is not an integer")
-    table = CharTable(
+    stored = CharTable(group_order=order, exponent=exponent, classes=classes,
+                       irreducibles=rows, degrees=[row[0].as_int() for row in rows])
+    verify_table(stored)
+    perm = reconcile_classes(stored, group)
+    # stored class i is group class perm[i]
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    rows = sorted(([row[i] for i in inv] for row in rows),
+                  key=lambda row: (row[0].as_int(), _row_key(row)))
+    return CharTable(
         group_order=order,
         exponent=exponent,
-        classes=classes,
+        classes=conjugacy_classes(group),
         irreducibles=rows,
         degrees=[row[0].as_int() for row in rows],
-        group=None,
+        group=group,
     )
-    verify_table(table)
-    if group is not None:
-        reconcile_classes(table, group)
-    return table
 
 
-def load_table(path, group=None):
+def load_table(path, group):
     with open(path) as fh:
-        return table_from_json(json.load(fh), group=group)
+        return table_from_json(json.load(fh), group)
 
 
 def reconcile_classes(table, group):
-    """Match loaded class data against the group's computed classes.
+    """The group class of each of a stored table's classes, as a list.
 
-    The match must be a bijection preserving order, size, and power maps; the
-    loaded table is re-indexed to the group's canonical class order.  When
-    several bijections are consistent (classes the stored data cannot tell
-    apart, as with the three order-4 classes of the quaternion group) the
-    lexicographically least one is taken, so loading is deterministic.
-    Raises IntegrityError when no consistent bijection exists.
+    The match must be a bijection preserving order, size, and power maps.
+    When several bijections are consistent (classes the stored data cannot
+    tell apart, as with the three order-4 classes of the quaternion group)
+    the lexicographically least one is taken, so loading is deterministic.
+    Raises IntegrityError when no consistent bijection exists.  The table
+    is read, not changed.
     """
     own = conjugacy_classes(group)
     if len(own) != table.k:
@@ -861,13 +868,4 @@ def reconcile_classes(table, group):
 
     if not search(0):
         raise IntegrityError("loaded class data does not reconcile with the group")
-    perm = assign
-    # re-index: loaded class i corresponds to group class perm[i]
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    table.classes = own
-    table.irreducibles = [[row[inv[j]] for j in range(table.k)] for row in table.irreducibles]
-    table.group = group
-    table._cache.clear()
-    return table
+    return assign

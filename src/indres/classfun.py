@@ -202,8 +202,6 @@ def class_fusion(big, small):
 def _fusion(small, big):
     fused = []
     for c in small.classes:
-        if c.representative is None:
-            raise ValueError("small table lacks class representatives")
         try:
             fused.append(big.class_index_of(c.representative))
         except KeyError:

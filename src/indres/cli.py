@@ -106,12 +106,14 @@ def build_instance(spec, G):
     G is the group that `spec.group` names, as `load_group` returns it.
     Returns (inst, block_pair): block_pair is None unless the p-subgroup
     was chosen as the defect group of a named block, in which case the
-    property checks run at that block.
+    property checks run at that block.  A group over the class budget is
+    refused here, before any subgroup search enumerates its elements.
     """
+    conjugacy_classes(G)
     name = spec.group if spec.group in BUILDERS else ""
     tG = None
     if spec.table_g:
-        tG = load_table(spec.table_g, group=G)
+        tG = load_table(spec.table_g, G)
     b = None
     P = None
     if spec.subgroup_mode == "sylow":
@@ -148,7 +150,7 @@ def build_instance(spec, G):
 
     tH = None
     if spec.table_h:
-        tH = load_table(spec.table_h, group=H)
+        tH = load_table(spec.table_h, H)
     inst = make_instance(G, spec.p, P=P, H=H, tG=tG, tH=tH, name=name)
     block_pair = None
     if b is not None:
@@ -159,22 +161,8 @@ def build_instance(spec, G):
     return inst, block_pair
 
 
-def _stringify_orders(obj):
-    if isinstance(obj, dict):
-        return {
-            key: str(val)
-            if key in ("order", "h_order", "p_subgroup_order", "group_order")
-            and isinstance(val, int)
-            else _stringify_orders(val)
-            for key, val in obj.items()
-        }
-    if isinstance(obj, list):
-        return [_stringify_orders(x) for x in obj]
-    return obj
-
-
 def emit(data, output):
-    text = json.dumps(_stringify_orders(data), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -305,7 +293,7 @@ def cmd_blocks(group, prime, output):
     blks = block_partition(t, prime)
     data = {
         "group": group,
-        "order": t.group_order,
+        "order": str(t.group_order),
         "p": prime,
         "blocks": [
             {

@@ -105,8 +105,6 @@ def make_instance(G, p, P=None, H=None, tG=None, tH=None, name=""):
     if H is None:
         H = normalizer(G, P)
     tG = tG if tG is not None else table_for(G)
-    if tG.group is None:
-        raise ValueError("the big table must have its group attached")
     tH = tH if tH is not None else table_for(H)
     smax = intersection_set_maxima(G, P, H)
     return Instance(p=p, tG=tG, tH=tH, P=P, s_maxima=smax, name=name)
@@ -219,13 +217,6 @@ class Verdict:
     level: str = "global"
 
 
-def _modulus_lattice(inst, side, block_pair, with_cp):
-    """I(side,P,S), plus C^p of the (possibly block-substituted) side."""
-    if with_cp:
-        return cp_plus_lattice(inst, side, block_pair)
-    return build_induced_lattice(inst, side)
-
-
 def _lex_signed_matching(rows, cols, edge_sign):
     """Lexicographically least perfect matching on index lists.
 
@@ -276,7 +267,7 @@ def check_property(inst, which, block_pair=None):
     level = "global" if block_pair is None else f"block:{block_pair[0].index}"
 
     if which == "pres":
-        L = _modulus_lattice(inst, "H", block_pair, with_cp=True)
+        L = cp_plus_lattice(inst, "H", block_pair)
         _, irrp_g = _side_sets(inst, "G", block_pair)
         for i in irrp_g:
             if not L.contains(proj_res_vector(inst, i)):
@@ -286,7 +277,7 @@ def check_property(inst, which, block_pair=None):
         return Verdict(which, True, level=level)
 
     if which == "pind":
-        L = _modulus_lattice(inst, "G", block_pair, with_cp=True)
+        L = cp_plus_lattice(inst, "G", block_pair)
         _, irrp_h = _side_sets(inst, "H", block_pair)
         for j in irrp_h:
             if not L.contains(ind_vector(inst, j)):
@@ -306,7 +297,8 @@ def check_property(inst, which, block_pair=None):
         )
 
     if which in ("irc", "wirc"):
-        L = _modulus_lattice(inst, "H", block_pair, with_cp=(which == "wirc"))
+        L = (cp_plus_lattice(inst, "H", block_pair) if which == "wirc"
+             else build_induced_lattice(inst, "H"))
         targets = {i: proj_res_vector(inst, i) for i in irr0_g}
 
         def edge_sign(i, j):
@@ -320,7 +312,7 @@ def check_property(inst, which, block_pair=None):
             return None
 
     else:  # wircstar
-        L = _modulus_lattice(inst, "G", block_pair, with_cp=True)
+        L = cp_plus_lattice(inst, "G", block_pair)
         inds = {j: ind_vector(inst, j) for j in irr0_h}
 
         def edge_sign(i, j):
@@ -628,9 +620,9 @@ def full_report(inst, props=PROPERTIES, block_pair=None):
         instance={
             "name": inst.name,
             "p": inst.p,
-            "order": inst.tG.group_order,
-            "h_order": inst.tH.group_order,
-            "p_subgroup_order": inst.P.order(),
+            "order": str(inst.tG.group_order),
+            "h_order": str(inst.tH.group_order),
+            "p_subgroup_order": str(inst.P.order()),
         },
         s_maxima=[S.order() for S in inst.s_maxima],
         lattice_ranks={

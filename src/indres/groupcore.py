@@ -31,6 +31,8 @@ from operator import itemgetter
 import numpy as np
 
 DTYPE = np.int16
+# Points an element row of DTYPE can name.
+MAX_DEGREE = int(np.iinfo(DTYPE).max) + 1
 
 DEFAULT_ORDER_BUDGET = 10**6
 
@@ -253,6 +255,9 @@ class PermGroup:
 
     def __init__(self, degree, generators=()):
         self.degree = int(degree)
+        if self.degree > MAX_DEGREE:
+            raise IntegrityError(f"degree {self.degree} exceeds the largest supported "
+                                 f"degree {MAX_DEGREE}")
         gens = []
         for g in generators:
             g = tuple(int(x) for x in g)
@@ -453,7 +458,7 @@ class PermGroup:
 
 @dataclass
 class ConjClassData:
-    representative: tuple  # image tuple; None for a loaded table
+    representative: tuple  # image tuple; None in a stored table's class data
     size: int
     rep_order: int
     power_map: dict  # prime q dividing the group order -> class of rep^q

@@ -358,7 +358,7 @@ def test_criterion_8_table_layer():
             bad.append(f"{name}: degree sum")
             continue
         data = table_to_json(t)
-        back = table_from_json(data)
+        back = table_from_json(data, G)
         same = (
             back.degrees == t.degrees
             and back.exponent == t.exponent

@@ -36,7 +36,7 @@ from indres.chartab import (
     verify_table,
 )
 from indres.groupcore import (MILLER_RABIN_BOUND, BudgetExceeded, PermGroup,
-                              _perm_power, product_group)
+                              _perm_power, conjugacy_classes, product_group)
 
 
 def cyc(modulus, pairs):
@@ -584,14 +584,9 @@ def test_save_load_file(tmp_path):
     assert back.group is G
 
 
-def test_load_reconciles_class_order(tmp_path):
-    """A stored table with its columns shuffled is reindexed against the
-    group's own class order on load."""
-    G = build("S3")
-    t = character_table(G)
-    data = table_to_json(t)
-    perm = [0, 2, 1]
-    inv = [perm.index(j) for j in range(3)]
+def _permute_columns(data, perm):
+    """Stored table data whose class i is the class perm[i] of `data`."""
+    inv = [perm.index(j) for j in range(len(perm))]
     data["classes"] = [
         {**data["classes"][j], "powermap": {
             q: inv[i] for q, i in data["classes"][j]["powermap"].items()
@@ -599,11 +594,37 @@ def test_load_reconciles_class_order(tmp_path):
         for j in perm
     ]
     data["irreducibles"] = [[row[j] for j in perm] for row in data["irreducibles"]]
-    back = table_from_json(data, group=G)
+    return data
+
+
+def test_load_reconciles_class_order(tmp_path):
+    """A stored table with its columns shuffled is reindexed against the
+    group's own class order on load."""
+    G = build("S3")
+    t = character_table(G)
+    back = table_from_json(_permute_columns(table_to_json(t), [0, 2, 1]), G)
     for i in range(t.k):
         assert [v.sort_key() for v in back.irreducibles[i]] == [
             v.sort_key() for v in t.irreducibles[i]
         ]
+    assert back.group is G
+    assert back.classes is conjugacy_classes(G)
+    assert back.dual_map() == t.dual_map()
+
+
+def test_load_of_a_table_twisted_by_an_automorphism_is_the_computed_table():
+    """A5's two classes of 5-elements agree in order, size and power maps,
+    so a stored table with those columns swapped loads onto the group's
+    classes unswapped; its rows are put back in the canonical order, which
+    makes it the computed table."""
+    G = build("A5")
+    t = character_table(G)
+    assert [c.rep_order for c in t.classes] == [1, 2, 3, 5, 5]
+    back = table_from_json(_permute_columns(table_to_json(t), [0, 1, 2, 4, 3]), G)
+    assert back.degrees == t.degrees
+    assert [[v.sort_key() for v in row] for row in back.irreducibles] == [
+        [v.sort_key() for v in row] for row in t.irreducibles
+    ]
 
 
 def test_load_rebases_values_to_the_exponent():

@@ -14,7 +14,7 @@ from conftest import shared_group
 from indres import chartab, cli
 from indres.catalog import build
 from indres.cli import main
-from indres.groupcore import MILLER_RABIN_BOUND
+from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -190,6 +190,25 @@ def test_external_table_reconciles(runner, tmp_path):
         runner, "verify", "S4", "-p", "2", "--table-g", str(table_path)
     )
     assert r2.exit_code == 0
+    # a column-shuffled table is re-indexed onto the group's classes, so the
+    # report is the one the computed table gives
+    data = json.loads(table_path.read_text())
+    perm = [0, 3, 1, 4, 2]
+    inv = [perm.index(j) for j in range(len(perm))]
+    data["classes"] = [
+        {**data["classes"][j],
+         "powermap": {q: inv[i] for q, i in data["classes"][j]["powermap"].items()}}
+        for j in perm
+    ]
+    data["irreducibles"] = [[row[j] for j in perm] for row in data["irreducibles"]]
+    table_path.write_text(json.dumps(data))
+    reports = []
+    for i, extra in enumerate([[], ["--table-g", str(table_path)]]):
+        out = tmp_path / f"report{i}.json"
+        r = invoke(runner, "verify", "S4", "-p", "2", "-o", str(out), *extra)
+        assert r.exit_code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_oracle_subgroup_lattice(runner):
@@ -303,6 +322,14 @@ def test_witness_naming_no_block_exits_2(runner, tmp_path, shared_groups):
     assert "block_chars" in r.stderr
 
 
+NOT_A_PERMUTATION = {"format": "perm-group", "degree": 3, "generators": [[1, 1, 3]]}
+# order 10! = 3628800, above the default class budget of 10^6
+OVER_BUDGET_S10 = {"format": "perm-group", "degree": 10, "order": "3628800",
+                   "generators": [[2, 3, 4, 5, 6, 7, 8, 9, 10, 1], [2, 1]]}
+# one transposition on 33000 points: past what an int16 element row holds
+OVER_DEGREE = {"format": "perm-group", "degree": 33000, "generators": [[2, 1]]}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -316,13 +343,19 @@ def test_witness_naming_no_block_exits_2(runner, tmp_path, shared_groups):
 )
 def test_malformed_group_file_exits_2(runner, tmp_path, args):
     path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps(
-            {"format": "perm-group", "degree": 3, "generators": [[1, 1, 3]]}
-        )
-    )
-    r = invoke(runner, *(str(path) if a == "GROUP" else a for a in args))
-    _assert_one_line_error(r)
+    for group in (NOT_A_PERMUTATION, OVER_BUDGET_S10, OVER_DEGREE):
+        path.write_text(json.dumps(group))
+        r = invoke(runner, *(str(path) if a == "GROUP" else a for a in args))
+        _assert_one_line_error(r)
+
+
+def test_over_budget_group_is_refused_before_enumeration(tmp_path):
+    path = tmp_path / "s10.json"
+    path.write_text(json.dumps(OVER_BUDGET_S10))
+    G = cli.load_group(str(path))
+    with pytest.raises(BudgetExceeded, match="exceeds class budget"):
+        cli.build_instance(cli.JobSpec(str(path), 2), G)
+    assert not any(key[0] == "_element_matrix" for key in G._cache)
 
 
 
