@@ -64,19 +64,15 @@ class ModularReduction:
 
 @dataclass(frozen=True)
 class Block:
-    """One p-block: its characters, defect, and central character."""
+    """One p-block: its characters, defect, central character, and the
+    height-zero characters (those whose degree has p-part |G|_p / p^defect)."""
 
     index: int
     char_indices: tuple
     defect: int
     central_character: tuple
     principal: bool
-
-    def height_zero(self, table, p):
-        a = v_p(table.group_order, p)
-        return tuple(
-            i for i in self.char_indices if v_p(table.degrees[i], p) == a - self.defect
-        )
+    height_zero: tuple
 
 
 def omega_values(table, chi_index):
@@ -106,8 +102,13 @@ def _table_reduction(table, p):
     return ModularReduction(p, table.exponent)
 
 
+@_memo
 def block_partition(table, p):
-    """All p-blocks of the table, ordered by least character index."""
+    """All p-blocks of the table, ordered by least character index.
+
+    Memoized on the table beside its reduction: every caller reads this
+    one tuple.
+    """
     red = _table_reduction(table, p)
     signature = {}
     for i in range(table.k):
@@ -126,11 +127,14 @@ def block_partition(table, p):
                 defect=defect,
                 central_character=sig,
                 principal=triv in chars,
+                height_zero=tuple(
+                    i for i in chars if v_p(table.degrees[i], p) == a - defect
+                ),
             )
         )
     if sum(len(b.char_indices) for b in out) != table.k:
         raise IntegrityError("blocks do not partition the irreducibles")
-    return out
+    return tuple(out)
 
 
 @_memo
@@ -158,7 +162,7 @@ def defect_group(table, block, p):
     return D
 
 
-def brauer_correspondent(tH, e, tG, blocksG, reduction):
+def brauer_correspondent(tH, e, tG, p):
     """The induced block e^G, or None when it is not defined.
 
     The Brauer map sends a G-class sum to the sum of the H-class sums it
@@ -166,6 +170,7 @@ def brauer_correspondent(tH, e, tG, blocksG, reduction):
     central character of exactly one block of G.  All values are computed
     in the big group's reduction so both sides live in one ring.
     """
+    reduction = _table_reduction(tG, p)
     theta = e.char_indices[0]
     lam_e = [reduction.reduce(v) for v in omega_values(tH, theta)]
     fused = class_fusion(tG, tH)
@@ -175,7 +180,7 @@ def brauer_correspondent(tH, e, tG, blocksG, reduction):
         for i, digit in enumerate(lam):
             acc[i] += digit
     induced = tuple(tuple(a % reduction.p for a in acc) for acc in sums)
-    matches = [b for b in blocksG if b.central_character == induced]
+    matches = [b for b in block_partition(tG, p) if b.central_character == induced]
     if len(matches) == 1:
         return matches[0]
     if matches:
@@ -193,20 +198,3 @@ def some_defect_group_inside(table, block, p, P):
     G = table.group
     return _first_hit(G, lambda lo, hi: _transporter_mask(G, D, P, lo, hi)) >= 0
 
-
-def char_subsets(table, p, P, blks=None):
-    """(Irr(G,P), Irr_0(G,P), Irr^p(G,P)) as sorted row-index lists.
-
-    Irr(G,P) collects the blocks with some defect group inside P; Irr_0 is
-    the slice of exact p-valuation v_p(|G:P|); Irr^p is the rest.
-    """
-    blks = blks if blks is not None else block_partition(table, p)
-    target = v_p(table.group_order, p) - v_p(P.order(), p)
-    irr_gp = []
-    for b in blks:
-        if some_defect_group_inside(table, b, p, P):
-            irr_gp.extend(b.char_indices)
-    irr_gp.sort()
-    irr0 = [i for i in irr_gp if v_p(table.degrees[i], p) == target]
-    irrp = [i for i in irr_gp if v_p(table.degrees[i], p) != target]
-    return irr_gp, irr0, irrp

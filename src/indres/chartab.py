@@ -256,10 +256,10 @@ class CharTable:
 
     Tables compare and hash by identity.  `_cache` memoizes, through
     `groupcore._memo`, all data derived from this table (the row index, the
-    dual map, the rows' images in F_l, modular reductions, defect groups,
-    and the fusions and restriction matrices of each pair in which it is
-    the small table, see `classfun.class_fusion`), so it is freed with the
-    table.  `factors` is the pair of factor tables of a product table, None
+    dual map, the rows' images in F_l, modular reductions, block partitions,
+    defect groups, and the fusions and restriction matrices of each pair in
+    which it is the small table, see `classfun.class_fusion`), so it is
+    freed with the table.  `factors` is the pair of factor tables of a product table, None
     otherwise.  A product table (`classfun.product_table`) has
     `irreducibles = None` and no group: its values, dual map and class
     lookup come from `factors`.  Every other table that the library

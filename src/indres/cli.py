@@ -27,7 +27,7 @@ from .blocks import block_partition, defect_group
 from .catalog import BUILDERS, build, rows_for_suite
 from .chartab import IntegrityError, character_table, load_table, save_table
 from .classfun import VirtualCharacter
-from .correspondence import (PROPERTIES, blocks_of, build_induced_lattice,
+from .correspondence import (PROPERTIES, build_induced_lattice,
                              check_property, check_property_G_with_witness,
                              correspondent_of, full_report, make_instance,
                              pair_table, quotients_q1_q2, table_for)
@@ -74,7 +74,7 @@ def _parse_abelian_shape(token):
     """'C2xC2' -> (order, exponent) for matching a defect group."""
     order, exps = 1, []
     for part in token.split("x"):
-        if not part.startswith("C"):
+        if not (part.startswith("C") and part[1:].isdecimal()):
             raise ValueError(f"cannot parse group shape {token!r}")
         n = int(part[1:])
         order *= n
@@ -201,13 +201,15 @@ def run_verify(spec):
             raise IntegrityError(f"malformed witness data: {exc}") from exc
         mu = VirtualCharacter(pair_table(inst), coeffs)
         b = next(
-            (bb for bb in blocks_of(inst, "G") if sorted(bb.char_indices) == chars_b),
+            (bb for bb in block_partition(inst.tG, inst.p)
+             if sorted(bb.char_indices) == chars_b),
             None,
         )
         if b is None:
             raise ValueError("witness block_chars name no block of G")
         e = next(
-            (ee for ee in blocks_of(inst, "H") if sorted(ee.char_indices) == chars_e),
+            (ee for ee in block_partition(inst.tH, inst.p)
+             if sorted(ee.char_indices) == chars_e),
             None,
         )
         if e is None:

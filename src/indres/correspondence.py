@@ -9,23 +9,20 @@ lattice), never with numerical tolerance.
 
 Every check compares a G side with an H side.  A side is named by the
 string "G" or "H" (the parameter is always `side`), and `Instance.table`
-picks its table.  Data derived from one instance (induced lattices,
-blocks, character subsets, C^p + I moduli, block correspondents, the
-product table) is memoized on the instance by `groupcore._memo`, keyed by
-the function's name and its remaining positional arguments; memoized
-functions take no keyword arguments and no defaults, so one call has one
-key, and the data is freed with the instance.
+picks its table.  Data derived from one instance (induced lattices, the
+blocks with a defect group inside P, character subsets, C^p + I moduli,
+the Brauer correspondence, the product table) is memoized on the instance
+by `groupcore._memo`, keyed by the function's name and its remaining
+positional arguments; memoized functions take no keyword arguments and no
+defaults, so one call has one key, and the data is freed with the
+instance.  A table's block partition depends on the table and p alone, so
+`blocks.block_partition` memoizes it on the table.  Memoized values are
+shared, so they are tuples and no caller mutates them.
 """
 
 from dataclasses import dataclass, field
 
-from .blocks import (
-    _table_reduction,
-    block_partition,
-    brauer_correspondent,
-    char_subsets,
-    some_defect_group_inside,
-)
+from .blocks import block_partition, brauer_correspondent, some_defect_group_inside
 from .chartab import character_table
 from .classfun import (
     VirtualCharacter,
@@ -135,14 +132,27 @@ def build_induced_lattice(inst, side):
 
 
 @_memo
-def blocks_of(inst, side):
-    return block_partition(inst.table(side), inst.p)
+def blocks_inside_P(inst, side):
+    """The side's blocks with some defect group inside P (up to conjugacy)."""
+    table = inst.table(side)
+    return tuple(b for b in block_partition(table, inst.p)
+                 if some_defect_group_inside(table, b, inst.p, inst.P))
 
 
 @_memo
 def subsets_of(inst, side):
-    """(Irr(·,P), Irr_0(·,P), Irr^p(·,P)) for the chosen side."""
-    return char_subsets(inst.table(side), inst.p, inst.P, blks=blocks_of(inst, side))
+    """(Irr(·,P), Irr_0(·,P), Irr^p(·,P)) as sorted row-index tuples.
+
+    Irr(·,P) collects the blocks with some defect group inside P; Irr_0 is
+    the slice of exact p-valuation v_p(|side:P|); Irr^p is the rest.
+    """
+    table, p = inst.table(side), inst.p
+    target = v_p(table.group_order, p) - v_p(inst.P.order(), p)
+    irr_p = tuple(sorted(i for b in blocks_inside_P(inst, side)
+                         for i in b.char_indices))
+    irr0 = tuple(i for i in irr_p if v_p(table.degrees[i], p) == target)
+    irrp = tuple(i for i in irr_p if v_p(table.degrees[i], p) != target)
+    return irr_p, irr0, irrp
 
 
 def _side_sets(inst, side, block_pair):
@@ -151,7 +161,7 @@ def _side_sets(inst, side, block_pair):
         _, irr0, irrp = subsets_of(inst, side)
         return list(irr0), list(irrp)
     blk = block_pair[0 if side == "G" else 1]
-    hz = blk.height_zero(inst.table(side), inst.p)
+    hz = blk.height_zero
     return list(hz), [i for i in blk.char_indices if i not in hz]
 
 
@@ -184,26 +194,25 @@ def ind_vector(inst, j):
 
 def blocks_with_defect_group_P(inst, side):
     """Blocks whose defect group is conjugate (in the side's group) to P."""
-    table = inst.table(side)
     target = v_p(inst.P.order(), inst.p)
-    out = []
-    for b in blocks_of(inst, side):
-        if b.defect != target:
-            continue
-        if some_defect_group_inside(table, b, inst.p, inst.P):
-            out.append(b)
-    return out
+    return tuple(b for b in blocks_inside_P(inst, side) if b.defect == target)
 
 
 @_memo
+def correspondents(inst):
+    """For each block b of G, by index, the first H block e with defect
+    group P and e^G = b, or None."""
+    first = {}
+    for e in blocks_with_defect_group_P(inst, "H"):
+        eG = brauer_correspondent(inst.tH, e, inst.tG, inst.p)
+        if eG is not None:
+            first.setdefault(eG.index, e)
+    return tuple(first.get(i) for i in range(len(block_partition(inst.tG, inst.p))))
+
+
 def correspondent_of(inst, b):
     """The H-block e with defect group P and e^G = b, or None."""
-    red = _table_reduction(inst.tG, inst.p)
-    for e in blocks_with_defect_group_P(inst, "H"):
-        eG = brauer_correspondent(inst.tH, e, inst.tG, blocks_of(inst, "G"), red)
-        if eG is not None and eG.char_indices == b.char_indices:
-            return e
-    return None
+    return correspondents(inst)[b.index]
 
 
 # -- property verdicts ---------------------------------------------------------
@@ -360,8 +369,8 @@ def quotients_q1_q2(inst):
     q1 = quotient_shape(amb, coordinate_restrict(IH, irr_hp))
     q2 = quotient_shape(amb, coordinate_restrict(S2, irr_hp))
     per_block = []
-    eligible = blocks_with_defect_group_P(inst, "G")
-    eligible.sort(key=lambda b: (-b.defect, b.char_indices[0]))
+    eligible = sorted(blocks_with_defect_group_P(inst, "G"),
+                      key=lambda b: (-b.defect, b.char_indices[0]))
     for b in eligible:
         e = correspondent_of(inst, b)
         if e is None:
@@ -378,7 +387,7 @@ def block_splitting_holds(inst, side):
     """Proposition-style theorem check: I splits as the sum of its block parts."""
     L = build_induced_lattice(inst, side)
     total = IntLattice(inst.table(side).k)
-    for b in blocks_of(inst, side):
+    for b in block_partition(inst.table(side), inst.p):
         total = lattice_sum(total, coordinate_restrict(L, list(b.char_indices)))
     return total == L
 
@@ -439,12 +448,8 @@ def isaacs_navarro_check(inst, block_pair=None):
         cH = ml_counts(inst.tH, p, mode="global")
     else:
         b, e = block_pair
-        cG = ml_counts(
-            inst.tG, p, mode="p-prime-part", subset=b.height_zero(inst.tG, p)
-        )
-        cH = ml_counts(
-            inst.tH, p, mode="p-prime-part", subset=e.height_zero(inst.tH, p)
-        )
+        cG = ml_counts(inst.tG, p, mode="p-prime-part", subset=b.height_zero)
+        cH = ml_counts(inst.tH, p, mode="p-prime-part", subset=e.height_zero)
     ok = True
     for l in cH:
         ml = (m * l) % p
@@ -549,8 +554,8 @@ def check_property_G_with_witness(inst, b, e, mu):
     if not ok_lattice:
         return False
 
-    hz_b = set(b.height_zero(inst.tG, inst.p))
-    hz_e = set(e.height_zero(inst.tH, inst.p))
+    hz_b = set(b.height_zero)
+    hz_e = set(e.height_zero)
     mubar = mu.conjugate()
     for j in hz_e:
         v = I_transform(mu, irr(inst.tH, j))

@@ -19,7 +19,6 @@ from indres.chartab import character_table, table_from_json, table_to_json, veri
 from indres.classfun import VirtualCharacter
 from indres.cli import JobSpec, _pick_block, build_instance
 from indres.correspondence import (
-    blocks_of,
     block_splitting_holds,
     brauer_completeness_check,
     build_induced_lattice,
@@ -158,12 +157,12 @@ def fixture_results():
     mu = VirtualCharacter(prod, tuple(int(c) for c in wit["coeffs"]))
     b = next(
         bb
-        for bb in blocks_of(inst, "G")
+        for bb in block_partition(inst.tG, 2)
         if sorted(bb.char_indices) == sorted(wit["block_chars"])
     )
     e = next(
         ee
-        for ee in blocks_of(inst, "H")
+        for ee in block_partition(inst.tH, 2)
         if sorted(ee.char_indices) == sorted(wit["correspondent_chars"])
     )
     witness_ok = check_property_G_with_witness(inst, b, e, mu)

@@ -107,8 +107,8 @@ def test_defect_zero_blocks_are_singletons():
 def test_height_zero_rows():
     t = character_table(build("S4"))
     b = block_partition(t, 2)[0]
-    assert sorted(b.height_zero(t, 2)) == [0, 1, 3, 4]
-    assert sorted(t.degrees[i] for i in b.height_zero(t, 2)) == [1, 1, 3, 3]
+    assert sorted(b.height_zero) == [0, 1, 3, 4]
+    assert sorted(t.degrees[i] for i in b.height_zero) == [1, 1, 3, 3]
 
 
 def test_defect_group_orders():
@@ -256,15 +256,17 @@ def test_defect_is_met_by_a_nonzero_class_at_every_prime_above_p(name, p):
                 for c, v in zip(t.classes, omega) if any(image(v)))
 
 
-@pytest.mark.parametrize("name,p", [("S5", 2), ("A6", 2), ("A6", 3), ("SL2_7", 2),
-                                    ("SL2_7", 3), ("M11", 2), ("M11", 3)])
+CORRESPONDENCE_CASES = [("S5", 2), ("A6", 2), ("A6", 3), ("SL2_7", 2),
+                        ("SL2_7", 3), ("M11", 2), ("M11", 3)]
+
+
+@pytest.mark.parametrize("name,p", CORRESPONDENCE_CASES)
 def test_correspondents_are_the_ones_at_every_prime_above_p(name, p):
     """Brauer's e^G, found at each prime apart, is the library's."""
     inst = make_instance(block_case_group(name), p, name=name)
     tG, tH = inst.tG, inst.tH
     blocksG = block_partition(tG, p)
     fused = class_fusion(tG, tH)
-    red = ModularReduction(p, tG.exponent)
     for e in blocks_with_defect_group_P(inst, "H"):
         lam = omega_values(tH, e.char_indices[0])
         at_each = set()
@@ -276,8 +278,27 @@ def test_correspondents_are_the_ones_at_every_prime_above_p(name, p):
             at_each.add(tuple(
                 b.char_indices for b in blocksG
                 if list(map(image, omega_values(tG, b.char_indices[0]))) == induced))
-        eG = brauer_correspondent(tH, e, tG, blocksG, red)
+        eG = brauer_correspondent(tH, e, tG, p)
         assert at_each == {(eG.char_indices,) if eG else ()}
+
+
+def _first_correspondent(inst, b):
+    """The first H block with defect group P whose e^G is b, found per b."""
+    tG, tH, p, P = inst.tG, inst.tH, inst.p, inst.P
+    for e in block_partition(tH, p):
+        if (e.defect == v_p(P.order(), p) and some_defect_group_inside(tH, e, p, P)
+                and brauer_correspondent(tH, e, tG, p) == b):
+            return e
+    return None
+
+
+@pytest.mark.parametrize("name,p", CORRESPONDENCE_CASES)
+def test_correspondence_map_is_the_per_block_search(name, p):
+    inst = make_instance(block_case_group(name), p, name=name)
+    blocksG = block_partition(inst.tG, p)
+    assert [correspondent_of(inst, b) for b in blocksG] == [
+        _first_correspondent(inst, b) for b in blocksG]
+    assert any(correspondent_of(inst, b) is not None for b in blocksG)
 
 
 @pytest.mark.parametrize("name,p", BLOCK_CASES)
@@ -380,10 +401,11 @@ CENTRAL_CHARACTERS = {
                                           for name, p in CENTRAL_CHARACTERS
                                           for call in (0, 1)])
 def test_central_characters_frozen(name, p, call):
-    """Call 0 builds the reduction; call 1 reuses the one kept on the table."""
+    """Call 0 builds the partition; call 1 returns the one kept on the table."""
     t = character_table(build(name))
-    for _ in range(call + 1):
-        partition = block_partition(t, p)
+    partition = block_partition(t, p)
+    if call:
+        assert block_partition(t, p) is partition
     got = [
         (b.char_indices,
          tuple(sum(c * p**i for i, c in enumerate(x)) for x in b.central_character))

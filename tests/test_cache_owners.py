@@ -4,8 +4,8 @@ Library modules other than the catalog hold no module-level mutable
 container, and `functools.cache` memoizes only `chartab._phi_reduction`,
 whose key is an integer; all other derived data, a group's character table
 included, is memoized on a table, an instance or a group by
-`groupcore._memo` (the data of a pair of tables on the small table of the
-pair).  A group or a table keeps that data in `_cache`
+`groupcore._memo` (a block partition on its table, the data of a pair of
+tables on the small table of the pair).  A group or a table keeps that data in `_cache`
 and nowhere else: `_cache` is the only private attribute that
 `PermGroup.__init__` sets and the only private field of `CharTable`.
 """

@@ -566,3 +566,9 @@ def test_prime_not_dividing_order_exits_2(runner, args):
     r = invoke(runner, *args)
     assert (r.exit_code, r.stderr) == (
         2, f"error: p = {args[-1]} does not divide the group order 24\n")
+
+
+@pytest.mark.parametrize("token", ["C2xC", "C", "Cx"])
+def test_block_shape_without_an_order_exits_2(runner, token):
+    r = invoke(runner, "verify", "S4", "-p", "2", "--subgroup-mode", f"block:{token}")
+    assert (r.exit_code, r.stderr) == (2, f"error: cannot parse group shape {token!r}\n")

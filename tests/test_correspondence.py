@@ -3,11 +3,15 @@
 import gc
 import random
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from indres import correspondence
 from indres.blocks import block_partition
 from indres.catalog import build
+from indres.cli import JobSpec, build_instance, load_group
 from indres.classfun import irr, restriction_matrix
 from indres.correspondence import (
     PROPERTIES,
@@ -29,6 +33,7 @@ from indres.correspondence import (
     pair_table,
     product_induced_lattice,
     quotients_q1_q2,
+    subsets_of,
     theorem26_selftest,
 )
 from indres.correspondence import _lex_signed_matching, _s_is_trivial
@@ -393,3 +398,29 @@ def test_lex_signed_matching_agrees_with_reference():
         want = _reference_lex_signed_matching(rows, cols, lambda i, j: signs[i, j])
         assert _lex_signed_matching(rows, cols, edge_sign) == want
         assert len(asked) == len(set(asked))
+
+
+def test_block_mode_asks_each_block_once(monkeypatch):
+    """A block-mode instance reads G's one partition and asks, per side,
+    whether each block has a defect group inside P once."""
+    asked = Counter()
+    inside = correspondence.some_defect_group_inside
+
+    def counting(table, block, p, P):
+        asked[table.group_order, block.index] += 1
+        return inside(table, block, p, P)
+
+    monkeypatch.setattr(correspondence, "some_defect_group_inside", counting)
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "fixture_group.json"
+    spec = JobSpec(group=str(path), p=2, subgroup_mode="block:1")
+    inst, (b, e) = build_instance(spec, load_group(spec.group))
+    quotients_q1_q2(inst)
+    subsets_of(inst, "G")
+    tG, tH = inst.tG, inst.tH
+    assert [k for k in tG._cache if k[0] == "block_partition"] == [("block_partition", 2)]
+    assert b is block_partition(tG, 2)[1]
+    assert e in block_partition(tH, 2)
+    assert sorted(asked) == sorted(
+        [(tG.group_order, i) for i in range(len(block_partition(tG, 2)))]
+        + [(tH.group_order, i) for i in range(len(block_partition(tH, 2)))])
+    assert set(asked.values()) == {1}
