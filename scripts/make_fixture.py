@@ -13,8 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from indres.blocks import block_partition
-from indres.classfun import VirtualCharacter, irr, outer_product, restriction_matrix
+from indres.classfun import VirtualCharacter, outer_product, restriction_matrix
 from indres.correspondence import (
     blocks_with_defect_group_P,
     check_property,
@@ -23,8 +22,6 @@ from indres.correspondence import (
     make_instance,
     omega_character,
     pair_table,
-    I_transform,
-    R_transform,
 )
 from indres.groupcore import PermGroup
 
@@ -139,19 +136,24 @@ def main(outdir):
 
     # the transform images promised by the construction:
     # I_mu(phi x alpha) = chi~(-alpha - beta) for every linear alpha, and
-    # R_mubar(chi~) = phi x (-1 - beta)
+    # R_mubar(chi~) = phi x (-1 - beta); I_mu(psi_j) is column dual_H(j)
+    # of mu, and R_mubar(chi_i) is row i of mu read at dual_H(j)
     tH, tG = inst.tH, inst.tG
+    kH, dualH = tH.k, tH.dual_map()
+
+    def at(i, j):
+        return mu.coeffs[i * kH + dualH[j]]
+
     beta_h = next(j for j in e.char_indices if tH.degrees[j] == 2)
     for j in e.char_indices:
         if tH.degrees[j] != 1:
             continue
-        img = I_transform(mu, irr(tH, j))
-        hits = sorted(img.support())
-        assert len(hits) == 2 and all(img.coeffs[i] == -1 for i in hits)
+        hits = [i for i in range(tG.k) if at(i, j)]
+        assert len(hits) == 2 and all(at(i, j) == -1 for i in hits)
         assert sorted(tG.degrees[i] for i in hits) == [5, 10]
-    chk = R_transform(mu.conjugate(), irr(tG, chi_t))
-    assert chk.coeffs[j0] == -1 and chk.coeffs[beta_h] == -1
-    assert sum(1 for c in chk.coeffs if c) == 2
+    row = [at(chi_t, j) for j in range(tH.k)]
+    assert row[j0] == -1 and row[beta_h] == -1
+    assert sum(1 for c in row if c) == 2
 
     os.makedirs(outdir, exist_ok=True)
     gpath = os.path.join(outdir, "fixture_group.json")

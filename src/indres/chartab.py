@@ -27,7 +27,7 @@ import numpy as np
 from .groupcore import (DEFAULT_ORDER_BUDGET, BudgetExceeded, ConjClassData,
                         IntegrityError, _member_indices, _memo,
                         conjugacy_classes, is_prime, json_int,
-                        least_primitive_root, prime_factors,
+                        least_primitive_root, malformed, prime_factors,
                         split_product_images, v_p)
 
 # Points per block of the root scan in `_poly_roots_mod`.
@@ -739,7 +739,7 @@ def table_from_json(data, group):
     columns permuted as `reconcile_classes` finds and the rows in the order
     of every table, by (degree, canonical value key).
     """
-    try:
+    with malformed("table"):
         order = json_int(data["order"], "table order", decimal_string=True)
         exponent = json_int(data["exponent"], "table exponent")
         classes = [
@@ -754,8 +754,6 @@ def table_from_json(data, group):
             for c in data["classes"]
         ]
         rows = [[Cyclotomic.from_json(v) for v in row] for row in data["irreducibles"]]
-    except (TypeError, AttributeError, ZeroDivisionError) as exc:
-        raise IntegrityError(f"malformed table data: {exc}") from exc
     if order < 1 or exponent < 1:
         raise IntegrityError("table order and exponent must be positive")
     # one field for every value, so a value's power-basis key names it

@@ -32,7 +32,8 @@ from .correspondence import (PROPERTIES, build_induced_lattice,
                              correspondent_of, full_report, make_instance,
                              pair_table, quotients_q1_q2, table_for)
 from .groupcore import (BudgetExceeded, conjugacy_classes, group_from_generators,
-                        is_prime, json_int, normalizer, sylow_subgroup, v_p)
+                        is_prime, json_int, malformed, normalizer, sylow_subgroup,
+                        v_p)
 from .oracles import (brute_conjugacy_classes, compare_with_table,
                       definition_lattice)
 
@@ -190,15 +191,13 @@ def run_verify(spec):
             raise ValueError("property g needs --witness")
         with open(spec.witness) as fh:
             wit = json.load(fh)
-        try:
+        with malformed("witness"):
             if (wit.get("format"), wit.get("space")) != ("virtual-character", "product"):
                 raise IntegrityError("witness file is not a product virtual character")
             coeffs = tuple(json_int(c, "witness coefficient") for c in wit["coeffs"])
             chars_b = sorted(json_int(i, "witness character") for i in wit["block_chars"])
             chars_e = sorted(json_int(i, "witness character")
                              for i in wit["correspondent_chars"])
-        except (TypeError, AttributeError) as exc:
-            raise IntegrityError(f"malformed witness data: {exc}") from exc
         mu = VirtualCharacter(pair_table(inst), coeffs)
         b = next(
             (bb for bb in block_partition(inst.tG, inst.p)
@@ -214,6 +213,9 @@ def run_verify(spec):
         )
         if e is None:
             raise ValueError("witness correspondent_chars name no block of H")
+        if correspondent_of(inst, b) is not e:
+            raise ValueError("witness correspondent_chars do not name the "
+                             "correspondent of the block_chars block")
         holds = check_property_G_with_witness(inst, b, e, mu)
         data["verdicts"]["g"] = {
             "holds": holds,

@@ -5,7 +5,10 @@ the two character tables: the induced lattice from qualifying elementary
 subgroups, the coordinate lattices spanned by character subsets, their sums
 and intersections.  Property verdicts therefore come with finite witnesses
 (a signed matching) or certificates (a character whose image misses the
-lattice), never with numerical tolerance.
+lattice), never with numerical tolerance.  Each congruence is one
+comparison of coset residues (`IntLattice.residue`), and property (G)
+reads its witness's coefficients on the height-zero characters directly,
+with no transform computed.
 
 Every check compares a G side with an H side.  A side is named by the
 string "G" or "H" (the parameter is always `side`), and `Instance.table`
@@ -268,72 +271,54 @@ def check_property(inst, which, block_pair=None):
     """Decide one of the five correspondence properties.
 
     block_pair is None for the global property or (b, e) with b a block of
-    G having defect group P and e its correspondent in H.
+    G having defect group P and e its correspondent in H.  Each property
+    sends a source side's characters to the other side, by Proj Res from
+    G into H (irc, wirc, pres) or by Ind from H into G (wircstar, pind),
+    modulo I(H) for irc and C^p + I of the image side otherwise.  pres
+    and pind ask that each Irr^p image lies in the lattice; the others
+    match Irr_0 with signs, pairing an image with s times a unit vector
+    (s = +-1) when the two have one residue.
     """
     which = which.lower()
     if which not in PROPERTIES:
         raise ValueError(f"unknown property {which!r}")
     level = "global" if block_pair is None else f"block:{block_pair[0].index}"
-
-    if which == "pres":
-        L = cp_plus_lattice(inst, "H", block_pair)
-        _, irrp_g = _side_sets(inst, "G", block_pair)
-        for i in irrp_g:
-            if not L.contains(proj_res_vector(inst, i)):
-                return Verdict(
-                    which, False, certificate=f"Proj Res of row {i} escapes", level=level
-                )
-        return Verdict(which, True, level=level)
-
-    if which == "pind":
-        L = cp_plus_lattice(inst, "G", block_pair)
-        _, irrp_h = _side_sets(inst, "H", block_pair)
-        for j in irrp_h:
-            if not L.contains(ind_vector(inst, j)):
-                return Verdict(
-                    which, False, certificate=f"Ind of row {j} escapes", level=level
-                )
-        return Verdict(which, True, level=level)
-
-    irr0_g, _ = _side_sets(inst, "G", block_pair)
-    irr0_h, _ = _side_sets(inst, "H", block_pair)
-    if len(irr0_g) != len(irr0_h):
+    src, dst, image, name = (("G", "H", proj_res_vector, "Proj Res")
+                             if which in ("irc", "wirc", "pres")
+                             else ("H", "G", ind_vector, "Ind"))
+    irr0 = {side: _side_sets(inst, side, block_pair)[0] for side in ("G", "H")}
+    if which not in ("pres", "pind") and len(irr0["G"]) != len(irr0["H"]):
         return Verdict(
             which,
             False,
-            certificate=f"|Irr0| mismatch: {len(irr0_g)} vs {len(irr0_h)}",
+            certificate=f"|Irr0| mismatch: {len(irr0['G'])} vs {len(irr0['H'])}",
             level=level,
         )
+    L = (build_induced_lattice(inst, "H") if which == "irc"
+         else cp_plus_lattice(inst, dst, block_pair))
 
-    if which in ("irc", "wirc"):
-        L = (cp_plus_lattice(inst, "H", block_pair) if which == "wirc"
-             else build_induced_lattice(inst, "H"))
-        targets = {i: proj_res_vector(inst, i) for i in irr0_g}
+    if which in ("pres", "pind"):
+        for i in _side_sets(inst, src, block_pair)[1]:
+            if not L.contains(image(inst, i)):
+                return Verdict(
+                    which, False, certificate=f"{name} of row {i} escapes", level=level
+                )
+        return Verdict(which, True, level=level)
 
-        def edge_sign(i, j):
-            # s*phi_j - Proj Res chi_i must fall in the modulus lattice
-            base = targets[i]
-            for s in (1, -1):
-                v = list(base)
-                v[j] -= s
-                if L.contains(v):
-                    return s
-            return None
+    residue = {i: L.residue(image(inst, i)) for i in irr0[src]}
+    unit = {}
+    for j in irr0[dst]:
+        for s in (1, -1):
+            v = [0] * L.dim
+            v[j] = s
+            unit[j, s] = L.residue(v)
 
-    else:  # wircstar
-        L = cp_plus_lattice(inst, "G", block_pair)
-        inds = {j: ind_vector(inst, j) for j in irr0_h}
+    def edge_sign(i, j):
+        # i in Irr_0(G), j in Irr_0(H): a is the source character, u its partner
+        a, u = (i, j) if src == "G" else (j, i)
+        return next((s for s in (1, -1) if residue[a] == unit[u, s]), None)
 
-        def edge_sign(i, j):
-            # chi_i - s*Ind phi_j must fall in the modulus lattice
-            for s in (1, -1):
-                v = [-s * x for x in inds[j]]
-                v[i] += 1
-                if L.contains(v):
-                    return s
-            return None
-
-    matching = _lex_signed_matching(irr0_g, irr0_h, edge_sign)
+    matching = _lex_signed_matching(irr0["G"], irr0["H"], edge_sign)
     if matching is None:
         return Verdict(which, False, certificate="no perfect signed matching", level=level)
     return Verdict(which, True, witness=matching, level=level)
@@ -459,7 +444,7 @@ def isaacs_navarro_check(inst, block_pair=None):
     return ok, cG, cH
 
 
-# -- omega, mu transforms, property (G) ----------------------------------------
+# -- omega and property (G) -------------------------------------------------
 
 @_memo
 def pair_table(inst):
@@ -478,36 +463,6 @@ def omega_character(inst, b, e):
             if R[i][j]:
                 coeffs[i * kH + dualH[j]] += R[i][j]
     return VirtualCharacter(prod, coeffs)
-
-
-def I_transform(mu, phi):
-    """I_mu: C(H) -> C(G) in coefficient space."""
-    tG, tH = mu.table.factors
-    if phi.table is not tH:
-        raise ValueError("phi must live over the H factor")
-    dualH = tH.dual_map()
-    kH = tH.k
-    out = [0] * tG.k
-    for t, c in enumerate(mu.coeffs):
-        if c:
-            i, j = divmod(t, kH)
-            out[i] += c * phi.coeffs[dualH[j]]
-    return VirtualCharacter(tG, out)
-
-
-def R_transform(mu, chi):
-    """R_mu: C(G) -> C(H) in coefficient space."""
-    tG, tH = mu.table.factors
-    if chi.table is not tG:
-        raise ValueError("chi must live over the G factor")
-    dualG = tG.dual_map()
-    kH = tH.k
-    out = [0] * tH.k
-    for t, c in enumerate(mu.coeffs):
-        if c:
-            i, j = divmod(t, kH)
-            out[j] += c * chi.coeffs[dualG[i]]
-    return VirtualCharacter(tH, out)
 
 
 def _s_is_trivial(inst):
@@ -532,7 +487,8 @@ def check_property_G_with_witness(inst, b, e, mu):
     the diagonal induced lattice (when every intersection maximum is
     trivial this is vanishing on p-singular product classes), and that the
     transforms send height-zero irreducibles to single height-zero
-    constituents with multiplicity +-1.
+    constituents with multiplicity +-1: the block of mu's coefficients on
+    the height-zero characters is a signed permutation matrix.
     """
     prod = pair_table(inst)
     if mu.table is not prod:
@@ -554,20 +510,22 @@ def check_property_G_with_witness(inst, b, e, mu):
     if not ok_lattice:
         return False
 
-    hz_b = set(b.height_zero)
-    hz_e = set(e.height_zero)
-    mubar = mu.conjugate()
-    for j in hz_e:
-        v = I_transform(mu, irr(inst.tH, j))
-        hits = [i for i in v.support() if i in hz_b]
-        if len(hits) != 1 or abs(v.coeffs[hits[0]]) != 1:
-            return False
-    for i in hz_b:
-        w = R_transform(mubar, irr(inst.tG, i))
-        hits = [j for j in w.support() if j in hz_e]
-        if len(hits) != 1 or abs(w.coeffs[hits[0]]) != 1:
-            return False
-    return True
+    # I_mu(psi_j) is column dual_H(j) of mu and R_mubar(chi_i) is row i of
+    # mu read at dual_H(j), so on height-zero characters both transforms
+    # are read off N[i][j] = mu(chi_i x conj psi_j): each row and each
+    # column of N must hold exactly one nonzero entry, and it must be +-1
+    def at(i, j):
+        return mu.coeffs[i * kH + dualH[j]]
+
+    rows = [[at(i, j) for j in e.height_zero] for i in b.height_zero]
+    cols = [[at(i, j) for i in b.height_zero] for j in e.height_zero]
+    return all(_one_unit(line) for line in rows + cols)
+
+
+def _one_unit(line):
+    """Whether line has exactly one nonzero entry, and that entry is +-1."""
+    hits = [x for x in line if x]
+    return len(hits) == 1 and abs(hits[0]) == 1
 
 
 # -- assembled report -----------------------------------------------------------

@@ -22,6 +22,7 @@ the one memo helper of the package: tables and instances memoize their
 derived data through it too.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import wraps
 from itertools import count
@@ -59,6 +60,19 @@ def json_int(value, what, decimal_string=False):
     if isinstance(value, bool) or not isinstance(value, int):
         raise IntegrityError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+@contextmanager
+def malformed(what):
+    """Report a wrong JSON shape met while reading `what` data as one
+    IntegrityError: a missing key by its name, other errors as they read."""
+    try:
+        yield
+    except KeyError as exc:
+        raise IntegrityError(
+            f"malformed {what} data: missing key {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise IntegrityError(f"malformed {what} data: {exc}") from exc
 
 
 def _memo(fn):
@@ -467,7 +481,7 @@ class ConjClassData:
 
 def group_from_generators(data):
     """Build a PermGroup from {"degree": n, "generators": [[1-based images]]}."""
-    try:
+    with malformed("group"):
         degree = json_int(data["degree"], "group degree")
         gens = []
         for images in data["generators"]:
@@ -477,8 +491,6 @@ def group_from_generators(data):
             if len(images) > degree:
                 raise ValueError("generator degree exceeds the group degree")
             gens.append([x - 1 for x in images] + list(range(len(images), degree)))
-    except (TypeError, AttributeError) as exc:
-        raise IntegrityError(f"malformed group data: {exc}") from exc
     if degree < 1:
         raise IntegrityError(f"group degree must be at least 1, got {degree}")
     return PermGroup(degree, gens)

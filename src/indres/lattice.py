@@ -3,9 +3,13 @@
 The working representation is a row-echelon basis over Z maintained by gcd
 elimination as vectors are inserted; the canonical form (positive pivots,
 entries above a pivot reduced into [0, pivot)) is produced on demand and is
-what equality, hashing, and reports use.  Everything is arbitrary-precision
-integer arithmetic on small dense rows; the ambient dimension here is the
-number of irreducible characters, so quadratic row operations are cheap.
+what equality, hashing, and reports use.  Reducing a vector at the pivots
+of that form gives the canonical representative of its coset, its residue:
+membership is a zero residue, and two vectors are congruent modulo the
+lattice exactly when their residues are equal.  Everything is
+arbitrary-precision integer arithmetic on small dense rows; the ambient
+dimension here is the number of irreducible characters, so quadratic row
+operations are cheap.
 """
 
 from dataclasses import dataclass
@@ -66,11 +70,35 @@ class IntLattice:
                 v = [y - q * x for x, y in zip(r, v)]
             i += 1
 
-    def contains(self, vector):
+    def residue(self, vector):
+        """The canonical representative of vector + L, as a tuple.
+
+        u - v lies in L exactly when residue(u) == residue(v).
+        """
+        return self._reduce(vector)[0]
+
+    def _reduce(self, vector):
+        """(residue, quotients) with vector = residue + sum of q_i * row_i
+        over the Hermite basis.
+
+        At each pivot, in ascending order, the entry of the vector is
+        reduced into [0, pivot); later rows are zero at earlier pivots, so
+        settled entries stay put.
+        """
         v = [int(x) for x in vector]
         if len(v) != self.dim:
             raise ValueError("vector dimension mismatch")
-        return _coordinates(self._rows, v) is not None
+        quotients = []
+        for r in self.canonical():
+            c = self._pivot(r)
+            q = v[c] // r[c]
+            quotients.append(q)
+            if q:
+                v = [x - q * y for x, y in zip(v, r)]
+        return tuple(v), quotients
+
+    def contains(self, vector):
+        return not any(self.residue(vector))
 
     def canonical(self):
         """Hermite canonical basis: tuple of rows, the comparison key."""
@@ -255,29 +283,10 @@ def smith_invariants(matrix):
     return out
 
 
-def _coordinates(rows, v):
-    """Coordinates of v on echelon rows sorted by pivot column, or None when
-    v is not in their span.
-
-    Back-substitution pivot by pivot: the rows after a row are zero at its
-    pivot, so that entry of v forces the row's coefficient.
-    """
-    coeffs = []
-    for r in rows:
-        c = next(j for j, x in enumerate(r) if x)
-        q, rem = divmod(v[c], r[c])
-        if rem:
-            return None
-        coeffs.append(q)
-        if q:
-            v = [x - q * y for x, y in zip(v, r)]
-    return None if any(v) else coeffs
-
-
 def express_in_basis(L, vector):
     """Coordinates of a lattice member on the canonical basis (or error)."""
-    coeffs = _coordinates(L.canonical(), [int(x) for x in vector])
-    if coeffs is None:
+    residue, coeffs = L._reduce(vector)
+    if any(residue):
         raise ValueError("vector is not in the lattice")
     return coeffs
 

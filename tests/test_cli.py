@@ -572,3 +572,52 @@ def test_prime_not_dividing_order_exits_2(runner, args):
 def test_block_shape_without_an_order_exits_2(runner, token):
     r = invoke(runner, "verify", "S4", "-p", "2", "--subgroup-mode", f"block:{token}")
     assert (r.exit_code, r.stderr) == (2, f"error: cannot parse group shape {token!r}\n")
+
+
+@pytest.mark.parametrize("h_block", [1, 2])
+def test_witness_naming_a_non_correspondent_pair_exits_2(runner, tmp_path, h_block,
+                                                         shared_groups):
+    """G block 1 of the fixture corresponds to H block 0; a witness on G
+    block 1 and another H block is about no pair that (G) speaks of."""
+    wit = json.loads((FIXTURES / "fixture_witness.json").read_text())
+    wit["coeffs"] = [0] * len(wit["coeffs"])
+    wit["correspondent_chars"] = [h_block + 5 * t for t in range(5)]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(wit))
+    r = invoke(runner, "verify", str(FIXTURES / "fixture_group.json"), "-p", "2",
+               "--subgroup-mode", "block:1", "--props", "g", "--witness", str(path))
+    assert (r.exit_code, r.stderr) == (
+        2, "error: witness correspondent_chars do not name the correspondent "
+           "of the block_chars block\n")
+
+
+def _missing_key_args(runner, tmp_path, kind, key):
+    """Arguments reading a group, table or witness file that lacks `key`."""
+    def drop(data):
+        where = {"powermap": lambda: data["classes"][0],
+                 "terms": lambda: data["irreducibles"][0][0]}.get(key, lambda: data)
+        del where()[key]
+        return data
+
+    if kind == "group":
+        return _group_args(tmp_path, drop({"format": "perm-group", "degree": 4,
+                                           "generators": S4_GENS}))
+    if kind == "table":
+        return _s4_table_args(runner, tmp_path, drop)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(drop(json.loads((FIXTURES / "fixture_witness.json")
+                                               .read_text()))))
+    return ["verify", str(FIXTURES / "fixture_group.json"), "-p", "2",
+            "--subgroup-mode", "block:1", "--props", "g", "--witness", str(path)]
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("group", "degree"), ("group", "generators"), ("table", "order"),
+     ("table", "exponent"), ("table", "classes"), ("table", "irreducibles"),
+     ("table", "powermap"), ("table", "terms"), ("witness", "coeffs")],
+)
+def test_missing_key_names_the_key(runner, tmp_path, kind, key, shared_groups):
+    r = invoke(runner, *_missing_key_args(runner, tmp_path, kind, key))
+    assert (r.exit_code, r.stderr) == (
+        2, f"error: malformed {kind} data: missing key '{key}'\n")

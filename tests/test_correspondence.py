@@ -1,6 +1,7 @@
 """Correspondence properties, quotient shapes, and structural identities."""
 
 import gc
+import json
 import random
 import weakref
 from collections import Counter
@@ -8,15 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import shared_group
 from indres import correspondence
 from indres.blocks import block_partition
-from indres.catalog import build
+from indres.catalog import BUILDERS, build
 from indres.cli import JobSpec, build_instance, load_group
-from indres.classfun import irr, restriction_matrix
+from indres.classfun import VirtualCharacter, irr, restriction_matrix
 from indres.correspondence import (
     PROPERTIES,
-    I_transform,
-    R_transform,
     blocks_with_defect_group_P,
     block_splitting_holds,
     brauer_completeness_check,
@@ -37,7 +37,7 @@ from indres.correspondence import (
     theorem26_selftest,
 )
 from indres.correspondence import _lex_signed_matching, _s_is_trivial
-from indres.groupcore import PermGroup, normalizer, sylow_subgroup
+from indres.groupcore import PermGroup, normalizer, prime_factors, sylow_subgroup
 from indres.lattice import IntLattice, coordinate_restrict
 
 
@@ -126,25 +126,19 @@ def test_block_pair_verdicts_s5():
 
 
 def test_omega_transforms_match_restriction(s4_2):
-    """I_omega is induction cut to the block; R_omega-bar is Proj Res."""
+    """omega at (chi_i x conj psi_j) is <Res chi_i, psi_j> on b x e and 0
+    elsewhere: I_omega (column dual_H(j)) is induction cut to the block,
+    and R_omega-bar (row i, read at dual_H(j)) is Proj Res."""
     inst = s4_2
     b = block_partition(inst.tG, 2)[0]
     e = correspondent_of(inst, b)
     omega = omega_character(inst, b, e)
     R = restriction_matrix(inst.tG, inst.tH)
-    bset = set(b.char_indices)
-    for j in e.char_indices:
-        v = I_transform(omega, irr(inst.tH, j))
-        assert list(v.coeffs) == [
-            R[i][j] if i in bset else 0 for i in range(inst.tG.k)
-        ]
-    eset = set(e.char_indices)
-    omegabar = omega.conjugate()
-    for i in b.char_indices:
-        w = R_transform(omegabar, irr(inst.tG, i))
-        assert list(w.coeffs) == [
-            R[i][j] if j in eset else 0 for j in range(inst.tH.k)
-        ]
+    kH, dualH = inst.tH.k, inst.tH.dual_map()
+    for i in range(inst.tG.k):
+        for j in range(inst.tH.k):
+            on_pair = i in b.char_indices and j in e.char_indices
+            assert omega.coeffs[i * kH + dualH[j]] == (R[i][j] if on_pair else 0)
 
 
 def test_property_g_with_omega_witness(s3_2):
@@ -170,8 +164,6 @@ def test_property_g_vanishing_agrees_with_product_lattice(s3_2, monkeypatch):
     kH = inst.tH.k
     dualH = inst.tH.dual_map()
     t0 = b.char_indices[0] * kH + dualH[e.char_indices[0]]
-    from indres.classfun import VirtualCharacter
-
     coeffs = list(omega.coeffs)
     coeffs[t0] += 1
     bad = VirtualCharacter(prod, coeffs)
@@ -197,8 +189,6 @@ def test_product_lattice_vanishes_on_singular_pairs(s3_2):
     prod = pair_table(inst)
     L = product_induced_lattice(inst)
     singular = [t for t, c in enumerate(prod.classes) if c.rep_order % 2 == 0]
-    from indres.classfun import VirtualCharacter
-
     for row in L.canonical():
         v = VirtualCharacter(prod, row)
         assert all(v.value_at(t).is_zero() for t in singular)
@@ -210,8 +200,6 @@ def test_witness_support_is_validated(s3_2):
     b = next(x for x in blocks if x.principal)
     e = correspondent_of(inst, b)
     prod = pair_table(inst)
-    from indres.classfun import VirtualCharacter
-
     coeffs = [0] * prod.k
     # the defect-zero row of S3 paired with anything is outside b x e-bar
     outside = next(
@@ -424,3 +412,239 @@ def test_block_mode_asks_each_block_once(monkeypatch):
         [(tG.group_order, i) for i in range(len(block_partition(tG, 2)))]
         + [(tH.group_order, i) for i in range(len(block_partition(tH, 2)))])
     assert set(asked.values()) == {1}
+
+
+# -- the verdicts against the membership-test formulation -----------------------
+
+def _reference_check_property(inst, which, block_pair=None):
+    """`check_property` as one membership test per image and per signed
+    pair: pres and pind test each image, irc/wirc and wircstar test the
+    difference vectors s*phi_j - Proj Res chi_i and chi_i - s*Ind phi_j.
+    Every helper is read from the module, so a patch reaches both."""
+    c = correspondence
+    level = "global" if block_pair is None else f"block:{block_pair[0].index}"
+    if which == "pres":
+        L = c.cp_plus_lattice(inst, "H", block_pair)
+        for i in c._side_sets(inst, "G", block_pair)[1]:
+            if not L.contains(c.proj_res_vector(inst, i)):
+                return c.Verdict(which, False, certificate=f"Proj Res of row {i} escapes",
+                                 level=level)
+        return c.Verdict(which, True, level=level)
+    if which == "pind":
+        L = c.cp_plus_lattice(inst, "G", block_pair)
+        for j in c._side_sets(inst, "H", block_pair)[1]:
+            if not L.contains(c.ind_vector(inst, j)):
+                return c.Verdict(which, False, certificate=f"Ind of row {j} escapes",
+                                 level=level)
+        return c.Verdict(which, True, level=level)
+    irr0_g, _ = c._side_sets(inst, "G", block_pair)
+    irr0_h, _ = c._side_sets(inst, "H", block_pair)
+    if len(irr0_g) != len(irr0_h):
+        return c.Verdict(which, False,
+                         certificate=f"|Irr0| mismatch: {len(irr0_g)} vs {len(irr0_h)}",
+                         level=level)
+    if which in ("irc", "wirc"):
+        L = (c.cp_plus_lattice(inst, "H", block_pair) if which == "wirc"
+             else c.build_induced_lattice(inst, "H"))
+
+        def edge_sign(i, j):
+            for s in (1, -1):
+                v = list(c.proj_res_vector(inst, i))
+                v[j] -= s
+                if L.contains(v):
+                    return s
+            return None
+    else:
+        L = c.cp_plus_lattice(inst, "G", block_pair)
+
+        def edge_sign(i, j):
+            for s in (1, -1):
+                v = [-s * x for x in c.ind_vector(inst, j)]
+                v[i] += 1
+                if L.contains(v):
+                    return s
+            return None
+
+    matching = c._lex_signed_matching(irr0_g, irr0_h, edge_sign)
+    if matching is None:
+        return c.Verdict(which, False, certificate="no perfect signed matching",
+                         level=level)
+    return c.Verdict(which, True, witness=matching, level=level)
+
+
+def _verdict_key(v):
+    return v.holds, v.witness, v.certificate, v.level
+
+
+def _block_pairs(inst):
+    """None (the global level) and every (b, e) with e the correspondent of b."""
+    pairs = [None]
+    for b in block_partition(inst.tG, inst.p):
+        e = correspondent_of(inst, b)
+        if e is not None:
+            pairs.append((b, e))
+    return pairs
+
+
+def _verdicts_agree(inst):
+    """Compare all five verdicts at every level; return the certificates."""
+    seen = set()
+    for pair in _block_pairs(inst):
+        for w in PROPERTIES:
+            got = check_property(inst, w, block_pair=pair)
+            assert _verdict_key(got) == _verdict_key(
+                _reference_check_property(inst, w, pair)), (inst.name, w, pair)
+            # the certificate's kind: "Proj Res", "Ind", "|Irr0| mismatch",
+            # "no perfect signed matching", or None when the property holds
+            seen.add(got.certificate and got.certificate.split(" of row")[0].split(":")[0])
+    return seen
+
+
+SMALL_CATALOG = sorted(n for n in BUILDERS if build(n).order() <= 2000)
+
+
+@pytest.mark.parametrize("name", SMALL_CATALOG)
+def test_verdicts_match_membership_formulation(name):
+    G = shared_group(name)
+    for p in prime_factors(G.order()):
+        _verdicts_agree(make_instance(G, p, name=name))
+
+
+def test_irc_matching_failures_match_membership_formulation():
+    """The cases where irc has no perfect signed matching unaided: PSU3_3
+    at 3, and the blocks 1-4 of the order-1000 fixture at 2."""
+    seen = _verdicts_agree(make_instance(shared_group("PSU3_3"), 3, name="PSU3_3"))
+    path = str(Path(__file__).resolve().parent.parent / "fixtures" / "fixture_group.json")
+    for i in range(1, 5):
+        spec = JobSpec(group=path, p=2, subgroup_mode=f"block:{i}")
+        inst, _ = build_instance(spec, shared_group(path))
+        seen |= _verdicts_agree(inst)
+    assert "no perfect signed matching" in seen
+
+
+def _zero_lattice(inst, side, *rest):
+    return IntLattice(inst.table(side).k)
+
+
+def _uneven_side_sets(inst, side, block_pair):
+    irr0, irrp = _SIDE_SETS(inst, side, block_pair)
+    return (irr0[1:] if side == "G" else irr0), irrp
+
+
+_SIDE_SETS = correspondence._side_sets
+
+
+@pytest.mark.parametrize("patch, certificates", [
+    ("cp_plus_lattice", {"Proj Res", "Ind", "no perfect signed matching"}),
+    ("build_induced_lattice", {"no perfect signed matching"}),
+    ("_side_sets", {"|Irr0| mismatch"}),
+])
+def test_forced_failures_match_membership_formulation(patch, certificates, monkeypatch):
+    """Failures that no catalog case reaches unaided, forced by one patch
+    of the module that the library and the reference both read."""
+    fake = _uneven_side_sets if patch == "_side_sets" else _zero_lattice
+    monkeypatch.setattr(correspondence, patch, fake)
+    seen = set()
+    for name, p in [("S4", 2), ("A5", 2), ("S5", 3), ("D12", 3)]:
+        seen |= _verdicts_agree(make_instance(shared_group(name), p, name=name))
+    assert certificates <= seen
+
+
+# -- property (G): the coefficient block against the transform loops ------------
+
+def _reference_I_transform(mu, phi):
+    """I_mu: C(H) -> C(G) in coefficient space."""
+    tG, tH = mu.table.factors
+    dualH, kH = tH.dual_map(), tH.k
+    out = [0] * tG.k
+    for t, c in enumerate(mu.coeffs):
+        if c:
+            i, j = divmod(t, kH)
+            out[i] += c * phi.coeffs[dualH[j]]
+    return VirtualCharacter(tG, out)
+
+
+def _reference_R_transform(mu, chi):
+    """R_mu: C(G) -> C(H) in coefficient space."""
+    tG, tH = mu.table.factors
+    dualG, kH = tG.dual_map(), tH.k
+    out = [0] * tH.k
+    for t, c in enumerate(mu.coeffs):
+        if c:
+            i, j = divmod(t, kH)
+            out[j] += c * chi.coeffs[dualG[i]]
+    return VirtualCharacter(tH, out)
+
+
+def _reference_transforms_hold(inst, b, e, mu):
+    """Each height-zero irreducible goes to one height-zero constituent
+    with multiplicity +-1, under I_mu and under R_mubar."""
+    hz_b, hz_e = set(b.height_zero), set(e.height_zero)
+    for j in hz_e:
+        v = _reference_I_transform(mu, irr(inst.tH, j))
+        hits = [i for i in v.support() if i in hz_b]
+        if len(hits) != 1 or abs(v.coeffs[hits[0]]) != 1:
+            return False
+    mubar = mu.conjugate()
+    for i in hz_b:
+        w = _reference_R_transform(mubar, irr(inst.tG, i))
+        hits = [j for j in w.support() if j in hz_e]
+        if len(hits) != 1 or abs(w.coeffs[hits[0]]) != 1:
+            return False
+    return True
+
+
+def _witness_cases():
+    """(inst, b, e, mu): omega on every correspondent pair of a few groups,
+    and the committed witness of the order-1000 fixture."""
+    for name in ("S3", "S4", "A5", "D8xC3"):
+        G = shared_group(name)
+        for p in prime_factors(G.order()):
+            inst = make_instance(G, p, name=name)
+            for pair in _block_pairs(inst)[1:]:
+                yield (inst, *pair, omega_character(inst, *pair))
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    spec = JobSpec(group=str(root / "fixture_group.json"), p=2, subgroup_mode="block:1")
+    inst, pair = build_instance(spec, shared_group(spec.group))
+    coeffs = json.loads((root / "fixture_witness.json").read_text())["coeffs"]
+    yield (inst, *pair, VirtualCharacter(pair_table(inst), coeffs))
+
+
+def _height_zero_mutations(inst, b, e, mu):
+    """mu, and mu with one height-zero entry flipped, zeroed, doubled or
+    moved to the first place of its row or of its column, or with a second
+    +-1 put in a row of the height-zero block."""
+    kH, dualH = inst.tH.k, inst.tH.dual_map()
+    yield mu.coeffs
+    for i in b.height_zero:
+        for j in e.height_zero:
+            t = i * kH + dualH[j]
+            for new in (-mu.coeffs[t], 0, 2 * mu.coeffs[t]):
+                yield mu.coeffs[:t] + (new,) + mu.coeffs[t + 1:]
+            for u in (i * kH + dualH[e.height_zero[0]],
+                      b.height_zero[0] * kH + dualH[j]):
+                moved = list(mu.coeffs)
+                moved[t], moved[u] = 0, mu.coeffs[t]
+                yield tuple(moved)
+        row = [i * kH + dualH[j] for j in e.height_zero]
+        free = [t for t in row if not mu.coeffs[t]]
+        if free and any(mu.coeffs[t] for t in row):
+            for s in (1, -1):
+                t = free[0]
+                yield mu.coeffs[:t] + (s,) + mu.coeffs[t + 1:]
+
+
+def test_property_g_block_test_matches_transform_loops(monkeypatch):
+    """With the lattice condition granted, the verdict is the transform
+    test, and reading mu's height-zero block must agree with computing
+    I_mu and R_mubar of every height-zero irreducible."""
+    monkeypatch.setattr(correspondence, "_s_is_trivial", lambda inst: True)
+    monkeypatch.setattr(correspondence, "vanishes_on", lambda chi, classes: True)
+    verdicts = Counter()
+    for inst, b, e, mu in _witness_cases():
+        for coeffs in _height_zero_mutations(inst, b, e, mu):
+            nu = VirtualCharacter(mu.table, coeffs)
+            got = check_property_G_with_witness(inst, b, e, nu)
+            assert got == _reference_transforms_hold(inst, b, e, nu), (inst.name, b, e)
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]

@@ -78,6 +78,41 @@ def test_canonical_is_hermite_normal(vs):
     assert pivots == sorted(pivots)
 
 
+@st.composite
+def lattice_cases(draw):
+    """A dimension n <= 6, up to 6 generators in Z^n, a vector, and one
+    integer combination of the generators."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vec = st.lists(st.integers(min_value=-12, max_value=12), min_size=n, max_size=n)
+    gens = draw(st.lists(vec, max_size=6))
+    weights = draw(st.lists(st.integers(min_value=-5, max_value=5),
+                            min_size=len(gens), max_size=len(gens)))
+    return n, gens, draw(vec), weights
+
+
+@given(lattice_cases())
+@settings(derandomize=True, max_examples=200)
+def test_residue_is_a_canonical_coset_representative(case):
+    n, gens, v, weights = case
+    L = IntLattice(n, gens)
+    r = L.residue(v)
+    shift = [sum(w * g[j] for w, g in zip(weights, gens)) for j in range(n)]
+    assert L.residue([x + y for x, y in zip(v, shift)]) == r
+    assert L.residue(r) == r
+    assert L.contains(v) == (not any(r))
+    assert L.contains([x - y for x, y in zip(v, r)])
+    for row in L.canonical():
+        c = next(j for j, x in enumerate(row) if x)
+        assert 0 <= r[c] < row[c]
+
+
+def test_residue_frozen_example():
+    L = IntLattice(2, [[2, 0], [1, 1]])  # canonical ((1, 1), (0, 2))
+    assert L.residue([5, 4]) == (0, 1)
+    assert L.residue([-1, 0]) == (0, 1)
+    assert L.residue([3, 3]) == (0, 0)
+
+
 def test_express_in_basis_round_trip():
     L = IntLattice(3, [[2, 1, 0], [0, 3, 1]])
     v = [4, 5, 1]  # 2*(2,1,0) + 1*(0,3,1)

@@ -1,10 +1,13 @@
-"""Every benchmark workload writes the report bytes the benchmark expects.
+"""Every benchmark workload writes the report bytes the benchmark expects,
+and fires every span the benchmark reads.
 
 `perfbench/run.py` records, for each workload, its `indres` arguments,
-its exit code and the SHA-256 of its `-o` report, and a timed run fails
-when either differs.  This test reads the same records (for the workloads
-that `BENCHMARK.json` lists) and runs each command in process, so a
-report that drifts fails here too, not only in a benchmark run.
+its exit code, the SHA-256 of its `-o` report and the spans a traced run
+must fire; a timed run fails when any of them differs.  This test runs
+each workload that `BENCHMARK.json` lists once, traced, the way the
+benchmark does (`run_child`: `perfbench/launch.py` in a fresh interpreter
+started from the repository root), so a report that drifts or a span that
+stops firing fails here too, not only in a benchmark run.
 """
 
 import hashlib
@@ -13,32 +16,30 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from indres.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "perfbench" / "run.py"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+def _perfbench_run():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())
-             ["workloads"]]
-    return [run.WORKLOADS[name] for name in names]
+    return run
 
 
-WORKLOADS = _workloads()
+RUN = _perfbench_run()
+WORKLOADS = [RUN.WORKLOADS[w["name"]] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=[w.name for w in WORKLOADS])
-def test_workload_report_bytes(workload, tmp_path, monkeypatch):
-    # the workloads name their fixture files relative to the repo root
-    monkeypatch.chdir(ROOT)
-    report = tmp_path / "report.json"
-    r = CliRunner().invoke(main, [*workload.args, "-o", str(report)],
-                           catch_exceptions=False)
-    assert r.exit_code == workload.exit_code, r.output
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == workload.digest
+def test_workload_report_bytes(workload, tmp_path):
+    sample = RUN.run_child(workload, 1, tmp_path, trace=True)
+    assert sample["exit_code"] == workload.exit_code, (
+        (tmp_path / "stderr.txt").read_text())
+    report = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == workload.digest
+    spans = json.loads((tmp_path / "trace.json").read_text())["spans"]
+    assert [s for s in workload.spans if spans.get(s, {}).get("calls", 0) == 0] == []
+    assert sample["problems"] == []
