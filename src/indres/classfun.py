@@ -348,26 +348,19 @@ def outer_product(chi, theta, prod):
 
 # -- counts ------------------------------------------------------------------
 
-def ml_counts(table, p, mode="global", subset=None):
+def ml_counts(table, p, subset=None):
     """Character counts by degree residue, folded under l ~ -l (mod p).
 
-    global mode buckets chi(1) mod p, skipping degrees divisible by p;
-    p-prime-part mode buckets the p'-part of chi(1), so every character in
-    the subset lands in some bucket.  The subset is a row index iterable
-    (default: all rows).
+    Each character of the subset (a row index iterable; default: the
+    characters of p'-degree) is counted at the residue of the p'-part of
+    its degree, which is never 0 mod p.
     """
-    if mode not in ("global", "p-prime-part"):
-        raise ValueError(f"unknown mode {mode!r}")
     residues = [1] if p == 2 else list(range(1, (p - 1) // 2 + 1))
     counts = {l: 0 for l in residues}
-    rows = range(table.k) if subset is None else subset
-    for i in rows:
-        d = table.degrees[i]
-        if mode == "p-prime-part":
-            d = p_prime_part(d, p)
-        r = d % p
-        if r == 0:
-            continue
+    if subset is None:
+        subset = [i for i, d in enumerate(table.degrees) if d % p]
+    for i in subset:
+        r = p_prime_part(table.degrees[i], p) % p
         counts[min(r, p - r)] += 1
     return counts
 

@@ -180,13 +180,8 @@ def run_verify(spec):
     for w in extras:
         if w not in ("in", "g"):
             raise ValueError(f"unknown property {w!r}")
-    inst, block_pair = build_instance(spec, load_group(spec.group))
-    report = full_report(inst, props=wants, block_pair=block_pair)
-    data = report.to_json()
-    ok = all(v.holds for v in report.verdicts.values())
-    if "in" in extras:
-        ok = ok and data["ml_counts"]["equal"]
     if "g" in extras:
+        # read before any group is built, so a bad witness fails fast
         if not spec.witness:
             raise ValueError("property g needs --witness")
         with open(spec.witness) as fh:
@@ -198,6 +193,13 @@ def run_verify(spec):
             chars_b = sorted(json_int(i, "witness character") for i in wit["block_chars"])
             chars_e = sorted(json_int(i, "witness character")
                              for i in wit["correspondent_chars"])
+    inst, block_pair = build_instance(spec, load_group(spec.group))
+    report = full_report(inst, props=wants, block_pair=block_pair)
+    data = report.to_json()
+    ok = all(v.holds for v in report.verdicts.values())
+    if "in" in extras:
+        ok = ok and data["ml_counts"]["equal"]
+    if "g" in extras:
         mu = VirtualCharacter(pair_table(inst), coeffs)
         b = next(
             (bb for bb in block_partition(inst.tG, inst.p)
@@ -455,9 +457,9 @@ def cmd_oracle(kind, group, prime, budget_order, budget_classes):
     if kind == "brute-classes":
         brute = brute_conjugacy_classes(G, budget_order=budget_classes)
         own = _class_element_sets(G, conjugacy_classes(G))
-        mine = sorted(frozenset(cl) for cl in brute)
-        theirs = sorted(frozenset(cl) for cl in own)
-        same = mine == theirs
+        # compared as sets: `<` on frozensets is the partial subset order,
+        # so sorting lists of them gives no canonical order
+        same = set(map(frozenset, brute)) == set(map(frozenset, own))
         click.echo(
             f"{len(brute)} classes, sizes {sorted(len(c) for c in brute)}, "
             f"{'match' if same else 'MISMATCH'}"

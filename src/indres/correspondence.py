@@ -429,12 +429,12 @@ def isaacs_navarro_check(inst, block_pair=None):
     p = inst.p
     m = p_prime_part(inst.tG.group_order // inst.tH.group_order, p)
     if block_pair is None:
-        cG = ml_counts(inst.tG, p, mode="global")
-        cH = ml_counts(inst.tH, p, mode="global")
+        cG = ml_counts(inst.tG, p)
+        cH = ml_counts(inst.tH, p)
     else:
         b, e = block_pair
-        cG = ml_counts(inst.tG, p, mode="p-prime-part", subset=b.height_zero)
-        cH = ml_counts(inst.tH, p, mode="p-prime-part", subset=e.height_zero)
+        cG = ml_counts(inst.tG, p, subset=b.height_zero)
+        cH = ml_counts(inst.tH, p, subset=e.height_zero)
     ok = True
     for l in cH:
         ml = (m * l) % p

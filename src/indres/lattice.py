@@ -1,9 +1,12 @@
 """Exact integer lattices (subgroups of Z^n) with Hermite canonical bases.
 
 The working representation is a row-echelon basis over Z maintained by gcd
-elimination as vectors are inserted; the canonical form (positive pivots,
-entries above a pivot reduced into [0, pivot)) is produced on demand and is
-what equality, hashing, and reports use.  Reducing a vector at the pivots
+elimination as vectors are inserted.  Its pivots are positive, and each row
+is reduced into [0, pivot) at the pivots of the rows after it whenever it is
+stored or changed, so entries stay bounded instead of growing with every
+elimination step.  The canonical form (every entry above a pivot reduced
+into [0, pivot)) is produced on demand and is what equality, hashing,
+reports and Smith invariants use.  Reducing a vector at the pivots
 of that form gives the canonical representative of its coset, its residue:
 membership is a zero residue, and two vectors are congruent modulo the
 lattice exactly when their residues are equal.  Everything is
@@ -13,6 +16,7 @@ operations are cheap.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .groupcore import IntegrityError
 
@@ -22,7 +26,7 @@ class IntLattice:
 
     def __init__(self, dim, vectors=()):
         self.dim = int(dim)
-        self._rows = []  # echelon rows sorted by pivot column
+        self._rows = []  # echelon rows sorted by pivot column, pivots > 0
         self._canon = None
         for v in vectors:
             self.insert(v)
@@ -54,21 +58,35 @@ class IntLattice:
                 if v[c] < 0:
                     v = [-x for x in v]
                 rows.insert(i, v)
-                self._canon = None
+                self._store(i)
                 return
             r = rows[i]
             g, a, b = _xgcd(r[c], v[c])
-            if g != abs(r[c]):
-                combined = [a * x + b * y for x, y in zip(r, v)]
+            if g != r[c]:
+                rows[i] = [a * x + b * y for x, y in zip(r, v)]
                 v = [
                     (r[c] // g) * y - (v[c] // g) * x for x, y in zip(r, v)
                 ]
-                rows[i] = combined
-                self._canon = None
+                self._store(i)
             else:
                 q = v[c] // r[c]
                 v = [y - q * x for x, y in zip(r, v)]
             i += 1
+
+    def _store(self, i):
+        """Reduce row i into [0, pivot) at the pivots of the rows after it.
+
+        A unimodular row operation inside the lattice: the span, and so the
+        Hermite basis, is unchanged.
+        """
+        row = self._rows[i]
+        for r in self._rows[i + 1:]:
+            c = self._pivot(r)
+            q = row[c] // r[c]
+            if q:
+                row = [x - q * y for x, y in zip(row, r)]
+        self._rows[i] = row
+        self._canon = None
 
     def residue(self, vector):
         """The canonical representative of vector + L, as a tuple.
@@ -106,9 +124,6 @@ class IntLattice:
             return self._canon
         rows = [list(r) for r in self._rows]
         pivots = [self._pivot(r) for r in rows]
-        for i, r in enumerate(rows):
-            if r[pivots[i]] < 0:
-                rows[i] = [-x for x in r]
         # ascending pivot order: row i is zero at all earlier pivot columns,
         # so reducing above-entries at pivot i never disturbs settled columns
         for i in range(len(rows)):
@@ -224,63 +239,26 @@ class QuotientShape:
 def smith_invariants(matrix):
     """Nonzero invariant factors of an integer matrix, d_1 | d_2 | ...
 
-    Classical elimination: bring the absolutely smallest entry to the
-    corner, clear its row and column (re-entering the loop whenever a
-    remainder shrinks the corner), then absorb any non-divisible entry of
-    the remaining block and recurse.
+    Alternates row and column Hermite forms (the column form is the row
+    form of the transpose) until the matrix is diagonal, then brings the
+    diagonal into a divisibility chain by replacing each pair with its gcd
+    and lcm (Kannan and Bachem, SIAM J. Comput. 8, 1979).
     """
     M = [list(map(int, row)) for row in matrix]
     if not M or not M[0]:
         return []
-    rows, cols = len(M), len(M[0])
-    out = []
-    t = 0
-    while t < min(rows, cols):
-        pr = pc = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(M[i][j])
-                if x and (best is None or x < best):
-                    best, pr, pc = x, i, j
-        if best is None:
+    while True:
+        M = IntLattice(len(M[0]), M).basis()
+        if not any(x for i, row in enumerate(M) for j, x in enumerate(row)
+                   if i != j):
             break
-        M[t], M[pr] = M[pr], M[t]
-        for row in M:
-            row[t], row[pc] = row[pc], row[t]
-        if M[t][t] < 0:
-            M[t] = [-x for x in M[t]]
-        dirty = False
-        for i in range(t + 1, rows):
-            if M[i][t]:
-                q = M[i][t] // M[t][t]
-                M[i] = [x - q * y for x, y in zip(M[i], M[t])]
-                if M[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if M[t][j]:
-                q = M[t][j] // M[t][t]
-                for row in M:
-                    row[j] -= q * row[t]
-                if M[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        p = M[t][t]
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if M[i][j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            M[t] = [x + y for x, y in zip(M[t], M[bad])]
-            continue
-        out.append(p)
-        t += 1
-    return out
+        M = [list(col) for col in zip(*M)]
+    d = [row[i] for i, row in enumerate(M)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def express_in_basis(L, vector):

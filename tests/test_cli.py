@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import indres
 from conftest import shared_group
 from indres import chartab, cli
-from indres.catalog import build
+from indres.catalog import BUILDERS, build
 from indres.cli import main
 from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded
 
@@ -217,9 +217,12 @@ def test_oracle_subgroup_lattice(runner):
     assert "HNF equal" in r.output
 
 
-def test_oracle_brute_classes(runner):
-    r = invoke(runner, "oracle", "brute-classes", "Q8")
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(BUILDERS) if build(n).order() <= 2500])
+def test_oracle_brute_classes(runner, name):
+    r = invoke(runner, "oracle", "brute-classes", name)
     assert r.exit_code == 0
+    assert r.output.endswith(" match\n")
 
 
 def test_oracle_brute_table(runner):
@@ -589,6 +592,30 @@ def test_witness_naming_a_non_correspondent_pair_exits_2(runner, tmp_path, h_blo
     assert (r.exit_code, r.stderr) == (
         2, "error: witness correspondent_chars do not name the correspondent "
            "of the block_chars block\n")
+
+
+_WITNESS = json.loads((FIXTURES / "fixture_witness.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [None, "missing", {k: v for k, v in _WITNESS.items() if k != "coeffs"},
+     {**_WITNESS, "format": "perm-group"}],
+    ids=["no-witness", "missing-path", "no-coeffs", "wrong-format"])
+def test_witness_is_read_before_the_group_is_built(runner, tmp_path, monkeypatch,
+                                                    witness):
+    built = []
+    real = cli.build_instance
+    monkeypatch.setattr(cli, "build_instance",
+                        lambda spec, G: built.append(spec) or real(spec, G))
+    args = ["verify", "M12", "-p", "2", "--props", "irc,g"]
+    if witness is not None:
+        path = tmp_path / "witness.json"
+        if witness != "missing":
+            path.write_text(json.dumps(witness))
+        args += ["--witness", str(path)]
+    _assert_one_line_error(runner.invoke(main, args))
+    assert built == []
 
 
 def _missing_key_args(runner, tmp_path, kind, key):
