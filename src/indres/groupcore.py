@@ -5,7 +5,9 @@ of Python ints; `_mul`, `_inv`, `_conj`, `_perm_order` and `_perm_power`
 are the arithmetic on them.
 Bulk work (conjugacy sweeps, normalizer scans) runs on a lexicographically
 sorted numpy matrix holding every group element, so most operations here
-assume the group order fits the element budget.
+assume the group order fits the element budget.  A normalizer scan narrows
+generator by generator: each generator of the normalized subgroup is
+conjugated only by the elements that passed the generators before it.
 
 Inside a group, an element's identity is its row index in that sorted
 matrix (`PermGroup.index_of`).  Indices are in lexicographic order, so a
@@ -25,7 +27,7 @@ derived data through it too.
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import wraps
-from itertools import count
+from itertools import count, islice
 from math import lcm
 from operator import itemgetter
 
@@ -395,15 +397,21 @@ class PermGroup:
 
     @_memo
     def _rank_tables(self):
-        # per level: base point, point -> position in the sorted transversal
-        # (0 off the orbit), and the inverse transversal element by position
+        """Per chain level: the base point, point -> position in the sorted
+        transversal as int32 (0 off the orbit), the transversal size, and
+        the inverse transversal elements as one flat DTYPE array whose entry
+        pos * degree + x is u^-1(x).
+
+        The flat index fits int32: pos < degree <= MAX_DEGREE = 2**15, so
+        pos * degree + x < 2**30.
+        """
         ranks = []
         for lvl in self._chain():
             pts = sorted(lvl.transversal)
-            pos = np.zeros(self.degree, dtype=np.intp)
-            pos[pts] = np.arange(len(pts))
+            pos = np.zeros(self.degree, dtype=np.int32)
+            pos[pts] = np.arange(len(pts), dtype=np.int32)
             uinv = np.array([_inv(lvl.transversal[pt]) for pt in pts], dtype=DTYPE)
-            ranks.append((lvl.base, pos, uinv))
+            ranks.append((lvl.base, pos, len(pts), uinv.ravel()))
         return ranks
 
     def index_of(self, M):
@@ -411,30 +419,37 @@ class PermGroup:
 
         Stripping a row's base images through the chain gives its rank, a
         mixed-radix number over the sorted transversals, and the rank names
-        one candidate row.  The index is kept only where that row equals
-        the input, so a non-member never aliases a member.
+        one candidate row.  Each level strips only the base columns not yet
+        stripped, in flat gathers.  The index is kept only where that row
+        equals the input, so a non-member never aliases a member.
         """
         E, row_of_rank = self._element_matrix()
         M = np.asarray(M, dtype=DTYPE)
         tables = self._rank_tables()
-        B = M[:, [base for base, _, _ in tables]]
+        # row j of B holds the images of the j-th unstripped base point, so
+        # each level gathers contiguous rows
+        B = M.T[[base for base, _, _, _ in tables]]
         rank = np.zeros(len(M), dtype=np.intp)
-        for i, (_, pos, uinv) in enumerate(tables):
-            r = pos[B[:, i]]
-            rank = rank * len(uinv) + r
-            B = uinv[r[:, None], B]
+        for _, pos, size, uinv in tables:
+            r = pos.take(B[0])
+            rank = rank * size + r
+            B = uinv.take(r * self.degree + B[1:])
         idx = row_of_rank[rank]
         return np.where(np.all(E[idx] == M, axis=1), idx, -1)
 
     @_memo
     def inverses(self):
-        return np.ascontiguousarray(np.argsort(self.elements(), axis=1).astype(DTYPE))
+        """Row i is the inverse of element i: it sends E[i, j] to j."""
+        E = self.elements()
+        inv = np.empty_like(E)
+        np.put_along_axis(inv, E, np.arange(self.degree, dtype=DTYPE), axis=1)
+        return inv
 
-    def conjugation_sweep(self, images, lo=0, hi=None):
-        """Rows g k g^{-1} for the elements g in rows lo:hi, with k fixed."""
-        E, Einv = self.elements()[lo:hi], self.inverses()[lo:hi]
+    def conjugation_sweep(self, images, rows):
+        """Rows g k g^{-1} for the elements g at the row indices `rows` of
+        `elements()`, with k fixed: (g k g^-1)(i) = g(k(g^-1(i)))."""
         k = np.asarray(images, dtype=DTYPE)
-        return np.take_along_axis(E, k[Einv], axis=1)
+        return self.elements()[rows[:, None], k[self.inverses()[rows]]]
 
     def rows_in(self, M):
         """Membership mask of the rows of M."""
@@ -611,10 +626,16 @@ def _subgroup_of_rows(degree, rows):
 
 
 def _transporter_mask(G, K, L, lo=0, hi=None):
-    """Mask over G's elements lo:hi of the g with g K g^-1 inside L."""
-    mask = np.ones(len(G.elements()[lo:hi]), dtype=bool)
+    """Mask over G's elements lo:hi of the g with g K g^-1 inside L.
+
+    The rows narrow as the generators go: each generator k of K is
+    conjugated only by the rows that kept every earlier one inside L.
+    """
+    rows = np.arange(lo, G.order() if hi is None else hi)
+    mask = np.zeros(len(rows), dtype=bool)
     for k in K.generators:
-        mask &= L.rows_in(G.conjugation_sweep(k, lo, hi))
+        rows = rows[L.rows_in(G.conjugation_sweep(k, rows))]
+    mask[rows - lo] = True
     return mask
 
 
@@ -642,12 +663,22 @@ def centralizer(G, x):
 
 @_memo
 def _centralizer(G, images):
+    """G when x commutes with every generator of G; otherwise the rows g
+    with g x = x g, tested on G's base points first.
+
+    A row that fails g(x(b)) = x(g(b)) at a base point b does not commute
+    with x, so dropping it is sound; every row that passes is then proved
+    by comparing full rows.  For x in G, gx and xg lie in G, so agreeing on
+    the base makes them equal: the first test already leaves exactly
+    C_G(x), and the full compare costs |C_G(x)| x degree.
+    """
+    if all(_mul(g, images) == _mul(images, g) for g in G.generators):
+        return G
     E = G.elements()
     xa = np.asarray(images, dtype=DTYPE)
-    mask = np.all(E[:, xa] == xa[E], axis=1)
-    if mask.all():
-        return G
-    return _subgroup_of_rows(G.degree, E[mask])
+    base = [lvl.base for lvl in G._chain()]
+    rows = E[np.all(E[:, xa[base]] == xa[E[:, base]], axis=1)]
+    return _subgroup_of_rows(G.degree, rows[np.all(rows[:, xa] == xa[rows], axis=1)])
 
 
 def normalizer(G, K):
@@ -729,8 +760,13 @@ def _maximal_sets(sets):
     """The containment-maximal members of `sets`, without repeats, ordered
     by decreasing size and then by sorted members."""
     kept = []
+    size = larger = 0
     for s in sorted(set(sets), key=lambda s: (-len(s), sorted(s))):
-        if not any(s <= big for big in kept):
+        # a kept set of s's own size is another set, so it cannot hold s:
+        # only kept[:larger], the strictly larger ones, can
+        if len(s) != size:
+            size, larger = len(s), len(kept)
+        if not any(s <= big for big in islice(kept, larger)):
             kept.append(s)
     return kept
 

@@ -4,11 +4,12 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indres import blocks
+from indres import blocks, groupcore
 from indres.catalog import build, special_linear2
 from indres.chartab import Cyclotomic, IntegrityError, character_table
 from indres.blocks import (
@@ -28,7 +29,7 @@ from indres.groupcore import (BudgetExceeded, _transporter_mask,
                               prime_factors, sylow_subgroup, v_p)
 from indres.oracles import brute_block_partition
 
-from conftest import shared_group
+from conftest import full_transporter_mask, shared_group
 
 
 def degrees_by_block(table, p):
@@ -358,8 +359,29 @@ def test_first_hit_defect_search_matches_full_mask(name):
         for P in (S, G.subgroup(S.generators[:1])):
             for b in block_partition(t, p):
                 D = defect_group(t, b, p)
-                full = bool(_transporter_mask(G, D, P).any())
+                full = bool(full_transporter_mask(G, D, P).any())
                 assert some_defect_group_inside(t, b, p, P) == full
+
+
+@pytest.mark.parametrize("name", list(DEFECT_GROUPS))
+def test_narrowing_transporter_matches_full_mask(name, monkeypatch):
+    """Over all of G and over every block of 5 rows, for (K, L) = (P, P),
+    (D, P) for every defect group D, and (⟨first generator of P⟩, P), P
+    the Sylow subgroup at each prime."""
+    monkeypatch.setattr(groupcore, "_SCAN_BLOCK", 5)
+    t = table_for(DEFECT_GROUPS[name]())
+    G = t.group
+    n = G.order()
+    for p in prime_factors(n):
+        P = sylow_subgroup(G, p)
+        pairs = [(P, P), (G.subgroup(P.generators[:1]), P)]
+        pairs += [(defect_group(t, b, p), P) for b in block_partition(t, p)]
+        for K, L in pairs:
+            full = full_transporter_mask(G, K, L)
+            assert np.array_equal(_transporter_mask(G, K, L), full)
+            blocked = [_transporter_mask(G, K, L, lo, min(lo + groupcore._SCAN_BLOCK, n))
+                       for lo in range(0, n, groupcore._SCAN_BLOCK)]
+            assert np.array_equal(np.concatenate(blocked), full)
 
 
 def test_one_reduction_per_table_and_prime(monkeypatch):

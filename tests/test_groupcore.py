@@ -13,6 +13,7 @@ from indres import groupcore
 from indres.catalog import BUILDERS, build, perm_from_cycles, special_linear2
 from indres.chartab import character_table
 from indres.groupcore import (
+    MAX_DEGREE,
     MILLER_RABIN_BOUND,
     BudgetExceeded,
     IntegrityError,
@@ -42,6 +43,8 @@ from indres.groupcore import (
     _subgroup_of_rows,
 )
 from indres.oracles import all_subgroups
+
+from conftest import full_transporter_mask, shared_group
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -390,6 +393,35 @@ def test_maximal_qualifying_psubgroups_match_brute_force(name):
                 assert got == sorted(brute, key=lambda s: (-len(s), sorted(s)))
 
 
+def _all_pairs_maximal_sets(sets):
+    """The containment-maximal sets, each set tested against every kept
+    set, equal sizes included."""
+    kept = []
+    for s in sorted(set(sets), key=lambda s: (-len(s), sorted(s))):
+        if not any(s <= big for big in kept):
+            kept.append(s)
+    return kept
+
+
+@st.composite
+def set_families(draw):
+    """Sets over six points (so many share a size), a subset of each drawn
+    set (nested pairs), and repeats, in a drawn order."""
+    base = draw(st.lists(st.frozensets(st.integers(0, 5)), max_size=12))
+    nested = [frozenset(draw(st.lists(st.sampled_from(sorted(s)), unique=True)))
+              for s in base if s]
+    family = base + nested
+    if family:
+        family += draw(st.lists(st.sampled_from(family), max_size=6))
+    return draw(st.permutations(family))
+
+
+@given(set_families())
+@settings(max_examples=200, deadline=None)
+def test_maximal_sets_match_the_all_pairs_loop(family):
+    assert _maximal_sets(iter(family)) == _all_pairs_maximal_sets(family)
+
+
 def _brauer_family_sets(group):
     """Element sets of ⟨c⟩ x Sylow_ℓ(C(c)) for every prime ℓ dividing the
     order and every class of ℓ'-elements c, ordered by size and then by
@@ -533,6 +565,55 @@ def test_index_of_elements_is_arange(indexed_group):
     assert np.array_equal(G.index_of(G.elements()), np.arange(G.order()))
 
 
+def _gather_index_of(G, M):
+    """`index_of` with every level gathering all base columns of the
+    stripped rows in one 2-D fancy index."""
+    E, row_of_rank = G._element_matrix()
+    M = np.asarray(M, dtype=E.dtype)
+    levels = G._chain()
+    B = M[:, [lvl.base for lvl in levels]]
+    rank = np.zeros(len(M), dtype=np.intp)
+    for i, lvl in enumerate(levels):
+        pts = sorted(lvl.transversal)
+        pos = np.zeros(G.degree, dtype=np.intp)
+        pos[pts] = np.arange(len(pts))
+        uinv = np.array([_inv(lvl.transversal[pt]) for pt in pts], dtype=E.dtype)
+        r = pos[B[:, i]]
+        rank = rank * len(uinv) + r
+        B = uinv[r[:, None], B]
+    idx = row_of_rank[rank]
+    return np.where(np.all(E[idx] == M, axis=1), idx, -1)
+
+
+def test_index_of_matches_the_full_gather(indexed_group):
+    G = indexed_group
+    E = G.elements()
+    rng = np.random.default_rng(0)
+    members = E[rng.permutation(len(E))]
+    # each member with the images of two of its points swapped
+    rows = np.arange(len(E))
+    a = rng.integers(0, G.degree, len(E))
+    b = (a + rng.integers(1, G.degree, len(E))) % G.degree
+    near = members.copy()
+    near[rows, a], near[rows, b] = members[rows, b], members[rows, a]
+    empty = np.empty((0, G.degree), dtype=E.dtype)
+    for M in (members, near, empty):
+        assert np.array_equal(G.index_of(M), _gather_index_of(G, M))
+
+
+def test_index_of_without_chain_levels():
+    G = PermGroup(3, [])
+    M = [(0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1)]
+    assert G.index_of(M).tolist() == [0, -1, -1, -1]
+    assert np.array_equal(G.index_of(M), _gather_index_of(G, M))
+
+
+def test_flat_rank_index_fits_int32():
+    # `_rank_tables` indexes its flat inverse transversals by
+    # pos * degree + x < MAX_DEGREE ** 2 in int32
+    assert MAX_DEGREE ** 2 <= 2 ** 31
+
+
 def test_elements_are_lex_sorted(indexed_group):
     E = indexed_group.elements().astype(np.int64)
     diff = E[1:] != E[:-1]
@@ -630,12 +711,36 @@ def test_centralizer_of_a_central_element_is_the_group():
     assert centralizer(G, tuple(range(G.degree))) is G
 
 
-@pytest.mark.parametrize("name", ["S4", "A5", "SL2_7"])
+def _commuting_rows(G, x):
+    return {g for g in map(tuple, G.elements().tolist()) if _mul(g, x) == _mul(x, g)}
+
+
+# M11 and the fixture group have chain bases other than their first points
+@pytest.mark.parametrize("name", ["S4", "A5", "SL2_7", "M11", "fixture"])
 def test_centralizer_elements_are_the_commuting_rows(name):
     G = INDEX_GROUPS[name]()
-    rows = [tuple(int(v) for v in r) for r in G.elements()]
     for c in conjugacy_classes(G):
         x = c.representative
-        commuting = {g for g in rows if _mul(g, x) == _mul(x, g)}
-        got = {tuple(int(v) for v in r) for r in centralizer(G, x).elements()}
-        assert got == commuting
+        got = set(map(tuple, centralizer(G, x).elements().tolist()))
+        assert got == _commuting_rows(G, x)
+
+
+def test_centralizer_of_an_outside_permutation_compares_full_rows():
+    """The transposition (4 5) lies outside M11, so a g agreeing with it on
+    M11's base points need not commute with it: 3024 rows pass there, and
+    the 144 commuting ones are left by the full-row compare."""
+    G = build("M11")
+    x = perm_from_cycles([(5, 6)], 11)
+    assert x not in G
+    got = set(map(tuple, centralizer(G, x).elements().tolist()))
+    assert got == _commuting_rows(G, x)
+    assert len(got) == 144
+
+
+@pytest.mark.parametrize("name", sorted(n for n in BUILDERS if build(n).order() <= 100_000))
+def test_normalizer_matches_the_full_mask(name):
+    G = shared_group(name)
+    for p in prime_factors(G.order()):
+        P = sylow_subgroup(G, p)
+        want = _subgroup_of_rows(G.degree, G.elements()[full_transporter_mask(G, P, P)])
+        assert normalizer(G, P).generators == want.generators, p
