@@ -27,10 +27,11 @@ from .blocks import block_partition, defect_group
 from .catalog import BUILDERS, build, rows_for_suite
 from .chartab import IntegrityError, character_table, load_table, save_table
 from .classfun import VirtualCharacter
-from .correspondence import (PROPERTIES, build_induced_lattice,
+from .correspondence import (PROPERTIES, Verdict, build_induced_lattice,
                              check_property, check_property_G_with_witness,
                              correspondent_of, full_report, make_instance,
-                             pair_table, quotients_q1_q2, table_for)
+                             pair_table, quotients_json, quotients_q1_q2,
+                             table_for)
 from .groupcore import (BudgetExceeded, conjugacy_classes, group_from_generators,
                         is_prime, json_int, malformed, normalizer, sylow_subgroup,
                         v_p)
@@ -86,11 +87,10 @@ def _parse_abelian_shape(token):
 def _pick_block(tG, p, token):
     blks = block_partition(tG, p)
     if token.isdigit():
-        idx = int(token)
-        for b in blks:
-            if b.index == idx:
-                return b
-        raise ValueError(f"no block with index {token}")
+        # block_partition lists the blocks in index order
+        if int(token) >= len(blks):
+            raise ValueError(f"no block with index {token}")
+        return blks[int(token)]
     order, expo = _parse_abelian_shape(token)
     for b in blks:
         if p ** b.defect != order:
@@ -99,6 +99,14 @@ def _pick_block(tG, p, token):
         if D.order() == order and D.exponent() == expo:
             return b
     raise ValueError(f"no block with defect group of shape {token}")
+
+
+def _explicit_subgroup(G, mode, what):
+    """The group that an `explicit:<path>` mode names, rebuilt on G's points."""
+    S = G.subgroup(list(load_group(mode.split(":", 1)[1]).generators))
+    if not S.is_subgroup_of(G):
+        raise IntegrityError(f"explicit {what} is not inside the group")
+    return S
 
 
 def build_instance(spec, G):
@@ -120,10 +128,7 @@ def build_instance(spec, G):
     if spec.subgroup_mode == "sylow":
         pass
     elif spec.subgroup_mode.startswith("explicit:"):
-        S = load_group(spec.subgroup_mode.split(":", 1)[1])
-        P = G.subgroup(list(S.generators))
-        if P.order() != S.order():
-            raise IntegrityError("explicit p-subgroup is not inside the group")
+        P = _explicit_subgroup(G, spec.subgroup_mode, "p-subgroup")
         if P.order() != spec.p ** v_p(P.order(), spec.p):
             raise IntegrityError(f"explicit p-subgroup has order {P.order()}, "
                                  f"not a power of {spec.p}")
@@ -140,10 +145,7 @@ def build_instance(spec, G):
     if spec.h_mode == "normalizer":
         H = normalizer(G, P)
     elif spec.h_mode.startswith("explicit:"):
-        S = load_group(spec.h_mode.split(":", 1)[1])
-        H = G.subgroup(list(S.generators))
-        if H.order() != S.order():
-            raise IntegrityError("explicit overgroup is not inside the group")
+        H = _explicit_subgroup(G, spec.h_mode, "overgroup")
         if not P.is_subgroup_of(H):
             raise IntegrityError("the p-subgroup must lie in the overgroup")
     else:
@@ -195,38 +197,31 @@ def run_verify(spec):
                              for i in wit["correspondent_chars"])
     inst, block_pair = build_instance(spec, load_group(spec.group))
     report = full_report(inst, props=wants, block_pair=block_pair)
-    data = report.to_json()
-    ok = all(v.holds for v in report.verdicts.values())
-    if "in" in extras:
-        ok = ok and data["ml_counts"]["equal"]
     if "g" in extras:
         mu = VirtualCharacter(pair_table(inst), coeffs)
-        b = next(
-            (bb for bb in block_partition(inst.tG, inst.p)
-             if sorted(bb.char_indices) == chars_b),
-            None,
-        )
-        if b is None:
-            raise ValueError("witness block_chars name no block of G")
-        e = next(
-            (ee for ee in block_partition(inst.tH, inst.p)
-             if sorted(ee.char_indices) == chars_e),
-            None,
-        )
-        if e is None:
-            raise ValueError("witness correspondent_chars name no block of H")
+        b = _witness_block(inst, "G", chars_b, "block_chars")
+        e = _witness_block(inst, "H", chars_e, "correspondent_chars")
         if correspondent_of(inst, b) is not e:
             raise ValueError("witness correspondent_chars do not name the "
                              "correspondent of the block_chars block")
         holds = check_property_G_with_witness(inst, b, e, mu)
-        data["verdicts"]["g"] = {
-            "holds": holds,
-            "witness": None,
-            "certificate": None if holds else "witness fails the block transform test",
-            "level": f"block:{b.index}",
-        }
-        ok = ok and holds
-    return (0 if ok else 1), data
+        report.verdicts["g"] = Verdict(
+            "g", holds, level=f"block:{b.index}",
+            certificate=None if holds else "witness fails the block transform test")
+    ok = all(v.holds for v in report.verdicts.values())
+    if "in" in extras:
+        ok = ok and report.ml_ok
+    return (0 if ok else 1), report.to_json()
+
+
+def _witness_block(inst, side, chars, key):
+    """The block of the side's table whose characters the witness's `key`
+    list names."""
+    b = next((b for b in block_partition(inst.table(side), inst.p)
+              if sorted(b.char_indices) == chars), None)
+    if b is None:
+        raise ValueError(f"witness {key} name no block of {side}")
+    return b
 
 
 def evaluate_row(row, G):
@@ -370,19 +365,8 @@ def cmd_quotients(group, prime, output):
     for idx, a, b in per_block:
         click.echo(f"block {idx}: Q1 = {a}, Q2 = {b}")
     if output:
-        emit(
-            {
-                "group": group,
-                "p": prime,
-                "q1": q1.to_json(),
-                "q2": q2.to_json(),
-                "per_block": [
-                    {"block": idx, "q1": a.to_json(), "q2": b.to_json()}
-                    for idx, a, b in per_block
-                ],
-            },
-            output,
-        )
+        emit({"group": group, "p": prime, **quotients_json(q1, q2, per_block)},
+             output)
 
 
 @main.command("paper-table")

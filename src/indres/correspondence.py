@@ -346,26 +346,35 @@ def quotients_q1_q2(inst):
     G having P as a defect group, with e the correspondent of b in H,
     ordered by (defect desc, least character index of b).
     """
-    tH = inst.tH
     IH = build_induced_lattice(inst, "H")
-    irr_hp, _, _ = subsets_of(inst, "H")
     S2 = cp_plus_lattice(inst, "H", None)
-    amb = coordinate_lattice(tH.k, irr_hp)
-    q1 = quotient_shape(amb, coordinate_restrict(IH, irr_hp))
-    q2 = quotient_shape(amb, coordinate_restrict(S2, irr_hp))
+
+    def pair(coords):
+        # (Q1, Q2) of Z^coords, cut out of C(H) by I and by C^p + I
+        amb = coordinate_lattice(inst.tH.k, coords)
+        return tuple(quotient_shape(amb, coordinate_restrict(L, coords))
+                     for L in (IH, S2))
+
+    q1, q2 = pair(subsets_of(inst, "H")[0])
     per_block = []
     eligible = sorted(blocks_with_defect_group_P(inst, "G"),
                       key=lambda b: (-b.defect, b.char_indices[0]))
     for b in eligible:
         e = correspondent_of(inst, b)
-        if e is None:
-            continue
-        coords = list(e.char_indices)
-        amb_e = coordinate_lattice(tH.k, coords)
-        q1e = quotient_shape(amb_e, coordinate_restrict(IH, coords))
-        q2e = quotient_shape(amb_e, coordinate_restrict(S2, coords))
-        per_block.append((b.index, q1e, q2e))
+        if e is not None:
+            per_block.append((b.index, *pair(e.char_indices)))
     return q1, q2, per_block
+
+
+def quotients_json(q1, q2, per_block):
+    """The q1, q2 and per_block entries of a report, as `quotients_q1_q2`
+    returns them."""
+    return {
+        "q1": q1.to_json(),
+        "q2": q2.to_json(),
+        "per_block": [{"block": i, "q1": a.to_json(), "q2": c.to_json()}
+                      for i, a, c in per_block],
+    }
 
 
 def block_splitting_holds(inst, side):
@@ -407,13 +416,13 @@ def theorem26_selftest(inst):
     return True
 
 
-def brauer_completeness_check(group, table=None):
+def brauer_completeness_check(group):
     """Inductions from all elementary subgroups must span all of C(G).
 
     With the Sylow subgroup as the one maximum every p-subgroup qualifies,
     so the qualifying family at any prime p is Brauer's elementary family.
     """
-    table = table if table is not None else table_for(group)
+    table = table_for(group)
     p = min(prime_factors(group.order()), default=2)
     L = _induced_span(
         table, qualifying_elementary_subgroups(group, p, [sylow_subgroup(group, p)])
@@ -547,12 +556,7 @@ class PropertyReport:
             "instance": self.instance,
             "s_maxima": self.s_maxima,
             "lattice_ranks": self.lattice_ranks,
-            "q1": self.q1.to_json(),
-            "q2": self.q2.to_json(),
-            "per_block": [
-                {"block": i, "q1": a.to_json(), "q2": bq.to_json()}
-                for i, a, bq in self.per_block
-            ],
+            **quotients_json(self.q1, self.q2, self.per_block),
             "verdicts": {
                 k: {
                     "holds": v.holds,

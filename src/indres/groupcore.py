@@ -728,9 +728,10 @@ def intersection_set_maxima(G, P, H):
     of P.
 
     Their downward closure under subgroups and conjugacy is the full
-    intersection set of the triple (G, P, H).  Requires N = N_G(P) ≤ H;
-    raises ValueError otherwise.  H = G yields no maxima (the intersection
-    set is empty).
+    intersection set of the triple (G, P, H).  H must lie in G: this is
+    not checked, and an H of G's order is taken to be G.  Requires
+    N = N_G(P) ≤ H; raises ValueError otherwise.  H = G yields no maxima
+    (the intersection set is empty).
 
     With N ≤ H, tPt^{-1} = hPh^{-1} for an h ∈ H puts h^{-1}t in N ≤ H, so
     t ∉ H exactly when tPt^{-1} is a G-conjugate of P but no H-conjugate:

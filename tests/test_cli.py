@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report stability, input validation."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,13 +9,17 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indres
 from conftest import shared_group
 from indres import chartab, cli
+from indres.blocks import block_partition
 from indres.catalog import BUILDERS, build
 from indres.cli import main
-from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded
+from indres.correspondence import table_for
+from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded, PermGroup
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -648,3 +653,96 @@ def test_missing_key_names_the_key(runner, tmp_path, kind, key, shared_groups):
     r = invoke(runner, *_missing_key_args(runner, tmp_path, kind, key))
     assert (r.exit_code, r.stderr) == (
         2, f"error: malformed {kind} data: missing key '{key}'\n")
+
+
+def _perm_group_file(path, degree, gens):
+    """Write a perm-group file of the given 1-based generators; return its path."""
+    path.write_text(json.dumps({"format": "perm-group", "degree": degree,
+                                "generators": gens}))
+    return str(path)
+
+
+def test_explicit_p_subgroup_outside_the_group_exits_2(runner, tmp_path):
+    # <(1 2)> is a 2-group, but (1 2) is odd, so it is not inside A4
+    path = _perm_group_file(tmp_path / "c2.json", 4, [[2, 1, 3, 4]])
+    r = invoke(runner, "verify", "A4", "-p", "2", "--subgroup-mode", f"explicit:{path}")
+    assert (r.exit_code, r.stderr) == (
+        2, "error: explicit p-subgroup is not inside the group\n")
+
+
+def test_explicit_overgroup_of_the_group_order_outside_it_exits_2(runner, tmp_path):
+    # G = <(1 2 3), (1 2)(4 5)> and H = <(1 2 3), (1 2)> both have order 6
+    # and contain the Sylow 3-subgroup <(1 2 3)>, but (1 2) is not in G
+    g = _perm_group_file(tmp_path / "g.json", 5, [[2, 3, 1, 4, 5], [2, 1, 3, 5, 4]])
+    h = _perm_group_file(tmp_path / "h.json", 5, [[2, 3, 1, 4, 5], [2, 1, 3, 4, 5]])
+    r = invoke(runner, "verify", g, "-p", "3", "--h-mode", f"explicit:{h}")
+    assert (r.exit_code, r.stderr) == (
+        2, "error: explicit overgroup is not inside the group\n")
+
+
+# S8 at p = 3 has two per-block pieces, D8xC3 at p = 2 three whose Q1 and
+# Q2 differ; the digests pin the bytes of each report
+@pytest.mark.parametrize("name, p, blocks, digest", [
+    ("S8", 3, ["block 0: Q1 = Z^2, Q2 = Z^2", "block 1: Q1 = Z^2, Q2 = Z^2"],
+     "7cdcba613624bb678ba257b94fdc8554c9509eb95fc4b68d572b468646bf639e"),
+    ("D8xC3", 2, [f"block {i}: Q1 = Z^5, Q2 = Z^4" for i in range(3)],
+     "aae10f6e21f1eb1eb7b5158328404e1221e2741de207c96e56ca4e8cd81d9644"),
+])
+def test_quotients_report_bytes(runner, tmp_path, name, p, blocks, digest):
+    out = tmp_path / "q.json"
+    r = invoke(runner, "quotients", name, "-p", str(p), "-o", str(out))
+    assert r.exit_code == 0
+    assert r.output.splitlines()[2:] == blocks
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, p", [("S4", 2), ("S5", 2), ("M11", 3), ("SL2_11", 5)])
+def test_block_index_token_picks_that_block(runner, name, p):
+    tG = table_for(shared_group(name))
+    blks = block_partition(tG, p)
+    for i, b in enumerate(blks):
+        assert b.index == i
+        assert cli._pick_block(tG, p, str(i)) is b
+    r = invoke(runner, "verify", name, "-p", str(p), "--subgroup-mode",
+               f"block:{len(blks)}")
+    assert (r.exit_code, r.stderr) == (2, f"error: no block with index {len(blks)}\n")
+
+
+_PERM4 = st.permutations([1, 2, 3, 4])
+
+
+def _is_even(images):
+    inversions = sum(a > b for i, a in enumerate(images) for b in images[i + 1:])
+    return inversions % 2 == 0
+
+
+def _is_power_of(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["S4", "A4"]), p=st.sampled_from([2, 3]),
+       p_gens=st.lists(_PERM4, min_size=1, max_size=2),
+       h_gens=st.lists(_PERM4, min_size=1, max_size=2))
+def test_explicit_subgroups_fuzz_exit_codes(tmp_path_factory, name, p, p_gens, h_gens):
+    """Random explicit P and H on S4 and A4 end in exit 0, 1 or 2, and a
+    group not inside G always gets the `not inside the group` line."""
+    where = tmp_path_factory.mktemp("fuzz")
+    P = _perm_group_file(where / "p.json", 4, p_gens)
+    H = _perm_group_file(where / "h.json", 4, h_gens)
+    r = invoke(CliRunner(), "verify", name, "-p", str(p), "--subgroup-mode",
+               f"explicit:{P}", "--h-mode", f"explicit:{H}")
+    assert r.exit_code in (0, 1, 2)
+    if r.exit_code == 2:
+        _assert_one_line_error(r)
+    inside = lambda gens: name == "S4" or all(map(_is_even, gens))
+    p_order = PermGroup(4, [[x - 1 for x in g] for g in p_gens]).order()
+    if not inside(p_gens):
+        assert r.stderr == "error: explicit p-subgroup is not inside the group\n"
+    elif not _is_power_of(p_order, p):
+        assert r.stderr == (f"error: explicit p-subgroup has order {p_order}, "
+                            f"not a power of {p}\n")
+    elif not inside(h_gens):
+        assert r.stderr == "error: explicit overgroup is not inside the group\n"
