@@ -103,7 +103,12 @@ def _pick_block(tG, p, token):
 
 def _explicit_subgroup(G, mode, what):
     """The group that an `explicit:<path>` mode names, rebuilt on G's points."""
-    S = G.subgroup(list(load_group(mode.split(":", 1)[1]).generators))
+    path = mode.split(":", 1)[1]
+    F = load_group(path)
+    if F.degree != G.degree:
+        raise IntegrityError(f"{path}: explicit {what} has degree {F.degree}, "
+                             f"but the group has degree {G.degree}")
+    S = G.subgroup(list(F.generators))
     if not S.is_subgroup_of(G):
         raise IntegrityError(f"explicit {what} is not inside the group")
     return S

@@ -1,8 +1,9 @@
 """Finite permutation groups with exact, deterministic invariants.
 
 Elements are permutations of {0, ..., degree-1}, each one its image tuple
-of Python ints; `_mul`, `_inv`, `_conj`, `_perm_order` and `_perm_power`
-are the arithmetic on them.
+of Python ints; `_mul`, `_inv`, `_conj` and `_perm_order` are the
+arithmetic on them, and `_perm_power` stays as the reference that tests
+compare `PermGroup.power_classes` against.
 Bulk work (conjugacy sweeps, normalizer scans) runs on a lexicographically
 sorted numpy matrix holding every group element, so most operations here
 assume the group order fits the element budget.  A normalizer scan narrows
@@ -27,7 +28,7 @@ derived data through it too.
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import wraps
-from itertools import count, islice
+from itertools import count
 from math import lcm
 from operator import itemgetter
 
@@ -761,13 +762,8 @@ def _maximal_sets(sets):
     """The containment-maximal members of `sets`, without repeats, ordered
     by decreasing size and then by sorted members."""
     kept = []
-    size = larger = 0
     for s in sorted(set(sets), key=lambda s: (-len(s), sorted(s))):
-        # a kept set of s's own size is another set, so it cannot hold s:
-        # only kept[:larger], the strictly larger ones, can
-        if len(s) != size:
-            size, larger = len(s), len(kept)
-        if not any(s <= big for big in islice(kept, larger)):
+        if not any(s <= big for big in kept):
             kept.append(s)
     return kept
 
@@ -792,14 +788,24 @@ def _conjugates_of_set(group, iset):
 
 def _qualifying_copies(group, maxima):
     """The containment-maximal conjugates, under `group`, of the maxima, as
-    sets of element indices in `group`.
+    a set of sets of element indices; a p-subgroup of `group` qualifies
+    exactly when it lies in one of them.
 
-    A p-subgroup of `group` qualifies exactly when it lies in one of them.
+    tS't^{-1} ⊆ uSu^{-1} exactly when a conjugate of S' (by u^{-1}t) lies in
+    S itself, and then every conjugate of S' lies in a conjugate of S.  So
+    the copies are the whole orbits of the maxima that no conjugate places
+    inside a strictly larger maximum (sets of equal size nest only when
+    equal, and the union drops those repeats).
     """
-    return _maximal_sets(
-        c for S in maxima
-        for c in _conjugates_of_set(group, _index_set(group, S.elements()))
-    )
+    sets = {_index_set(group, S.elements()) for S in maxima}
+    copies = set()
+    for s in sets:
+        if s in copies:
+            continue
+        orbit = _conjugates_of_set(group, s)
+        if not any(c <= big for big in sets if len(big) > len(s) for c in orbit):
+            copies |= orbit
+    return copies
 
 
 def _p_part_exponent(order, p):
@@ -831,6 +837,12 @@ def qualifying_elementary_subgroups(group, p, maxima):
     subgroups (only containment-maximal members are kept, which leaves the
     span unchanged).
 
+    For ℓ ≠ p, ⟨c⟩ x Sylow_ℓ(C(c)) qualifies exactly when the p-part of c
+    lies in a copy (see `_qualifying_copies`).  The copies are whole orbits,
+    so their union is the union of the classes that meet the maxima (a
+    maximum that is no copy lies in one), and the p-part's class, read from
+    `power_classes`, is looked up among those.
+
     For a p'-element c ≠ 1 and T = Sylow_p(C(c)), the members ⟨c⟩ x F take
     F among the maximal sets T ∩ c' over the conjugates c' of the maxima:
     each c' is a subgroup, so T ∩ c' qualifies, and every qualifying F ≤ T
@@ -848,20 +860,20 @@ def qualifying_elementary_subgroups(group, p, maxima):
     degree = group.degree
     E = group.elements()
     classes = group.class_data()
+    powers = group.power_classes()
+    ids = group.class_ids()
+    met = {int(ids[i]) for S in maxima for i in _index_set(group, S.elements())}
     subs = []
 
     for ell in prime_factors(group.order()):
         if ell == p:
             continue
-        for c in classes:
+        for i, c in enumerate(classes):
             if c.rep_order % ell == 0:
                 continue
-            rep = c.representative
-            p_part = _perm_power(rep, _p_part_exponent(c.rep_order, p))
-            # copies are subgroups: ⟨x⟩ lies in one exactly when x does
-            x = int(group.index_of([p_part])[0])
-            if not any(x in copy for copy in copies):
+            if powers[i][_p_part_exponent(c.rep_order, p)] not in met:
                 continue
+            rep = c.representative
             C = centralizer(group, rep)
             S = sylow_subgroup(C, ell)
             subs.append(PermGroup(degree, [rep] + list(S.generators)))

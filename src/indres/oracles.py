@@ -17,7 +17,8 @@ from operator import and_
 import numpy as np
 
 from .chartab import Cyclotomic, character_table, inner_product
-from .groupcore import BudgetExceeded, IntegrityError, _conj, _inv, _mul, v_p
+from .groupcore import (BudgetExceeded, IntegrityError, _conj, _inv, _mul,
+                        prime_factors, v_p)
 from .lattice import IntLattice
 
 
@@ -266,11 +267,11 @@ def _linear_characters(S, m):
             e += 1
         orders.append(e)
 
-    primes = sorted({q for o in orders for q in _prime_divisors(o)})
+    primes = sorted({q for o in orders for q in prime_factors(o)})
     factor_gens = []
     factor_orders = []
     for q in primes:
-        part = [i for i in range(n) if _only_prime(orders[i], q)]
+        part = [i for i in range(n) if orders[i] == q ** v_p(orders[i], q)]
         target = len(part)
         basis = []
         span = {one}
@@ -330,26 +331,6 @@ def _linear_characters(S, m):
             walk(i + 1, jvec + [j])
     walk(0, [])
     return chars
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _only_prime(n, q):
-    while n % q == 0:
-        n //= q
-    return n == 1
 
 
 def _solve_fraction(A, b):

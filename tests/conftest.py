@@ -1,6 +1,6 @@
 """Shared pytest plumbing: acceptance verdict lines in the summary, groups
-that tests may share, a reference transporter mask, and one hypothesis
-profile.
+that tests may share, a reference transporter mask, a hypothesis strategy
+for small random permutation groups, and one hypothesis profile.
 
 The profile derandomizes every property test, so each run draws the same
 examples; tests keep their own `max_examples` and `deadline`.
@@ -11,10 +11,16 @@ object.  `shared_group` is opt-in: tests that check freeing, or count
 builds, make their own groups.
 """
 
-import numpy as np
-from hypothesis import settings
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
+import numpy as np
+from hypothesis import assume, settings
+from hypothesis import strategies as st
+
+from indres.catalog import build
 from indres.cli import load_group
+from indres.groupcore import PermGroup, product_group
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
@@ -39,6 +45,71 @@ def full_transporter_mask(G, K, L, lo=0, hi=None):
         ka = np.asarray(k, dtype=E.dtype)
         mask &= L.rows_in(np.take_along_axis(E, ka[Einv], axis=1))
     return mask
+
+
+RANDOM_MAX_DEGREE = 8
+RANDOM_MAX_ORDER = 200
+
+# Block sizes of 2 or more whose symmetric groups have a direct product of
+# order at most RANDOM_MAX_ORDER on at most RANDOM_MAX_DEGREE points.
+_BLOCK_SIZES = [
+    sizes for n in range(1, RANDOM_MAX_DEGREE // 2 + 1)
+    for sizes in combinations_with_replacement(range(2, RANDOM_MAX_DEGREE + 1), n)
+    if sum(sizes) <= RANDOM_MAX_DEGREE
+    and prod(map(factorial, sizes)) <= RANDOM_MAX_ORDER
+]
+# Pairs of catalog groups whose direct product on disjoint points fits.
+_FACTOR_PAIRS = [
+    (a, b) for a, b in combinations_with_replacement(
+        ["C2xC2", "D8", "S3", "A4", "S4"], 2)
+    if build(a).degree + build(b).degree <= RANDOM_MAX_DEGREE
+    and build(a).order() * build(b).order() <= RANDOM_MAX_ORDER
+]
+
+
+@st.composite
+def small_perm_groups(draw):
+    """Permutation groups of degree at most RANDOM_MAX_DEGREE and order at
+    most RANDOM_MAX_ORDER, in three kinds of draw:
+
+    - blocks: 1-3 generators, each permuting the points of every block of a
+      drawn partition of some of the points into blocks of 2 or more, and
+      fixing the other points.  The block sizes bound the order, so every
+      such draw fits; one generator gives a cyclic group.
+    - product: the direct product of two small catalog groups on disjoint
+      points.
+    - free: 1-3 permutations of all points, kept when their group fits.
+
+    About two thirds of the draws are abelian, since hypothesis often
+    repeats a drawn value; 200 draws hold about 70 non-abelian groups.
+    """
+    kind = draw(st.sampled_from(["blocks", "blocks", "product", "free"]))
+    if kind == "product":
+        a, b = draw(st.sampled_from(_FACTOR_PAIRS))
+        return product_group(build(a), build(b))
+    rnd = draw(st.randoms(use_true_random=False))
+    # hypothesis favours the first value it may draw, and one generator
+    # gives a cyclic group
+    ngens = draw(st.sampled_from([2, 3, 1]))
+    if kind == "free":
+        degree = draw(st.integers(1, RANDOM_MAX_DEGREE))
+        gens = [rnd.sample(range(degree), degree) for _ in range(ngens)]
+    else:
+        sizes = draw(st.sampled_from(_BLOCK_SIZES))
+        degree = draw(st.integers(sum(sizes), RANDOM_MAX_DEGREE))
+        points = rnd.sample(range(degree), degree)
+        gens = []
+        for _ in range(ngens):
+            images, start = list(range(degree)), 0
+            for size in sizes:
+                block = points[start:start + size]
+                for x, y in zip(block, rnd.sample(block, size)):
+                    images[x] = y
+                start += size
+            gens.append(images)
+    G = PermGroup(degree, gens)
+    assume(G.order() <= RANDOM_MAX_ORDER)
+    return G
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -680,6 +680,20 @@ def test_explicit_overgroup_of_the_group_order_outside_it_exits_2(runner, tmp_pa
         2, "error: explicit overgroup is not inside the group\n")
 
 
+@pytest.mark.parametrize("degree", [3, 5])
+@pytest.mark.parametrize("option, what", [("--subgroup-mode", "p-subgroup"),
+                                          ("--h-mode", "overgroup")])
+def test_explicit_subgroup_of_another_degree_exits_2(runner, tmp_path, degree,
+                                                     option, what):
+    # <(1 2)> written on 3 or on 5 points, for S4 on 4
+    swap = [2, 1] + list(range(3, degree + 1))
+    path = _perm_group_file(tmp_path / "c2.json", degree, [swap])
+    r = invoke(runner, "verify", "S4", "-p", "2", option, f"explicit:{path}")
+    assert (r.exit_code, r.stderr) == (
+        2, f"error: {path}: explicit {what} has degree {degree}, "
+           f"but the group has degree 4\n")
+
+
 # S8 at p = 3 has two per-block pieces, D8xC3 at p = 2 three whose Q1 and
 # Q2 differ; the digests pin the bytes of each report
 @pytest.mark.parametrize("name, p, blocks, digest", [
@@ -693,6 +707,20 @@ def test_quotients_report_bytes(runner, tmp_path, name, p, blocks, digest):
     r = invoke(runner, "quotients", name, "-p", str(p), "-o", str(out))
     assert r.exit_code == 0
     assert r.output.splitlines()[2:] == blocks
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# S9 and A9 at p = 2 build G-side lattices whose maxima have orbits of 945
+# to 3780 conjugates, a scale that no suite and no benchmark workload
+# reaches; the digests pin the bytes of each report
+@pytest.mark.parametrize("name, digest", [
+    ("S9", "e714a0259180be2ced1e0926fb76f9aebb3ff260d898ccc9e9b1b5282c650885"),
+    ("A9", "ae2081c56637af34b5fe4062b4ea56c34168d817e8ca34f61c5df0c1745c5889"),
+])
+def test_verify_report_bytes_at_scale(runner, tmp_path, name, digest):
+    out = tmp_path / "v.json"
+    r = invoke(runner, "verify", name, "-p", "2", "-o", str(out))
+    assert r.exit_code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -34,6 +34,7 @@ from indres.groupcore import (
     v_p,
     _index_set,
     _conj,
+    _conjugates_of_set,
     _inv,
     _maximal_sets,
     _mul,
@@ -44,7 +45,7 @@ from indres.groupcore import (
 )
 from indres.oracles import all_subgroups
 
-from conftest import full_transporter_mask, shared_group
+from conftest import full_transporter_mask, shared_group, small_perm_groups
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -337,22 +338,25 @@ def _coset_loop_maxima(G, P, H):
     return _maximal_sets(seen)
 
 
+def _overgroups(G, P):
+    """N_G(P), and ⟨N_G(P), g⟩ for the first generator g of G that gives a
+    proper overgroup of N_G(P) inside G, if one does."""
+    N = normalizer(G, P)
+    overs = (PermGroup(G.degree, N.generators + (g,)) for g in G.generators)
+    overgroup = next((K for K in overs if N.order() < K.order() < G.order()), None)
+    return [N] if overgroup is None else [N, overgroup]
+
+
 @pytest.mark.parametrize(
     "name", ["S4", "S5", "S6", "S7", "A6", "A7", "A8", "M11", "SL2_11", "SL2_13",
              "SL3_3", "PSU3_3", "C2xA4", "D12", "S3xS3"]
 )
 def test_intersection_set_maxima_match_the_coset_loop(name):
-    """At every prime, with H = N_G(P) and with H = ⟨N_G(P), g⟩ for the
-    first generator g of G that gives a proper overgroup of N_G(P)."""
+    """At every prime, with each H of `_overgroups`."""
     G = build(name)
     for p in prime_factors(G.order()):
         P = sylow_subgroup(G, p)
-        N = normalizer(G, P)
-        overs = (PermGroup(G.degree, N.generators + (g,)) for g in G.generators)
-        overgroup = next((K for K in overs if N.order() < K.order() < G.order()), None)
-        for H in (N, overgroup):
-            if H is None:
-                continue
+        for H in _overgroups(G, P):
             got = [_index_set(P, S.elements()) for S in intersection_set_maxima(G, P, H)]
             assert got == _coset_loop_maxima(G, P, H), (p, H.order())
 
@@ -403,6 +407,72 @@ def _all_pairs_maximal_sets(sets):
     return kept
 
 
+def _pairwise_copies(group, maxima):
+    """Every conjugate of every maximum, kept unless it lies in another kept
+    conjugate: the pairwise form of `_qualifying_copies`."""
+    return set(_all_pairs_maximal_sets(
+        c for S in maxima
+        for c in _conjugates_of_set(group, _index_set(group, S.elements()))))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, make in BUILDERS.items() if make().order() <= 100000]
+)
+def test_qualifying_copies_are_the_pairwise_maximal_conjugates(name):
+    """On G and on N_G(P), at every prime, the copies taken as whole orbits
+    of the maxima are the maximal conjugates found pair by pair."""
+    G = build(name)
+    for p in prime_factors(G.order()):
+        P = sylow_subgroup(G, p)
+        N = normalizer(G, P)
+        s_maxima = intersection_set_maxima(G, P, N)
+        for side in (G, N):
+            assert _qualifying_copies(side, s_maxima) == _pairwise_copies(side, s_maxima), (
+                p, side.order())
+
+
+@pytest.mark.parametrize("name, h_cycles", [
+    ("S6", [[(1, 2, 3, 4)], [(1, 2)], [(5, 6)]]),
+    ("A6", [[(1, 2, 3, 4), (5, 6)], [(1, 2), (5, 6)]]),
+], ids=["S6-S4xS2", "A6-S4"])
+def test_qualifying_copies_drop_maxima_conjugate_into_larger_ones(name, h_cycles):
+    """At p = 2 with H = S4 x S2 in S6, or its even part in A6, the two
+    smaller maxima each have a conjugate inside the largest, on G and on
+    H: their orbits are no copies, as in the pairwise form.  No catalog
+    case with H = N_G(P) drops a maximum."""
+    G = build(name)
+    H = PermGroup(6, [perm_from_cycles(c, 6) for c in h_cycles])
+    P = sylow_subgroup(H, 2)
+    s_maxima = intersection_set_maxima(G, P, H)
+    largest = s_maxima[0].order()
+    assert [S.order() for S in s_maxima] == [largest, largest // 2, largest // 2]
+    for side in (G, H):
+        copies = _qualifying_copies(side, s_maxima)
+        assert copies == _pairwise_copies(side, s_maxima)
+        assert [_index_set(side, S.elements()) in copies for S in s_maxima] == [
+            True, False, False]
+        got = qualifying_elementary_subgroups(side, 2, s_maxima)
+        assert [_index_set(side, S.elements()) for S in got] == (
+            _elementwise_family_sets(side, 2, s_maxima))
+
+
+@given(small_perm_groups())
+@settings(max_examples=200, deadline=None)
+def test_orbit_rules_match_the_direct_loops_on_random_groups(G):
+    """On random small groups, at every prime and with each H of
+    `_overgroups`: the intersection-set maxima match the coset loop, and on
+    G and on H the copies match the pairwise maximal conjugates."""
+    for p in prime_factors(G.order()):
+        P = sylow_subgroup(G, p)
+        for H in _overgroups(G, P):
+            s_maxima = intersection_set_maxima(G, P, H)
+            got = [_index_set(P, S.elements()) for S in s_maxima]
+            assert got == _coset_loop_maxima(G, P, H), (p, H.order())
+            for side in (G, H):
+                assert _qualifying_copies(side, s_maxima) == _pairwise_copies(
+                    side, s_maxima), (p, H.order(), side.order())
+
+
 @st.composite
 def set_families(draw):
     """Sets over six points (so many share a size), a subset of each drawn
@@ -449,6 +519,54 @@ def test_sylow_maximum_gives_brauer_family(name):
     for p in prime_factors(G.order()):
         got = qualifying_elementary_subgroups(G, p, [sylow_subgroup(G, p)])
         assert [_index_set(G, E.elements()) for E in got] == want
+
+
+def _elementwise_family_sets(group, p, maxima):
+    """Element sets of the family that `qualifying_elementary_subgroups`
+    returns, ordered by size and then by sorted members, built from
+    `_pairwise_copies` with an element test: for ℓ ≠ p, ⟨c⟩ x Sylow_ℓ(C(c))
+    is kept when the p-part of c lies in a copy."""
+    copies = _pairwise_copies(group, maxima)
+    E = group.elements()
+    sets = set()
+
+    def add(gens):
+        sets.add(_index_set(group, PermGroup(group.degree, gens).elements()))
+
+    for c in group.class_data():
+        rep, order = c.representative, c.rep_order
+        pv = p ** v_p(order, p)
+        # the p-part is rep^t for t = 1 mod pv and t = 0 mod order / pv
+        t = next(t for t in range(order) if t % pv == 1 % pv and t % (order // pv) == 0)
+        x = int(group.index_of([_perm_power(rep, t)])[0])
+        for ell in prime_factors(group.order()):
+            if ell != p and order % ell and any(x in K for K in copies):
+                add([rep, *sylow_subgroup(centralizer(group, rep), ell).generators])
+        if order == 1:
+            sets.update({_index_set(group, S.elements()) for S in maxima} & copies)
+        elif pv == 1:
+            T = _index_set(group, sylow_subgroup(centralizer(group, rep), p).elements())
+            for F in _maximal_sets(T & K for K in copies):
+                add([rep, *_subgroup_of_rows(group.degree, E[sorted(F)]).generators])
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, make in BUILDERS.items() if make().order() <= 5040]
+)
+def test_qualifying_family_matches_the_elementwise_test(name):
+    """On G and on N_G(P), at every prime, with the intersection-set maxima:
+    testing the p-part of each class by class gives the family that the
+    element test over the pairwise copies gives."""
+    G = build(name)
+    for p in prime_factors(G.order()):
+        P = sylow_subgroup(G, p)
+        N = normalizer(G, P)
+        s_maxima = intersection_set_maxima(G, P, N)
+        for side in (G, N):
+            got = qualifying_elementary_subgroups(side, p, s_maxima)
+            assert [_index_set(side, S.elements()) for S in got] == (
+                _elementwise_family_sets(side, p, s_maxima)), (p, side.order())
 
 
 def test_product_group_and_splitting():
