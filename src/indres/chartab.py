@@ -11,8 +11,10 @@ and with orthonormal rows (hence orthogonal columns) before it is returned,
 so a table object in hand is always internally consistent.  The
 orthogonality proof maps the table once to F_l, for a prime l ≡ 1 (mod m)
 above a bound on its values, through `_shadow`, the one routine that
-evaluates table rows in a prime field (`classfun.restriction_matrix` uses it
-too); neither building nor verifying a table multiplies two cyclotomics.
+evaluates table rows in a prime field (`classfun` uses it too), and decides
+with one k x k matrix product; `_mod_dtype` picks int64 only where the
+product's sums are exact in it, and Python ints otherwise.  Neither building
+nor verifying a table multiplies two cyclotomics.
 """
 
 import json
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, count
 from math import gcd, isqrt, lcm, prod
-from operator import mul
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .groupcore import (DEFAULT_ORDER_BUDGET, BudgetExceeded, ConjClassData,
 
 # Points per block of the root scan in `_poly_roots_mod`.
 _ROOT_BLOCK = 1 << 16
+# Rows per `index_of` gather in `_class_matrices`.
+_GATHER_ROWS = 1 << 13
 
 
 def _cyclotomic_coeffs(m):
@@ -369,24 +372,34 @@ def _dixon_prime(order, exponent, k):
 def _shadow(table, M, l, w):
     """The table's rows in F_l under the ring homomorphism zeta_M -> w.
 
-    Memoized on the table, so the images live and die with the table;
-    w^-1 in place of w gives the complex conjugates.  A product table's
-    images are the Kronecker product of its factors' images, in the
-    product's pair order.
+    An array of least residues, in `_mod_dtype(1, l)` so that entrywise
+    products stay exact.  Memoized on the table, so the images live and die
+    with the table; w^-1 in place of w gives the complex conjugates.  A
+    product table's images are the Kronecker product of its factors'
+    images, in the product's pair order.
     """
     if table.factors is not None:
         SA, SB = (_shadow(f, M, l, w) for f in table.factors)
-        return [[x * y % l for x in ra for y in rb] for ra in SA for rb in SB]
+        return np.kron(SA, SB) % l
     pw = [1] * M
     for t in range(1, M):
         pw[t] = pw[t - 1] * w % l
-    return [
-        [
-            sum(c * pw[e * (M // v.modulus)] for e, c in v.terms.items()) % l
-            for v in row
-        ]
+    return np.array([
+        [sum(c * pw[e * (M // v.modulus)] for e, c in v.terms.items()) % l for v in row]
         for row in table.irreducibles
-    ]
+    ], dtype=_mod_dtype(1, l))
+
+
+def _mod_dtype(n, l):
+    """The array dtype in which sums of n products of residues mod l are
+    exact: int64 when n (l - 1)^2 < 2^63, else object (Python ints)."""
+    return np.int64 if n * (l - 1) ** 2 < 2**63 else object
+
+
+def _dot(A, B, l):
+    """A @ B for arrays of entries in [0, l), exact in `_mod_dtype`."""
+    dtype = _mod_dtype(A.shape[1], l)
+    return A.astype(dtype) @ B.astype(dtype)
 
 
 def _class_matrices(G, p):
@@ -395,9 +408,10 @@ def _class_matrices(G, p):
     A_i[j][l] counts the g in C_i with g^-1 z_l in C_j, z_l the
     representative of class l: the structure constants of the class
     algebra.  Each matrix is built from the members of C_i alone, one
-    `index_of` of |C_i| rows per column, so a caller that stops early never
-    sweeps the rest of G.  The identity class, whose matrix is I, is
-    skipped.
+    `index_of` per chunk of columns, of at most `_GATHER_ROWS` rows (one
+    column at a time for a class of that size or more), so a caller that
+    stops early never sweeps the rest of G.  The identity class, whose
+    matrix is I, is skipped.
     """
     classes = G.class_data()
     k = len(classes)
@@ -408,9 +422,15 @@ def _class_matrices(G, p):
     reps = np.array([c.representative for c in classes], dtype=Einv.dtype)
     for i in sorted(range(1, k), key=lambda i: classes[i].size):
         inv = Einv[members[starts[i]:starts[i + 1]]]
+        step = max(1, _GATHER_ROWS // len(inv))
         A = np.empty((k, k), dtype=np.int64)
-        for l, z in enumerate(reps):
-            A[:, l] = np.bincount(ids[_member_indices(G, inv[:, z])], minlength=k)
+        for lo in range(0, k, step):
+            z = reps[lo:lo + step]
+            # the rows g^-1 z_l column by column; column l's classes are
+            # counted at l*k + j
+            rows = inv[:, z].transpose(1, 0, 2).reshape(-1, G.degree)
+            at = ids[_member_indices(G, rows)] + np.repeat(np.arange(len(z)) * k, len(inv))
+            A[:, lo:lo + len(z)] = np.bincount(at, minlength=len(z) * k).reshape(-1, k).T
         yield A % p
 
 
@@ -541,7 +561,7 @@ def _check_int64(n, p):
     matrix powers, the lift's transforms) sums at most n terms, each below
     (p - 1)^2, so n (p - 1)^2 < 2^63 keeps every int64 sum exact.
     """
-    if n * (p - 1) ** 2 >= 2**63:
+    if _mod_dtype(n, p) is object:
         raise BudgetExceeded(
             f"sums of {n} products mod {p} overflow 64-bit integers; "
             "the table is out of reach")
@@ -651,7 +671,10 @@ def verify_table(table):
     Each conjugate of alpha_ij has absolute value at most B, so a nonzero
     alpha_ij would have l^phi(m) <= |Norm(alpha_ij)| <= B^phi(m) < l^phi(m).
     Hence every alpha_ij is 0 (Washington, Introduction to Cyclotomic
-    Fields, ch. 2).
+    Fields, ch. 2).  The k^2 sums are one matrix product of least residues,
+    in int64 where k (l - 1)^2 < 2^63 and in Python ints otherwise
+    (`_mod_dtype`), and the first nonzero alpha_ij in row-major order is
+    the one reported.
     """
     k = table.k
     rows = table.irreducibles
@@ -681,13 +704,14 @@ def verify_table(table):
     norm = max((sum(map(abs, v.terms.values())) for v in value_of.values()), default=0)
     l = _prime_above(order * (1 + norm * norm), m)
     w = _root_of_unity(l, m)
-    sizes = table.class_sizes()
-    conj = _shadow(table, m, l, pow(w, -1, l))
-    for i, xi in enumerate(_shadow(table, m, l, w)):
-        weighted = [x * s for x, s in zip(xi, sizes)]
-        for j, yj in enumerate(conj):
-            if (sum(map(mul, weighted, yj)) - (order if i == j else 0)) % l:
-                raise IntegrityError(f"row orthogonality fails at ({i},{j})")
+    sizes = np.array([s % l for s in table.class_sizes()], dtype=_mod_dtype(1, l))
+    weighted = _shadow(table, m, l, w) * sizes % l
+    gram = _dot(weighted, _shadow(table, m, l, pow(w, -1, l)).T, l) % l
+    gram[np.diag_indices(k)] -= order % l
+    bad = np.argwhere(gram % l != 0)  # row-major order
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise IntegrityError(f"row orthogonality fails at ({i},{j})")
 
 
 def _unit_generators(m):

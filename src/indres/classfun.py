@@ -4,20 +4,28 @@ A virtual character is an integer coefficient vector over the irreducible
 characters of one CharTable; a product table's characters are the pairs of
 factor characters, and its values come from the factors.  All arithmetic
 stays in coefficient space; values are materialized only when a
-computation genuinely needs them (decomposing a pointwise product, testing
-vanishing on a set of classes).  Induction and
-restriction run through a cached integer matrix of inner products, so
-Frobenius reciprocity is exact by construction and the matrix itself is
-what unit tests pin down.
+computation genuinely needs them.  Induction and restriction run through a
+cached integer matrix of inner products, so Frobenius reciprocity is exact
+by construction and the matrix itself is what unit tests pin down.  That
+matrix, and the vanishing test of property (G) on the p-singular classes,
+are decided in F_l from the tables' images (`chartab._shadow`), with one
+modular matrix product and a bound that makes the residue the exact
+answer; `VirtualCharacter.value_at` stays as the exact cyclotomic
+evaluator and the reference that tests compare them with.
 """
 
 from math import lcm
+
+import numpy as np
 
 from .chartab import (
     CharTable,
     Cyclotomic,
     IntegrityError,
     _dixon_prime,
+    _dot,
+    _mod_dtype,
+    _prime_above,
     _root_of_unity,
     _shadow,
     inner_product,
@@ -226,7 +234,11 @@ def restriction_matrix(big, small):
     least residue is the entry itself, provided the inputs are a character
     table and a subgroup table.  That proviso is checked, not trusted: an
     entry above chi_i(1), or a failure of sum_j R_ij psi_j(1) = chi_i(1) or
-    of sum_i R_ij chi_i(1) = [G:H] psi_j(1), raises IntegrityError.
+    of sum_i R_ij chi_i(1) = [G:H] psi_j(1), raises IntegrityError, the
+    first failing row first.  R is one matrix product, A[:, fused] times
+    (conj C . sizes)^T times |H|^-1 with A, C the two tables' images, in
+    int64 where k_H (l - 1)^2 < 2^63 and in Python ints otherwise
+    (`chartab._mod_dtype`).
     """
     return _restriction(small, big)
 
@@ -237,29 +249,22 @@ def _restriction(small, big):
     M = lcm(big.exponent, small.exponent)
     l = _dixon_prime(big.group_order, M, big.k)  # l > 2 sqrt|G| > every chi(1)
     w = _root_of_unity(l, M)
-    inv_order = pow(small.group_order, -1, l)
-    sizes = small.class_sizes()
-    weighted_conj = [
-        [v * s % l for v, s in zip(row, sizes)]
-        for row in _shadow(small, M, l, pow(w, -1, l))
-    ]
-    R = []
-    for brow, deg in zip(_shadow(big, M, l, w), big.degrees):
-        avals = [brow[f] for f in fused]
-        Ri = [
-            sum(a * c for a, c in zip(avals, crow)) * inv_order % l
-            for crow in weighted_conj
-        ]
-        if any(r > deg for r in Ri):
-            raise IntegrityError("restriction multiplicity exceeds the degree")
-        if sum(r * d for r, d in zip(Ri, small.degrees)) != deg:
-            raise IntegrityError("restricted degrees do not sum to the degree")
-        R.append(Ri)
-    for j, d in enumerate(small.degrees):
-        induced = sum(Ri[j] * deg for Ri, deg in zip(R, big.degrees))
-        if induced * small.group_order != big.group_order * d:
+    sizes = np.array([s % l for s in small.class_sizes()], dtype=_mod_dtype(1, l))
+    weighted_conj = _shadow(small, M, l, pow(w, -1, l)) * sizes % l
+    R = _dot(_shadow(big, M, l, w)[:, fused], weighted_conj.T, l) % l
+    R = R * pow(small.group_order, -1, l) % l
+    degs = np.array(big.degrees)[:, None]
+    over = (R > degs).any(axis=1)
+    short = (_dot(R, np.array(small.degrees)[:, None], l) != degs).any(axis=1)
+    bad = np.flatnonzero(over | short)
+    if len(bad):
+        raise IntegrityError("restriction multiplicity exceeds the degree" if over[bad[0]]
+                             else "restricted degrees do not sum to the degree")
+    induced = _dot(degs.T, R, l)[0].tolist()
+    for total, d in zip(induced, small.degrees):
+        if total * small.group_order != big.group_order * d:
             raise IntegrityError("induced degree is not [G:H] psi(1)")
-    return R
+    return R.tolist()
 
 
 def induce(phi, big):
@@ -370,5 +375,44 @@ def p_singular_classes(table, p):
     return [j for j, c in enumerate(table.classes) if c.rep_order % p == 0]
 
 
-def vanishes_on(chi, class_indices):
-    return all(chi.value_at(j).is_zero() for j in class_indices)
+def vanishes_on_p_singular(chi, p):
+    """Whether the virtual character chi is 0 on every p-singular class.
+
+    Decided in F_l, with no cyclotomic product.  Let B = sum_i |c_i|
+    chi_i(1) for chi = sum_i c_i chi_i, and M the table's exponent.  Every
+    value chi(g) lies in Z[zeta_M], and each of its conjugates has absolute
+    value at most B.  Take the least primes l ≡ 1 (mod M) above min(B, 2^64)
+    until their product L exceeds B: one prime l > B, unless B > 2^64, so
+    that each stays below the Miller-Rabin bound.  For each l, map
+    zeta_M -> w of order M in F_l (through `_shadow`; on a product table the
+    values are S_A^T C S_B, C the coefficient matrix and S_A, S_B the
+    factors' images) and test the images on the p-singular classes.  That
+    set is closed under g -> g^a, and sigma_a(chi(g)) = chi(g^a) for a
+    prime to M, as chi(g) is a sum of eigenvalues of g, roots of unity
+    (Isaacs, Character Theory of Finite Groups, ch. 2); so if every image
+    vanishes, chi(g) lies in every prime above l, hence in
+    lZ[zeta_M], as l ≡ 1 (mod M) splits completely (Washington,
+    Introduction to Cyclotomic Fields, ch. 2); so L divides chi(g).  Every
+    conjugate of chi(g)/L then has absolute value below B/L < 1, so its
+    norm, an integer, is 0, and chi(g) = 0.  The products are exact in
+    `chartab._mod_dtype`.  `VirtualCharacter.value_at` stays the exact
+    evaluator that tests compare this with.
+    """
+    t = chi.table
+    singular = p_singular_classes(t, p)
+    M = t.exponent
+    bound = sum(abs(c) * d for c, d in zip(chi.coeffs, t.degrees))
+    l, L = min(bound, 2**64), 1
+    while L <= bound:
+        l = _prime_above(l, M)
+        L *= l
+        w = _root_of_unity(l, M)
+        coeffs = np.array([c % l for c in chi.coeffs], dtype=_mod_dtype(1, l))
+        if t.factors is None:
+            values = _dot(coeffs[None, :], _shadow(t, M, l, w), l) % l
+        else:
+            SA, SB = (_shadow(f, M, l, w) for f in t.factors)
+            values = _dot(SA.T, _dot(coeffs.reshape(len(SA), len(SB)), SB, l) % l, l) % l
+        if values.ravel()[singular].any():
+            return False
+    return True

@@ -32,11 +32,10 @@ from .classfun import (
     induce,
     irr,
     ml_counts,
-    p_singular_classes,
     product_table,
     restrict,
     restriction_matrix,
-    vanishes_on,
+    vanishes_on_p_singular,
 )
 from .groupcore import (
     IntegrityError,
@@ -513,7 +512,7 @@ def check_property_G_with_witness(inst, b, e, mu):
 
     diff = mu - omega_character(inst, b, e)
     if _s_is_trivial(inst):
-        ok_lattice = vanishes_on(diff, p_singular_classes(prod, inst.p))
+        ok_lattice = vanishes_on_p_singular(diff, inst.p)
     else:
         ok_lattice = product_induced_lattice(inst).contains(diff.coeffs)
     if not ok_lattice:

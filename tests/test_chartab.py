@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic and character table construction."""
 
 import json
+import random
+import re
 from math import gcd
 
 import numpy as np
@@ -20,7 +22,9 @@ from indres.chartab import (
     _common_eigenvectors,
     _cyclotomic_coeffs,
     _dixon_prime,
+    _dot,
     _inverse_dft,
+    _mod_dtype,
     _nullspace_mod,
     _poly_roots_mod,
     _prime_above,
@@ -252,6 +256,78 @@ def test_every_single_entry_tampering_is_caught(name):
                 rows[i][j] = rows[i][j] + delta
                 with pytest.raises(IntegrityError):
                     verify_table(_with_rows(t, rows))
+
+
+def _loop_orthogonality(t):
+    """The first (i, j), row-major, with sum_C |C| chi_i(C) conj chi_j(C) !=
+    |G| delta_ij in F_l, one entry at a time, l and w as `verify_table`
+    picks them; None when every entry vanishes."""
+    m = t.exponent
+    norm = max(sum(map(abs, v.terms.values())) for row in t.irreducibles for v in row)
+    l = _prime_above(t.group_order * (1 + norm * norm), m)
+    w = _root_of_unity(l, m)
+
+    def image(v, root):
+        return sum(c * pow(root, e, l) for e, c in v.terms.items()) % l
+
+    wbar = pow(w, -1, l)
+    for i, xi in enumerate(t.irreducibles):
+        for j, yj in enumerate(t.irreducibles):
+            total = sum(c.size * image(x, w) * image(y, wbar)
+                        for c, x, y in zip(t.classes, xi, yj))
+            if (total - (t.group_order if i == j else 0)) % l:
+                return i, j
+    return None
+
+
+def _orthogonality_failure(t):
+    try:
+        verify_table(t)
+    except IntegrityError as exc:
+        found = re.fullmatch(r"row orthogonality fails at \((\d+),(\d+)\)", str(exc))
+        return tuple(map(int, found.groups())) if found else str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["S5", "S6", "M11"])
+def test_orthogonality_product_reports_the_loop_first_failure(name):
+    """One k x k product finds the same first failing (i, j) as the entry
+    loop.  Seeded tamperings add integers to one to three entries of the
+    rational rows, which keeps the table Galois stable; one of them is
+    10^10, so the prime passes 2^63 and the product runs on Python ints."""
+    t = character_table(build(name))
+    rational = [i for i, row in enumerate(t.irreducibles) if all(v.is_integer() for v in row)]
+    rng = random.Random(5)
+    assert _orthogonality_failure(t) is None and _loop_orthogonality(t) is None
+    firsts = set()
+    for trial in range(40):
+        rows = [list(r) for r in t.irreducibles]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.choice(rational), rng.randrange(1, t.k)
+            delta = 10**10 if trial == 0 else rng.choice((-2, -1, 1, 2))
+            rows[i][j] = rows[i][j] + Cyclotomic.from_int(t.exponent, delta)
+        bad = _with_rows(t, rows)
+        got = _orthogonality_failure(bad)
+        if got is not None:
+            assert got == _loop_orthogonality(bad)
+            firsts.add(got)
+    assert len(firsts) > 3, firsts
+
+
+def test_mod_dtype_switches_at_the_int64_bound():
+    """int64 exactly while n (l - 1)^2 < 2^63, and the product is exact on
+    both sides of the bound."""
+    l = 2**30 + 1  # (l - 1)^2 = 2^60
+    for n, dtype in ((7, np.int64), (8, object)):
+        assert (n * (l - 1) ** 2 < 2**63) == (dtype is np.int64)
+        assert _mod_dtype(n, l) is dtype
+        A = np.full((2, n), l - 1, dtype=np.int64)
+        got = _dot(A, A.T, l)
+        assert got.dtype == dtype
+        assert got.tolist() == [[n * (l - 1) ** 2] * 2] * 2
+    with pytest.raises(BudgetExceeded):
+        _check_int64(8, l)
+    _check_int64(7, l)
 
 
 def test_repeated_row_is_caught():

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from math import lcm
 
 import pytest
@@ -10,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import sympy
 
+from conftest import shared_group
 from indres.blocks import block_partition, defect_group
-from indres.catalog import build, perm_from_cycles, special_linear2
+from indres.catalog import BUILDERS, build, perm_from_cycles, special_linear2
 from indres.chartab import (
+    CharTable,
     Cyclotomic,
     IntegrityError,
     _dixon_prime,
+    _root_of_unity,
     _shadow,
     character_table,
     inner_product,
@@ -36,7 +40,7 @@ from indres.classfun import (
     restriction_matrix,
     trivial,
     trivial_index,
-    vanishes_on,
+    vanishes_on_p_singular,
 )
 from indres.correspondence import (
     make_instance,
@@ -183,6 +187,98 @@ def test_restriction_matrix_rejects_swapped_rows(s4_s3):
         restriction_matrix(big, small)
 
 
+def _loop_restriction(big, small):
+    """restriction_matrix as one F_l sum per entry, the checks row by row:
+    R, or the message of the first check that fails."""
+    fused = class_fusion(big, small)
+    M = lcm(big.exponent, small.exponent)
+    l = _dixon_prime(big.group_order, M, big.k)
+    w = _root_of_unity(l, M)
+
+    def image(v, root):
+        return sum(c * pow(root, e * (M // v.modulus), l) for e, c in v.terms.items()) % l
+
+    wbar = pow(w, -1, l)
+    inv_order = pow(small.group_order, -1, l)
+    conj = [[image(v, wbar) * s % l for v, s in zip(row, small.class_sizes())]
+            for row in small.irreducibles]
+    R = []
+    for row, deg in zip(big.irreducibles, big.degrees):
+        avals = [image(row[f], w) for f in fused]
+        Ri = [sum(a * c for a, c in zip(avals, crow)) * inv_order % l for crow in conj]
+        if any(r > deg for r in Ri):
+            return "restriction multiplicity exceeds the degree"
+        if sum(r * d for r, d in zip(Ri, small.degrees)) != deg:
+            return "restricted degrees do not sum to the degree"
+        R.append(Ri)
+    for j, d in enumerate(small.degrees):
+        if sum(Ri[j] * deg for Ri, deg in zip(R, big.degrees)) * small.group_order != (
+                big.group_order * d):
+            return "induced degree is not [G:H] psi(1)"
+    return R
+
+
+def _restriction_or_message(big, small):
+    try:
+        return restriction_matrix(big, small)
+    except IntegrityError as exc:
+        return str(exc)
+
+
+SMALL_CATALOG = sorted(n for n in BUILDERS if build(n).order() <= 2000)
+
+
+def test_restriction_matrix_matches_the_entry_loop():
+    """The one matrix product gives the per-entry loop's R on every
+    (G or N_G(P), qualifying elementary subgroup) pair of the catalog
+    groups of order <= 2000, at every prime."""
+    pairs = 0
+    for name in SMALL_CATALOG:
+        G = shared_group(name)
+        for p in prime_factors(G.order()):
+            inst = make_instance(G, p, name=name)
+            for big in (inst.tG, inst.tH):
+                for E in qualifying_elementary_subgroups(big.group, p, inst.s_maxima):
+                    small = table_for(E)
+                    assert restriction_matrix(big, small) == _loop_restriction(big, small)
+                    pairs += 1
+    assert pairs > 200
+
+
+def _copy_table(t, group_order=None):
+    return CharTable(group_order=group_order or t.group_order, exponent=t.exponent,
+                     classes=t.classes, irreducibles=[list(r) for r in t.irreducibles],
+                     degrees=list(t.degrees), group=t.group)
+
+
+def test_tampered_restriction_fails_the_loop_check_first(s4_s3):
+    """On tampered tables the first failing check, in the loop's order, is
+    the one that raises."""
+    big, small = s4_s3
+    m = big.exponent
+    rng = random.Random(3)
+    messages = Counter()
+    for _ in range(60):
+        tb, ts = _copy_table(big), _copy_table(small)
+        for _ in range(rng.randint(1, 3)):
+            t = rng.choice((tb, ts))
+            i, j = rng.randrange(t.k), rng.randrange(t.k)
+            t.irreducibles[i][j] = t.irreducibles[i][j] + Cyclotomic.from_int(
+                t.exponent, rng.choice((-2, -1, 1, 3)))
+        if rng.random() < 0.3:
+            i = rng.randrange(tb.k)
+            tb.degrees[i] += 1
+            tb.irreducibles[i][0] = Cyclotomic.from_int(m, tb.degrees[i])
+        got = _restriction_or_message(tb, ts)
+        assert got == _loop_restriction(tb, ts)
+        messages[got if isinstance(got, str) else "R"] += 1
+    # a wrong |G| passes every row and fails only the induced degrees
+    tb = _copy_table(big, group_order=2 * big.group_order)
+    got = _restriction_or_message(tb, small)
+    assert got == _loop_restriction(tb, small) == "induced degree is not [G:H] psi(1)"
+    assert len(messages) == 3, messages
+
+
 def test_class_fusion_s3_in_s4(s4_s3):
     big, small = s4_s3
     fusion = class_fusion(big, small)
@@ -245,8 +341,8 @@ def test_p_singular_and_vanishing():
     sgn = next(i for i in linear if not all(v.as_int() == 1 for v in t.irreducibles[i]))
     triv = trivial_index(t)
     v = irr(t, triv) + irr(t, sgn)
-    assert vanishes_on(v, sing)
-    assert not vanishes_on(trivial(t), sing)
+    assert vanishes_on_p_singular(v, 2)
+    assert not vanishes_on_p_singular(trivial(t), 2)
 
 
 def test_product_table_s3xs3():
@@ -347,7 +443,7 @@ def test_product_shadow_is_image_of_tensor_rows(product_and_reference):
             ]
             for row in rows
         ]
-        assert _shadow(prod, M, l, root) == expect
+        assert _shadow(prod, M, l, root).tolist() == expect
 
 
 def test_outer_product_values():
@@ -384,7 +480,7 @@ def test_dropped_tables_are_freed():
     defect_group(tG, block_partition(tG, 2)[0], 2)
     prod = product_table(tG, tH)
     _shadow(prod, *_field_of(prod))
-    vanishes_on(irr(prod, 1).conjugate(), p_singular_classes(prod, 2))
+    vanishes_on_p_singular(irr(prod, 1).conjugate(), 2)
     # centralizers, Sylow subgroups and `table_for` tables are memoized on
     # the group
     C = centralizer(G, G.class_data()[1].representative)

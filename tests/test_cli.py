@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from click.testing import CliRunner
@@ -14,11 +15,12 @@ from hypothesis import strategies as st
 
 import indres
 from conftest import shared_group
-from indres import chartab, cli
+from indres import chartab, cli, correspondence
 from indres.blocks import block_partition
 from indres.catalog import BUILDERS, build
-from indres.cli import main
-from indres.correspondence import table_for
+from indres.classfun import VirtualCharacter, p_singular_classes
+from indres.cli import JobSpec, build_instance, main
+from indres.correspondence import check_property_G_with_witness, pair_table, table_for
 from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded, PermGroup
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -774,3 +776,56 @@ def test_explicit_subgroups_fuzz_exit_codes(tmp_path_factory, name, p, p_gens, h
                             f"not a power of {p}\n")
     elif not inside(h_gens):
         assert r.stderr == "error: explicit overgroup is not inside the group\n"
+
+
+# The smallest witness case: S3 at p = 2, its principal block (characters 0
+# and 1) and that of N_G(P) = C2; mu has 3 x 2 coefficients, of which the
+# last two lie outside the block pair.
+_S3_WITNESS = {"format": "virtual-character", "space": "product", "p": 2,
+               "block_chars": [0, 1], "correspondent_chars": [0, 1]}
+_HUGE = st.one_of(st.sampled_from([-10**30, 10**30]), st.integers(-10**30, 10**30))
+_COEFF = st.one_of(st.integers(-2, 2), _HUGE)
+_JUNK = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=2),
+                  st.lists(st.integers(-2, 2), max_size=2))
+
+
+def _exact_witness_verdict(coeffs):
+    """Property (G) of the S3 witness with vanishing decided from exact
+    cyclotomic values; None where the witness must exit 2."""
+    inst, (b, e) = build_instance(JobSpec(group="S3", p=2, subgroup_mode="block:0"),
+                                  shared_group("S3"))
+    mu = VirtualCharacter(pair_table(inst), coeffs)
+
+    def exact(chi, p):
+        return all(chi.value_at(j).is_zero() for j in p_singular_classes(chi.table, p))
+
+    with patch.object(correspondence, "vanishes_on_p_singular", exact):
+        try:
+            return check_property_G_with_witness(inst, b, e, mu)
+        except ValueError:
+            return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.one_of(
+    # omega, and omega plus a multiple of (1 + sgn) x (the regular character
+    # of C2), which vanishes on the 2-singular classes
+    _HUGE.map(lambda t: [1 + t, t, t, 1 + t, 0, 0]),
+    st.lists(_COEFF, min_size=4, max_size=4).map(lambda c: c + [0, 0]),
+    st.lists(_COEFF, max_size=9),
+    st.lists(st.one_of(_COEFF, _JUNK), min_size=6, max_size=6)))
+def test_witness_fuzz_exit_codes(tmp_path_factory, coeffs):
+    """Random S3 witnesses of any length, with non-integers and with
+    coefficients up to 10^30, end in exit 0, 1 or 2 (one line, no
+    traceback); a well-formed one exits with the verdict that the exact
+    evaluator gives."""
+    path = tmp_path_factory.mktemp("witness") / "w.json"
+    path.write_text(json.dumps({**_S3_WITNESS, "coeffs": coeffs}))
+    r = invoke(CliRunner(), "verify", "S3", "-p", "2", "--subgroup-mode", "block:0",
+               "--props", "g", "--witness", str(path))
+    assert r.exit_code in (0, 1, 2)
+    if r.exit_code == 2:
+        _assert_one_line_error(r)
+    if len(coeffs) == 6 and all(type(c) is int for c in coeffs):
+        expect = _exact_witness_verdict(coeffs)
+        assert r.exit_code == {True: 0, False: 1, None: 2}[expect]

@@ -5,16 +5,19 @@ import json
 import random
 import weakref
 from collections import Counter
+from math import lcm
 from pathlib import Path
 
 import pytest
+import sympy
 
 from conftest import shared_group
 from indres import correspondence
 from indres.blocks import block_partition
 from indres.catalog import BUILDERS, build
 from indres.cli import JobSpec, build_instance, load_group
-from indres.classfun import VirtualCharacter, irr, restriction_matrix
+from indres.classfun import (VirtualCharacter, irr, outer_product, p_singular_classes,
+                             restriction_matrix, vanishes_on_p_singular)
 from indres.correspondence import (
     PROPERTIES,
     blocks_with_defect_group_P,
@@ -37,7 +40,8 @@ from indres.correspondence import (
     theorem26_selftest,
 )
 from indres.correspondence import _lex_signed_matching, _s_is_trivial
-from indres.groupcore import PermGroup, normalizer, prime_factors, sylow_subgroup
+from indres.groupcore import (MILLER_RABIN_BOUND, PermGroup, normalizer, prime_factors,
+                              sylow_subgroup)
 from indres.lattice import IntLattice, coordinate_restrict
 
 
@@ -610,6 +614,61 @@ def _witness_cases():
     yield (inst, *pair, VirtualCharacter(pair_table(inst), coeffs))
 
 
+def _exact_vanishing(chi, p):
+    """Reference for `vanishes_on_p_singular`: exact cyclotomic values."""
+    return all(chi.value_at(j).is_zero() for j in p_singular_classes(chi.table, p))
+
+
+def _vanishing_basis(table, p):
+    """An integer basis of the coefficient vectors whose virtual character
+    is 0 on every p-singular class: sympy's kernel over Q of the values'
+    power-basis coordinates there, each vector cleared of denominators."""
+    coords = [[row[j].terms.get(e, 0) for row in table.irreducibles]
+              for j in p_singular_classes(table, p) for e in range(table.exponent)]
+    coords = [r for r in coords if any(r)] or [[0] * table.k]
+    basis = []
+    for v in sympy.Matrix(coords).nullspace():
+        scale = lcm(*(x.q for x in v))
+        basis.append([int(x * scale) for x in v])
+    return basis
+
+
+def _combination(rng, basis):
+    weights = [rng.randint(-2, 2) for _ in basis]
+    return [sum(w * x for w, x in zip(weights, col)) for col in zip(*basis)]
+
+
+def test_vanishing_in_f_l_matches_the_exact_evaluator(s3_2):
+    """On the pair tables of the witness cases and of S3 at p = 2, and on
+    their factor tables: the witnesses, mu - omega, seeded random vectors
+    as drawn, vectors made to vanish (outer products of integer kernel
+    vectors of the factors), and both kinds times 10^19, so that the prime
+    passes 2^63, and times 10^30, past the Miller-Rabin bound, so that the
+    test takes several primes."""
+    instances = {id(inst): inst for inst, *_ in _witness_cases()}
+    instances[id(s3_2)] = s3_2
+    cases = [(inst, mu) for inst, _, _, mu in _witness_cases()]
+    cases += [(inst, mu - omega_character(inst, b, e)) for inst, b, e, mu in _witness_cases()]
+    rng = random.Random(11)
+    for inst in instances.values():
+        prod = pair_table(inst)
+        tA, tB = prod.factors
+        bases = [_vanishing_basis(t, inst.p) for t in (tA, tB)]
+        drawn = [VirtualCharacter(t, [rng.randint(-3, 3) for _ in range(t.k)])
+                 for t in (tA, tB, prod)]
+        a, b = (VirtualCharacter(t, _combination(rng, B)) for t, B in zip((tA, tB), bases))
+        made = [a, b, outer_product(a, b, prod)]
+        cases += [(inst, chi) for chi in drawn + made]
+        cases += [(inst, n * chi) for chi in (drawn[2], made[2]) for n in (10**19, 10**30)]
+    verdicts = Counter()
+    for inst, chi in cases:
+        got = vanishes_on_p_singular(chi, inst.p)
+        assert got == _exact_vanishing(chi, inst.p), (inst.name, chi)
+        bound = sum(abs(c) * d for c, d in zip(chi.coeffs, chi.table.degrees))
+        verdicts[got, bound > 2**63, bound >= MILLER_RABIN_BOUND] += 1
+    assert len(verdicts) == 6, verdicts
+
+
 def _height_zero_mutations(inst, b, e, mu):
     """mu, and mu with one height-zero entry flipped, zeroed, doubled or
     moved to the first place of its row or of its column, or with a second
@@ -639,7 +698,7 @@ def test_property_g_block_test_matches_transform_loops(monkeypatch):
     test, and reading mu's height-zero block must agree with computing
     I_mu and R_mubar of every height-zero irreducible."""
     monkeypatch.setattr(correspondence, "_s_is_trivial", lambda inst: True)
-    monkeypatch.setattr(correspondence, "vanishes_on", lambda chi, classes: True)
+    monkeypatch.setattr(correspondence, "vanishes_on_p_singular", lambda chi, p: True)
     verdicts = Counter()
     for inst, b, e, mu in _witness_cases():
         for coeffs in _height_zero_mutations(inst, b, e, mu):

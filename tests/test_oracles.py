@@ -1,11 +1,13 @@
 """Brute-force reference paths must agree with the fast implementations."""
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import small_perm_groups
 from indres.catalog import build, special_linear2
 from indres.chartab import character_table
 from indres.correspondence import build_induced_lattice, make_instance
-from indres.groupcore import BudgetExceeded, _mul, conjugacy_classes
+from indres.groupcore import BudgetExceeded, _mul, conjugacy_classes, prime_factors
 from indres.oracles import (
     _linear_characters,
     all_subgroups,
@@ -115,6 +117,20 @@ def test_definition_lattice_matches_fast_path(name, p):
         fast = build_induced_lattice(inst, side)
         slow = definition_lattice(inst, side)
         assert fast.canonical() == slow.canonical()
+
+
+# The oracles take about a second from order 24 on, so the draws stop at 16.
+@given(small_perm_groups().filter(lambda G: G.order() <= 16))
+@settings(max_examples=30, deadline=None)
+def test_table_and_g_side_lattice_match_the_oracles_on_random_groups(G):
+    """On random groups of order at most 16: the character table matches
+    the brute-force table, and at every prime the G-side induced lattice
+    matches its regeneration from the defining condition."""
+    assert compare_with_table(G, character_table(G))
+    for p in prime_factors(G.order()):
+        inst = make_instance(G, p)
+        assert build_induced_lattice(inst, "G").canonical() == (
+            definition_lattice(inst, "G").canonical()), p
 
 
 def test_definition_lattice_budget():
