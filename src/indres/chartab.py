@@ -1,20 +1,21 @@
 """Exact character tables via eigenvalue splitting of class-sum matrices.
 
 Character values are elements of Z[zeta_m], m the group exponent, stored in
-canonical form on the power basis {zeta^e : 0 <= e < phi(m)}.  The whole
-table is computed modulo a prime p ≡ 1 (mod m) with p > 2*sqrt(|G|), in int64
-arrays whose sums `_check_int64` proves exact, and then lifted exactly.  The
+canonical form on the power basis {zeta^e : 0 <= e < phi(m)}.  The table is
+computed modulo the least prime p ≡ 1 (mod m) with p^2 > 4|G|, in int64
+arrays whose sums `_check_int64` proves exact, and lifted exactly.  The
 class matrices are built one at a time, smallest class first, each from the
-members of its own class, and only until every common eigenspace has
-dimension 1.  `verify_table` proves the lifted table square, Galois stable
-and with orthonormal rows (hence orthogonal columns) before it is returned,
-so a table object in hand is always internally consistent.  The
-orthogonality proof maps the table once to F_l, for a prime l ≡ 1 (mod m)
-above a bound on its values, through `_shadow`, the one routine that
-evaluates table rows in a prime field (`classfun` uses it too), and decides
-with one k x k matrix product; `_mod_dtype` picks int64 only where the
-product's sums are exact in it, and Python ints otherwise.  Neither building
-nor verifying a table multiplies two cyclotomics.
+members of its own class, only until every common eigenspace has dimension
+1; their eigenvalues are roots of a characteristic polynomial that divides
+only by pivots, so p may be below the class count.  `verify_table` proves
+the lifted table square, Galois stable and with orthonormal rows (hence
+orthogonal columns) before it is returned.  The orthogonality proof maps
+the table once to F_l, for a prime l ≡ 1 (mod m) above a bound on its
+values, through `_shadow`, the one routine that evaluates table rows in a
+prime field (`classfun` uses it too), and decides with one k x k matrix
+product; `_mod_dtype` picks int64 only where its sums are exact, and Python
+ints otherwise.  Neither building nor verifying a table multiplies two
+cyclotomics.
 """
 
 import json
@@ -218,13 +219,13 @@ class Cyclotomic:
         return {"modulus": self.modulus, "terms": sorted(self.terms.items())}
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, field):
+        """The stored value over Z[zeta_field]; its modulus must divide `field`."""
         modulus = json_int(data["modulus"], "cyclotomic modulus")
-        if modulus < 1:
-            raise IntegrityError(f"cyclotomic modulus must be positive, got {modulus}")
-        return cls(modulus,
-                   {json_int(e, "cyclotomic exponent"): json_int(c, "cyclotomic coefficient")
-                    for e, c in data["terms"]})
+        if modulus < 1 or field % modulus:
+            raise IntegrityError("a value's modulus does not divide the table exponent")
+        return cls(field, {field // modulus * json_int(e, "cyclotomic exponent"):
+                           json_int(c, "cyclotomic coefficient") for e, c in data["terms"]})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -361,13 +362,6 @@ def _root_of_unity(l, m):
             return w
 
 
-def _dixon_prime(order, exponent, k):
-    # the prime must exceed 2*sqrt(|G|) so degrees are determined by their
-    # squares mod l, and exceed k so characteristic-polynomial recovery can
-    # divide by 1..k; l > isqrt(4|G|) is l^2 > 4|G|
-    return _prime_above(max(isqrt(4 * order), k), exponent)
-
-
 @_memo
 def _shadow(table, M, l, w):
     """The table's rows in F_l under the ring homomorphism zeta_M -> w.
@@ -435,26 +429,33 @@ def _class_matrices(G, p):
 
 
 def _charpoly_mod(R, p):
-    """Characteristic polynomial coefficients mod p via Newton's identities."""
-    d = len(R)
-    traces = []
-    Rk = np.eye(d, dtype=np.int64)
-    for _ in range(d):
-        Rk = (Rk @ R) % p
-        traces.append(int(np.trace(Rk)) % p)
-    # e_0 = 1; k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} t_i
-    e = [1]
-    for kk in range(1, d + 1):
-        s = 0
-        for i in range(1, kk + 1):
-            term = (e[kk - i] * traces[i - 1]) % p
-            s = (s - term) if i % 2 == 0 else (s + term)
-        e.append((s * pow(kk, -1, p)) % p)
-    # char poly x^d - e1 x^{d-1} + e2 x^{d-2} - ...
-    coeffs = [1]
-    for kk in range(1, d + 1):
-        coeffs.append((-e[kk]) % p if kk % 2 else e[kk] % p)
-    return coeffs  # leading first
+    """Characteristic polynomial of R mod p, leading coefficient first.
+
+    Hessenberg's method (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, §2.2.4): one row and one column update per column
+    make H similar to R and upper Hessenberg.  Its leading blocks' P_m then
+    take one vector-matrix product each: P_(m+1) = x P_m - sum_(i<=m)
+    H[i, m] s_i P_i, s_i = H[i+1, i] ... H[m, m-1].  Only pivots are
+    inverted, so any prime will do, and each sum has at most d terms < p^2.
+    """
+    H = R % p
+    d = len(H)
+    for c in range(d - 2):
+        i = c + 1 + int(np.argmax(H[c + 1:, c] != 0))  # the first nonzero, if any
+        if i > c + 1:
+            H[[c + 1, i]] = H[[i, c + 1]]
+            H[:, [c + 1, i]] = H[:, [i, c + 1]]
+        # u = 0, and the updates change nothing, on a column already clear
+        u = H[c + 2:, c] * pow(int(H[c + 1, c]) or 1, -1, p) % p
+        H[c + 2:, c:] = (H[c + 2:, c:] - np.outer(u, H[c + 1, c:])) % p
+        H[:, c + 1] = (H[:, c + 1] + H[:, c + 2:] @ u) % p
+    P = np.eye(d + 1, dtype=np.int64)  # P[m, t]: coefficient of x^t in P_m; P_0 = 1
+    s = np.ones(d, dtype=np.int64)
+    for m in range(d):
+        s[:m] = s[:m] * H[m, m - 1] % p
+        P[m + 1, 1:] = P[m, :-1]
+        P[m + 1] = (P[m + 1] - (H[:m + 1, m] * s[:m + 1] % p) @ P[:m + 1] % p) % p
+    return P[d, ::-1].tolist()
 
 
 def _poly_roots_mod(coeffs, p):
@@ -557,9 +558,9 @@ def _common_eigenvectors(mats, k, p):
 def _check_int64(n, p):
     """Refuse array arithmetic mod p whose sums of n products overflow int64.
 
-    Every array product of the table build (class matrix times basis,
-    matrix powers, the lift's transforms) sums at most n terms, each below
-    (p - 1)^2, so n (p - 1)^2 < 2^63 keeps every int64 sum exact.
+    Every array product of the table build (class matrix times basis, the
+    Hessenberg steps, the lift's transforms) sums at most n terms, each
+    below (p - 1)^2, so n (p - 1)^2 < 2^63 keeps every int64 sum exact.
     """
     if _mod_dtype(n, p) is object:
         raise BudgetExceeded(
@@ -589,7 +590,7 @@ def character_table(G, budget_order=None):
     k = len(classes)
     order = G.order()
     m = G.exponent()
-    p = _dixon_prime(order, m, k)
+    p = _prime_above(isqrt(4 * order), m)  # p^2 > 4|G| fixes the degrees
     _check_int64(max(k, max(c.rep_order for c in classes)), p)
     vecs = _common_eigenvectors(_class_matrices(G, p), k, p)
 
@@ -758,14 +759,17 @@ def save_table(table, path):
 def table_from_json(data, group):
     """The table that `data` stores, proved and re-indexed onto `group`.
 
-    The stored data is parsed and proved by `verify_table` in its own class
-    order; the result is then built once, on the group's classes, with the
-    columns permuted as `reconcile_classes` finds and the rows in the order
-    of every table, by (degree, canonical value key).
+    The stored exponent must be the group's and each value's modulus must
+    divide it, or no value is built.  The data is proved by `verify_table`
+    in its own class order, then built once on the group's classes, with
+    the columns permuted as `reconcile_classes` finds and the rows in the
+    order of every table, by (degree, canonical value key).
     """
     with malformed("table"):
         order = json_int(data["order"], "table order", decimal_string=True)
         exponent = json_int(data["exponent"], "table exponent")
+        if exponent != group.exponent():
+            raise IntegrityError(f"table exponent {exponent}, not the group's {group.exponent()}")
         classes = [
             ConjClassData(
                 representative=None,
@@ -777,13 +781,10 @@ def table_from_json(data, group):
             )
             for c in data["classes"]
         ]
-        rows = [[Cyclotomic.from_json(v) for v in row] for row in data["irreducibles"]]
-    if order < 1 or exponent < 1:
-        raise IntegrityError("table order and exponent must be positive")
-    # one field for every value, so a value's power-basis key names it
-    if any(exponent % v.modulus for row in rows for v in row):
-        raise IntegrityError("a value's modulus does not divide the table exponent")
-    rows = [[v.rebase(exponent) for v in row] for row in rows]
+        # one field for every value, so a value's power-basis key names it
+        rows = [[Cyclotomic.from_json(v, exponent) for v in row] for row in data["irreducibles"]]
+    if order < 1:
+        raise IntegrityError("table order must be positive")
     if any(not 0 <= i < len(classes) for c in classes for i in c.power_map.values()):
         raise IntegrityError("a power map names a class out of range")
     if not all(row and row[0].is_integer() for row in rows):

@@ -14,7 +14,7 @@ answer; `VirtualCharacter.value_at` stays as the exact cyclotomic
 evaluator and the reference that tests compare them with.
 """
 
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .chartab import (
     CharTable,
     Cyclotomic,
     IntegrityError,
-    _dixon_prime,
     _dot,
     _mod_dtype,
     _prime_above,
@@ -247,7 +246,7 @@ def restriction_matrix(big, small):
 def _restriction(small, big):
     fused = _fusion(small, big)
     M = lcm(big.exponent, small.exponent)
-    l = _dixon_prime(big.group_order, M, big.k)  # l > 2 sqrt|G| > every chi(1)
+    l = _prime_above(isqrt(4 * big.group_order), M)  # l > 2 sqrt|G| > every chi(1)
     w = _root_of_unity(l, M)
     sizes = np.array([s % l for s in small.class_sizes()], dtype=_mod_dtype(1, l))
     weighted_conj = _shadow(small, M, l, pow(w, -1, l)) * sizes % l

@@ -499,6 +499,8 @@ def group_from_generators(data):
     """Build a PermGroup from {"degree": n, "generators": [[1-based images]]}."""
     with malformed("group"):
         degree = json_int(data["degree"], "group degree")
+        if not 1 <= degree <= MAX_DEGREE:
+            raise IntegrityError(f"group degree must be from 1 to {MAX_DEGREE}, got {degree}")
         gens = []
         for images in data["generators"]:
             images = [json_int(x, "generator image") for x in images]
@@ -507,8 +509,6 @@ def group_from_generators(data):
             if len(images) > degree:
                 raise ValueError("generator degree exceeds the group degree")
             gens.append([x - 1 for x in images] + list(range(len(images), degree)))
-    if degree < 1:
-        raise IntegrityError(f"group degree must be at least 1, got {degree}")
     return PermGroup(degree, gens)
 
 

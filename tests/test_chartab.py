@@ -3,7 +3,7 @@
 import json
 import random
 import re
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -11,17 +11,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indres import chartab
 from indres.catalog import build, cyclic, special_linear2
 from indres.chartab import (
     _ROOT_BLOCK,
     CharTable,
     Cyclotomic,
     IntegrityError,
+    _charpoly_mod,
     _check_int64,
     _class_matrices,
     _common_eigenvectors,
     _cyclotomic_coeffs,
-    _dixon_prime,
     _dot,
     _inverse_dft,
     _mod_dtype,
@@ -41,6 +42,7 @@ from indres.chartab import (
 )
 from indres.groupcore import (MILLER_RABIN_BOUND, BudgetExceeded, PermGroup,
                               _perm_power, conjugacy_classes, product_group)
+from indres.oracles import compare_with_table
 
 
 def cyc(modulus, pairs):
@@ -131,12 +133,35 @@ def test_cyclotomic_coeffs_match_sympy():
         assert _cyclotomic_coeffs(m) == [int(c) for c in expect], m
 
 
-def test_dixon_prime_conditions():
-    for order, exponent, k in [(24, 12, 5), (60, 30, 5), (720, 60, 11)]:
-        p = _dixon_prime(order, exponent, k)
-        assert p % exponent == 1
+def _table_prime(G, monkeypatch):
+    """The prime that `character_table(G)` works modulo, as `_check_int64`
+    is handed it."""
+    seen = []
+    monkeypatch.setattr(chartab, "_check_int64", lambda n, p: seen.append(p))
+    character_table(G)
+    return seen[0]
+
+
+def _c2_power(r):
+    G = cyclic(2)
+    for _ in range(r - 1):
+        G = product_group(G, cyclic(2))
+    return G
+
+
+def test_dixon_prime_conditions(monkeypatch):
+    """The table prime is the least p ≡ 1 (mod m) with p^2 > 4|G|; the class
+    count plays no part, so C2^4 (k = 16) takes p = 11 and C2^6 (k = 64)
+    p = 17."""
+    primes = []
+    for G in [build("S4"), build("A5"), build("S6"), _c2_power(4), _c2_power(6)]:
+        order, m = G.order(), G.exponent()
+        p = _table_prime(G, monkeypatch)
+        assert p % m == 1
         assert p * p > 4 * order
-        assert p > k
+        assert not any(sympy.isprime(q) and q * q > 4 * order for q in range(1, p, m))
+        primes.append(p)
+    assert primes[-2:] == [11, 17]
 
 
 def test_prime_above_refuses_the_miller_rabin_bound():
@@ -356,6 +381,15 @@ def test_table_building_multiplies_no_cyclotomics(monkeypatch):
     verify_table(character_table(build("M11")))
 
 
+def test_table_whose_prime_is_below_the_class_count_matches_the_oracle():
+    """C2^4 is built modulo p = 11 (`test_dixon_prime_conditions`), below its
+    k = 16 classes, and its table is the brute-force one."""
+    G = _c2_power(4)
+    t = character_table(G)
+    assert t.k == 16
+    assert compare_with_table(G, t)
+
+
 def _full_class_matrices(G, p):
     """A_i[j][l] = #{g in C_i : g^-1 z_l in C_j} mod p from one sweep over
     every g in G, for the non-identity classes, smallest class first."""
@@ -373,7 +407,7 @@ def _full_class_matrices(G, p):
 def test_class_matrices_match_a_full_build(name):
     G = build(name)
     k = len(G.class_data())
-    p = _dixon_prime(G.order(), G.exponent(), k)
+    p = _prime_above(isqrt(4 * G.order()), G.exponent())
     got = list(_class_matrices(G, p))
     expect = _full_class_matrices(G, p)
     assert len(got) == len(expect) == k - 1
@@ -518,6 +552,59 @@ def test_poly_roots_span_blocks_and_stop_at_the_last_root():
         coeffs = [(a - r * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
     assert _poly_roots_mod(coeffs, p) == roots
     assert _poly_roots_mod([1, 0, 1], 3) == []  # x^2 + 1 has no root mod 3
+
+
+def _newton_charpoly(R, p):
+    """The characteristic polynomial mod p from the traces of d matrix
+    powers and Newton's identities, which divide by 1..d: only for p > d."""
+    d = len(R)
+    traces = []
+    Rk = np.eye(d, dtype=np.int64)
+    for _ in range(d):
+        Rk = (Rk @ R) % p
+        traces.append(int(np.trace(Rk)) % p)
+    # e_0 = 1; j e_j = sum_{i=1}^{j} (-1)^{i-1} e_{j-i} t_i
+    e = [1]
+    for j in range(1, d + 1):
+        s = sum((-1) ** (i - 1) * e[j - i] * traces[i - 1] for i in range(1, j + 1))
+        e.append(s * pow(j, -1, p) % p)
+    return [(-1) ** j * e[j] % p for j in range(d + 1)]
+
+
+def _charpoly_matrices(rng, d, bound):
+    """A dense, a sparse and a block-diagonal d x d matrix with entries in
+    [0, bound); the last has zero subdiagonal entries between its blocks."""
+    dense = rng.integers(0, bound, (d, d), dtype=np.int64)
+    sparse = dense * (rng.random((d, d)) < 0.15)
+    block = np.zeros((d, d), dtype=np.int64)
+    lo = 0
+    while lo < d:
+        hi = min(d, lo + int(rng.integers(1, 5)))
+        block[lo:hi, lo:hi] = rng.integers(0, bound, (hi - lo, hi - lo))
+        lo = hi
+    return {"dense": dense, "sparse": sparse, "block": block}
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "block"])
+def test_charpoly_matches_newtons_identities_above_d(kind):
+    rng = np.random.default_rng(len(kind))
+    for d in range(1, 41):
+        for p in (sympy.nextprime(d), 1321, 2111, 1000003):
+            R = _charpoly_matrices(rng, d, p)[kind]
+            assert _charpoly_mod(R, p) == _newton_charpoly(R, p), (d, p)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "block"])
+def test_charpoly_matches_sympy_for_every_prime(kind):
+    """Against sympy's charpoly over Z reduced mod p, for primes at and
+    below d as well, where Newton's identities would divide by zero."""
+    rng = np.random.default_rng(10 + len(kind))
+    for d in range(1, 9):
+        for _ in range(3):
+            R = _charpoly_matrices(rng, d, 9)[kind]
+            exact = sympy.Matrix(R.tolist()).charpoly().all_coeffs()
+            for p in (2, 3, 5, 7, 11, 13, 1321):
+                assert _charpoly_mod(R, p) == [int(c) % p for c in exact], (d, p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 53])

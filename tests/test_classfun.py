@@ -4,7 +4,7 @@ import gc
 import random
 import weakref
 from collections import Counter
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from indres.chartab import (
     CharTable,
     Cyclotomic,
     IntegrityError,
-    _dixon_prime,
+    _prime_above,
     _root_of_unity,
     _shadow,
     character_table,
@@ -192,7 +192,7 @@ def _loop_restriction(big, small):
     R, or the message of the first check that fails."""
     fused = class_fusion(big, small)
     M = lcm(big.exponent, small.exponent)
-    l = _dixon_prime(big.group_order, M, big.k)
+    l = _prime_above(isqrt(4 * big.group_order), M)
     w = _root_of_unity(l, M)
 
     def image(v, root):
@@ -386,7 +386,7 @@ PRODUCT_PAIRS = {
 def _field_of(table):
     """(M, l, w) as restriction_matrix picks them for a table and a subgroup."""
     M = table.exponent
-    l = _dixon_prime(table.group_order, M, table.k)
+    l = _prime_above(isqrt(4 * table.group_order), M)
     return M, l, pow(sympy.primitive_root(l), (l - 1) // M, l)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -55,8 +56,8 @@ def test_table_budget_zero_is_a_budget(runner):
 
 
 def test_table_int64_guard_is_one_line_exit_2(runner, monkeypatch):
-    """A Dixon prime too large for int64 sums is refused up front."""
-    monkeypatch.setattr(chartab, "_dixon_prime", lambda order, m, k: 3037000501)
+    """A table prime too large for int64 sums is refused up front."""
+    monkeypatch.setattr(chartab, "_prime_above", lambda bound, m: 3037000501)
     r = runner.invoke(main, ["table", "S4"])
     _assert_one_line_error(r)
     assert "overflow 64-bit integers" in r.stderr
@@ -338,6 +339,8 @@ OVER_BUDGET_S10 = {"format": "perm-group", "degree": 10, "order": "3628800",
                    "generators": [[2, 3, 4, 5, 6, 7, 8, 9, 10, 1], [2, 1]]}
 # one transposition on 33000 points: past what an int16 element row holds
 OVER_DEGREE = {"format": "perm-group", "degree": 33000, "generators": [[2, 1]]}
+# a generator padded to 10^9 points would take gigabytes
+HUGE_DEGREE = {"format": "perm-group", "degree": 10**9, "generators": [[2, 1]]}
 
 
 @pytest.mark.parametrize(
@@ -352,11 +355,18 @@ OVER_DEGREE = {"format": "perm-group", "degree": 33000, "generators": [[2, 1]]}
     ids=["table", "blocks", "quotients", "verify", "oracle"],
 )
 def test_malformed_group_file_exits_2(runner, tmp_path, args):
+    """Each file is refused before anything of its degree is allocated."""
     path = tmp_path / "bad.json"
-    for group in (NOT_A_PERMUTATION, OVER_BUDGET_S10, OVER_DEGREE):
+    for group in (NOT_A_PERMUTATION, OVER_BUDGET_S10, OVER_DEGREE, HUGE_DEGREE):
         path.write_text(json.dumps(group))
-        r = invoke(runner, *(str(path) if a == "GROUP" else a for a in args))
+        tracemalloc.start()
+        try:
+            r = invoke(runner, *(str(path) if a == "GROUP" else a for a in args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         _assert_one_line_error(r)
+        assert peak < 2**20
 
 
 def test_over_budget_group_is_refused_before_enumeration(tmp_path):
@@ -369,13 +379,13 @@ def test_over_budget_group_is_refused_before_enumeration(tmp_path):
 
 
 
-def _s4_table_args(runner, tmp_path, edit):
-    """`verify S4` arguments with a --table-g file that `indres table S4 -o`
-    wrote and `edit` (data -> data) changed."""
-    path = tmp_path / "s4table.json"
-    assert invoke(runner, "table", "S4", "-o", str(path)).exit_code == 0
+def _table_args(runner, tmp_path, edit, group="S4"):
+    """`verify GROUP -p 2` arguments with a --table-g file that `indres table
+    GROUP -o` wrote and `edit` (data -> data) changed."""
+    path = tmp_path / "table.json"
+    assert invoke(runner, "table", group, "-o", str(path)).exit_code == 0
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    return ["verify", "S4", "-p", "2", "--table-g", str(path)]
+    return ["verify", group, "-p", "2", "--table-g", str(path)]
 
 
 def _zero_row(data):
@@ -398,7 +408,7 @@ def _missing_row(data):
 @pytest.mark.parametrize("edit", [_zero_row, _short_row, _missing_row],
                          ids=["extra-zero-row", "short-row", "missing-row"])
 def test_non_square_table_exits_2(runner, tmp_path, edit):
-    _assert_one_line_error(invoke(runner, *_s4_table_args(runner, tmp_path, edit)))
+    _assert_one_line_error(invoke(runner, *_table_args(runner, tmp_path, edit)))
 
 
 def _plus_one_at_trivial_row(data):
@@ -412,7 +422,7 @@ def _plus_one_at_trivial_row(data):
 
 
 def test_tampered_table_exits_2(runner, tmp_path):
-    r = invoke(runner, *_s4_table_args(runner, tmp_path, _plus_one_at_trivial_row))
+    r = invoke(runner, *_table_args(runner, tmp_path, _plus_one_at_trivial_row))
     _assert_one_line_error(r)
     assert "row orthogonality fails" in r.stderr
 
@@ -425,7 +435,7 @@ def _huge_value_at_trivial_row(data):
 
 
 def test_table_value_past_the_prime_bound_exits_2(runner, tmp_path):
-    r = invoke(runner, *_s4_table_args(runner, tmp_path, _huge_value_at_trivial_row))
+    r = invoke(runner, *_table_args(runner, tmp_path, _huge_value_at_trivial_row))
     _assert_one_line_error(r)
     assert "Miller-Rabin bound" in r.stderr
 
@@ -433,6 +443,12 @@ def test_table_value_past_the_prime_bound_exits_2(runner, tmp_path):
 def _zero_at_modulus_5(data):
     # 5 does not divide S4's exponent 12
     next(v for row in data["irreducibles"] for v in row if not v["terms"])["modulus"] = 5
+    return data
+
+
+def _value_at_modulus_30030(data):
+    # Z[zeta_30030] has degree 5760: building it would exhaust memory
+    data["irreducibles"][1][1] = {"modulus": 30030, "terms": [[1, 1]]}
     return data
 
 
@@ -497,12 +513,12 @@ def _explicit_c3_args(tmp_path):
 @pytest.mark.parametrize(
     "make_args",
     [
-        lambda r, t: _s4_table_args(r, t, lambda d: list(d.values())),
-        lambda r, t: _s4_table_args(r, t, _bare_int_value),
-        lambda r, t: _s4_table_args(r, t, _empty_class),
-        lambda r, t: _s4_table_args(r, t, _power_map_target(99)),
+        lambda r, t: _table_args(r, t, lambda d: list(d.values())),
+        lambda r, t: _table_args(r, t, _bare_int_value),
+        lambda r, t: _table_args(r, t, _empty_class),
+        lambda r, t: _table_args(r, t, _power_map_target(99)),
         # S4 has 5 classes: -5 would index class 0, the true square class
-        lambda r, t: _s4_table_args(r, t, _power_map_target(-5)),
+        lambda r, t: _table_args(r, t, _power_map_target(-5)),
         lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
                                      "generators": 5}),
         lambda r, t: _group_args(t, [[2, 1, 3], [2, 3, 1]]),
@@ -520,9 +536,11 @@ def _explicit_c3_args(tmp_path):
                                      "generators": S4_GENS, "order": 24.9}),
         lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4.7,
                                      "generators": S4_GENS}),
-        lambda r, t: _s4_table_args(r, t, _size_three_float),
-        lambda r, t: _s4_table_args(r, t, _zero_at_modulus_5),
-        lambda r, t: _s4_table_args(r, t, lambda d: {**d, "exponent": 0}),
+        lambda r, t: _table_args(r, t, _size_three_float),
+        lambda r, t: _table_args(r, t, _zero_at_modulus_5),
+        lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 0}),
+        lambda r, t: _table_args(r, t, _value_at_modulus_30030, "S3"),
+        lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 30030}, "S3"),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
          "table-power-map-99", "table-power-map-negative",
@@ -531,7 +549,7 @@ def _explicit_c3_args(tmp_path):
          "witness-list", "explicit-p-subgroup-c3",
          "witness-float-coeff", "witness-bool-coeff", "group-order-float",
          "group-degree-float", "table-float-size", "table-value-modulus-5",
-         "table-exponent-0"],
+         "table-exponent-0", "table-value-modulus-30030", "table-exponent-30030"],
 )
 def test_wrong_json_shape_exits_2(runner, tmp_path, make_args, shared_groups):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
@@ -637,7 +655,7 @@ def _missing_key_args(runner, tmp_path, kind, key):
         return _group_args(tmp_path, drop({"format": "perm-group", "degree": 4,
                                            "generators": S4_GENS}))
     if kind == "table":
-        return _s4_table_args(runner, tmp_path, drop)
+        return _table_args(runner, tmp_path, drop)
     path = tmp_path / "witness.json"
     path.write_text(json.dumps(drop(json.loads((FIXTURES / "fixture_witness.json")
                                                .read_text()))))
