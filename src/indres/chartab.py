@@ -21,8 +21,8 @@ cyclotomics.
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations, count
-from math import gcd, isqrt, lcm, prod
+from itertools import combinations, count
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -323,22 +323,6 @@ class CharTable:
 def _row_key(values):
     """The canonical key of a row: its values' power-basis terms, in order."""
     return tuple(v.sort_key() for v in values)
-
-
-def inner_product(table, avalues, bvalues):
-    """<a, b> = (1/|G|) sum |C| a(C) conj(b(C)); must be exact.
-
-    Values may live in Z[zeta_M] for any M; the sum is taken in the least
-    common overfield.  This lets restricted values from an overgroup (whose
-    exponent is a multiple of this table's) be paired with native rows.
-    """
-    m = table.exponent
-    for v in chain(avalues, bvalues):
-        m = lcm(m, v.modulus)
-    acc = Cyclotomic(m)
-    for size, a, b in zip(table.class_sizes(), avalues, bvalues):
-        acc = acc + (a.rebase(m) * b.rebase(m).conjugate()) * size
-    return acc.exact_div(table.group_order)
 
 
 def _prime_above(bound, m):

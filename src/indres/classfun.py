@@ -10,8 +10,8 @@ by construction and the matrix itself is what unit tests pin down.  That
 matrix, and the vanishing test of property (G) on the p-singular classes,
 are decided in F_l from the tables' images (`chartab._shadow`), with one
 modular matrix product and a bound that makes the residue the exact
-answer; `VirtualCharacter.value_at` stays as the exact cyclotomic
-evaluator and the reference that tests compare them with.
+answer.  The exact cyclotomic evaluator that tests compare them with is
+`oracles.value_at`.
 """
 
 from math import isqrt, lcm
@@ -27,13 +27,8 @@ from .chartab import (
     _prime_above,
     _root_of_unity,
     _shadow,
-    inner_product,
 )
 from .groupcore import ConjClassData, _memo, p_prime_part, prime_factors
-
-
-class ValueDomainError(ValueError):
-    """A class function that should decompose integrally does not."""
 
 
 class VirtualCharacter:
@@ -66,9 +61,6 @@ class VirtualCharacter:
             self.table, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __neg__(self):
-        return VirtualCharacter(self.table, [-a for a in self.coeffs])
-
     def __mul__(self, n):
         if not isinstance(n, int):
             return NotImplemented
@@ -83,35 +75,11 @@ class VirtualCharacter:
             and other.coeffs == self.coeffs
         )
 
-    def __hash__(self):
-        return hash((id(self.table), self.coeffs))
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def degree(self):
         return sum(c * d for c, d in zip(self.coeffs, self.table.degrees))
 
     def support(self):
         return [i for i, c in enumerate(self.coeffs) if c]
-
-    def value_at(self, j):
-        t = self.table
-        if t.factors is None:
-            return _column_sum(t, self.coeffs, j)
-        # at class (a, b) of a product: sum_i chi_i(a) * sum_i' c_(i,i') psi_i'(b)
-        tA, tB = t.factors
-        a, b = divmod(j, tB.k)
-        M = t.exponent
-        acc = Cyclotomic(M)
-        for i, row in enumerate(tA.irreducibles):
-            part = self.coeffs[i * tB.k:(i + 1) * tB.k]
-            if any(part):
-                acc = acc + row[a].rebase(M) * _column_sum(tB, part, b).rebase(M)
-        return acc
-
-    def values(self):
-        return [self.value_at(j) for j in range(self.table.k)]
 
     def conjugate(self):
         dual = self.table.dual_map()
@@ -130,15 +98,6 @@ class VirtualCharacter:
         return f"VirtualCharacter({''.join(parts) or '0'})"
 
 
-def _column_sum(table, coeffs, j):
-    """sum_i c_i chi_i(j) over the rows of a table that has them."""
-    acc = Cyclotomic(table.exponent)
-    for c, row in zip(coeffs, table.irreducibles):
-        if c:
-            acc = acc + row[j] * c
-    return acc
-
-
 def irr(table, i):
     coeffs = [0] * table.k
     coeffs[i] = 1
@@ -151,41 +110,6 @@ def trivial_index(table):
         if table.degrees[i] == 1 and all(v == one for v in row):
             return i
     raise ValueError("table has no trivial row; it is not a character table")
-
-
-def trivial(table):
-    return irr(table, trivial_index(table))
-
-
-def regular(table):
-    return VirtualCharacter(table, table.degrees)
-
-
-def inner(a, b):
-    """<a, b> for two virtual characters over the same table (an integer)."""
-    a._check(b)
-    return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
-
-
-def from_values(table, values):
-    """Exact decomposition of a class function into the table's rows.
-
-    Raises ValueDomainError when any coefficient fails to be a rational
-    integer, so the return value is always a genuine virtual character.
-    """
-    if len(values) != table.k:
-        raise ValueError("one value per class is required")
-    values = [
-        v if isinstance(v, Cyclotomic) else Cyclotomic.from_int(table.exponent, v)
-        for v in values
-    ]
-    coeffs = []
-    for row in table.irreducibles:
-        try:
-            coeffs.append(inner_product(table, values, row).as_int())
-        except ValueError as exc:
-            raise ValueDomainError(str(exc)) from exc
-    return VirtualCharacter(table, coeffs)
 
 
 # -- fusion and the induction/restriction matrix ----------------------------
@@ -276,16 +200,6 @@ def induce(phi, big):
     return VirtualCharacter(big, coeffs)
 
 
-def restrict(chi, small):
-    """Restriction to the small table's group."""
-    R = restriction_matrix(chi.table, small)
-    coeffs = [
-        sum(R[i][j] * c for i, c in enumerate(chi.coeffs) if c)
-        for j in range(small.k)
-    ]
-    return VirtualCharacter(small, coeffs)
-
-
 # -- direct products ---------------------------------------------------------
 
 def product_table(tA, tB):
@@ -294,7 +208,7 @@ def product_table(tA, tB):
     Class (a, b) has index a*kB + b, character (i, j) likewise; its value at
     class (a, b) is the product of the factor values (Isaacs, Thm 4.21).
     The table keeps no rows and no group: `irreducibles` is None, and
-    `value_at`, `_shadow`, `CharTable.dual_map` and `CharTable.class_index_of`
+    `oracles.value_at`, `_shadow`, `CharTable.dual_map` and `CharTable.class_index_of`
     derive what they need from `factors`.  A reader that needs the product
     group builds it with `product_group` from the factor groups; class
     representatives act on the disjoint union of the factors' points, as
@@ -394,8 +308,8 @@ def vanishes_on_p_singular(chi, p):
     Introduction to Cyclotomic Fields, ch. 2); so L divides chi(g).  Every
     conjugate of chi(g)/L then has absolute value below B/L < 1, so its
     norm, an integer, is 0, and chi(g) = 0.  The products are exact in
-    `chartab._mod_dtype`.  `VirtualCharacter.value_at` stays the exact
-    evaluator that tests compare this with.
+    `chartab._mod_dtype`.  `oracles.value_at` is the exact evaluator that
+    tests compare this with.
     """
     t = chi.table
     singular = p_singular_classes(t, p)

@@ -35,8 +35,8 @@ from .correspondence import (PROPERTIES, Verdict, build_induced_lattice,
 from .groupcore import (BudgetExceeded, conjugacy_classes, group_from_generators,
                         is_prime, json_int, malformed, normalizer, sylow_subgroup,
                         v_p)
-from .oracles import (brute_conjugacy_classes, compare_with_table,
-                      definition_lattice)
+from .oracles import (brute_conjugacy_classes, class_element_sets,
+                      compare_with_table, definition_lattice)
 
 
 @dataclass
@@ -445,7 +445,7 @@ def cmd_oracle(kind, group, prime, budget_order, budget_classes):
     G = load_group(group)
     if kind == "brute-classes":
         brute = brute_conjugacy_classes(G, budget_order=budget_classes)
-        own = _class_element_sets(G, conjugacy_classes(G))
+        own = class_element_sets(G)
         # compared as sets: `<` on frozensets is the partial subset order,
         # so sorting lists of them gives no canonical order
         same = set(map(frozenset, brute)) == set(map(frozenset, own))
@@ -462,13 +462,6 @@ def cmd_oracle(kind, group, prime, budget_order, budget_classes):
             f"{'match' if same else 'MISMATCH'}"
         )
         sys.exit(0 if same else 1)
-
-
-def _class_element_sets(G, classes):
-    out = [[] for _ in classes]
-    for row, cid in zip(G.elements(), G.class_ids()):
-        out[int(cid)].append(tuple(int(x) for x in row))
-    return out
 
 
 if __name__ == "__main__":

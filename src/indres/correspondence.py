@@ -33,7 +33,6 @@ from .classfun import (
     irr,
     ml_counts,
     product_table,
-    restrict,
     restriction_matrix,
     vanishes_on_p_singular,
 )
@@ -43,7 +42,6 @@ from .groupcore import (
     intersection_set_maxima,
     normalizer,
     p_prime_part,
-    prime_factors,
     product_group,
     qualifying_elementary_subgroups,
     sylow_subgroup,
@@ -374,62 +372,6 @@ def quotients_json(q1, q2, per_block):
         "per_block": [{"block": i, "q1": a.to_json(), "q2": c.to_json()}
                       for i, a, c in per_block],
     }
-
-
-def block_splitting_holds(inst, side):
-    """Proposition-style theorem check: I splits as the sum of its block parts."""
-    L = build_induced_lattice(inst, side)
-    total = IntLattice(inst.table(side).k)
-    for b in block_partition(inst.table(side), inst.p):
-        total = lattice_sum(total, coordinate_restrict(L, list(b.char_indices)))
-    return total == L
-
-
-def theorem26_selftest(inst):
-    """Mutual-inverse check for Proj Res and Ind between C(G,P) and C(H,P)."""
-    tG, tH = inst.tG, inst.tH
-    IH = build_induced_lattice(inst, "H")
-    IG = build_induced_lattice(inst, "G")
-    irr_gp, _, _ = subsets_of(inst, "G")
-    irr_hp, _, _ = subsets_of(inst, "H")
-    hp = set(irr_hp)
-    for j in irr_hp:
-        # Proj_P Res Ind psi_j - psi_j must lie in I(H,P,S) ∩ C(H,P)
-        back = restrict(induce(irr(tH, j), tG), tH).coeffs
-        vec = [
-            (back[jj] - (1 if jj == j else 0)) if jj in hp else 0
-            for jj in range(tH.k)
-        ]
-        if not IH.contains(vec):
-            return False
-    # C(G,P) ⊆ Ind(C(H,P)) + I(G,P,S)
-    span = IntLattice(tG.k)
-    for j in irr_hp:
-        span.insert(ind_vector(inst, j))
-    span = lattice_sum(span, IG)
-    for i in irr_gp:
-        e = [0] * tG.k
-        e[i] = 1
-        if not span.contains(e):
-            return False
-    return True
-
-
-def brauer_completeness_check(group):
-    """Inductions from all elementary subgroups must span all of C(G).
-
-    With the Sylow subgroup as the one maximum every p-subgroup qualifies,
-    so the qualifying family at any prime p is Brauer's elementary family.
-    """
-    table = table_for(group)
-    p = min(prime_factors(group.order()), default=2)
-    L = _induced_span(
-        table, qualifying_elementary_subgroups(group, p, [sylow_subgroup(group, p)])
-    )
-    expect = tuple(
-        tuple(1 if a == b else 0 for a in range(table.k)) for b in range(table.k)
-    )
-    return L.canonical() == expect
 
 
 def isaacs_navarro_check(inst, block_pair=None):

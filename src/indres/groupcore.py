@@ -1,9 +1,10 @@
 """Finite permutation groups with exact, deterministic invariants.
 
 Elements are permutations of {0, ..., degree-1}, each one its image tuple
-of Python ints; `_mul`, `_inv`, `_conj` and `_perm_order` are the
-arithmetic on them, and `_perm_power` stays as the reference that tests
-compare `PermGroup.power_classes` against.
+of Python ints; `_mul`, `_inv` and `_perm_order` are the arithmetic on
+them that the library runs.  Conjugation and powers of single elements
+live in `oracles` (`_conj`, `_perm_power`), with the references that
+tests compare `PermGroup.power_classes` against.
 Bulk work (conjugacy sweeps, normalizer scans) runs on a lexicographically
 sorted numpy matrix holding every group element, so most operations here
 assume the group order fits the element budget.  A normalizer scan narrows
@@ -111,14 +112,6 @@ def _inv(a):
     return tuple(r)
 
 
-def _conj(g, x):
-    # g x g^{-1}, via (g x g^{-1})(g(i)) = g(x(i))
-    r = [0] * len(g)
-    for i in range(len(g)):
-        r[g[i]] = g[x[i]]
-    return tuple(r)
-
-
 def _perm_order(a):
     n = len(a)
     seen = [False] * n
@@ -133,19 +126,6 @@ def _perm_order(a):
             l += 1
         o = lcm(o, l)
     return o
-
-
-def _perm_power(a, k):
-    n = len(a)
-    k %= _perm_order(a)
-    r = tuple(range(n))
-    b = a
-    while k:
-        if k & 1:
-            r = _mul(b, r)
-        b = _mul(b, b)
-        k >>= 1
-    return r
 
 
 def v_p(n, p):

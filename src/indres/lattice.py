@@ -5,8 +5,8 @@ elimination as vectors are inserted.  Its pivots are positive, and each row
 is reduced into [0, pivot) at the pivots of the rows after it whenever it is
 stored or changed, so entries stay bounded instead of growing with every
 elimination step.  The canonical form (every entry above a pivot reduced
-into [0, pivot)) is produced on demand and is what equality, hashing,
-reports and Smith invariants use.  Reducing a vector at the pivots
+into [0, pivot)) is produced on demand and is what equality, reports
+and Smith invariants use.  Reducing a vector at the pivots
 of that form gives the canonical representative of its coset, its residue:
 membership is a zero residue, and two vectors are congruent modulo the
 lattice exactly when their residues are equal.  Everything is
@@ -142,9 +142,6 @@ class IntLattice:
             and self.dim == other.dim
             and self.canonical() == other.canonical()
         )
-
-    def __hash__(self):
-        return hash((self.dim, self.canonical()))
 
     def copy(self):
         out = IntLattice(self.dim)

@@ -1,25 +1,42 @@
-"""Brute-force cross-checks for the fast paths.
+"""Independent recomputations and theorem checks for the fast paths.
 
-Everything here recomputes data by the most literal method available:
-subgroup enumeration by join closure, the induced lattice by testing every
-subgroup against the defining condition, conjugacy classes by elementwise
-orbit search, an independent character table obtained by decomposing
-directly-induced characters with exact lattice reduction, and the p-blocks
-by testing every set of rows for a p-local central idempotent.  These are
-deliberately slow and apply only to small groups.
+The library modules hold what the command line runs; what is here exists
+to be compared with them, and no library module imports it.  It has two
+sections.
+
+- Recomputations, each by the most literal method available: conjugation
+  and powers of one permutation at a time; exact cyclotomic values, inner
+  products, decompositions and restrictions of virtual characters, where
+  the library decides in F_l; subgroup enumeration by join closure; the
+  induced lattice by testing every subgroup against the defining
+  condition; conjugacy classes by elementwise orbit search; an
+  independent character table, obtained by decomposing directly induced
+  characters with exact lattice reduction; and the p-blocks, by testing
+  every set of rows for a p-local central idempotent.  These are
+  deliberately slow and apply only to small groups.
+- Theorem checks: `block_splitting_holds`, `theorem26_selftest` and
+  `brauer_completeness_check` test identities that the paper proves, on
+  the lattices that the fast path builds.  They are not independent
+  recomputations, unlike the first section: they run the fast path.
 """
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from operator import and_
 
 import numpy as np
 
-from .chartab import Cyclotomic, character_table, inner_product
-from .groupcore import (BudgetExceeded, IntegrityError, _conj, _inv, _mul,
-                        prime_factors, v_p)
-from .lattice import IntLattice
+from .blocks import block_partition
+from .chartab import Cyclotomic, character_table
+from .classfun import VirtualCharacter, induce, irr, restriction_matrix
+from .correspondence import (_induced_span, build_induced_lattice, ind_vector,
+                             subsets_of, table_for)
+from .groupcore import (BudgetExceeded, IntegrityError, _inv, _mul, _perm_order,
+                        conjugacy_classes, prime_factors,
+                        qualifying_elementary_subgroups, sylow_subgroup, v_p)
+from .lattice import IntLattice, coordinate_restrict, lattice_sum
 
 
 def _check_budget(group, budget):
@@ -28,9 +45,121 @@ def _check_budget(group, budget):
         raise BudgetExceeded(f"group order {n} exceeds oracle budget {budget}")
 
 
+# -- elements, one permutation at a time ------------------------------------------
+
+def _conj(g, x):
+    # g x g^{-1}, via (g x g^{-1})(g(i)) = g(x(i))
+    r = [0] * len(g)
+    for i in range(len(g)):
+        r[g[i]] = g[x[i]]
+    return tuple(r)
+
+
+def _perm_power(a, k):
+    n = len(a)
+    k %= _perm_order(a)
+    r = tuple(range(n))
+    b = a
+    while k:
+        if k & 1:
+            r = _mul(b, r)
+        b = _mul(b, b)
+        k >>= 1
+    return r
+
+
 def _element_tuples(group):
     """The elements as image tuples, the oracles' own element identity."""
     return [tuple(int(x) for x in row) for row in group.elements()]
+
+
+def class_element_sets(group):
+    """The elements of each conjugacy class, as image tuples, in class order."""
+    out = [[] for _ in conjugacy_classes(group)]
+    for x, cid in zip(_element_tuples(group), group.class_ids()):
+        out[int(cid)].append(x)
+    return out
+
+
+# -- exact values of virtual characters -------------------------------------------
+
+def _column_sum(table, coeffs, j):
+    """sum_i c_i chi_i(j) over the rows of a table that has them."""
+    acc = Cyclotomic(table.exponent)
+    for c, row in zip(coeffs, table.irreducibles):
+        if c:
+            acc = acc + row[j] * c
+    return acc
+
+
+def value_at(chi, j):
+    """chi at class j, exactly in Z[zeta_M], M the table's exponent."""
+    t = chi.table
+    if t.factors is None:
+        return _column_sum(t, chi.coeffs, j)
+    # at class (a, b) of a product: sum_i chi_i(a) * sum_i' c_(i,i') psi_i'(b)
+    tA, tB = t.factors
+    a, b = divmod(j, tB.k)
+    M = t.exponent
+    acc = Cyclotomic(M)
+    for i, row in enumerate(tA.irreducibles):
+        part = chi.coeffs[i * tB.k:(i + 1) * tB.k]
+        if any(part):
+            acc = acc + row[a].rebase(M) * _column_sum(tB, part, b).rebase(M)
+    return acc
+
+
+def values_of(chi):
+    return [value_at(chi, j) for j in range(chi.table.k)]
+
+
+def inner_product(sizes, order, a, b):
+    """<a, b> = (1/|G|) sum |C| a(C) conj(b(C)) over value rows; must be exact.
+
+    Values may live in Z[zeta_M] for any M; the sum is taken in the least
+    common overfield.  This lets restricted values from an overgroup (whose
+    exponent is a multiple of the subgroup's) be paired with native rows.
+    """
+    m = lcm(*(v.modulus for v in chain(a, b)))
+    acc = Cyclotomic(m)
+    for size, x, y in zip(sizes, a, b):
+        acc = acc + (x.rebase(m) * y.rebase(m).conjugate()) * size
+    return acc.exact_div(order)
+
+
+class ValueDomainError(ValueError):
+    """A class function that should decompose integrally does not."""
+
+
+def from_values(table, values):
+    """Exact decomposition of a class function into the table's rows.
+
+    Raises ValueDomainError when any coefficient fails to be a rational
+    integer, so the return value is always a genuine virtual character.
+    """
+    if len(values) != table.k:
+        raise ValueError("one value per class is required")
+    values = [
+        v if isinstance(v, Cyclotomic) else Cyclotomic.from_int(table.exponent, v)
+        for v in values
+    ]
+    sizes = table.class_sizes()
+    try:
+        coeffs = [inner_product(sizes, table.group_order, values, row).as_int()
+                  for row in table.irreducibles]
+    except ValueError as exc:
+        raise ValueDomainError(str(exc)) from exc
+    return VirtualCharacter(table, coeffs)
+
+
+def restrict(chi, small):
+    """Restriction to the small table's group."""
+    R = restriction_matrix(chi.table, small)
+    coeffs = [
+        sum(R[i][j] * c for i, c in enumerate(chi.coeffs) if c)
+        for j in range(small.k)
+    ]
+    return VirtualCharacter(small, coeffs)
 
 
 # -- subgroup enumeration -------------------------------------------------------
@@ -122,11 +251,7 @@ def definition_lattice(inst, target, budget_order=200):
             continue
         tS = character_table(S)
         for valrow in _induced_values(table, S, tS):
-            coeffs = []
-            for i in range(table.k):
-                c = inner_product(table, valrow, table.irreducibles[i])
-                coeffs.append(c.as_int())
-            L.insert(coeffs)
+            L.insert(from_values(table, valrow).coeffs)
     return L
 
 
@@ -475,10 +600,7 @@ def brute_character_table(group, budget_order=200):
     sizes = [len(cl) for cl in classes]
 
     def ip(a, b):
-        acc = Cyclotomic(m)
-        for t in range(k):
-            acc = acc + a[t] * b[t].conjugate() * sizes[t]
-        return acc.exact_div(order).as_int()
+        return inner_product(sizes, order, a, b).as_int()
 
     def subtract(a, b, c):
         return [x - y * c for x, y in zip(a, b)]
@@ -601,3 +723,61 @@ def brute_block_partition(table, p, budget_classes=12):
     sets = np.flatnonzero(local).tolist()  # holds the set of all rows
     blocks = {reduce(and_, (s for s in sets if s >> i & 1)) for i in range(k)}
     return sorted(tuple(i for i in range(k) if b >> i & 1) for b in blocks)
+
+
+# -- theorem checks on the fast path's lattices ----------------------------------
+
+def block_splitting_holds(inst, side):
+    """Proposition-style theorem check: I splits as the sum of its block parts."""
+    L = build_induced_lattice(inst, side)
+    total = IntLattice(inst.table(side).k)
+    for b in block_partition(inst.table(side), inst.p):
+        total = lattice_sum(total, coordinate_restrict(L, list(b.char_indices)))
+    return total == L
+
+
+def theorem26_selftest(inst):
+    """Mutual-inverse check for Proj Res and Ind between C(G,P) and C(H,P)."""
+    tG, tH = inst.tG, inst.tH
+    IH = build_induced_lattice(inst, "H")
+    IG = build_induced_lattice(inst, "G")
+    irr_gp, _, _ = subsets_of(inst, "G")
+    irr_hp, _, _ = subsets_of(inst, "H")
+    hp = set(irr_hp)
+    for j in irr_hp:
+        # Proj_P Res Ind psi_j - psi_j must lie in I(H,P,S) ∩ C(H,P)
+        back = restrict(induce(irr(tH, j), tG), tH).coeffs
+        vec = [
+            (back[jj] - (1 if jj == j else 0)) if jj in hp else 0
+            for jj in range(tH.k)
+        ]
+        if not IH.contains(vec):
+            return False
+    # C(G,P) ⊆ Ind(C(H,P)) + I(G,P,S)
+    span = IntLattice(tG.k)
+    for j in irr_hp:
+        span.insert(ind_vector(inst, j))
+    span = lattice_sum(span, IG)
+    for i in irr_gp:
+        e = [0] * tG.k
+        e[i] = 1
+        if not span.contains(e):
+            return False
+    return True
+
+
+def brauer_completeness_check(group):
+    """Inductions from all elementary subgroups must span all of C(G).
+
+    With the Sylow subgroup as the one maximum every p-subgroup qualifies,
+    so the qualifying family at any prime p is Brauer's elementary family.
+    """
+    table = table_for(group)
+    p = min(prime_factors(group.order()), default=2)
+    L = _induced_span(
+        table, qualifying_elementary_subgroups(group, p, [sylow_subgroup(group, p)])
+    )
+    expect = tuple(
+        tuple(1 if a == b else 0 for a in range(table.k)) for b in range(table.k)
+    )
+    return L.canonical() == expect

@@ -19,8 +19,6 @@ from indres.chartab import character_table, table_from_json, table_to_json, veri
 from indres.classfun import VirtualCharacter
 from indres.cli import JobSpec, _pick_block, build_instance
 from indres.correspondence import (
-    block_splitting_holds,
-    brauer_completeness_check,
     build_induced_lattice,
     check_property,
     check_property_G_with_witness,
@@ -30,10 +28,10 @@ from indres.correspondence import (
     pair_table,
     quotients_q1_q2,
     table_for,
-    theorem26_selftest,
 )
 from indres.groupcore import prime_factors
-from indres.oracles import definition_lattice
+from indres.oracles import (block_splitting_holds, brauer_completeness_check,
+                            definition_lattice, theorem26_selftest)
 from test_blocks import partitions_at_each_prime
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -3,10 +3,11 @@
 import dataclasses
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indres import blocks, groupcore
@@ -24,12 +25,12 @@ from indres.blocks import (
 from indres.classfun import class_fusion
 from indres.correspondence import (blocks_with_defect_group_P, correspondent_of,
                                    make_instance, table_for)
-from indres.groupcore import (BudgetExceeded, _transporter_mask,
+from indres.groupcore import (BudgetExceeded, _transporter_mask, conjugacy_classes,
                               group_from_generators, p_prime_part,
                               prime_factors, sylow_subgroup, v_p)
 from indres.oracles import brute_block_partition
 
-from conftest import full_transporter_mask, shared_group
+from conftest import full_transporter_mask, shared_group, small_perm_groups
 
 
 def degrees_by_block(table, p):
@@ -309,6 +310,18 @@ def test_partition_matches_the_block_oracle(name, p):
             == brute_block_partition(t, p))
 
 
+@given(small_perm_groups())
+@settings(max_examples=100, deadline=None)
+def test_partition_matches_the_block_oracle_on_random_groups(G):
+    """At every prime that divides the order, on random small groups within
+    the oracle's budget of 12 classes."""
+    assume(len(conjugacy_classes(G)) <= 12)
+    t = character_table(G)
+    for p in prime_factors(G.order()):
+        assert ([b.char_indices for b in block_partition(t, p)]
+                == brute_block_partition(t, p)), p
+
+
 def test_block_oracle_budget():
     t = table_for(block_case_group("S4"))
     with pytest.raises(BudgetExceeded, match="block oracle"):
@@ -369,7 +382,18 @@ def test_narrowing_transporter_matches_full_mask(name, monkeypatch):
     (D, P) for every defect group D, and (⟨first generator of P⟩, P), P
     the Sylow subgroup at each prime."""
     monkeypatch.setattr(groupcore, "_SCAN_BLOCK", 5)
-    t = table_for(DEFECT_GROUPS[name]())
+    _assert_transporter_matches_full_mask(table_for(DEFECT_GROUPS[name]()))
+
+
+@given(small_perm_groups())
+@settings(max_examples=100, deadline=None)
+def test_narrowing_transporter_matches_full_mask_on_random_groups(G):
+    """The same pairs and blocks of 5 rows, on random small groups."""
+    with patch.object(groupcore, "_SCAN_BLOCK", 5):
+        _assert_transporter_matches_full_mask(character_table(G))
+
+
+def _assert_transporter_matches_full_mask(t):
     G = t.group
     n = G.order()
     for p in prime_factors(n):

@@ -22,23 +22,17 @@ from indres.chartab import (
     _root_of_unity,
     _shadow,
     character_table,
-    inner_product,
 )
 from indres.classfun import (
     VirtualCharacter,
     class_fusion,
-    from_values,
     induce,
-    inner,
     irr,
     ml_counts,
     outer_product,
     p_singular_classes,
     product_table,
-    regular,
-    restrict,
     restriction_matrix,
-    trivial,
     trivial_index,
     vanishes_on_p_singular,
 )
@@ -56,8 +50,9 @@ from indres.groupcore import (
     product_group,
     qualifying_elementary_subgroups,
     sylow_subgroup,
-    _perm_power,
 )
+from indres.oracles import (_perm_power, from_values, inner_product, restrict,
+                            value_at, values_of)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +70,12 @@ def s4_s3():
     return character_table(G), character_table(sub)
 
 
+def inner(a, b):
+    """<a, b> for virtual characters over one table, whose rows are orthonormal."""
+    assert a.table is b.table
+    return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
+
+
 coeffs5 = st.lists(
     st.integers(min_value=-4, max_value=4), min_size=5, max_size=5
 )
@@ -90,23 +91,23 @@ def test_inner_product_is_bilinear_symmetric(a, b):
 
 
 def test_trivial_and_regular(s4):
-    one = trivial(s4)
+    one = irr(s4, trivial_index(s4))
     assert one.degree() == 1
-    assert all(v.as_int() == 1 for v in one.values())
-    reg = regular(s4)
+    assert all(v.as_int() == 1 for v in values_of(one))
+    reg = VirtualCharacter(s4, s4.degrees)
     assert list(reg.coeffs) == s4.degrees
-    vals = reg.values()
+    vals = values_of(reg)
     assert vals[0].as_int() == s4.group_order
     assert all(v.is_zero() for v in vals[1:])
 
 
 def test_from_values_round_trip(s4):
     chi = irr(s4, 3) + 2 * irr(s4, 0)
-    assert from_values(s4, chi.values()) == chi
+    assert from_values(s4, values_of(chi)) == chi
 
 
 def test_from_values_rejects_non_member(s4):
-    vals = trivial(s4).values()
+    vals = values_of(irr(s4, trivial_index(s4)))
     vals[1] = vals[1] + 1
     with pytest.raises(ValueError):
         from_values(s4, vals)
@@ -150,7 +151,8 @@ def _exact_restriction(big, small):
     fused = class_fusion(big, small)
     return [
         [
-            inner_product(small, [row[f] for f in fused], psi).as_int()
+            inner_product(small.class_sizes(), small.group_order,
+                          [row[f] for f in fused], psi).as_int()
             for psi in small.irreducibles
         ]
         for row in big.irreducibles
@@ -298,7 +300,7 @@ def test_pointwise_products_decompose_with_nonnegative_coeffs(s4):
         for j in range(s4.k):
             a, b = irr(s4, i), irr(s4, j)
             prod = from_values(s4, [x * y.rebase(x.modulus)
-                                    for x, y in zip(a.values(), b.values())])
+                                    for x, y in zip(values_of(a), values_of(b))])
             assert all(c >= 0 for c in prod.coeffs)
             assert prod.degree() == s4.degrees[i] * s4.degrees[j]
 
@@ -308,7 +310,7 @@ def test_conjugate_swaps_inverse_values(s4):
         chi = irr(s4, i)
         bar = chi.conjugate()
         for j in range(s4.k):
-            assert bar.value_at(j) == chi.value_at(j).conjugate()
+            assert value_at(bar, j) == value_at(chi, j).conjugate()
 
 
 def test_p_prime_part():
@@ -342,7 +344,7 @@ def test_p_singular_and_vanishing():
     triv = trivial_index(t)
     v = irr(t, triv) + irr(t, sgn)
     assert vanishes_on_p_singular(v, 2)
-    assert not vanishes_on_p_singular(trivial(t), 2)
+    assert not vanishes_on_p_singular(irr(t, triv), 2)
 
 
 def test_product_table_s3xs3():
@@ -428,7 +430,7 @@ def test_product_values_match_tensor_rows(product_and_reference):
                 (row[j] * c for c, row in zip(chi.coeffs, rows) if c),
                 start=Cyclotomic(prod.exponent),
             )
-            assert chi.value_at(j) == expect
+            assert value_at(chi, j) == expect
 
 
 def test_product_shadow_is_image_of_tensor_rows(product_and_reference):
@@ -467,7 +469,7 @@ def test_outer_product_bilinear():
 def test_virtual_character_table_mismatch_raises(s4):
     t3 = character_table(build("S3"))
     with pytest.raises(ValueError):
-        trivial(s4) + trivial(t3)
+        irr(s4, trivial_index(s4)) + irr(t3, trivial_index(t3))
 
 
 def test_dropped_tables_are_freed():

@@ -23,6 +23,7 @@ from indres.classfun import VirtualCharacter, p_singular_classes
 from indres.cli import JobSpec, build_instance, main
 from indres.correspondence import check_property_G_with_witness, pair_table, table_for
 from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded, PermGroup
+from indres.oracles import value_at
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -815,7 +816,7 @@ def _exact_witness_verdict(coeffs):
     mu = VirtualCharacter(pair_table(inst), coeffs)
 
     def exact(chi, p):
-        return all(chi.value_at(j).is_zero() for j in p_singular_classes(chi.table, p))
+        return all(value_at(chi, j).is_zero() for j in p_singular_classes(chi.table, p))
 
     with patch.object(correspondence, "vanishes_on_p_singular", exact):
         try:

@@ -33,17 +33,15 @@ from indres.groupcore import (
     sylow_subgroup,
     v_p,
     _index_set,
-    _conj,
     _conjugates_of_set,
     _inv,
     _maximal_sets,
     _mul,
     _perm_order,
-    _perm_power,
     _qualifying_copies,
     _subgroup_of_rows,
 )
-from indres.oracles import all_subgroups
+from indres.oracles import _conj, _perm_power, all_subgroups
 
 from conftest import full_transporter_mask, shared_group, small_perm_groups
 
