@@ -141,16 +141,16 @@ def block_partition(table, p):
 def defect_group(table, block, p):
     """A defect group of the block, up to conjugacy.
 
-    Defect classes: among classes where the central character is nonzero,
-    the p-part of the centralizer order is minimized; a Sylow p-subgroup of
-    that centralizer is a defect group, and its order is checked to be
-    p^defect.  Memoized on the table by the block's value.
+    Defect classes: among classes K where the central character is
+    nonzero, the p-part of the centralizer order |G|/|K| is minimized; a
+    Sylow p-subgroup of that centralizer is a defect group, and its order is
+    checked to be p^defect.  Memoized on the table by the block's value.
     """
     best = None
     for j, lam in enumerate(block.central_character):
         if not any(lam):
             continue
-        val = v_p(table.classes[j].centralizer_order, p)
+        val = v_p(table.group_order // table.classes[j].size, p)
         if best is None or val < best[0]:
             best = (val, j)
     if best is None:

@@ -26,16 +26,17 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .groupcore import (DEFAULT_ORDER_BUDGET, BudgetExceeded, ConjClassData,
-                        IntegrityError, _member_indices, _memo,
-                        conjugacy_classes, is_prime, json_int,
-                        least_primitive_root, malformed, prime_factors,
-                        split_product_images, v_p)
+from .groupcore import (DEFAULT_ORDER_BUDGET, BudgetExceeded, IntegrityError,
+                        _member_indices, _memo, conjugacy_classes, is_prime,
+                        json_int, least_primitive_root, malformed,
+                        prime_factors, split_product_images, v_p)
 
 # Points per block of the root scan in `_poly_roots_mod`.
 _ROOT_BLOCK = 1 << 16
 # Rows per `index_of` gather in `_class_matrices`.
 _GATHER_ROWS = 1 << 13
+# Candidate checks `reconcile_classes` may make before it gives up.
+_RECONCILE_STEPS = 10**5
 
 
 def _cyclotomic_coeffs(m):
@@ -720,6 +721,9 @@ def _unit_generators(m):
 
 
 def table_to_json(table):
+    """A table on its group as JSON data: each class's power map sends every
+    prime q dividing the order to the class of rep^q."""
+    primes = prime_factors(table.group_order)
     return {
         "order": str(table.group_order),
         "exponent": table.exponent,
@@ -727,9 +731,9 @@ def table_to_json(table):
             {
                 "rep_order": c.rep_order,
                 "size": c.size,
-                "powermap": {str(q): int(i) for q, i in sorted(c.power_map.items())},
+                "powermap": {str(q): pc[q % c.rep_order] for q in primes},
             }
-            for c in table.classes
+            for c, pc in zip(table.classes, table.group.power_classes())
         ],
         "irreducibles": [[v.to_json() for v in row] for row in table.irreducibles],
     }
@@ -741,49 +745,46 @@ def save_table(table, path):
 
 
 def table_from_json(data, group):
-    """The table that `data` stores, proved and re-indexed onto `group`.
+    """The table that `data` stores, re-indexed onto `group` and proved there.
 
-    The stored exponent must be the group's and each value's modulus must
-    divide it, or no value is built.  The data is proved by `verify_table`
-    in its own class order, then built once on the group's classes, with
-    the columns permuted as `reconcile_classes` finds and the rows in the
-    order of every table, by (degree, canonical value key).
+    The stored order and exponent must be the group's, or no value is
+    built, and each value's modulus must divide the exponent.  Once the
+    data is square with power maps in range, `reconcile_classes` matches
+    its classes with the group's; the table is built once, on the group's
+    classes with the rows in the order of every table, by (degree,
+    canonical value key), and proved by `verify_table`, none of whose
+    checks depends on the column order.
     """
     with malformed("table"):
         order = json_int(data["order"], "table order", decimal_string=True)
         exponent = json_int(data["exponent"], "table exponent")
+        if order != group.order():
+            raise IntegrityError(f"table order {order}, not the group's {group.order()}")
         if exponent != group.exponent():
             raise IntegrityError(f"table exponent {exponent}, not the group's {group.exponent()}")
-        classes = [
-            ConjClassData(
-                representative=None,
-                size=json_int(c["size"], "class size"),
-                rep_order=json_int(c["rep_order"], "class element order"),
-                power_map={int(q): json_int(i, "power map class")
-                           for q, i in c["powermap"].items()},
-                centralizer_order=order // c["size"],
-            )
+        stored = [
+            (json_int(c["size"], "class size"),
+             json_int(c["rep_order"], "class element order"),
+             {int(q): json_int(i, "power map class") for q, i in c["powermap"].items()})
             for c in data["classes"]
         ]
         # one field for every value, so a value's power-basis key names it
         rows = [[Cyclotomic.from_json(v, exponent) for v in row] for row in data["irreducibles"]]
-    if order < 1:
-        raise IntegrityError("table order must be positive")
-    if any(not 0 <= i < len(classes) for c in classes for i in c.power_map.values()):
+    k = len(stored)
+    if len(rows) != k or any(len(row) != k for row in rows):
+        raise IntegrityError(f"table over {k} classes is not square")
+    if any(not 0 <= i < k for *_, powers in stored for i in powers.values()):
         raise IntegrityError("a power map names a class out of range")
-    if not all(row and row[0].is_integer() for row in rows):
-        raise IntegrityError("identity value of a loaded row is not an integer")
-    stored = CharTable(group_order=order, exponent=exponent, classes=classes,
-                       irreducibles=rows, degrees=[row[0].as_int() for row in rows])
-    verify_table(stored)
     perm = reconcile_classes(stored, group)
     # stored class i is group class perm[i]
-    inv = [0] * len(perm)
+    inv = [0] * k
     for i, j in enumerate(perm):
         inv[j] = i
-    rows = sorted(([row[i] for i in inv] for row in rows),
-                  key=lambda row: (row[0].as_int(), _row_key(row)))
-    return CharTable(
+    rows = [[row[i] for i in inv] for row in rows]
+    if not all(row[0].is_integer() for row in rows):
+        raise IntegrityError("identity value of a loaded row is not an integer")
+    rows.sort(key=lambda row: (row[0].as_int(), _row_key(row)))
+    table = CharTable(
         group_order=order,
         exponent=exponent,
         classes=conjugacy_classes(group),
@@ -791,6 +792,8 @@ def table_from_json(data, group):
         degrees=[row[0].as_int() for row in rows],
         group=group,
     )
+    verify_table(table)
+    return table
 
 
 def load_table(path, group):
@@ -798,79 +801,63 @@ def load_table(path, group):
         return table_from_json(json.load(fh), group)
 
 
-def reconcile_classes(table, group):
-    """The group class of each of a stored table's classes, as a list.
+def reconcile_classes(stored, group):
+    """The group class of each stored class, as a list.
 
-    The match must be a bijection preserving order, size, and power maps.
-    When several bijections are consistent (classes the stored data cannot
-    tell apart, as with the three order-4 classes of the quaternion group)
-    the lexicographically least one is taken, so loading is deterministic.
-    Raises IntegrityError when no consistent bijection exists.  The table
-    is read, not changed.
+    `stored` lists a (size, element order, power map) triple per class, the
+    power map sending q to the class of rep^q.  The match must be a
+    bijection preserving all three.  When several fit (classes the stored
+    data cannot tell apart, as with the three order-4 classes of the
+    quaternion group) the lexicographically least is taken, so loading is
+    deterministic.  The depth-first search checks every power-map edge as
+    soon as both its ends are assigned, so it finds that bijection without
+    any pruning first.  Raises IntegrityError when no bijection fits, or
+    after `_RECONCILE_STEPS` candidate checks.
     """
     own = conjugacy_classes(group)
-    if len(own) != table.k:
+    k = len(stored)
+    if len(own) != k:
         raise IntegrityError("class count mismatch with the supplied group")
-    cand = []
-    for c in table.classes:
-        matches = [
-            j
-            for j, o in enumerate(own)
-            if o.rep_order == c.rep_order and o.size == c.size
-        ]
-        cand.append(matches)
-    # refine by power-map consistency until stable
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(table.classes):
-            keep = []
-            for j in cand[i]:
-                ok = True
-                for q, ti in c.power_map.items():
-                    allowed = {own_j for own_j in cand[ti]}
-                    if own[j].power_map.get(q) not in allowed:
-                        ok = False
-                        break
-                if ok:
-                    keep.append(j)
-            if keep != cand[i]:
-                cand[i] = keep
-                changed = True
-    if any(not m for m in cand):
-        bad = next(i for i, m in enumerate(cand) if not m)
-        raise IntegrityError(f"loaded class {bad} matches no group class")
+    powers = group.power_classes()
+    cand = [[j for j, c in enumerate(own) if (c.size, c.rep_order) == (size, rep_order)]
+            for size, rep_order, _ in stored]
+    if not all(cand):
+        raise IntegrityError(f"loaded class {cand.index([])} matches no group class")
     # reverse power-map edges: rev[i] lists (source, q) with source --q--> i
-    rev = [[] for _ in range(table.k)]
-    for i, c in enumerate(table.classes):
-        for q, ti in c.power_map.items():
+    rev = [[] for _ in range(k)]
+    for i, (*_, pm) in enumerate(stored):
+        for q, ti in pm.items():
             rev[ti].append((i, q))
-    assign = [None] * table.k
+    assign = [None] * k
     used = set()
+    steps = count(1)
+
+    def power(j, q):
+        return powers[j][q % own[j].rep_order]
 
     def fits(i, j):
-        for q, ti in table.classes[i].power_map.items():
-            tj = assign[ti]
-            if tj is not None and own[j].power_map.get(q) != tj:
-                return False
-        for src, q in rev[i]:
-            sj = assign[src]
-            if sj is not None and own[sj].power_map.get(q) != j:
-                return False
-        return True
+        """Whether every power-map edge between assigned classes holds,
+        with stored class i just assigned to group class j."""
+        if next(steps) > _RECONCILE_STEPS:
+            raise IntegrityError(
+                f"class reconciliation gave up after {_RECONCILE_STEPS} candidate checks")
+        return (all(assign[ti] in (None, power(j, q)) for q, ti in stored[i][2].items())
+                and all(assign[src] is None or power(assign[src], q) == j
+                        for src, q in rev[i]))
 
     def search(i):
-        if i == table.k:
+        if i == k:
             return True
         for j in cand[i]:
-            if j in used or not fits(i, j):
+            if j in used:
                 continue
             assign[i] = j
-            used.add(j)
-            if search(i + 1):
-                return True
-            assign[i] = None
-            used.remove(j)
+            if fits(i, j):
+                used.add(j)
+                if search(i + 1):
+                    return True
+                used.remove(j)
+        assign[i] = None
         return False
 
     if not search(0):

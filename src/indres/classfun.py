@@ -28,7 +28,7 @@ from .chartab import (
     _root_of_unity,
     _shadow,
 )
-from .groupcore import ConjClassData, _memo, p_prime_part, prime_factors
+from .groupcore import ConjClassData, _memo, p_prime_part
 
 
 class VirtualCharacter:
@@ -212,30 +212,18 @@ def product_table(tA, tB):
     derive what they need from `factors`.  A reader that needs the product
     group builds it with `product_group` from the factor groups; class
     representatives act on the disjoint union of the factors' points, as
-    there.  Power maps come from the factors' power classes.
+    there.
     """
     if tA.group is None or tB.group is None:
         raise ValueError("product_table needs both factor groups")
-    dA, kB = tA.group.degree, tB.k
-    pcA, pcB = tA.group.power_classes(), tB.group.power_classes()
+    dA = tA.group.degree
     order = tA.group_order * tB.group_order
-    primes = prime_factors(order)
-
-    classes = []
-    for ia, a in enumerate(tA.classes):
-        for ib, b in enumerate(tB.classes):
-            images = a.representative + tuple(x + dA for x in b.representative)
-            classes.append(
-                ConjClassData(
-                    representative=images,
-                    size=a.size * b.size,
-                    rep_order=lcm(a.rep_order, b.rep_order),
-                    power_map={q: pcA[ia][q % a.rep_order] * kB + pcB[ib][q % b.rep_order]
-                               for q in primes},
-                    centralizer_order=a.centralizer_order * b.centralizer_order,
-                )
-            )
-
+    classes = [
+        ConjClassData(a.representative + tuple(x + dA for x in b.representative),
+                      a.size * b.size, lcm(a.rep_order, b.rep_order))
+        for a in tA.classes
+        for b in tB.classes
+    ]
     degrees = [da * db for da in tA.degrees for db in tB.degrees]
     if sum(d * d for d in degrees) != order:
         raise IntegrityError("product degree squares do not sum to the order")

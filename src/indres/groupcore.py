@@ -468,11 +468,9 @@ class PermGroup:
 
 @dataclass
 class ConjClassData:
-    representative: tuple  # image tuple; None in a stored table's class data
-    size: int
-    rep_order: int
-    power_map: dict  # prime q dividing the group order -> class of rep^q
-    centralizer_order: int
+    representative: tuple  # image tuple of the least member
+    size: int  # |G| / size is the centralizer order
+    rep_order: int  # rep^t lies in class power_classes()[i][t % rep_order]
 
 
 def group_from_generators(data):
@@ -543,17 +541,7 @@ def _class_sweep(G):
         power_classes.append(tuple(flat[at:at + orders[old]]))
         at += orders[old]
 
-    primes = prime_factors(G.order())
-    classes = [
-        ConjClassData(
-            representative=raw[old][0],
-            size=raw[old][1],
-            rep_order=orders[old],
-            power_map={q: pc[q % orders[old]] for q in primes},
-            centralizer_order=G.order() // raw[old][1],
-        )
-        for old, pc in zip(ranked, power_classes)
-    ]
+    classes = [ConjClassData(*raw[old], orders[old]) for old in ranked]
     return classes, class_id, power_classes
 
 

@@ -1,6 +1,7 @@
 """Shared pytest plumbing: acceptance verdict lines in the summary, groups
-that tests may share, a reference transporter mask, a hypothesis strategy
-for small random permutation groups, and one hypothesis profile.
+that tests may share, a reference transporter mask, column permutations of
+stored tables, a hypothesis strategy for small random permutation groups,
+and one hypothesis profile.
 
 The profile derandomizes every property test, so each run draws the same
 examples; tests keep their own `max_examples` and `deadline`.
@@ -11,6 +12,7 @@ object.  `shared_group` is opt-in: tests that check freeing, or count
 builds, make their own groups.
 """
 
+import random
 from itertools import combinations_with_replacement
 from math import factorial, prod
 
@@ -45,6 +47,27 @@ def full_transporter_mask(G, K, L, lo=0, hi=None):
         ka = np.asarray(k, dtype=E.dtype)
         mask &= L.rows_in(np.take_along_axis(E, ka[Einv], axis=1))
     return mask
+
+
+def permute_columns(data, perm):
+    """Stored table data whose class i is the class perm[i] of `data`."""
+    inv = [perm.index(j) for j in range(len(perm))]
+    data["classes"] = [
+        {**data["classes"][j], "powermap": {
+            q: inv[i] for q, i in data["classes"][j]["powermap"].items()
+        }}
+        for j in perm
+    ]
+    data["irreducibles"] = [[row[j] for j in perm] for row in data["irreducibles"]]
+    return data
+
+
+def shuffle_columns(data, seed):
+    """Stored table data with class 0 kept first and the other classes in
+    the order `random.Random(seed)` shuffles them to."""
+    rest = list(range(1, len(data["classes"])))
+    random.Random(seed).shuffle(rest)
+    return permute_columns(data, [0] + rest)
 
 
 RANDOM_MAX_DEGREE = 8

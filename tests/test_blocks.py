@@ -14,7 +14,6 @@ from indres import blocks, groupcore
 from indres.catalog import build, special_linear2
 from indres.chartab import Cyclotomic, IntegrityError, character_table
 from indres.blocks import (
-    Block,
     ModularReduction,
     block_partition,
     brauer_correspondent,
@@ -254,7 +253,7 @@ def test_defect_is_met_by_a_nonzero_class_at_every_prime_above_p(name, p):
         for b in block_partition(t, p):
             omega = omega_values(t, b.char_indices[0])
             assert b.defect == min(
-                v_p(c.centralizer_order, p)
+                v_p(t.group_order // c.size, p)
                 for c, v in zip(t.classes, omega) if any(image(v)))
 
 

@@ -8,9 +8,10 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import permute_columns, shared_group, shuffle_columns
 from indres import chartab
 from indres.catalog import build, cyclic, special_linear2
 from indres.chartab import (
@@ -39,6 +40,7 @@ from indres.chartab import (
     table_to_json,
     verify_table,
 )
+from indres.correspondence import table_for
 from indres.groupcore import (MILLER_RABIN_BOUND, BudgetExceeded, PermGroup,
                               conjugacy_classes, product_group)
 from indres.oracles import _perm_power, compare_with_table, inner_product
@@ -747,25 +749,12 @@ def test_save_load_file(tmp_path):
     assert back.group is G
 
 
-def _permute_columns(data, perm):
-    """Stored table data whose class i is the class perm[i] of `data`."""
-    inv = [perm.index(j) for j in range(len(perm))]
-    data["classes"] = [
-        {**data["classes"][j], "powermap": {
-            q: inv[i] for q, i in data["classes"][j]["powermap"].items()
-        }}
-        for j in perm
-    ]
-    data["irreducibles"] = [[row[j] for j in perm] for row in data["irreducibles"]]
-    return data
-
-
 def test_load_reconciles_class_order(tmp_path):
     """A stored table with its columns shuffled is reindexed against the
     group's own class order on load."""
     G = build("S3")
     t = character_table(G)
-    back = table_from_json(_permute_columns(table_to_json(t), [0, 2, 1]), G)
+    back = table_from_json(permute_columns(table_to_json(t), [0, 2, 1]), G)
     for i in range(t.k):
         assert [v.sort_key() for v in back.irreducibles[i]] == [
             v.sort_key() for v in t.irreducibles[i]
@@ -773,6 +762,17 @@ def test_load_reconciles_class_order(tmp_path):
     assert back.group is G
     assert back.classes is conjugacy_classes(G)
     assert back.dual_map() == t.dual_map()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["S5", "SL2_13", "PSU3_3", "SL2_19"])
+def test_a_column_shuffle_loads_as_the_computed_table(name, seed):
+    """Seeded shuffles of these tables reconcile to the group's own class
+    order, so the loaded table writes the computed table's bytes."""
+    G = shared_group(name)
+    data = table_to_json(table_for(G))
+    back = table_from_json(shuffle_columns(json.loads(json.dumps(data)), seed), G)
+    assert table_to_json(back) == data
 
 
 def test_load_of_a_table_twisted_by_an_automorphism_is_the_computed_table():
@@ -783,7 +783,7 @@ def test_load_of_a_table_twisted_by_an_automorphism_is_the_computed_table():
     G = build("A5")
     t = character_table(G)
     assert [c.rep_order for c in t.classes] == [1, 2, 3, 5, 5]
-    back = table_from_json(_permute_columns(table_to_json(t), [0, 1, 2, 4, 3]), G)
+    back = table_from_json(permute_columns(table_to_json(t), [0, 1, 2, 4, 3]), G)
     assert back.degrees == t.degrees
     assert [[v.sort_key() for v in row] for row in back.irreducibles] == [
         [v.sort_key() for v in row] for row in t.irreducibles

@@ -7,7 +7,7 @@ from collections import Counter
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 import sympy
 
@@ -47,12 +47,10 @@ from indres.groupcore import (
     normalizer,
     p_prime_part,
     prime_factors,
-    product_group,
     qualifying_elementary_subgroups,
     sylow_subgroup,
 )
-from indres.oracles import (_perm_power, from_values, inner_product, restrict,
-                            value_at, values_of)
+from indres.oracles import from_values, inner_product, restrict, value_at, values_of
 
 
 @pytest.fixture(scope="module")
@@ -403,17 +401,6 @@ def test_product_dual_map_conjugates_tensor_rows(product_and_reference):
     keys = [[v.sort_key() for v in row] for row in rows]
     for i, j in enumerate(prod.dual_map()):
         assert [v.conjugate().sort_key() for v in rows[i]] == keys[j]
-
-
-@pytest.mark.parametrize("name", list(PRODUCT_PAIRS))
-def test_product_power_maps_are_classes_of_powers(name):
-    tA, tB = PRODUCT_PAIRS[name]()
-    prod = product_table(tA, tB)
-    G = product_group(tA.group, tB.group)
-    for c in prod.classes:
-        for q in prime_factors(prod.group_order):
-            target = prod.classes[c.power_map[q]].representative
-            assert G.class_of(_perm_power(c.representative, q)) == G.class_of(target)
 
 
 def test_product_values_match_tensor_rows(product_and_reference):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
@@ -15,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indres
-from conftest import shared_group
+from conftest import permute_columns, shared_group, shuffle_columns
 from indres import chartab, cli, correspondence
 from indres.blocks import block_partition
-from indres.catalog import BUILDERS, build
+from indres.catalog import BUILDERS, build, cyclic
 from indres.classfun import VirtualCharacter, p_singular_classes
 from indres.cli import JobSpec, build_instance, main
 from indres.correspondence import check_property_G_with_witness, pair_table, table_for
-from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded, PermGroup
+from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded, PermGroup, product_group
 from indres.oracles import value_at
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -201,15 +202,7 @@ def test_external_table_reconciles(runner, tmp_path):
     assert r2.exit_code == 0
     # a column-shuffled table is re-indexed onto the group's classes, so the
     # report is the one the computed table gives
-    data = json.loads(table_path.read_text())
-    perm = [0, 3, 1, 4, 2]
-    inv = [perm.index(j) for j in range(len(perm))]
-    data["classes"] = [
-        {**data["classes"][j],
-         "powermap": {q: inv[i] for q, i in data["classes"][j]["powermap"].items()}}
-        for j in perm
-    ]
-    data["irreducibles"] = [[row[j] for j in perm] for row in data["irreducibles"]]
+    data = permute_columns(json.loads(table_path.read_text()), [0, 3, 1, 4, 2])
     table_path.write_text(json.dumps(data))
     reports = []
     for i, extra in enumerate([[], ["--table-g", str(table_path)]]):
@@ -542,6 +535,7 @@ def _explicit_c3_args(tmp_path):
         lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 0}),
         lambda r, t: _table_args(r, t, _value_at_modulus_30030, "S3"),
         lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 30030}, "S3"),
+        lambda r, t: _table_args(r, t, lambda d: {**d, "order": "48"}),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
          "table-power-map-99", "table-power-map-negative",
@@ -550,7 +544,8 @@ def _explicit_c3_args(tmp_path):
          "witness-list", "explicit-p-subgroup-c3",
          "witness-float-coeff", "witness-bool-coeff", "group-order-float",
          "group-degree-float", "table-float-size", "table-value-modulus-5",
-         "table-exponent-0", "table-value-modulus-30030", "table-exponent-30030"],
+         "table-exponent-0", "table-value-modulus-30030", "table-exponent-30030",
+         "table-order-48"],
 )
 def test_wrong_json_shape_exits_2(runner, tmp_path, make_args, shared_groups):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
@@ -681,6 +676,23 @@ def _perm_group_file(path, degree, gens):
     path.write_text(json.dumps({"format": "perm-group", "degree": degree,
                                 "generators": gens}))
     return str(path)
+
+
+def test_class_reconciliation_gives_up_at_its_step_bound(runner, tmp_path):
+    """A column-shuffled table of C6 x C6 has 36 classes of equal size, and
+    most orders hold many of them, so the search for a bijection that keeps
+    the power maps could run for millions of steps; it stops at the bound."""
+    G = product_group(cyclic(6), cyclic(6))
+    group = _perm_group_file(tmp_path / "c6c6.json", G.degree,
+                             [[x + 1 for x in g] for g in G.generators])
+    table = tmp_path / "table.json"
+    assert invoke(runner, "table", group, "-o", str(table)).exit_code == 0
+    table.write_text(json.dumps(shuffle_columns(json.loads(table.read_text()), 0)))
+    start = time.perf_counter()
+    r = invoke(runner, "verify", group, "-p", "2", "--table-g", str(table))
+    assert time.perf_counter() - start < 5
+    assert (r.exit_code, r.stderr) == (2, "error: class reconciliation gave up after "
+                                          f"{chartab._RECONCILE_STEPS} candidate checks\n")
 
 
 def test_explicit_p_subgroup_outside_the_group_exits_2(runner, tmp_path):

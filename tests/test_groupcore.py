@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from indres import groupcore
 from indres.catalog import BUILDERS, build, perm_from_cycles, special_linear2
-from indres.chartab import character_table
+from indres.chartab import character_table, table_to_json
 from indres.groupcore import (
     MAX_DEGREE,
     MILLER_RABIN_BOUND,
@@ -670,10 +670,11 @@ POWER_GROUPS = {
 def test_power_classes_are_the_classes_of_powers(name):
     G = POWER_GROUPS[name]()
     primes = prime_factors(G.order())
-    for c, pc in zip(G.class_data(), G.power_classes()):
+    stored = table_to_json(character_table(G))["classes"]
+    for c, pc, s in zip(G.class_data(), G.power_classes(), stored, strict=True):
         rep = c.representative
         assert list(pc) == [G.class_of(_perm_power(rep, t)) for t in range(c.rep_order)]
-        assert c.power_map == {q: G.class_of(_perm_power(rep, q)) for q in primes}
+        assert s["powermap"] == {str(q): G.class_of(_perm_power(rep, q)) for q in primes}
 
 
 def test_index_of_elements_is_arange(indexed_group):

@@ -7,7 +7,7 @@ from conftest import small_perm_groups
 from indres.catalog import build, special_linear2
 from indres.chartab import character_table
 from indres.correspondence import build_induced_lattice, make_instance
-from indres.groupcore import BudgetExceeded, _mul, conjugacy_classes, prime_factors
+from indres.groupcore import BudgetExceeded, _mul, prime_factors
 from indres.oracles import (
     _linear_characters,
     all_subgroups,
