@@ -221,12 +221,16 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, data, field):
-        """The stored value over Z[zeta_field]; its modulus must divide `field`."""
+        """The stored value over Z[zeta_field]; its modulus must divide `field`,
+        and no exponent may repeat, so the value is the one its terms state."""
         modulus = json_int(data["modulus"], "cyclotomic modulus")
         if modulus < 1 or field % modulus:
             raise IntegrityError("a value's modulus does not divide the table exponent")
-        return cls(field, {field // modulus * json_int(e, "cyclotomic exponent"):
-                           json_int(c, "cyclotomic coefficient") for e, c in data["terms"]})
+        terms = {json_int(e, "cyclotomic exponent"): json_int(c, "cyclotomic coefficient")
+                 for e, c in data["terms"]}
+        if len(terms) != len(data["terms"]):
+            raise IntegrityError("a value repeats an exponent")
+        return cls(field, {field // modulus * e: c for e, c in terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -267,9 +271,10 @@ class CharTable:
     freed with the table.  `factors` is the pair of factor tables of a product table, None
     otherwise.  A product table (`classfun.product_table`) has
     `irreducibles = None` and no group: its values, dual map and class
-    lookup come from `factors`.  Every other table that the library
-    returns lives on its group: `classes` are the group's
-    `conjugacy_classes`, in that order.
+    lookup come from `factors`.  Every other table is built by
+    `character_table` and lives on its group: `classes` are the group's
+    `conjugacy_classes`, in that order.  A stored table never becomes a
+    table of its own: `table_from_json` checks it against its group's.
     """
 
     group_order: int
@@ -330,7 +335,7 @@ def _prime_above(bound, m):
     """The least prime l ≡ 1 (mod m) with l > bound.
 
     `is_prime` raises `IntegrityError` once l reaches the Miller-Rabin
-    bound, which only a hostile table file's values can force.
+    bound.
     """
     l = -(-bound // m) * m + 1
     while not is_prime(l):
@@ -744,87 +749,72 @@ def save_table(table, path):
         json.dump(table_to_json(table), fh)
 
 
-def table_from_json(data, group):
-    """The table that `data` stores, re-indexed onto `group` and proved there.
+def table_from_json(data, table):
+    """`table`, once `data` is shown to store it.
 
-    The stored order and exponent must be the group's, or no value is
+    The stored order and exponent must be the table's, or no value is
     built, and each value's modulus must divide the exponent.  Once the
     data is square with power maps in range, `reconcile_classes` matches
-    its classes with the group's; the table is built once, on the group's
-    classes with the rows in the order of every table, by (degree,
-    canonical value key), and proved by `verify_table`, none of whose
-    checks depends on the column order.
+    it with the table, which was proved when it was built.
     """
     with malformed("table"):
         order = json_int(data["order"], "table order", decimal_string=True)
         exponent = json_int(data["exponent"], "table exponent")
-        if order != group.order():
-            raise IntegrityError(f"table order {order}, not the group's {group.order()}")
-        if exponent != group.exponent():
-            raise IntegrityError(f"table exponent {exponent}, not the group's {group.exponent()}")
+        if order != table.group_order:
+            raise IntegrityError(f"table order {order}, not the group's {table.group_order}")
+        if exponent != table.exponent:
+            raise IntegrityError(f"table exponent {exponent}, not the group's {table.exponent}")
         stored = [
             (json_int(c["size"], "class size"),
              json_int(c["rep_order"], "class element order"),
              {int(q): json_int(i, "power map class") for q, i in c["powermap"].items()})
             for c in data["classes"]
         ]
-        # one field for every value, so a value's power-basis key names it
+        # one field for every value, so equal values compare equal
         rows = [[Cyclotomic.from_json(v, exponent) for v in row] for row in data["irreducibles"]]
     k = len(stored)
     if len(rows) != k or any(len(row) != k for row in rows):
         raise IntegrityError(f"table over {k} classes is not square")
     if any(not 0 <= i < k for *_, powers in stored for i in powers.values()):
         raise IntegrityError("a power map names a class out of range")
-    perm = reconcile_classes(stored, group)
-    # stored class i is group class perm[i]
-    inv = [0] * k
-    for i, j in enumerate(perm):
-        inv[j] = i
-    rows = [[row[i] for i in inv] for row in rows]
-    if not all(row[0].is_integer() for row in rows):
-        raise IntegrityError("identity value of a loaded row is not an integer")
-    rows.sort(key=lambda row: (row[0].as_int(), _row_key(row)))
-    table = CharTable(
-        group_order=order,
-        exponent=exponent,
-        classes=conjugacy_classes(group),
-        irreducibles=rows,
-        degrees=[row[0].as_int() for row in rows],
-        group=group,
-    )
-    verify_table(table)
+    reconcile_classes(stored, rows, table)
     return table
 
 
-def load_table(path, group):
+def load_table(path, table):
     with open(path) as fh:
-        return table_from_json(json.load(fh), group)
+        return table_from_json(json.load(fh), table)
 
 
-def reconcile_classes(stored, group):
-    """The group class of each stored class, as a list.
+def reconcile_classes(stored, rows, table):
+    """The table's class of each stored class, as a list.
 
     `stored` lists a (size, element order, power map) triple per class, the
-    power map sending q to the class of rep^q.  The match must be a
-    bijection preserving all three.  When several fit (classes the stored
-    data cannot tell apart, as with the three order-4 classes of the
-    quaternion group) the lexicographically least is taken, so loading is
-    deterministic.  The depth-first search checks every power-map edge as
-    soon as both its ends are assigned, so it finds that bijection without
-    any pruning first.  Raises IntegrityError when no bijection fits, or
-    after `_RECONCILE_STEPS` candidate checks.
+    power map sending q to the class of rep^q, and `rows` the stored values.
+    The match is a bijection that keeps all three and under which the
+    stored rows are the table's rows, so any match shows that the data
+    stores the table; a depth-first search takes the first it meets.  Each
+    row carries a label, first its multiset of (class size, value) pairs,
+    then also its values on the classes assigned so far.  A candidate must
+    hold the stored column's values, keep every power-map edge between
+    assigned classes, and keep the stored rows' labels equal to the table
+    rows' labels as multisets, which every match does at every depth; with
+    every class assigned, the labels are the rows.  Raises IntegrityError
+    when nothing matches, or after `_RECONCILE_STEPS` candidate checks.
     """
-    own = conjugacy_classes(group)
-    k = len(stored)
-    if len(own) != k:
-        raise IntegrityError("class count mismatch with the supplied group")
-    powers = group.power_classes()
-    cand = [[j for j, c in enumerate(own) if (c.size, c.rep_order) == (size, rep_order)]
-            for size, rep_order, _ in stored]
-    if not all(cand):
-        raise IntegrityError(f"loaded class {cand.index([])} matches no group class")
-    # reverse power-map edges: rev[i] lists (source, q) with source --q--> i
-    rev = [[] for _ in range(k)]
+    own, k = table.classes, len(stored)
+    powers = table.group.power_classes()
+    ids = {}  # each distinct value named by an int; cols[i][r] is row r's on class i
+    cols = [[ids.setdefault(v, len(ids)) for v in col] for col in zip(*rows)]
+    own_cols = [[ids.setdefault(v, len(ids)) for v in col] for col in zip(*table.irreducibles)]
+    shapes = [(c.size, c.rep_order, sorted(col)) for c, col in zip(own, own_cols)]
+    cand = [[j for j, shape in enumerate(shapes) if shape == (size, rep_order, sorted(col))]
+            for (size, rep_order, _), col in zip(stored, cols)]
+    first = [tuple(sorted(zip([s for s, *_ in stored], vals))) for vals in zip(*cols)]
+    own_first = [tuple(sorted(zip([c.size for c in own], vals))) for vals in zip(*own_cols)]
+    if not all(cand) or sorted(first) != sorted(own_first):
+        raise IntegrityError("the stored table is not the group's character table")
+    rev = [[] for _ in range(k)]  # rev[i] lists (source, q) with source --q--> i
     for i, (*_, pm) in enumerate(stored):
         for q, ti in pm.items():
             rev[ti].append((i, q))
@@ -845,21 +835,24 @@ def reconcile_classes(stored, group):
                 and all(assign[src] is None or power(assign[src], q) == j
                         for src, q in rev[i]))
 
-    def search(i):
+    def search(i, labels, own_labels):
         if i == k:
             return True
+        names = {}  # the next labels, named 0, 1, ... so that they stay small
+        nxt = [names.setdefault(x, len(names)) for x in zip(labels, cols[i])]
         for j in cand[i]:
             if j in used:
                 continue
             assign[i] = j
-            if fits(i, j):
+            own_nxt = [names.get(x, -1) for x in zip(own_labels, own_cols[j])]
+            if fits(i, j) and sorted(own_nxt) == sorted(nxt):
                 used.add(j)
-                if search(i + 1):
+                if search(i + 1, nxt, own_nxt):
                     return True
                 used.remove(j)
         assign[i] = None
         return False
 
-    if not search(0):
-        raise IntegrityError("loaded class data does not reconcile with the group")
+    if not search(0, first, own_first):
+        raise IntegrityError("the stored table is not the group's character table")
     return assign

@@ -86,7 +86,7 @@ def _parse_abelian_shape(token):
 
 def _pick_block(tG, p, token):
     blks = block_partition(tG, p)
-    if token.isdigit():
+    if token.isdecimal():
         # block_partition lists the blocks in index order
         if int(token) >= len(blks):
             raise ValueError(f"no block with index {token}")
@@ -121,13 +121,13 @@ def build_instance(spec, G):
     Returns (inst, block_pair): block_pair is None unless the p-subgroup
     was chosen as the defect group of a named block, in which case the
     property checks run at that block.  A group over the class budget is
-    refused here, before any subgroup search enumerates its elements.
+    refused here, before any subgroup search enumerates its elements.  A
+    stored table of G or H is checked against the group's own table.
     """
     conjugacy_classes(G)
     name = spec.group if spec.group in BUILDERS else ""
-    tG = None
     if spec.table_g:
-        tG = load_table(spec.table_g, G)
+        load_table(spec.table_g, table_for(G))
     b = None
     P = None
     if spec.subgroup_mode == "sylow":
@@ -138,8 +138,7 @@ def build_instance(spec, G):
             raise IntegrityError(f"explicit p-subgroup has order {P.order()}, "
                                  f"not a power of {spec.p}")
     elif spec.subgroup_mode.startswith("block:"):
-        if tG is None:
-            tG = table_for(G)
+        tG = table_for(G)
         b = _pick_block(tG, spec.p, spec.subgroup_mode.split(":", 1)[1])
         P = defect_group(tG, b, spec.p)
     else:
@@ -156,10 +155,9 @@ def build_instance(spec, G):
     else:
         raise ValueError(f"unknown overgroup mode {spec.h_mode!r}")
 
-    tH = None
     if spec.table_h:
-        tH = load_table(spec.table_h, H)
-    inst = make_instance(G, spec.p, P=P, H=H, tG=tG, tH=tH, name=name)
+        load_table(spec.table_h, table_for(H))
+    inst = make_instance(G, spec.p, P=P, H=H, name=name)
     block_pair = None
     if b is not None:
         e = correspondent_of(inst, b)
@@ -331,8 +329,10 @@ def cmd_blocks(group, prime, output):
               help="sylow | explicit:<path> | block:<shape or index>")
 @click.option("--h-mode", default="normalizer", show_default=True,
               help="normalizer | explicit:<path>")
-@click.option("--table-g", default=None, help="external table for the group")
-@click.option("--table-h", default=None, help="external table for the overgroup")
+@click.option("--table-g", default=None,
+              help="stored table of the group, checked against its own")
+@click.option("--table-h", default=None,
+              help="stored table of the overgroup, checked against its own")
 @click.option("--witness", default=None, help="product virtual character JSON")
 @click.option("-o", "--output", default=None)
 def cmd_verify(group, prime, props, subgroup_mode, h_mode, table_g, table_h,

@@ -96,15 +96,13 @@ def table_for(group):
     return character_table(group)
 
 
-def make_instance(G, p, P=None, H=None, tG=None, tH=None, name=""):
+def make_instance(G, p, P=None, H=None, name=""):
     if P is None:
         P = sylow_subgroup(G, p)
     if H is None:
         H = normalizer(G, P)
-    tG = tG if tG is not None else table_for(G)
-    tH = tH if tH is not None else table_for(H)
     smax = intersection_set_maxima(G, P, H)
-    return Instance(p=p, tG=tG, tH=tH, P=P, s_maxima=smax, name=name)
+    return Instance(p=p, tG=table_for(G), tH=table_for(H), P=P, s_maxima=smax, name=name)
 
 
 # -- lattice builders ---------------------------------------------------------

@@ -59,7 +59,7 @@ def json_int(value, what, decimal_string=False):
     Floats and bools are not counts, and a decimal string is one only where
     `decimal_string` allows it (orders are written that way).
     """
-    if decimal_string and isinstance(value, str) and value.isdigit():
+    if decimal_string and isinstance(value, str) and value.isdecimal():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise IntegrityError(f"{what} must be a JSON integer, got {value!r}")

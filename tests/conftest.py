@@ -1,7 +1,7 @@
 """Shared pytest plumbing: acceptance verdict lines in the summary, groups
-that tests may share, a reference transporter mask, column permutations of
-stored tables, a hypothesis strategy for small random permutation groups,
-and one hypothesis profile.
+that tests may share, a reference transporter mask, column permutations
+and value switches of stored tables, a hypothesis strategy for small random
+permutation groups, and one hypothesis profile.
 
 The profile derandomizes every property test, so each run draws the same
 examples; tests keep their own `max_examples` and `deadline`.
@@ -68,6 +68,27 @@ def shuffle_columns(data, seed):
     rest = list(range(1, len(data["classes"])))
     random.Random(seed).shuffle(rest)
     return permute_columns(data, [0] + rest)
+
+
+def value_switches(data):
+    """The (a, b, c, d), rows a < b and classes c < d of stored table data,
+    whose values x (row a at c, row b at d) and y (row a at d, row b at c)
+    differ, in lexicographic order.  Swapping x and y in both rows keeps
+    every row's and every column's multiset of values."""
+    X = data["irreducibles"]
+    k = len(X)
+    return [(a, b, c, d) for a in range(k) for b in range(a + 1, k)
+            for c in range(k) for d in range(c + 1, k)
+            if X[a][c] == X[b][d] != X[a][d] == X[b][c]]
+
+
+def switch_values(data, switch):
+    """Stored table data with the values of one of `value_switches` swapped."""
+    a, b, c, d = switch
+    for r in (a, b):
+        row = data["irreducibles"][r]
+        row[c], row[d] = row[d], row[c]
+    return data
 
 
 RANDOM_MAX_DEGREE = 8

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from functools import reduce
 from math import gcd, isqrt
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import permute_columns, shared_group, shuffle_columns
 from indres import chartab
-from indres.catalog import build, cyclic, special_linear2
+from indres.catalog import BUILDERS, build, cyclic, special_linear2
 from indres.chartab import (
     _ROOT_BLOCK,
     CharTable,
@@ -35,14 +36,14 @@ from indres.chartab import (
     _unit_generators,
     character_table,
     load_table,
+    reconcile_classes,
     save_table,
     table_from_json,
     table_to_json,
     verify_table,
 )
 from indres.correspondence import table_for
-from indres.groupcore import (MILLER_RABIN_BOUND, BudgetExceeded, PermGroup,
-                              conjugacy_classes, product_group)
+from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded, PermGroup, product_group
 from indres.oracles import _perm_power, compare_with_table, inner_product
 
 
@@ -705,7 +706,9 @@ def test_columns_are_orthogonal(name):
 
 def test_columns_of_a_loaded_table_are_orthogonal():
     G = build("SL2_3")
-    loaded = table_from_json(table_to_json(character_table(G)), group=G)
+    t = character_table(G)
+    loaded = table_from_json(table_to_json(t), t)
+    assert loaded is t
     _assert_columns_orthogonal(loaded)
 
 
@@ -719,15 +722,7 @@ def test_sum_of_degree_squares():
 def test_json_round_trip_lossless(name):
     G = build(name)
     t = character_table(G)
-    data = table_to_json(t)
-    back = table_from_json(data, group=G)
-    assert back.degrees == t.degrees
-    assert back.exponent == t.exponent
-    assert all(
-        back.irreducibles[i][j] == t.irreducibles[i][j]
-        for i in range(t.k)
-        for j in range(t.k)
-    )
+    assert table_from_json(json.loads(json.dumps(table_to_json(t))), t) is t
 
 
 def test_json_orders_are_decimal_strings():
@@ -744,55 +739,83 @@ def test_save_load_file(tmp_path):
     t = character_table(G)
     path = tmp_path / "a4.json"
     save_table(t, str(path))
-    back = load_table(str(path), group=G)
-    assert back.degrees == t.degrees
-    assert back.group is G
+    assert load_table(str(path), t) is t
 
 
 def test_load_reconciles_class_order(tmp_path):
-    """A stored table with its columns shuffled is reindexed against the
-    group's own class order on load."""
+    """A stored table with its columns shuffled is matched with the group's
+    own classes: stored class i is the group's class perm[i]."""
     G = build("S3")
     t = character_table(G)
-    back = table_from_json(permute_columns(table_to_json(t), [0, 2, 1]), G)
-    for i in range(t.k):
-        assert [v.sort_key() for v in back.irreducibles[i]] == [
-            v.sort_key() for v in t.irreducibles[i]
-        ]
-    assert back.group is G
-    assert back.classes is conjugacy_classes(G)
-    assert back.dual_map() == t.dual_map()
+    data = permute_columns(table_to_json(t), [0, 2, 1])
+    stored = [(c["size"], c["rep_order"], {int(q): i for q, i in c["powermap"].items()})
+              for c in data["classes"]]
+    rows = [[Cyclotomic.from_json(v, t.exponent) for v in row] for row in data["irreducibles"]]
+    assert reconcile_classes(stored, rows, t) == [0, 2, 1]
+    assert table_from_json(data, t) is t
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", ["S5", "SL2_13", "PSU3_3", "SL2_19"])
 def test_a_column_shuffle_loads_as_the_computed_table(name, seed):
-    """Seeded shuffles of these tables reconcile to the group's own class
-    order, so the loaded table writes the computed table's bytes."""
-    G = shared_group(name)
-    data = table_to_json(table_for(G))
-    back = table_from_json(shuffle_columns(json.loads(json.dumps(data)), seed), G)
-    assert table_to_json(back) == data
+    """Seeded shuffles of these tables match the group's own table."""
+    t = table_for(shared_group(name))
+    data = json.loads(json.dumps(table_to_json(t)))
+    assert table_from_json(shuffle_columns(data, seed), t) is t
+
+
+_MANY_EQUAL_CLASSES = {
+    "C2^4": [2] * 4, "C3^3": [3] * 3, "C4xC4": [4, 4], "C6xC6": [6, 6],
+    "C2xC2xS3": [2, 2, "S3"], "C2xS4": [2, "S4"], "C3xA4": [3, "A4"],
+    "C2xC2xA4": [2, 2, "A4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MANY_EQUAL_CLASSES) + sorted(BUILDERS))
+def test_shuffles_load_well_inside_the_step_bound(name, monkeypatch):
+    """Seeded shuffles of groups with many classes of one size, and of every
+    catalog group, match the group's own table in at most 1000 candidate
+    checks (the most any of them needs is under 200)."""
+    if name in BUILDERS:
+        t = table_for(shared_group(name))
+    else:
+        factors = [cyclic(f) if isinstance(f, int) else build(f)
+                   for f in _MANY_EQUAL_CLASSES[name]]
+        t = character_table(reduce(product_group, factors))
+    monkeypatch.setattr(chartab, "_RECONCILE_STEPS", 1000)
+    data = table_to_json(t)
+    for seed in range(4):
+        assert table_from_json(shuffle_columns(json.loads(json.dumps(data)), seed), t) is t
+
+
+def test_two_values_swapped_in_a_column_are_refused_before_any_search(monkeypatch):
+    """Each row's multiset of (class size, value) pairs is compared before
+    the search makes its first candidate check."""
+    t = table_for(shared_group("S4"))
+    data = table_to_json(t)
+    col = [row[1] for row in data["irreducibles"]]
+    a = next(r for r in range(t.k) if col[r] != col[0])
+    for row in (0, a):
+        data["irreducibles"][row][1] = col[a] if row == 0 else col[0]
+    monkeypatch.setattr(chartab, "_RECONCILE_STEPS", 0)
+    with pytest.raises(IntegrityError, match="^the stored table is not the group's "
+                                             "character table$"):
+        table_from_json(data, t)
 
 
 def test_load_of_a_table_twisted_by_an_automorphism_is_the_computed_table():
     """A5's two classes of 5-elements agree in order, size and power maps,
-    so a stored table with those columns swapped loads onto the group's
-    classes unswapped; its rows are put back in the canonical order, which
-    makes it the computed table."""
+    and an outer automorphism swaps them and two rows alike, so a stored
+    table with those columns swapped stores the computed table."""
     G = build("A5")
     t = character_table(G)
     assert [c.rep_order for c in t.classes] == [1, 2, 3, 5, 5]
-    back = table_from_json(permute_columns(table_to_json(t), [0, 1, 2, 4, 3]), G)
-    assert back.degrees == t.degrees
-    assert [[v.sort_key() for v in row] for row in back.irreducibles] == [
-        [v.sort_key() for v in row] for row in t.irreducibles
-    ]
+    assert table_from_json(permute_columns(table_to_json(t), [0, 1, 2, 4, 3]), t) is t
 
 
 def test_load_rebases_values_to_the_exponent():
-    """A value stored over a divisor of the exponent loads as the same
-    element of the table's field; one over a non-divisor is refused."""
+    """A value stored over a divisor of the exponent is the same element of
+    the table's field; one over a non-divisor is refused."""
     G = build("S4")
     t = character_table(G)
     data = table_to_json(t)
@@ -800,12 +823,8 @@ def test_load_rebases_values_to_the_exponent():
         for v in row:
             if all(e == 0 for e, _ in v["terms"]):
                 v["modulus"] = 1
-    back = table_from_json(data, group=G)
-    assert all(v.modulus == t.exponent for row in back.irreducibles for v in row)
-    assert [[v.sort_key() for v in row] for row in back.irreducibles] == [
-        [v.sort_key() for v in row] for row in t.irreducibles
-    ]
+    assert table_from_json(data, t) is t
     zero = next(v for row in data["irreducibles"] for v in row if not v["terms"])
     zero["modulus"] = 5
     with pytest.raises(IntegrityError, match="does not divide"):
-        table_from_json(data, group=G)
+        table_from_json(data, t)

@@ -7,6 +7,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 from unittest.mock import patch
 
@@ -16,14 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indres
-from conftest import permute_columns, shared_group, shuffle_columns
+from conftest import (permute_columns, shared_group, shuffle_columns, switch_values,
+                      value_switches)
 from indres import chartab, cli, correspondence
 from indres.blocks import block_partition
 from indres.catalog import BUILDERS, build, cyclic
 from indres.classfun import VirtualCharacter, p_singular_classes
 from indres.cli import JobSpec, build_instance, main
 from indres.correspondence import check_property_G_with_witness, pair_table, table_for
-from indres.groupcore import MILLER_RABIN_BOUND, BudgetExceeded, PermGroup, product_group
+from indres.groupcore import (MILLER_RABIN_BOUND, BudgetExceeded, PermGroup, prime_factors,
+                              product_group)
 from indres.oracles import value_at
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -211,6 +216,116 @@ def test_external_table_reconciles(runner, tmp_path):
         assert r.exit_code == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def _verify_run(runner, tmp_path, args):
+    """The exit code and the -o bytes of `verify` with `args`."""
+    out = tmp_path / "report.json"
+    r = invoke(runner, "verify", *args, "-o", str(out))
+    return r.exit_code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name, a, b", [("C2xA4", 1, 3), ("S6", 1, 7), ("Q8", 2, 3)])
+def test_swapped_classes_load_as_the_computed_table(runner, tmp_path, shared_groups,
+                                                    name, a, b):
+    """Two stored classes swapped, power maps remapped, load at every prime
+    as the group's own table.  C2xA4's classes 1 and 3, and S6's 1 and 7,
+    agree in order, size and power maps, so only the values tell them
+    apart; Q8's classes 2 and 3 are two of its three classes of order 4."""
+    table = tmp_path / "table.json"
+    assert invoke(runner, "table", name, "-o", str(table)).exit_code == 0
+    data = json.loads(table.read_text())
+    perm = list(range(len(data["classes"])))
+    perm[a], perm[b] = b, a
+    table.write_text(json.dumps(permute_columns(data, perm)))
+    for p in prime_factors(shared_group(name).order()):
+        args = [name, "-p", str(p)]
+        assert (_verify_run(runner, tmp_path, args)
+                == _verify_run(runner, tmp_path, args + ["--table-g", str(table)]))
+
+
+@st.composite
+def _edited_tables(draw, data):
+    """Stored table data with one or two drawn edits, and their names: a
+    column shuffle, a row shuffle, one value changed, one power-map target
+    moved within range, or a switch of two values in two rows and two
+    columns (`conftest.value_switches`)."""
+    data = json.loads(json.dumps(data))
+    k = len(data["classes"])
+    edits = draw(st.lists(st.sampled_from(["columns", "rows", "value", "powermap",
+                                           "switch"]), min_size=1, max_size=2))
+    for edit in edits:
+        if edit == "columns":
+            shuffle_columns(data, draw(st.integers(0, 2**16)))
+        elif edit == "rows":
+            data["irreducibles"] = [data["irreducibles"][r]
+                                    for r in draw(st.permutations(range(k)))]
+        elif edit == "value":
+            values = [v for row in data["irreducibles"] for v in row]
+            new = draw(st.one_of(st.sampled_from(values), st.integers(-3, 3).map(
+                lambda n: {"modulus": 1, "terms": [[0, n]] if n else []})))
+            data["irreducibles"][draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = new
+        elif edit == "powermap":
+            pm = data["classes"][draw(st.integers(0, k - 1))]["powermap"]
+            pm[draw(st.sampled_from(sorted(pm)))] = draw(st.integers(0, k - 1))
+        else:
+            switch_values(data, draw(st.sampled_from(value_switches(data))))
+    return edits, data
+
+
+_FUZZ_BASE = {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["S4", "C2xA4"]), draw=st.data())
+def test_table_file_fuzz_exit_codes(tmp_path_factory, name, draw):
+    """Edited stored tables of S4 and C2xA4 either load as the group's own
+    table, and `verify -p 2` writes the report of the run without the file,
+    or exit 2 with one line; a shuffle of rows or columns always loads."""
+    where = tmp_path_factory.mktemp("table")
+    runner = CliRunner()
+    with patch.object(cli, "load_group", shared_group):
+        if name not in _FUZZ_BASE:
+            data = chartab.table_to_json(table_for(shared_group(name)))
+            _FUZZ_BASE[name] = data, _verify_run(runner, where, [name, "-p", "2"])
+        data, expect = _FUZZ_BASE[name]
+        edits, edited = draw.draw(_edited_tables(data))
+        path = where / "table.json"
+        path.write_text(json.dumps(edited))
+        r = invoke(runner, "verify", name, "-p", "2", "--table-g", str(path),
+                   "-o", str(where / "report.json"))
+    if set(edits) <= {"columns", "rows"} or r.exit_code != 2:
+        assert (r.exit_code, (where / "report.json").read_bytes()) == expect
+    else:
+        _assert_one_line_error(r)
+
+
+@pytest.mark.parametrize("spec", [
+    JobSpec("S4", 2),
+    JobSpec(str(FIXTURES / "fixture_group.json"), 2, subgroup_mode="block:1",
+            properties=("irc", "wirc", "pres", "pind", "g"),
+            witness=str(FIXTURES / "fixture_witness.json")),
+], ids=["S4", "fixture-block-1"])
+def test_stored_tables_add_no_table_build_or_proof(tmp_path, monkeypatch, spec):
+    """A run with --table-g and --table-h builds as many tables, and proves
+    as many, as the same run without them, and reports the same: each file
+    is checked against the group's own table, which the run builds anyway."""
+    inst, _ = build_instance(spec, cli.load_group(spec.group))
+    files = {"table_g": str(tmp_path / "g.json"), "table_h": str(tmp_path / "h.json")}
+    chartab.save_table(inst.tG, files["table_g"])
+    chartab.save_table(inst.tH, files["table_h"])
+    counts = Counter()
+    real_init, real_verify = chartab.CharTable.__init__, chartab.verify_table
+    monkeypatch.setattr(chartab.CharTable, "__init__",
+                        lambda *a, **kw: counts.update(["tables"]) or real_init(*a, **kw))
+    monkeypatch.setattr(chartab, "verify_table",
+                        lambda t: counts.update(["proofs"]) or real_verify(t))
+    runs = []
+    for extra in ({}, files):
+        counts.clear()
+        runs.append((cli.run_verify(replace(spec, **extra)), dict(counts)))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["proofs"] >= 2
 
 
 def test_oracle_subgroup_lattice(runner):
@@ -405,9 +520,12 @@ def test_non_square_table_exits_2(runner, tmp_path, edit):
     _assert_one_line_error(invoke(runner, *_table_args(runner, tmp_path, edit)))
 
 
+_NOT_THE_TABLE = "error: the stored table is not the group's character table\n"
+
+
 def _plus_one_at_trivial_row(data):
-    # S4's trivial row is integral, so the table stays Galois stable; only
-    # the orthogonality proof can catch the change
+    # S4's trivial row is integral, so the table stays Galois stable, but
+    # the stored row is no row of S4's table
     v = data["irreducibles"][1][1]
     terms = dict(v["terms"])
     terms[0] = terms.get(0, 0) + 1
@@ -417,21 +535,19 @@ def _plus_one_at_trivial_row(data):
 
 def test_tampered_table_exits_2(runner, tmp_path):
     r = invoke(runner, *_table_args(runner, tmp_path, _plus_one_at_trivial_row))
-    _assert_one_line_error(r)
-    assert "row orthogonality fails" in r.stderr
+    assert (r.exit_code, r.stderr) == (2, _NOT_THE_TABLE)
 
 
 def _huge_value_at_trivial_row(data):
-    # an integral value of size 10^13 passes every check before the
-    # orthogonality proof, whose prime must then exceed 24 * 10^26
+    # an integral value of size 10^13 is no value of S4's table; a proof of
+    # the stored table on its own would need a prime above 24 * 10^26
     data["irreducibles"][1][1]["terms"] = [[0, 10**13]]
     return data
 
 
 def test_table_value_past_the_prime_bound_exits_2(runner, tmp_path):
     r = invoke(runner, *_table_args(runner, tmp_path, _huge_value_at_trivial_row))
-    _assert_one_line_error(r)
-    assert "Miller-Rabin bound" in r.stderr
+    assert (r.exit_code, r.stderr) == (2, _NOT_THE_TABLE)
 
 
 def _zero_at_modulus_5(data):
@@ -461,6 +577,14 @@ def _power_map_target(target):
         data["classes"][1]["powermap"]["2"] = target
         return data
     return edit
+
+
+def _repeated_exponent(data):
+    # 5 + 1 would read as the value 1 if the later term replaced the earlier
+    one = {"modulus": data["exponent"], "terms": [[0, 1]]}
+    row = next(row for row in data["irreducibles"] if one in row[1:])
+    row[row.index(one, 1)] = {**one, "terms": [[0, 5], [0, 1]]}
+    return data
 
 
 def _group_args(tmp_path, data):
@@ -536,6 +660,10 @@ def _explicit_c3_args(tmp_path):
         lambda r, t: _table_args(r, t, _value_at_modulus_30030, "S3"),
         lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 30030}, "S3"),
         lambda r, t: _table_args(r, t, lambda d: {**d, "order": "48"}),
+        lambda r, t: _table_args(r, t, _repeated_exponent),
+        lambda r, t: _table_args(r, t, lambda d: {**d, "order": "\u00b2"}),
+        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4,
+                                     "generators": S4_GENS, "order": "\u00b2"}),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
          "table-power-map-99", "table-power-map-negative",
@@ -545,10 +673,24 @@ def _explicit_c3_args(tmp_path):
          "witness-float-coeff", "witness-bool-coeff", "group-order-float",
          "group-degree-float", "table-float-size", "table-value-modulus-5",
          "table-exponent-0", "table-value-modulus-30030", "table-exponent-30030",
-         "table-order-48"],
+         "table-order-48", "table-repeated-exponent", "table-order-superscript",
+         "group-order-superscript"],
 )
 def test_wrong_json_shape_exits_2(runner, tmp_path, make_args, shared_groups):
     _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
+
+
+@pytest.mark.parametrize("kind", ["table", "group"])
+def test_superscript_order_is_not_a_json_integer(runner, tmp_path, kind):
+    """"\u00b2" is a digit to `str.isdigit` but no decimal to `int`."""
+    if kind == "table":
+        args = _table_args(runner, tmp_path, lambda d: {**d, "order": "\u00b2"})
+    else:
+        args = _group_args(tmp_path, {"format": "perm-group", "degree": 4,
+                                      "generators": S4_GENS, "order": "\u00b2"})
+    r = invoke(runner, *args)
+    assert r.exit_code == 2
+    assert r.stderr.endswith("order must be a JSON integer, got '\u00b2'\n")
 
 
 _UNDECIDED = (f"cannot decide whether {MILLER_RABIN_BOUND} is prime: at or above "
@@ -592,7 +734,7 @@ def test_prime_not_dividing_order_exits_2(runner, args):
         2, f"error: p = {args[-1]} does not divide the group order 24\n")
 
 
-@pytest.mark.parametrize("token", ["C2xC", "C", "Cx"])
+@pytest.mark.parametrize("token", ["C2xC", "C", "Cx", "\u00b2"])
 def test_block_shape_without_an_order_exits_2(runner, token):
     r = invoke(runner, "verify", "S4", "-p", "2", "--subgroup-mode", f"block:{token}")
     assert (r.exit_code, r.stderr) == (2, f"error: cannot parse group shape {token!r}\n")
@@ -679,15 +821,17 @@ def _perm_group_file(path, degree, gens):
 
 
 def test_class_reconciliation_gives_up_at_its_step_bound(runner, tmp_path):
-    """A column-shuffled table of C6 x C6 has 36 classes of equal size, and
-    most orders hold many of them, so the search for a bijection that keeps
-    the power maps could run for millions of steps; it stops at the bound."""
-    G = product_group(cyclic(6), cyclic(6))
-    group = _perm_group_file(tmp_path / "c6c6.json", G.degree,
+    """C2^6 has 64 classes of size 1 and order 2 but one, and values +-1.
+    Switching two values in two rows and two columns keeps every row's and
+    every column's multiset, so the search that would show no bijection
+    matches could run for millions of steps; it stops at the bound."""
+    G = reduce(product_group, [cyclic(2)] * 6)
+    group = _perm_group_file(tmp_path / "c2_6.json", G.degree,
                              [[x + 1 for x in g] for g in G.generators])
     table = tmp_path / "table.json"
     assert invoke(runner, "table", group, "-o", str(table)).exit_code == 0
-    table.write_text(json.dumps(shuffle_columns(json.loads(table.read_text()), 0)))
+    data = json.loads(table.read_text())
+    table.write_text(json.dumps(switch_values(data, value_switches(data)[0])))
     start = time.perf_counter()
     r = invoke(runner, "verify", group, "-p", "2", "--table-g", str(table))
     assert time.perf_counter() - start < 5
