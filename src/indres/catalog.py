@@ -7,7 +7,7 @@ IntegrityError rather than silently producing a smaller group.
 
 from math import factorial
 
-from .groupcore import IntegrityError, PermGroup, _mul, product_group
+from .groupcore import IntegrityError, PermGroup, product_group
 
 
 def _group(degree, gens, order):
@@ -60,31 +60,8 @@ def dihedral(n):
 
 def quaternion8():
     """Q8 by its left regular action; points are 1,-1,i,-i,j,-j,k,-k."""
-    units = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    sign = lambda s: (-1 if s.startswith("-") else 1, s.lstrip("-"))
-
-    def mul(a, b):
-        sa, xa = sign(a)
-        sb, xb = sign(b)
-        table = {
-            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
-        s, x = table[(xa, xb)]
-        s *= sa * sb
-        return x if s == 1 else "-" + x
-
-    idx = {u: t for t, u in enumerate(units)}
-    gi, gj = (
-        tuple(idx[mul(g, u)] for u in units) for g in ("i", "j")
-    )
-    if _mul(gi, gj) == _mul(gj, gi):
-        raise IntegrityError("the quaternion generators commute")
-    return _group(8, [gi, gj], 8)
+    return _group(8, [perm_from_cycles([(1, 3, 2, 4), (5, 7, 6, 8)], 8),
+                      perm_from_cycles([(1, 5, 2, 6), (3, 8, 4, 7)], 8)], 8)
 
 
 def special_linear2(q):

@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import astuple, dataclass
 from itertools import groupby
-from math import lcm
+from math import gcd, prod
 from operator import itemgetter
 
 import click
@@ -73,15 +73,13 @@ def load_group(spec_group):
 
 
 def _parse_abelian_shape(token):
-    """'C2xC2' -> (order, exponent) for matching a defect group."""
-    order, exps = 1, []
+    """'C2xC4' -> [2, 4], the orders of the cyclic factors."""
+    ns = []
     for part in token.split("x"):
         if not (part.startswith("C") and part[1:].isdecimal()):
             raise ValueError(f"cannot parse group shape {token!r}")
-        n = int(part[1:])
-        order *= n
-        exps.append(n)
-    return order, lcm(*exps)
+        ns.append(int(part[1:]))
+    return ns
 
 
 def _pick_block(tG, p, token):
@@ -91,12 +89,18 @@ def _pick_block(tG, p, token):
         if int(token) >= len(blks):
             raise ValueError(f"no block with index {token}")
         return blks[int(token)]
-    order, expo = _parse_abelian_shape(token)
+    ns = _parse_abelian_shape(token)
     for b in blks:
-        if p ** b.defect != order:
+        if p ** b.defect != prod(ns):
             continue
+        # D is abelian when every class is one element, and an abelian group
+        # is the product of cyclic groups of orders ns exactly when
+        # #{x : x^d = 1} = prod gcd(d, n_i) for every d dividing its order
         D = defect_group(tG, b, p)
-        if D.order() == order and D.exponent() == expo:
+        orders = [c.rep_order for c in D.class_data()]
+        if D.order() == len(orders) == prod(ns) and all(
+                sum(d % o == 0 for o in orders) == prod(gcd(d, n) for n in ns)
+                for d in (p ** j for j in range(b.defect + 1))):
             return b
     raise ValueError(f"no block with defect group of shape {token}")
 

@@ -309,13 +309,10 @@ class PermGroup:
             if r != ident:
                 augment(r, at)
 
-        # Schreier closure: every Schreier generator of every level must
-        # strip to the identity
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(len(levels)):
-                lvl = levels[i]
+        def first_failure():
+            # the first Schreier generator, by level, point and generator,
+            # that does not strip to the identity: its residue and level
+            for i, lvl in enumerate(levels):
                 gens = level_gens(i)
                 for pt in sorted(lvl.transversal):
                     u = lvl.transversal[pt]
@@ -323,13 +320,13 @@ class PermGroup:
                         h = _mul(s, u)
                         r, at = _strip(levels, _mul(lvl.inverse(h[lvl.base]), h))
                         if r != ident:
-                            augment(r, at)
-                            dirty = True
-                            break
-                    if dirty:
-                        break
-                if dirty:
-                    break
+                            return r, at
+            return None
+
+        # Schreier closure: every Schreier generator of every level must
+        # strip to the identity
+        while hit := first_failure():
+            augment(*hit)
         # the inverses served the closure; drop them rather than keep one
         # tuple per point for the group's lifetime
         for lvl in levels:
@@ -785,15 +782,6 @@ def _p_part_exponent(order, p):
     return (rest * pow(rest, -1, pv)) % order
 
 
-def _distinct_subgroups(group, subgroups):
-    """One subgroup per element set (the first met), ordered by order and
-    then by sorted element indices."""
-    found = {}
-    for sub in subgroups:
-        found.setdefault(_index_set(group, sub.elements()), sub)
-    return [found[k] for k in sorted(found, key=lambda s: (len(s), sorted(s)))]
-
-
 def qualifying_elementary_subgroups(group, p, maxima):
     """A family of elementary subgroups spanning the induced-character lattice.
 
@@ -802,8 +790,10 @@ def qualifying_elementary_subgroups(group, p, maxima):
     subgroup in the downward closure of `maxima`, a list of p-subgroups of
     `group` (the intersection-set maxima).  Inductions from the returned
     family span the same lattice as inductions from all qualifying
-    subgroups (only containment-maximal members are kept, which leaves the
-    span unchanged).
+    subgroups: only containment-maximal members are kept, one subgroup per
+    element set (the first met), ordered as `_maximal_sets` orders them.
+    For E1 ⊆ E2, Ind_E1^G θ = Ind_E2^G (Ind_E1^E2 θ) (transitivity of
+    induction), so E1 adds nothing to the span.
 
     For ℓ ≠ p, ⟨c⟩ x Sylow_ℓ(C(c)) qualifies exactly when the p-part of c
     lies in a copy (see `_qualifying_copies`).  The copies are whole orbits,
@@ -818,9 +808,9 @@ def qualifying_elementary_subgroups(group, p, maxima):
     subgroups of T.
 
     With maxima = [Sylow_p(group)] every p-subgroup qualifies, and the
-    family is Brauer's: ⟨c⟩ x Sylow_ℓ(C(c)) for every prime ℓ dividing the
-    order and every class of ℓ'-elements c, with the same element sets in
-    the same order.
+    family is the containment-maximal members of Brauer's family
+    ⟨c⟩ x Sylow_ℓ(C(c)), over every prime ℓ dividing the order and every
+    class of ℓ'-elements c.
     """
     copies = _qualifying_copies(group, maxima)
     if not copies:
@@ -859,7 +849,10 @@ def qualifying_elementary_subgroups(group, p, maxima):
             sub = _subgroup_of_rows(degree, E[sorted(F)])
             subs.append(PermGroup(degree, [rep] + list(sub.generators)))
 
-    return _distinct_subgroups(group, subs)
+    found = {}
+    for sub in subs:
+        found.setdefault(_index_set(group, sub.elements()), sub)
+    return [found[s] for s in _maximal_sets(found)]
 
 
 def product_group(A, B):

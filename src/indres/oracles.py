@@ -770,7 +770,9 @@ def brauer_completeness_check(group):
     """Inductions from all elementary subgroups must span all of C(G).
 
     With the Sylow subgroup as the one maximum every p-subgroup qualifies,
-    so the qualifying family at any prime p is Brauer's elementary family.
+    so the qualifying family at any prime p is the containment-maximal
+    members of Brauer's elementary family; by transitivity of induction
+    they span what the whole family spans.
     """
     table = table_for(group)
     p = min(prime_factors(group.order()), default=2)

@@ -1,7 +1,8 @@
 """Shared pytest plumbing: acceptance verdict lines in the summary, groups
-that tests may share, a reference transporter mask, column permutations
-and value switches of stored tables, a hypothesis strategy for small random
-permutation groups, and one hypothesis profile.
+that tests may share, a reference transporter mask, a reference qualifying
+family, column permutations and value switches of stored tables, a
+hypothesis strategy for small random permutation groups, and one
+hypothesis profile.
 
 The profile derandomizes every property test, so each run draws the same
 examples; tests keep their own `max_examples` and `deadline`.
@@ -22,7 +23,10 @@ from hypothesis import strategies as st
 
 from indres.catalog import build
 from indres.cli import load_group
-from indres.groupcore import PermGroup, product_group
+from indres.groupcore import (PermGroup, centralizer, prime_factors, product_group,
+                              sylow_subgroup, v_p, _conjugates_of_set, _index_set,
+                              _maximal_sets, _subgroup_of_rows)
+from indres.oracles import _perm_power
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
@@ -47,6 +51,62 @@ def full_transporter_mask(G, K, L, lo=0, hi=None):
         ka = np.asarray(k, dtype=E.dtype)
         mask &= L.rows_in(np.take_along_axis(E, ka[Einv], axis=1))
     return mask
+
+
+def all_pairs_maximal_sets(sets):
+    """The containment-maximal sets, each set tested against every kept
+    set, equal sizes included."""
+    kept = []
+    for s in sorted(set(sets), key=lambda s: (-len(s), sorted(s))):
+        if not any(s <= big for big in kept):
+            kept.append(s)
+    return kept
+
+
+def pairwise_copies(group, maxima):
+    """Every conjugate of every maximum, kept unless it lies in another kept
+    conjugate: the pairwise form of `groupcore._qualifying_copies`."""
+    return set(all_pairs_maximal_sets(
+        c for S in maxima
+        for c in _conjugates_of_set(group, _index_set(group, S.elements()))))
+
+
+def distinct_qualifying_family(group, p, maxima):
+    """The qualifying elementary subgroups before containment-maximal
+    pruning, one per element set, ordered by size and then by sorted
+    members, built from `pairwise_copies` with an element test: for ℓ ≠ p,
+    ⟨c⟩ x Sylow_ℓ(C(c)) is kept when the p-part of c lies in a copy; for a
+    p'-element c ≠ 1, ⟨c⟩ x F for F among the maximal sets
+    Sylow_p(C(c)) ∩ copy; and the maxima that are copies.  Its
+    containment-maximal element sets are those of
+    `groupcore.qualifying_elementary_subgroups`."""
+    copies = pairwise_copies(group, maxima)
+    E = group.elements()
+    found = {}
+
+    def add(sub):
+        found.setdefault(_index_set(group, sub.elements()), sub)
+
+    for c in group.class_data():
+        rep, order = c.representative, c.rep_order
+        pv = p ** v_p(order, p)
+        # the p-part is rep^t for t = 1 mod pv and t = 0 mod order / pv
+        t = next(t for t in range(order) if t % pv == 1 % pv and t % (order // pv) == 0)
+        x = int(group.index_of([_perm_power(rep, t)])[0])
+        for ell in prime_factors(group.order()):
+            if ell != p and order % ell and any(x in K for K in copies):
+                S = sylow_subgroup(centralizer(group, rep), ell)
+                add(PermGroup(group.degree, [rep, *S.generators]))
+        if order == 1:
+            for S in maxima:
+                if _index_set(group, S.elements()) in copies:
+                    add(S)
+        elif pv == 1:
+            T = _index_set(group, sylow_subgroup(centralizer(group, rep), p).elements())
+            for F in _maximal_sets(T & K for K in copies):
+                F = _subgroup_of_rows(group.degree, E[sorted(F)])
+                add(PermGroup(group.degree, [rep, *F.generators]))
+    return [found[s] for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
 def permute_columns(data, perm):

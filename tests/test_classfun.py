@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import sympy
 
-from conftest import shared_group
+from conftest import distinct_qualifying_family, shared_group
 from indres.blocks import block_partition, defect_group
 from indres.catalog import BUILDERS, build, perm_from_cycles, special_linear2
 from indres.chartab import (
@@ -231,14 +231,15 @@ SMALL_CATALOG = sorted(n for n in BUILDERS if build(n).order() <= 2000)
 def test_restriction_matrix_matches_the_entry_loop():
     """The one matrix product gives the per-entry loop's R on every
     (G or N_G(P), qualifying elementary subgroup) pair of the catalog
-    groups of order <= 2000, at every prime."""
+    groups of order <= 2000, at every prime; the subgroups are the whole
+    distinct family, before containment-maximal pruning."""
     pairs = 0
     for name in SMALL_CATALOG:
         G = shared_group(name)
         for p in prime_factors(G.order()):
             inst = make_instance(G, p, name=name)
             for big in (inst.tG, inst.tH):
-                for E in qualifying_elementary_subgroups(big.group, p, inst.s_maxima):
+                for E in distinct_qualifying_family(big.group, p, inst.s_maxima):
                     small = table_for(E)
                     assert restriction_matrix(big, small) == _loop_restriction(big, small)
                     pairs += 1

@@ -740,6 +740,39 @@ def test_block_shape_without_an_order_exits_2(runner, token):
     assert (r.exit_code, r.stderr) == (2, f"error: cannot parse group shape {token!r}\n")
 
 
+@pytest.mark.parametrize("group", ["S4", "Q8"])
+def test_block_shape_of_the_same_order_and_exponent_exits_2(runner, group):
+    """The one 2-block of S4 has defect group D8, and that of Q8 is Q8:
+    each has the order and exponent of C2 x C4, but neither is abelian."""
+    r = invoke(runner, "verify", group, "-p", "2", "--subgroup-mode", "block:C2xC4")
+    assert (r.exit_code, r.stderr) == (
+        2, "error: no block with defect group of shape C2xC4\n")
+
+
+@pytest.mark.parametrize("token, matches", [
+    ("C2xC4", True), ("C4xC2", True), ("C8", False), ("C2xC2xC2", False)])
+def test_block_shape_names_its_abelian_group(token, matches):
+    """C2 x C4 is its own one 2-block's defect group: both orders of its
+    factors name it, and the other abelian groups of order 8 do not."""
+    table = table_for(PermGroup(6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)]))
+    if matches:
+        assert cli._pick_block(table, 2, token).index == 0
+    else:
+        with pytest.raises(ValueError, match="^no block with defect group of shape"):
+            cli._pick_block(table, 2, token)
+
+
+def test_pind_on_sl2_13_builds_one_table_per_maximal_subgroup(runner, monkeypatch):
+    """`verify SL2_13 -p 2 --props pind` builds 15 tables: G, N_G(P) and
+    the containment-maximal qualifying subgroups of the two sides."""
+    orders = []
+    build_table = correspondence.character_table
+    monkeypatch.setattr(correspondence, "character_table",
+                        lambda group: orders.append(group.order()) or build_table(group))
+    r = invoke(runner, "verify", "SL2_13", "-p", "2", "--props", "pind")
+    assert (r.exit_code, len(orders)) == (0, 15)
+
+
 @pytest.mark.parametrize("h_block", [1, 2])
 def test_witness_naming_a_non_correspondent_pair_exits_2(runner, tmp_path, h_block,
                                                          shared_groups):

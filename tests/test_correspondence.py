@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from conftest import shared_group
+from conftest import distinct_qualifying_family, shared_group
 from indres import correspondence
 from indres.blocks import block_partition
 from indres.catalog import BUILDERS, build
@@ -36,9 +36,9 @@ from indres.correspondence import (
     quotients_q1_q2,
     subsets_of,
 )
-from indres.correspondence import _lex_signed_matching, _s_is_trivial
+from indres.correspondence import _induced_span, _lex_signed_matching, _s_is_trivial
 from indres.groupcore import (MILLER_RABIN_BOUND, PermGroup, normalizer, prime_factors,
-                              sylow_subgroup)
+                              product_group, sylow_subgroup)
 from indres.lattice import IntLattice, coordinate_restrict
 from indres.oracles import (block_splitting_holds, brauer_completeness_check,
                             theorem26_selftest, value_at)
@@ -706,3 +706,35 @@ def test_property_g_block_test_matches_transform_loops(monkeypatch):
             assert got == _reference_transforms_hold(inst, b, e, nu), (inst.name, b, e)
             verdicts[got] += 1
     assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in BUILDERS if build(n).order() <= 2000))
+def test_induced_lattice_from_the_maximal_family_matches_the_distinct_family(name):
+    """Inductions from the containment-maximal qualifying subgroups span
+    what inductions from every distinct qualifying subgroup span, on G and
+    on N_G(P), at every prime (transitivity of induction)."""
+    G = shared_group(name)
+    for p in prime_factors(G.order()):
+        inst = make_instance(G, p, name=name)
+        for side in ("G", "H"):
+            table = inst.table(side)
+            full = _induced_span(
+                table, distinct_qualifying_family(table.group, p, inst.s_maxima))
+            assert build_induced_lattice(inst, side).canonical() == full.canonical(), (
+                p, side)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "D8xC3"])
+def test_product_lattice_from_the_maximal_family_matches_the_distinct_family(name):
+    """I(G x H, diag P, diag S) at p = 2, as `product_induced_lattice` builds
+    it and from every distinct qualifying subgroup of G x H.  The maximal
+    family keeps 3 of 4 subgroups on S4 and 3 of 10 on A5; D8xC3 has a
+    normal Sylow 2-subgroup, so no maxima and the zero lattice."""
+    inst = make_instance(build(name), 2, name=name)
+    GH = product_group(inst.G, inst.H)
+    dG = inst.G.degree
+    dmax = [GH.subgroup([g + tuple(x + dG for x in g) for g in S.generators])
+            for S in inst.s_maxima]
+    full = _induced_span(pair_table(inst), distinct_qualifying_family(GH, 2, dmax))
+    assert product_induced_lattice(inst).canonical() == full.canonical()

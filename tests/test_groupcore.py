@@ -33,7 +33,6 @@ from indres.groupcore import (
     sylow_subgroup,
     v_p,
     _index_set,
-    _conjugates_of_set,
     _inv,
     _maximal_sets,
     _mul,
@@ -43,7 +42,9 @@ from indres.groupcore import (
 )
 from indres.oracles import _conj, _perm_power, all_subgroups
 
-from conftest import full_transporter_mask, shared_group, small_perm_groups
+from conftest import (all_pairs_maximal_sets, distinct_qualifying_family,
+                      full_transporter_mask, pairwise_copies, shared_group,
+                      small_perm_groups)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -395,24 +396,6 @@ def test_maximal_qualifying_psubgroups_match_brute_force(name):
                 assert got == sorted(brute, key=lambda s: (-len(s), sorted(s)))
 
 
-def _all_pairs_maximal_sets(sets):
-    """The containment-maximal sets, each set tested against every kept
-    set, equal sizes included."""
-    kept = []
-    for s in sorted(set(sets), key=lambda s: (-len(s), sorted(s))):
-        if not any(s <= big for big in kept):
-            kept.append(s)
-    return kept
-
-
-def _pairwise_copies(group, maxima):
-    """Every conjugate of every maximum, kept unless it lies in another kept
-    conjugate: the pairwise form of `_qualifying_copies`."""
-    return set(_all_pairs_maximal_sets(
-        c for S in maxima
-        for c in _conjugates_of_set(group, _index_set(group, S.elements()))))
-
-
 @pytest.mark.parametrize(
     "name", [n for n, make in BUILDERS.items() if make().order() <= 100000]
 )
@@ -425,7 +408,7 @@ def test_qualifying_copies_are_the_pairwise_maximal_conjugates(name):
         N = normalizer(G, P)
         s_maxima = intersection_set_maxima(G, P, N)
         for side in (G, N):
-            assert _qualifying_copies(side, s_maxima) == _pairwise_copies(side, s_maxima), (
+            assert _qualifying_copies(side, s_maxima) == pairwise_copies(side, s_maxima), (
                 p, side.order())
 
 
@@ -446,7 +429,7 @@ def test_qualifying_copies_drop_maxima_conjugate_into_larger_ones(name, h_cycles
     assert [S.order() for S in s_maxima] == [largest, largest // 2, largest // 2]
     for side in (G, H):
         copies = _qualifying_copies(side, s_maxima)
-        assert copies == _pairwise_copies(side, s_maxima)
+        assert copies == pairwise_copies(side, s_maxima)
         assert [_index_set(side, S.elements()) in copies for S in s_maxima] == [
             True, False, False]
         got = qualifying_elementary_subgroups(side, 2, s_maxima)
@@ -467,7 +450,7 @@ def test_orbit_rules_match_the_direct_loops_on_random_groups(G):
             got = [_index_set(P, S.elements()) for S in s_maxima]
             assert got == _coset_loop_maxima(G, P, H), (p, H.order())
             for side in (G, H):
-                assert _qualifying_copies(side, s_maxima) == _pairwise_copies(
+                assert _qualifying_copies(side, s_maxima) == pairwise_copies(
                     side, s_maxima), (p, H.order(), side.order())
 
 
@@ -487,14 +470,14 @@ def set_families(draw):
 @given(set_families())
 @settings(max_examples=200, deadline=None)
 def test_maximal_sets_match_the_all_pairs_loop(family):
-    assert _maximal_sets(iter(family)) == _all_pairs_maximal_sets(family)
+    assert _maximal_sets(iter(family)) == all_pairs_maximal_sets(family)
 
 
 def _brauer_family_sets(group):
-    """Element sets of ⟨c⟩ x Sylow_ℓ(C(c)) for every prime ℓ dividing the
-    order and every class of ℓ'-elements c, ordered by size and then by
-    sorted members: the elementary family of Brauer's induction theorem,
-    built directly."""
+    """The containment-maximal element sets of ⟨c⟩ x Sylow_ℓ(C(c)) over
+    every prime ℓ dividing the order and every class of ℓ'-elements c, in
+    `_maximal_sets` order: the elementary family of Brauer's induction
+    theorem, built directly and then pruned."""
     sets = set()
     for ell in prime_factors(group.order()):
         for c in group.class_data():
@@ -503,7 +486,7 @@ def _brauer_family_sets(group):
             rep = c.representative
             S = sylow_subgroup(centralizer(group, rep), ell)
             sets.add(_index_set(group, PermGroup(group.degree, [rep, *S.generators]).elements()))
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+    return _maximal_sets(sets)
 
 
 @pytest.mark.parametrize(
@@ -511,7 +494,8 @@ def _brauer_family_sets(group):
 )
 def test_sylow_maximum_gives_brauer_family(name):
     """With the Sylow p-subgroup as the one maximum every p-subgroup
-    qualifies, and the qualifying family is Brauer's, at every prime."""
+    qualifies, and the qualifying family is the containment-maximal
+    members of Brauer's, at every prime."""
     G = build(name)
     want = _brauer_family_sets(G)
     for p in prime_factors(G.order()):
@@ -520,33 +504,11 @@ def test_sylow_maximum_gives_brauer_family(name):
 
 
 def _elementwise_family_sets(group, p, maxima):
-    """Element sets of the family that `qualifying_elementary_subgroups`
-    returns, ordered by size and then by sorted members, built from
-    `_pairwise_copies` with an element test: for ℓ ≠ p, ⟨c⟩ x Sylow_ℓ(C(c))
-    is kept when the p-part of c lies in a copy."""
-    copies = _pairwise_copies(group, maxima)
-    E = group.elements()
-    sets = set()
-
-    def add(gens):
-        sets.add(_index_set(group, PermGroup(group.degree, gens).elements()))
-
-    for c in group.class_data():
-        rep, order = c.representative, c.rep_order
-        pv = p ** v_p(order, p)
-        # the p-part is rep^t for t = 1 mod pv and t = 0 mod order / pv
-        t = next(t for t in range(order) if t % pv == 1 % pv and t % (order // pv) == 0)
-        x = int(group.index_of([_perm_power(rep, t)])[0])
-        for ell in prime_factors(group.order()):
-            if ell != p and order % ell and any(x in K for K in copies):
-                add([rep, *sylow_subgroup(centralizer(group, rep), ell).generators])
-        if order == 1:
-            sets.update({_index_set(group, S.elements()) for S in maxima} & copies)
-        elif pv == 1:
-            T = _index_set(group, sylow_subgroup(centralizer(group, rep), p).elements())
-            for F in _maximal_sets(T & K for K in copies):
-                add([rep, *_subgroup_of_rows(group.degree, E[sorted(F)]).generators])
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+    """The containment-maximal element sets of `distinct_qualifying_family`,
+    in `_maximal_sets` order: the family that
+    `qualifying_elementary_subgroups` returns, built with an element test."""
+    return _maximal_sets(_index_set(group, S.elements())
+                         for S in distinct_qualifying_family(group, p, maxima))
 
 
 @pytest.mark.parametrize(
@@ -565,6 +527,24 @@ def test_qualifying_family_matches_the_elementwise_test(name):
             got = qualifying_elementary_subgroups(side, p, s_maxima)
             assert [_index_set(side, S.elements()) for S in got] == (
                 _elementwise_family_sets(side, p, s_maxima)), (p, side.order())
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, make in BUILDERS.items() if make().order() <= 20000]
+)
+def test_qualifying_family_is_an_antichain(name):
+    """No member's element set lies inside another's, on G and on N_G(P),
+    at every prime, with the intersection-set maxima and with the Sylow
+    subgroup as the one maximum."""
+    G = build(name)
+    for p in prime_factors(G.order()):
+        P = sylow_subgroup(G, p)
+        N = normalizer(G, P)
+        for side, maxima in ((G, intersection_set_maxima(G, P, N)), (N, [P]), (G, [P])):
+            sets = [_index_set(side, S.elements())
+                    for S in qualifying_elementary_subgroups(side, p, maxima)]
+            assert not [(a, b) for a in sets for b in sets if a is not b and a <= b], (
+                p, side.order())
 
 
 def test_product_group_and_splitting():
