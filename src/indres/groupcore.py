@@ -12,11 +12,15 @@ generator by generator: each generator of the normalized subgroup is
 conjugated only by the elements that passed the generators before it.
 
 Inside a group, an element's identity is its row index in that sorted
-matrix (`PermGroup.index_of`).  Indices are in lexicographic order, so a
-sorted set of indices lists its elements lexicographically, and sets of
-elements are sets of ints.  Public outputs are deterministic functions of
-the abstract group and its degree, never of the generator presentation,
-unless noted otherwise.
+matrix (`PermGroup.index_of`), an int32: a group of order above
+`INDEX_MAX` = 2**31 - 1 has no element matrix.  Indices are in
+lexicographic order, so a sorted set of indices lists its elements
+lexicographically.  Arrays over every element (chain ranks, conjugation
+maps, class ids) hold int32 indices, and an orbit of element sets under
+conjugation is an int32 matrix with one sorted row per conjugate; readers
+turn a row into a set of ints only to intersect with it.  Public outputs
+are deterministic functions of the abstract group and its degree, never of
+the generator presentation, unless noted otherwise.
 
 Everything derived from a group (its stabilizer chain, order, element
 matrix, classes and power classes, centralizers, normalizers, Sylow
@@ -40,9 +44,13 @@ DTYPE = np.int16
 MAX_DEGREE = int(np.iinfo(DTYPE).max) + 1
 
 DEFAULT_ORDER_BUDGET = 10**6
+# Element indices are int32: the largest group order with an element matrix.
+INDEX_MAX = int(np.iinfo(np.int32).max)
 
 # Rows per block of a first-hit scan over a group's element matrix.
 _SCAN_BLOCK = 1024
+# Rows per block of `index_of` and of the centralizer's base-point filter.
+_INDEX_BLOCK = 1 << 14
 
 
 class BudgetExceeded(RuntimeError):
@@ -357,21 +365,30 @@ class PermGroup:
 
     @_memo
     def _element_matrix(self):
-        # the sorted element matrix, and the row of each chain rank
-        E = np.arange(self.degree, dtype=DTYPE)[None, :]
+        """The sorted element matrix, and the int32 row of each chain rank.
+
+        The elements are filled into one matrix, level by level, not
+        stacked from per-point blocks.  An order past `INDEX_MAX` raises
+        BudgetExceeded before anything is allocated.
+        """
+        n = self.order()
+        if n > INDEX_MAX:
+            raise BudgetExceeded(f"order {n} exceeds the element index bound {INDEX_MAX}")
+        E = np.empty((n, self.degree), dtype=DTYPE)
+        E[0] = np.arange(self.degree)
+        size = 1
         for lvl in reversed(self._chain()):
-            blocks = []
-            for pt in sorted(lvl.transversal):
-                u = np.asarray(lvl.transversal[pt], dtype=DTYPE)
-                blocks.append(u[E])
-            E = np.vstack(blocks)
-        if len(E) != self.order():
-            raise IntegrityError("element matrix size differs from the chain order")
+            us = [np.asarray(lvl.transversal[pt], dtype=DTYPE)
+                  for pt in sorted(lvl.transversal)]
+            # block j becomes u_j applied to block 0, which goes last
+            for j in reversed(range(len(us))):
+                E[j * size:(j + 1) * size] = us[j][E[:size]]
+            size *= len(us)
         # before sorting, row r is the element of chain rank r
         order = np.lexsort(E.T[::-1])
-        row_of_rank = np.empty_like(order)
-        row_of_rank[order] = np.arange(len(order))
-        return np.ascontiguousarray(E[order]), row_of_rank
+        row_of_rank = np.empty(n, dtype=np.int32)
+        row_of_rank[order] = np.arange(n, dtype=np.int32)
+        return E[order], row_of_rank
 
     @_memo
     def _rank_tables(self):
@@ -404,16 +421,22 @@ class PermGroup:
         E, row_of_rank = self._element_matrix()
         M = np.asarray(M, dtype=DTYPE)
         tables = self._rank_tables()
-        # row j of B holds the images of the j-th unstripped base point, so
-        # each level gathers contiguous rows
-        B = M.T[[base for base, _, _, _ in tables]]
-        rank = np.zeros(len(M), dtype=np.intp)
-        for _, pos, size, uinv in tables:
-            r = pos.take(B[0])
-            rank = rank * size + r
-            B = uinv.take(r * self.degree + B[1:])
-        idx = row_of_rank[rank]
-        return np.where(np.all(E[idx] == M, axis=1), idx, -1)
+        bases = [base for base, _, _, _ in tables]
+        idx = np.empty(len(M), dtype=np.int32)
+        for lo in range(0, len(M), _INDEX_BLOCK):
+            block = M[lo:lo + _INDEX_BLOCK]
+            # row j of B holds the images of the j-th unstripped base point,
+            # so each level gathers contiguous rows
+            B = block.T[bases]
+            rank = np.zeros(len(block), dtype=np.int32)
+            for _, pos, size, uinv in tables:
+                r = pos.take(B[0])
+                rank = rank * size + r
+                B = uinv.take(r * self.degree + B[1:])
+            found = row_of_rank[rank]
+            same = np.all(E[found] == block, axis=1)
+            idx[lo:lo + len(block)] = np.where(same, found, -1)
+        return idx
 
     @_memo
     def inverses(self):
@@ -506,7 +529,7 @@ def _class_sweep(G):
     E = G.elements()
     perms = _conjugation_perms(G)
     # min-label propagation: each class ends up labelled by its least index
-    label = np.arange(len(E))
+    label = np.arange(len(E), dtype=np.int32)
     while True:
         nxt = label
         for perm in perms:
@@ -515,7 +538,11 @@ def _class_sweep(G):
         if np.array_equal(nxt, label):
             break
         label = nxt
-    reps, class_id, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    # a class's least index labels itself; number the classes in that order
+    is_rep = label == np.arange(len(E), dtype=np.int32)
+    reps = np.flatnonzero(is_rep)
+    class_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
+    sizes = np.bincount(class_id)
     raw = [(tuple(int(x) for x in E[r]), int(n)) for r, n in zip(reps, sizes)]
 
     orders = [_perm_order(rep) for rep, _ in raw]
@@ -548,6 +575,12 @@ def _conjugation_perms(G):
     E = G.elements()
     gens = [np.asarray(s, dtype=DTYPE) for s in G.generators]
     return [_member_indices(G, s[E[:, np.argsort(s)]]) for s in gens]
+
+
+def _row_keys(A):
+    """The rows of a C-contiguous matrix as one void scalar each, so that
+    rows compare, sort and match as wholes."""
+    return A.view(np.dtype((np.void, A.shape[1] * A.itemsize)))[:, 0]
 
 
 def _member_indices(G, M):
@@ -643,7 +676,9 @@ def _centralizer(G, images):
     E = G.elements()
     xa = np.asarray(images, dtype=DTYPE)
     base = [lvl.base for lvl in G._chain()]
-    rows = E[np.all(E[:, xa[base]] == xa[E[:, base]], axis=1)]
+    blocks = (E[lo:lo + _INDEX_BLOCK] for lo in range(0, len(E), _INDEX_BLOCK))
+    rows = np.concatenate([B[np.all(B[:, xa[base]] == xa[B[:, base]], axis=1)]
+                           for B in blocks])
     return _subgroup_of_rows(G.degree, rows[np.all(rows[:, xa] == xa[rows], axis=1)])
 
 
@@ -710,17 +745,18 @@ def intersection_set_maxima(G, P, H):
     if H.order() == G.order():
         return []
     E = G.elements()
-    in_G = _member_indices(G, H.elements())
-    p_set = _index_set(G, P.elements())
-    conj_G = _conjugates_of_set(G, p_set)
-    conj_H = {frozenset(in_G[list(Q)].tolist())
-              for Q in _conjugates_of_set(H, _index_set(H, P.elements()))}
+    p_rows = _member_indices(G, P.elements())
+    conj_G = _conjugate_orbit(G, p_rows)
+    # G-indices ascend with H's own, so the mapped rows stay sorted
+    conj_H = _member_indices(G, H.elements())[
+        _conjugate_orbit(H, _member_indices(H, P.elements()))]
     if len(conj_G) * H.order() != len(conj_H) * G.order():
         raise ValueError("H does not contain the normalizer of P")
+    outside = conj_G[~np.isin(_row_keys(conj_G), _row_keys(conj_H))]
     # G-indices of P's elements ascend with P's own, so sets of either kind
     # sort alike and list the same rows
     return [_subgroup_of_rows(G.degree, E[sorted(s)])
-            for s in _maximal_sets(p_set & Q for Q in conj_G - conj_H)]
+            for s in _maximal_sets(_meets(p_rows, outside))]
 
 
 def _maximal_sets(sets):
@@ -733,43 +769,53 @@ def _maximal_sets(sets):
     return kept
 
 
-def _conjugates_of_set(group, iset):
-    """All conjugates, under `group`, of a set of its element indices."""
+def _conjugate_orbit(group, members):
+    """All conjugates, under `group`, of a set of its element indices, as
+    the rows of an int32 matrix: each row sorted, the rows distinct and
+    ordered by `_row_keys`."""
     perms = _conjugation_perms(group)
-    seen = {iset}
-    frontier = [iset]
-    while frontier:
-        new = []
-        for S in frontier:
-            members = np.fromiter(S, dtype=np.intp, count=len(S))
-            for perm in perms:
-                T = frozenset(perm[members].tolist())
-                if T not in seen:
-                    seen.add(T)
-                    new.append(T)
-        frontier = new
-    return seen
+    orbit = frontier = np.sort(np.asarray(members, dtype=np.int32))[None, :]
+    while len(frontier):
+        rows = np.concatenate([orbit, *(np.sort(perm[frontier], axis=1) for perm in perms)])
+        first = np.unique(_row_keys(rows), return_index=True)[1]
+        frontier = rows[first[first >= len(orbit)]]
+        orbit = rows[first]
+    return orbit
+
+
+def _meets(members, rows):
+    """The distinct sets `members` ∩ row over the rows of an index matrix,
+    as frozensets of element indices."""
+    kept = np.where(np.isin(rows, members, kind="table"), rows, -1)
+    kept = kept[np.unique(_row_keys(kept), return_index=True)[1]]
+    return {frozenset(row[row >= 0].tolist()) for row in kept}
+
+
+def _has_row(orbit, members):
+    """Whether the sorted index array `members` is a row of `orbit`."""
+    return orbit.shape[1] == len(members) and bool((orbit == members).all(axis=1).any())
 
 
 def _qualifying_copies(group, maxima):
     """The containment-maximal conjugates, under `group`, of the maxima, as
-    a set of sets of element indices; a p-subgroup of `group` qualifies
-    exactly when it lies in one of them.
+    a list of `_conjugate_orbit` matrices; a p-subgroup of `group`
+    qualifies exactly when it lies in one of their rows.
 
     tS't^{-1} ⊆ uSu^{-1} exactly when a conjugate of S' (by u^{-1}t) lies in
     S itself, and then every conjugate of S' lies in a conjugate of S.  So
     the copies are the whole orbits of the maxima that no conjugate places
     inside a strictly larger maximum (sets of equal size nest only when
-    equal, and the union drops those repeats).
+    equal, and an orbit already kept is not kept twice).
     """
-    sets = {_index_set(group, S.elements()) for S in maxima}
-    copies = set()
+    sets = [_member_indices(group, S.elements()) for S in maxima]
+    copies = []
     for s in sets:
-        if s in copies:
+        if any(_has_row(orbit, s) for orbit in copies):
             continue
-        orbit = _conjugates_of_set(group, s)
-        if not any(c <= big for big in sets if len(big) > len(s) for c in orbit):
-            copies |= orbit
+        orbit = _conjugate_orbit(group, s)
+        if not any(np.isin(orbit, big, kind="table").all(axis=1).any()
+                   for big in sets if len(big) > len(s)):
+            copies.append(orbit)
     return copies
 
 
@@ -842,10 +888,11 @@ def qualifying_elementary_subgroups(group, p, maxima):
         rep = c.representative
         if c.rep_order == 1:
             # the maxima that no copy strictly contains
-            subs.extend(S for S in maxima if _index_set(group, S.elements()) in copies)
+            subs.extend(S for S in maxima if any(
+                _has_row(orbit, _member_indices(group, S.elements())) for orbit in copies))
             continue
-        T = _index_set(group, sylow_subgroup(centralizer(group, rep), p).elements())
-        for F in _maximal_sets(T & copy for copy in copies):
+        T = _member_indices(group, sylow_subgroup(centralizer(group, rep), p).elements())
+        for F in _maximal_sets(F for orbit in copies for F in _meets(T, orbit)):
             sub = _subgroup_of_rows(degree, E[sorted(F)])
             subs.append(PermGroup(degree, [rep] + list(sub.generators)))
 

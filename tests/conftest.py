@@ -1,8 +1,8 @@
 """Shared pytest plumbing: acceptance verdict lines in the summary, groups
-that tests may share, a reference transporter mask, a reference qualifying
-family, column permutations and value switches of stored tables, a
-hypothesis strategy for small random permutation groups, and one
-hypothesis profile.
+that tests may share, a reference transporter mask, a reference conjugate
+orbit and qualifying family, column permutations and value switches of
+stored tables, a hypothesis strategy for small random permutation groups,
+and one hypothesis profile.
 
 The profile derandomizes every property test, so each run draws the same
 examples; tests keep their own `max_examples` and `deadline`.
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from indres.catalog import build
 from indres.cli import load_group
 from indres.groupcore import (PermGroup, centralizer, prime_factors, product_group,
-                              sylow_subgroup, v_p, _conjugates_of_set, _index_set,
+                              sylow_subgroup, v_p, _conjugation_perms, _index_set,
                               _maximal_sets, _subgroup_of_rows)
 from indres.oracles import _perm_power
 
@@ -63,12 +63,41 @@ def all_pairs_maximal_sets(sets):
     return kept
 
 
+def frozenset_orbit(group, iset):
+    """All conjugates, under `group`, of a frozenset of its element indices,
+    as a set of frozensets, found breadth first: the reference for
+    `groupcore._conjugate_orbit`."""
+    perms = _conjugation_perms(group)
+    seen = {iset}
+    frontier = [iset]
+    while frontier:
+        new = []
+        for S in frontier:
+            members = np.fromiter(S, dtype=np.intp, count=len(S))
+            for perm in perms:
+                T = frozenset(perm[members].tolist())
+                if T not in seen:
+                    seen.add(T)
+                    new.append(T)
+        frontier = new
+    return seen
+
+
+def copy_sets(copies):
+    """The rows of `groupcore._qualifying_copies` orbits as one set of
+    frozensets; no row may repeat, within an orbit or across orbits."""
+    sets = {frozenset(row) for orbit in copies for row in orbit.tolist()}
+    if len(sets) != sum(len(orbit) for orbit in copies):
+        raise AssertionError("a conjugate repeats among the copies")
+    return sets
+
+
 def pairwise_copies(group, maxima):
     """Every conjugate of every maximum, kept unless it lies in another kept
     conjugate: the pairwise form of `groupcore._qualifying_copies`."""
     return set(all_pairs_maximal_sets(
         c for S in maxima
-        for c in _conjugates_of_set(group, _index_set(group, S.elements()))))
+        for c in frozenset_orbit(group, _index_set(group, S.elements()))))
 
 
 def distinct_qualifying_family(group, p, maxima):

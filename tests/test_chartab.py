@@ -29,6 +29,7 @@ from indres.chartab import (
     _inverse_dft,
     _mod_dtype,
     _nullspace_mod,
+    _phi_reduction,
     _poly_roots_mod,
     _prime_above,
     _root_of_unity,
@@ -126,6 +127,44 @@ def test_root_relations():
     assert one + w + w * w == Cyclotomic(3)
     i = Cyclotomic.zeta(4, 1)
     assert i * i == Cyclotomic.from_int(4, -1)
+
+
+def _eager_reduction_rows(m):
+    """Every row x^e mod Phi_m, d <= e < m, each from the one before: the
+    reference for the rows `_phi_reduction` builds on demand."""
+    coeffs = _cyclotomic_coeffs(m)
+    d = len(coeffs) - 1
+    tail = [-c for c in coeffs[:-1]]
+    rows, cur = {}, list(tail)
+    for e in range(d, m):
+        rows[e] = tuple(cur)
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        for i in range(d):
+            cur[i] += lead * tail[i]
+    return rows
+
+
+@pytest.mark.parametrize("ms", [range(1, 301), range(301, 601), [1092, 1320]],
+                         ids=["m-to-300", "m-to-600", "m-1092-1320"])
+def test_lazy_reduction_rows_match_the_eager_rows(ms):
+    """Rows are looked up in a shuffled order, so most are built from a
+    stored row below them rather than from x^d; only the rows looked up
+    are stored."""
+    rng = random.Random(0)
+    for m in ms:
+        want = _eager_reduction_rows(m)
+        d, rows = _phi_reduction.__wrapped__(m)
+        assert d == len(_cyclotomic_coeffs(m)) - 1
+        order = list(want)
+        rng.shuffle(order)
+        asked = order[:len(order) // 3]
+        assert [rows[e] for e in asked] == [want[e] for e in asked], m
+        assert sorted(rows) == sorted(asked), m
+        assert {e: rows[e] for e in order} == want, m
+        for e in (d - 1, m):
+            with pytest.raises(KeyError):
+                rows[e]
 
 
 def test_cyclotomic_coeffs_match_sympy():

@@ -693,6 +693,30 @@ def test_superscript_order_is_not_a_json_integer(runner, tmp_path, kind):
     assert r.stderr.endswith("order must be a JSON integer, got '\u00b2'\n")
 
 
+def _long_generator_args(tmp_path):
+    return _group_args(tmp_path, {"format": "perm-group", "degree": 3,
+                                  "generators": [[2, 1, 3, 4]]})
+
+
+@pytest.mark.parametrize(
+    "make_args, message",
+    [
+        (lambda t: ["verify", "S4", "-p", "2", "--subgroup-mode", "bogus"],
+         "unknown subgroup mode 'bogus'"),
+        (lambda t: ["verify", "S4", "-p", "2", "--h-mode", "bogus"],
+         "unknown overgroup mode 'bogus'"),
+        (lambda t: ["oracle", "subgroup-lattice", "S4"], "subgroup-lattice needs -p"),
+        (_long_generator_args, "generator degree exceeds the group degree"),
+    ],
+    ids=["subgroup-mode-bogus", "h-mode-bogus", "subgroup-lattice-without-p",
+         "generator-longer-than-degree"],
+)
+def test_unknown_modes_and_bad_arguments_exit_2(runner, tmp_path, make_args, message):
+    r = invoke(runner, *make_args(tmp_path))
+    _assert_one_line_error(r)
+    assert r.stderr == f"error: {message}\n"
+
+
 _UNDECIDED = (f"cannot decide whether {MILLER_RABIN_BOUND} is prime: at or above "
               f"the Miller-Rabin bound {MILLER_RABIN_BOUND}")
 

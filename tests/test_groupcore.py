@@ -32,6 +32,8 @@ from indres.groupcore import (
     split_product_images,
     sylow_subgroup,
     v_p,
+    _conjugate_orbit,
+    _conjugation_perms,
     _index_set,
     _inv,
     _maximal_sets,
@@ -42,9 +44,9 @@ from indres.groupcore import (
 )
 from indres.oracles import _conj, _perm_power, all_subgroups
 
-from conftest import (all_pairs_maximal_sets, distinct_qualifying_family,
-                      full_transporter_mask, pairwise_copies, shared_group,
-                      small_perm_groups)
+from conftest import (all_pairs_maximal_sets, copy_sets, distinct_qualifying_family,
+                      frozenset_orbit, full_transporter_mask, pairwise_copies,
+                      shared_group, small_perm_groups)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -384,7 +386,7 @@ def test_maximal_qualifying_psubgroups_match_brute_force(name):
         H = normalizer(G, P)
         s_maxima = intersection_set_maxima(G, P, H)
         for side in (G, H):
-            copies = _qualifying_copies(side, s_maxima)
+            copies = copy_sets(_qualifying_copies(side, s_maxima))
             for c in side.class_data():
                 if c.rep_order == 1 or c.rep_order % p == 0:
                     continue
@@ -408,8 +410,28 @@ def test_qualifying_copies_are_the_pairwise_maximal_conjugates(name):
         N = normalizer(G, P)
         s_maxima = intersection_set_maxima(G, P, N)
         for side in (G, N):
-            assert _qualifying_copies(side, s_maxima) == pairwise_copies(side, s_maxima), (
-                p, side.order())
+            assert copy_sets(_qualifying_copies(side, s_maxima)) == pairwise_copies(
+                side, s_maxima), (p, side.order())
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, make in BUILDERS.items() if make().order() <= 100000]
+)
+def test_conjugate_orbit_matches_the_frozenset_walk(name):
+    """On G and on N_G(P), at every prime, the orbit of P's index set has
+    sorted, distinct int32 rows, and as sets they are the orbit that the
+    breadth-first frozenset walk finds."""
+    G = shared_group(name)
+    for p in prime_factors(G.order()):
+        P = sylow_subgroup(G, p)
+        for side in (G, normalizer(G, P)):
+            members = _index_set(side, P.elements())
+            orbit = _conjugate_orbit(side, sorted(members))
+            assert orbit.dtype == np.int32
+            assert (np.diff(orbit, axis=1) > 0).all()
+            rows = {frozenset(row) for row in orbit.tolist()}
+            assert len(rows) == len(orbit)
+            assert rows == frozenset_orbit(side, members), (p, side.order())
 
 
 @pytest.mark.parametrize("name, h_cycles", [
@@ -428,7 +450,7 @@ def test_qualifying_copies_drop_maxima_conjugate_into_larger_ones(name, h_cycles
     largest = s_maxima[0].order()
     assert [S.order() for S in s_maxima] == [largest, largest // 2, largest // 2]
     for side in (G, H):
-        copies = _qualifying_copies(side, s_maxima)
+        copies = copy_sets(_qualifying_copies(side, s_maxima))
         assert copies == pairwise_copies(side, s_maxima)
         assert [_index_set(side, S.elements()) in copies for S in s_maxima] == [
             True, False, False]
@@ -450,7 +472,7 @@ def test_orbit_rules_match_the_direct_loops_on_random_groups(G):
             got = [_index_set(P, S.elements()) for S in s_maxima]
             assert got == _coset_loop_maxima(G, P, H), (p, H.order())
             for side in (G, H):
-                assert _qualifying_copies(side, s_maxima) == pairwise_copies(
+                assert copy_sets(_qualifying_copies(side, s_maxima)) == pairwise_copies(
                     side, s_maxima), (p, H.order(), side.order())
 
 
@@ -703,6 +725,43 @@ def test_index_of_without_chain_levels():
     M = [(0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1)]
     assert G.index_of(M).tolist() == [0, -1, -1, -1]
     assert np.array_equal(G.index_of(M), _gather_index_of(G, M))
+
+
+def test_blocked_index_of_matches_one_block(indexed_group, monkeypatch):
+    """`index_of` in blocks of 7 rows gives the whole-input answer, for
+    members and for members with the images of two points swapped."""
+    G = indexed_group
+    E = G.elements()
+    rng = np.random.default_rng(1)
+    members = E[rng.permutation(len(E))[:500]]
+    near = members.copy()
+    near[:, [0, 1]] = near[:, [1, 0]]
+    whole = [G.index_of(M) for M in (members, near)]
+    monkeypatch.setattr(groupcore, "_INDEX_BLOCK", 7)
+    for M, want in zip((members, near), whole):
+        assert np.array_equal(G.index_of(M), want)
+    assert (whole[0] >= 0).all()
+
+
+def test_element_index_bound_is_refused_before_allocation():
+    """S13 has order 13! > 2**31 - 1: its element indices would not fit
+    int32, so the element matrix is refused without being built (or
+    memoized); building it would take about 160 GB."""
+    G = PermGroup(13, [(1, 0, *range(2, 13)), (*range(1, 13), 0)])
+    assert G.order() == prod(range(1, 14)) > np.iinfo(np.int32).max
+    with pytest.raises(BudgetExceeded, match="exceeds the element index bound"):
+        G.elements()
+    assert not any(key[0] == "_element_matrix" for key in G._cache)
+
+
+def test_whole_group_index_arrays_are_at_most_32_bit():
+    """Arrays kept over every element of a group hold int32 indices (or
+    narrower), not intp: each has |G| entries and lives as long as the
+    group, so its width is peak memory on the large groups (M12, S9)."""
+    G = shared_group("M11")
+    arrays = [G._element_matrix()[1], *_conjugation_perms(G), G.class_ids(),
+              G.index_of(G.elements())]
+    assert [a.dtype.itemsize <= 4 for a in arrays] == [True] * len(arrays)
 
 
 def test_flat_rank_index_fits_int32():
