@@ -44,8 +44,6 @@ class VirtualCharacter:
         self.coeffs = coeffs
 
     def _check(self, other):
-        if not isinstance(other, VirtualCharacter):
-            raise TypeError("expected a VirtualCharacter")
         if other.table is not self.table:
             raise ValueError("virtual characters live over different tables")
 
@@ -214,8 +212,6 @@ def product_table(tA, tB):
     representatives act on the disjoint union of the factors' points, as
     there.
     """
-    if tA.group is None or tB.group is None:
-        raise ValueError("product_table needs both factor groups")
     dA = tA.group.degree
     order = tA.group_order * tB.group_order
     classes = [
@@ -240,8 +236,6 @@ def product_table(tA, tB):
 
 def outer_product(chi, theta, prod):
     """(chi x theta)(g, h) = chi(g) theta(h) as a row-coefficient tensor."""
-    if prod.factors != (chi.table, theta.table):
-        raise ValueError("product table does not match the factor tables")
     kB = theta.table.k
     coeffs = [0] * prod.k
     for i, a in enumerate(chi.coeffs):

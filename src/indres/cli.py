@@ -73,10 +73,11 @@ def load_group(spec_group):
 
 
 def _parse_abelian_shape(token):
-    """'C2xC4' -> [2, 4], the orders of the cyclic factors."""
+    """'C2xC4' -> [2, 4], the orders of the cyclic factors; C1 is the
+    trivial group, and no cyclic group has order 0."""
     ns = []
     for part in token.split("x"):
-        if not (part.startswith("C") and part[1:].isdecimal()):
+        if not (part.startswith("C") and part[1:].isdecimal() and int(part[1:])):
             raise ValueError(f"cannot parse group shape {token!r}")
         ns.append(int(part[1:]))
     return ns

@@ -438,9 +438,6 @@ def check_property_G_with_witness(inst, b, e, mu):
     constituents with multiplicity +-1: the block of mu's coefficients on
     the height-zero characters is a signed permutation matrix.
     """
-    prod = pair_table(inst)
-    if mu.table is not prod:
-        raise ValueError("mu must live over this instance's product table")
     kH = inst.tH.k
     dualH = inst.tH.dual_map()
     bset = set(b.char_indices)

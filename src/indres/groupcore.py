@@ -266,8 +266,6 @@ class PermGroup:
         gens = []
         for g in generators:
             g = tuple(int(x) for x in g)
-            if len(g) != self.degree:
-                raise ValueError("generator degree mismatch")
             if g != self._identity() and g not in gens:
                 gens.append(g)
         self.generators = tuple(gens)

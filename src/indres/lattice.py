@@ -44,8 +44,6 @@ class IntLattice:
     def insert(self, vector):
         """Add a vector to the spanning set; no-op if already contained."""
         v = [int(x) for x in vector]
-        if len(v) != self.dim:
-            raise ValueError("vector dimension mismatch")
         rows = self._rows
         i = 0
         while True:
@@ -104,8 +102,6 @@ class IntLattice:
         settled entries stay put.
         """
         v = [int(x) for x in vector]
-        if len(v) != self.dim:
-            raise ValueError("vector dimension mismatch")
         quotients = []
         for r in self.canonical():
             c = self._pivot(r)
@@ -171,8 +167,6 @@ def _xgcd(a, b):
 
 
 def lattice_sum(a, b):
-    if a.dim != b.dim:
-        raise ValueError("ambient dimension mismatch")
     out = a.copy()
     for r in b._rows:
         out.insert(r)
@@ -272,8 +266,6 @@ def quotient_shape(ambient, sub):
     The sub basis is rewritten in ambient coordinates and its Smith form
     read off; non-membership raises.
     """
-    if ambient.dim != sub.dim:
-        raise ValueError("ambient dimension mismatch")
     rows = [express_in_basis(ambient, r) for r in sub.canonical()]
     inv = smith_invariants(rows)
     if not all(d > 0 for d in inv):

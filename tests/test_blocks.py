@@ -127,8 +127,35 @@ def test_defect_group_rejects_wrong_defect():
     # the memo keys by the block's value: a block equal to the cached one
     # but for its defect must not be served the cached group
     assert defect_group(t, b, 2).order() == 4
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"defect group order 4 != p\^1"):
         defect_group(t, dataclasses.replace(b, defect=b.defect - 1), 2)
+
+
+def test_a_vanished_central_character_is_refused():
+    t = character_table(build("S3"))
+    b = block_partition(t, 2)[0]
+    zero = tuple(tuple(0 for _ in lam) for lam in b.central_character)
+    with pytest.raises(IntegrityError, match="central character vanished everywhere"):
+        defect_group(t, dataclasses.replace(b, central_character=zero), 2)
+
+
+def test_a_non_integral_central_character_is_refused():
+    t = character_table(build("S3"))
+    rows = [list(r) for r in t.irreducibles]
+    three = next(j for j, c in enumerate(t.classes) if c.size == 3)
+    rows[2][three] = Cyclotomic.from_int(t.exponent, 1)  # 3 * 1 / chi(1) = 3 / 2
+    assert t.degrees[2] == 2
+    with pytest.raises(IntegrityError, match="central character of row 2 is not integral"):
+        omega_values(dataclasses.replace(t, irreducibles=rows, _cache={}), 2)
+
+
+def test_blocks_sharing_a_central_character_are_refused(monkeypatch):
+    inst = make_instance(build("S3"), 2)
+    b = next(b for b in block_partition(inst.tG, 2) if b.principal)
+    e = correspondent_of(inst, b)
+    monkeypatch.setattr(blocks, "block_partition", lambda table, p: (b, b))
+    with pytest.raises(IntegrityError, match="distinct blocks share a central character"):
+        brauer_correspondent(inst.tH, e, inst.tG, 2)
 
 
 def test_principal_defect_group_is_sylow():

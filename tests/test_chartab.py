@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from functools import reduce
 from math import gcd, isqrt
 
@@ -307,7 +308,7 @@ def test_verify_catches_tampering():
         verify_table(bad)
     short = _with_rows(t, [list(r) for r in t.irreducibles])
     short.irreducibles[2].pop()
-    with pytest.raises(IntegrityError, match="not square"):
+    with pytest.raises(IntegrityError, match="table over 3 classes is not square"):
         verify_table(short)
 
 
@@ -402,7 +403,7 @@ def test_repeated_row_is_caught():
     distinct for the Galois action to permute them."""
     t = character_table(build("S3"))
     rows = [list(t.irreducibles[1]), list(t.irreducibles[1]), list(t.irreducibles[2])]
-    with pytest.raises(IntegrityError, match="repeats a row"):
+    with pytest.raises(IntegrityError, match="table repeats a row"):
         verify_table(_with_rows(t, rows))
 
 
@@ -410,7 +411,36 @@ def test_value_outside_the_table_field_is_caught():
     t = character_table(build("S3"))
     rows = [list(r) for r in t.irreducibles]
     rows[2][2] = Cyclotomic.from_int(2 * t.exponent, -1)
-    with pytest.raises(IntegrityError, match="cyclotomic field"):
+    with pytest.raises(IntegrityError,
+                       match="a value does not lie in the table's cyclotomic field"):
+        verify_table(_with_rows(t, rows))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: {"degrees": [1, 1, 3]}, "degree squares do not sum to the group order"),
+        (lambda t: {"classes": [replace(c, size=c.size + 1) for c in t.classes]},
+         "class sizes do not sum to the group order"),
+        # the same degrees, so their squares still sum to 6
+        (lambda t: {"degrees": [1, 2, 1]}, "identity-class value disagrees with the degree"),
+    ],
+    ids=["degree-squares", "class-sizes", "identity-column"],
+)
+def test_verify_checks_degrees_class_sizes_and_the_identity_column(edit, message):
+    t = character_table(build("S3"))
+    with pytest.raises(IntegrityError, match=message):
+        verify_table(replace(t, **edit(t), _cache={}))
+
+
+def test_a_row_without_its_galois_conjugate_is_caught():
+    """C3 with zeta_3 + 1 in place of zeta_3 in one row: the rows stay
+    distinct, but no row is the image of that one under zeta -> zeta^2."""
+    t = character_table(cyclic(3))
+    rows = [list(r) for r in t.irreducibles]
+    i = next(i for i, r in enumerate(rows) if not r[1].is_integer())
+    rows[i][1] = rows[i][1] + 1
+    with pytest.raises(IntegrityError, match="table is not Galois stable"):
         verify_table(_with_rows(t, rows))
 
 
@@ -464,6 +494,49 @@ def test_common_eigenvectors_stop_before_the_next_matrix():
 
     vecs = _common_eigenvectors(mats(), 3, 7)
     assert sorted(tuple(int(x) for x in v) for v in vecs) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_class_matrices_that_do_not_split_are_caught():
+    # a scalar matrix splits nothing, and no matrix follows it
+    with pytest.raises(IntegrityError, match="class matrices do not split into k eigenvectors"):
+        _common_eigenvectors(iter([np.eye(3, dtype=np.int64)]), 3, 7)
+
+
+@pytest.mark.parametrize(
+    "helper, edit, message",
+    [
+        ("_common_eigenvectors",
+         lambda vecs, mats, k, p: [np.concatenate(([0], v[1:])) for v in vecs],
+         "eigenvector vanishes on the identity class"),
+        # the sum of two eigenvectors is no eigenvector: its trace gives no degree
+        ("_common_eigenvectors",
+         lambda vecs, mats, k, p: [vecs[0], (vecs[1] + vecs[2]) % p, vecs[2]],
+         "degree recovery failed"),
+        # -chi(1) mod p exceeds chi(1) at the identity class
+        ("_inverse_dft", lambda F, n, z, p: (p - 1) * np.eye(n, dtype=np.int64),
+         "multiplicity lift out of range"),
+        ("_inverse_dft", lambda F, n, z, p: 0 * F,
+         "root-of-unity multiplicities do not sum to degree"),
+    ],
+    ids=["vanishing-eigenvector", "no-degree", "lift-out-of-range", "lift-short"],
+)
+def test_table_build_checks_each_step(monkeypatch, helper, edit, message):
+    """S3's table built with one intermediate of the Dixon split or of the
+    lift corrupted: the check that reads it refuses the build."""
+    real = getattr(chartab, helper)
+    monkeypatch.setattr(chartab, helper, lambda *args: edit(real(*args), *args))
+    with pytest.raises(IntegrityError, match=message):
+        character_table(build("S3"))
+
+
+def test_dual_map_checks_the_rows_it_finds(monkeypatch):
+    t = character_table(build("S3"))
+    monkeypatch.setattr(t, "find_row", lambda values: None)
+    with pytest.raises(IntegrityError, match="conjugate row missing from table"):
+        t.dual_map()
+    monkeypatch.setattr(t, "find_row", lambda values: 0)
+    with pytest.raises(IntegrityError, match="row conjugation is not an involution"):
+        t.dual_map()
 
 
 # Scalar F_p kernels, one row operation or one point at a time: the
@@ -672,7 +745,8 @@ def test_root_of_unity_has_order_exactly_m(l, m):
 def test_int64_guard():
     _check_int64(15, 2641)
     _check_int64(1, 3037000500)  # 3037000499^2 < 2^63
-    with pytest.raises(BudgetExceeded, match="overflow 64-bit"):
+    with pytest.raises(BudgetExceeded,
+                       match="overflow 64-bit integers; the table is out of reach"):
         _check_int64(1, 3037000501)
     with pytest.raises(BudgetExceeded, match="overflow 64-bit"):
         _check_int64(10**6, 22_000_001)

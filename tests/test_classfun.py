@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 from math import isqrt, lcm
 
 import pytest
@@ -50,7 +51,8 @@ from indres.groupcore import (
     qualifying_elementary_subgroups,
     sylow_subgroup,
 )
-from indres.oracles import from_values, inner_product, restrict, value_at, values_of
+from indres.oracles import (ValueDomainError, from_values, inner_product, restrict, value_at,
+                            values_of)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +109,14 @@ def test_from_values_round_trip(s4):
 def test_from_values_rejects_non_member(s4):
     vals = values_of(irr(s4, trivial_index(s4)))
     vals[1] = vals[1] + 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not divisible by"):
+        from_values(s4, vals)
+
+
+def test_from_values_rejects_a_coefficient_off_the_integers(s4):
+    # |G| zeta_m at the identity class pairs to chi(1) zeta_m with each row
+    vals = [Cyclotomic.zeta(s4.exponent, 1, s4.group_order)] + [0] * (s4.k - 1)
+    with pytest.raises(ValueDomainError, match="not a rational integer"):
         from_values(s4, vals)
 
 
@@ -361,7 +370,7 @@ def test_product_table_s3xs3():
 def test_product_table_rejects_tampered_degrees():
     t = character_table(build("S3"))
     t.degrees = [1, 1, 3]
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="product degree squares do not sum to the order"):
         product_table(t, t)
 
 
@@ -455,9 +464,27 @@ def test_outer_product_bilinear():
 
 
 def test_virtual_character_table_mismatch_raises(s4):
+    with pytest.raises(ValueError, match="coefficient count does not match the table"):
+        VirtualCharacter(s4, [1, 0])
     t3 = character_table(build("S3"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="virtual characters live over different tables"):
         irr(s4, trivial_index(s4)) + irr(t3, trivial_index(t3))
+
+
+def test_a_table_without_its_trivial_row_is_refused():
+    t = character_table(build("S3"))
+    i = trivial_index(t)
+    sign = next(r for j, r in enumerate(t.irreducibles) if j != i and t.degrees[j] == 1)
+    rows = [sign if j == i else r for j, r in enumerate(t.irreducibles)]
+    with pytest.raises(ValueError, match="table has no trivial row; it is not a character table"):
+        trivial_index(replace(t, irreducibles=rows, _cache={}))
+
+
+def test_fusion_refuses_a_class_outside_the_big_group():
+    big = character_table(build("A4"))
+    small = character_table(build("S4").subgroup([perm_from_cycles([(1, 2)], 4)]))
+    with pytest.raises(ValueError, match="class representative does not lie in the big group"):
+        class_fusion(big, small)
 
 
 def test_dropped_tables_are_freed():

@@ -27,8 +27,8 @@ from indres.catalog import BUILDERS, build, cyclic
 from indres.classfun import VirtualCharacter, p_singular_classes
 from indres.cli import JobSpec, build_instance, main
 from indres.correspondence import check_property_G_with_witness, pair_table, table_for
-from indres.groupcore import (MILLER_RABIN_BOUND, BudgetExceeded, PermGroup, prime_factors,
-                              product_group)
+from indres.groupcore import (MAX_DEGREE, MILLER_RABIN_BOUND, BudgetExceeded, PermGroup,
+                              prime_factors, product_group)
 from indres.oracles import value_at
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -145,7 +145,7 @@ def test_verify_in_counts(runner):
 
 def test_verify_bad_property_name(runner):
     r = runner.invoke(main, ["verify", "S4", "-p", "2", "--props", "bogus"])
-    assert r.exit_code == 2
+    assert (r.exit_code, r.stderr) == (2, "error: unknown property 'bogus'\n")
 
 
 @pytest.mark.parametrize("props", ["", ",", " , "])
@@ -195,6 +195,7 @@ def test_group_json_wrong_order_aborts(runner, tmp_path):
     )
     r = runner.invoke(main, ["verify", str(path), "-p", "2"])
     assert r.exit_code == 2
+    assert r.stderr.endswith("declared order 12 but the generators produce a group of order 6\n")
 
 
 def test_external_table_reconciles(runner, tmp_path):
@@ -439,7 +440,7 @@ def test_witness_naming_no_block_exits_2(runner, tmp_path, shared_groups):
         str(path),
     )
     _assert_one_line_error(r)
-    assert "block_chars" in r.stderr
+    assert r.stderr == "error: witness block_chars name no block of G\n"
 
 
 NOT_A_PERMUTATION = {"format": "perm-group", "degree": 3, "generators": [[1, 1, 3]]}
@@ -466,7 +467,11 @@ HUGE_DEGREE = {"format": "perm-group", "degree": 10**9, "generators": [[2, 1]]}
 def test_malformed_group_file_exits_2(runner, tmp_path, args):
     """Each file is refused before anything of its degree is allocated."""
     path = tmp_path / "bad.json"
-    for group in (NOT_A_PERMUTATION, OVER_BUDGET_S10, OVER_DEGREE, HUGE_DEGREE):
+    for group, message in (
+            (NOT_A_PERMUTATION, "generator is not a permutation of 1..n"),
+            (OVER_BUDGET_S10, "order 3628800 exceeds"),
+            (OVER_DEGREE, f"group degree must be from 1 to {MAX_DEGREE}, got 33000"),
+            (HUGE_DEGREE, f"group degree must be from 1 to {MAX_DEGREE}, got 1000000000")):
         path.write_text(json.dumps(group))
         tracemalloc.start()
         try:
@@ -475,6 +480,7 @@ def test_malformed_group_file_exits_2(runner, tmp_path, args):
         finally:
             tracemalloc.stop()
         _assert_one_line_error(r)
+        assert message in r.stderr
         assert peak < 2**20
 
 
@@ -517,7 +523,9 @@ def _missing_row(data):
 @pytest.mark.parametrize("edit", [_zero_row, _short_row, _missing_row],
                          ids=["extra-zero-row", "short-row", "missing-row"])
 def test_non_square_table_exits_2(runner, tmp_path, edit):
-    _assert_one_line_error(invoke(runner, *_table_args(runner, tmp_path, edit)))
+    r = invoke(runner, *_table_args(runner, tmp_path, edit))
+    _assert_one_line_error(r)
+    assert r.stderr == "error: table over 5 classes is not square\n"
 
 
 _NOT_THE_TABLE = "error: the stored table is not the group's character table\n"
@@ -628,42 +636,66 @@ def _explicit_c3_args(tmp_path):
     return ["verify", "S4", "-p", "2", "--subgroup-mode", f"explicit:{path}"]
 
 
+_MODULUS = "a value's modulus does not divide the table exponent"
+
+
 @pytest.mark.parametrize(
-    "make_args",
+    "make_args, message",
     [
-        lambda r, t: _table_args(r, t, lambda d: list(d.values())),
-        lambda r, t: _table_args(r, t, _bare_int_value),
-        lambda r, t: _table_args(r, t, _empty_class),
-        lambda r, t: _table_args(r, t, _power_map_target(99)),
+        (lambda r, t: _table_args(r, t, lambda d: list(d.values())),
+         "malformed table data: "),
+        (lambda r, t: _table_args(r, t, _bare_int_value),
+         "malformed table data: "),
+        (lambda r, t: _table_args(r, t, _empty_class),
+         "the stored table is not the group's character table"),
+        (lambda r, t: _table_args(r, t, _power_map_target(99)),
+         "a power map names a class out of range"),
         # S4 has 5 classes: -5 would index class 0, the true square class
-        lambda r, t: _table_args(r, t, _power_map_target(-5)),
-        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
-                                     "generators": 5}),
-        lambda r, t: _group_args(t, [[2, 1, 3], [2, 3, 1]]),
-        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
-                                     "generators": [[2, 1, 3]], "order": [2]}),
-        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 0,
-                                     "generators": []}),
-        lambda r, t: _group_args(t, {"format": "perm-group", "degree": -3,
-                                     "generators": []}),
-        lambda r, t: _witness_list_args(t),
-        lambda r, t: _explicit_c3_args(t),
-        lambda r, t: _witness_coeff_args(t, -1, -1.4),
-        lambda r, t: _witness_coeff_args(t, -1, True),
-        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4,
-                                     "generators": S4_GENS, "order": 24.9}),
-        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4.7,
-                                     "generators": S4_GENS}),
-        lambda r, t: _table_args(r, t, _size_three_float),
-        lambda r, t: _table_args(r, t, _zero_at_modulus_5),
-        lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 0}),
-        lambda r, t: _table_args(r, t, _value_at_modulus_30030, "S3"),
-        lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 30030}, "S3"),
-        lambda r, t: _table_args(r, t, lambda d: {**d, "order": "48"}),
-        lambda r, t: _table_args(r, t, _repeated_exponent),
-        lambda r, t: _table_args(r, t, lambda d: {**d, "order": "\u00b2"}),
-        lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4,
-                                     "generators": S4_GENS, "order": "\u00b2"}),
+        (lambda r, t: _table_args(r, t, _power_map_target(-5)),
+         "a power map names a class out of range"),
+        (lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
+                                      "generators": 5}),
+         "malformed group data: "),
+        (lambda r, t: _group_args(t, [[2, 1, 3], [2, 3, 1]]),
+         "group.json: not a perm-group file"),
+        (lambda r, t: _group_args(t, {"format": "perm-group", "degree": 3,
+                                      "generators": [[2, 1, 3]], "order": [2]}),
+         "order must be a JSON integer, got [2]"),
+        (lambda r, t: _group_args(t, {"format": "perm-group", "degree": 0,
+                                      "generators": []}),
+         f"group degree must be from 1 to {MAX_DEGREE}, got 0"),
+        (lambda r, t: _group_args(t, {"format": "perm-group", "degree": -3,
+                                      "generators": []}),
+         f"group degree must be from 1 to {MAX_DEGREE}, got -3"),
+        (lambda r, t: _witness_list_args(t),
+         "malformed witness data: "),
+        (lambda r, t: _explicit_c3_args(t), "explicit p-subgroup has order 3, not a power of 2"),
+        (lambda r, t: _witness_coeff_args(t, -1, -1.4),
+         "witness coefficient must be a JSON integer, got -1.4"),
+        (lambda r, t: _witness_coeff_args(t, -1, True),
+         "witness coefficient must be a JSON integer, got True"),
+        (lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4,
+                                      "generators": S4_GENS, "order": 24.9}),
+         "order must be a JSON integer, got 24.9"),
+        (lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4.7,
+                                      "generators": S4_GENS}),
+         "group degree must be a JSON integer, got 4.7"),
+        (lambda r, t: _table_args(r, t, _size_three_float),
+         "class size must be a JSON integer, got 3.0"),
+        (lambda r, t: _table_args(r, t, _zero_at_modulus_5), _MODULUS),
+        (lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 0}),
+         "table exponent 0, not the group's 12"),
+        (lambda r, t: _table_args(r, t, _value_at_modulus_30030, "S3"), _MODULUS),
+        (lambda r, t: _table_args(r, t, lambda d: {**d, "exponent": 30030}, "S3"),
+         "table exponent 30030, not the group's 6"),
+        (lambda r, t: _table_args(r, t, lambda d: {**d, "order": "48"}),
+         "table order 48, not the group's 24"),
+        (lambda r, t: _table_args(r, t, _repeated_exponent), "a value repeats an exponent"),
+        (lambda r, t: _table_args(r, t, lambda d: {**d, "order": "\u00b2"}),
+         "table order must be a JSON integer, got '\u00b2'"),
+        (lambda r, t: _group_args(t, {"format": "perm-group", "degree": 4,
+                                      "generators": S4_GENS, "order": "\u00b2"}),
+         "order must be a JSON integer, got '\u00b2'"),
     ],
     ids=["table-list", "table-bare-int", "table-empty-class",
          "table-power-map-99", "table-power-map-negative",
@@ -676,8 +708,12 @@ def _explicit_c3_args(tmp_path):
          "table-order-48", "table-repeated-exponent", "table-order-superscript",
          "group-order-superscript"],
 )
-def test_wrong_json_shape_exits_2(runner, tmp_path, make_args, shared_groups):
-    _assert_one_line_error(invoke(runner, *make_args(runner, tmp_path)))
+def test_wrong_json_shape_exits_2(runner, tmp_path, make_args, message, shared_groups):
+    """Each file is refused with the message of its own fault; a wrong JSON
+    shape is named by its kind of data, since the rest is Python's text."""
+    r = invoke(runner, *make_args(runner, tmp_path))
+    _assert_one_line_error(r)
+    assert message in r.stderr
 
 
 @pytest.mark.parametrize("kind", ["table", "group"])
@@ -698,6 +734,22 @@ def _long_generator_args(tmp_path):
                                   "generators": [[2, 1, 3, 4]]})
 
 
+def _p_outside_h_args(tmp_path):
+    # P = <(1 2)> and H = <(1 2 3 4)> in S4
+    P, H = tmp_path / "p.json", tmp_path / "h.json"
+    P.write_text(json.dumps({"format": "perm-group", "degree": 4, "generators": [[2, 1, 3, 4]]}))
+    H.write_text(json.dumps({"format": "perm-group", "degree": 4, "generators": [[2, 3, 4, 1]]}))
+    return ["verify", "S4", "-p", "2", "--subgroup-mode", f"explicit:{P}",
+            "--h-mode", f"explicit:{H}"]
+
+
+def _class_function_witness_args(tmp_path):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"format": "virtual-character", "space": "G", "p": 2,
+                                "coeffs": [1, 0, 0, 0, 0]}))
+    return ["verify", "S4", "-p", "2", "--props", "g", "--witness", str(path)]
+
+
 @pytest.mark.parametrize(
     "make_args, message",
     [
@@ -707,12 +759,38 @@ def _long_generator_args(tmp_path):
          "unknown overgroup mode 'bogus'"),
         (lambda t: ["oracle", "subgroup-lattice", "S4"], "subgroup-lattice needs -p"),
         (_long_generator_args, "generator degree exceeds the group degree"),
+        # C1 names the trivial defect group; no cyclic group has order 0
+        (lambda t: ["verify", "S4", "-p", "2", "--subgroup-mode", "block:C0"],
+         "cannot parse group shape 'C0'"),
+        (_p_outside_h_args, "the p-subgroup must lie in the overgroup"),
+        (lambda t: ["verify", "S4", "-p", "2", "--props", "g"], "property g needs --witness"),
+        (_class_function_witness_args, "witness file is not a product virtual character"),
     ],
     ids=["subgroup-mode-bogus", "h-mode-bogus", "subgroup-lattice-without-p",
-         "generator-longer-than-degree"],
+         "generator-longer-than-degree", "block-shape-C0", "p-outside-h",
+         "g-without-witness", "witness-not-a-product"],
 )
 def test_unknown_modes_and_bad_arguments_exit_2(runner, tmp_path, make_args, message):
     r = invoke(runner, *make_args(tmp_path))
+    _assert_one_line_error(r)
+    assert r.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "module, name, value, args, message",
+    [
+        # Brauer's first main theorem gives every block with defect group P a
+        # correspondent in H >= N_G(P), so only a broken search finds none
+        (cli, "correspondent_of", lambda inst, b: None,
+         ["--subgroup-mode", "block:0"], "the chosen block has no correspondent"),
+        (correspondence, "degree_congruences_hold", lambda inst, w: False,
+         ["--props", "irc"], "witness of irc breaks the degree congruences"),
+    ],
+    ids=["no-correspondent", "degree-congruences"],
+)
+def test_failed_proof_steps_exit_2(runner, monkeypatch, module, name, value, args, message):
+    monkeypatch.setattr(module, name, value)
+    r = invoke(runner, "verify", "S4", "-p", "2", *args)
     _assert_one_line_error(r)
     assert r.stderr == f"error: {message}\n"
 

@@ -59,6 +59,18 @@ def s3_2():
     return make_instance(build("S3"), 2, name="S3")
 
 
+def test_readme_library_example_runs_as_written(capsys):
+    """The fenced python block under README's Library heading, as written:
+    S8 at p = 3 is the reference row with Q1 = Q2 = Z^4."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    q1, q2, verdicts = capsys.readouterr().out.rstrip("\n").split(" ", 2)
+    assert (q1, q2) == ("Z^4", "Z^4")
+    assert verdicts == repr({w: True for w in PROPERTIES})
+
+
 def test_s4_all_properties_hold(s4_2):
     rep = full_report(s4_2)
     assert set(rep.verdicts) == set(PROPERTIES)
@@ -90,7 +102,7 @@ def test_a5_quotients(a5_2):
 
 
 def test_unknown_property_rejected(s4_2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown property 'xyz'"):
         check_property(s4_2, "xyz")
 
 
@@ -209,7 +221,7 @@ def test_witness_support_is_validated(s3_2):
         i for i in range(inst.tG.k) if i not in set(b.char_indices)
     )
     coeffs[outside * inst.tH.k] = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu is not supported on the block pair"):
         check_property_G_with_witness(inst, b, e, VirtualCharacter(prod, coeffs))
 
 

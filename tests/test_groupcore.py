@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indres import groupcore
-from indres.catalog import BUILDERS, build, perm_from_cycles, special_linear2
+from indres.catalog import (BUILDERS, _group, alternating, build, cyclic, perm_from_cycles,
+                            rows_for_suite, special_linear2, symmetric)
 from indres.chartab import character_table, table_to_json
 from indres.groupcore import (
     MAX_DEGREE,
@@ -104,6 +105,51 @@ def test_cycle_notation_round_trip():
 )
 def test_catalog_orders(name, order):
     assert build(name).order() == order
+
+
+def test_catalog_refuses_what_it_cannot_build():
+    with pytest.raises(ValueError, match="no builder named 'S2'"):
+        build("S2")
+    with pytest.raises(ValueError, match="unknown suite 'large'"):
+        rows_for_suite("large")
+    with pytest.raises(ValueError, match="need n >= 2"):
+        symmetric(1)
+    with pytest.raises(ValueError, match="need n >= 3"):
+        alternating(2)
+    # a generating set that falls short of its group
+    with pytest.raises(IntegrityError, match="built a group of order 2, expected 6"):
+        _group(3, [[1, 0, 2]], 6)
+
+
+def test_product_past_the_largest_degree_is_refused():
+    """Two groups of degree 20000 each fit an element row; their product
+    on 40000 points does not."""
+    A = PermGroup(20000)
+    with pytest.raises(IntegrityError, match="exceeds the largest supported degree"):
+        product_group(A, A)
+
+
+def test_product_order_is_checked(monkeypatch):
+    A = build("S3")
+    monkeypatch.setattr(A, "order", lambda: 5)
+    with pytest.raises(IntegrityError,
+                       match="product order differs from the product of the orders"):
+        product_group(A, cyclic(2))
+
+
+def test_non_members_are_refused():
+    A4 = build("A4")
+    transposition = (1, 0, 2, 3)
+    with pytest.raises(KeyError, match="element is not in the group"):
+        A4.class_of(transposition)
+    with pytest.raises(IntegrityError, match="a computed element lies outside its group"):
+        groupcore._member_indices(A4, np.array([transposition], dtype=groupcore.DTYPE))
+
+
+def test_sylow_ascent_without_an_extension_is_caught(monkeypatch):
+    monkeypatch.setattr(groupcore, "_first_hit", lambda G, hits: -1)
+    with pytest.raises(IntegrityError, match="normalizer ascent found no p-extension"):
+        sylow_subgroup(build("S3"), 2)
 
 
 @given(st.lists(perms6, min_size=1, max_size=3))
@@ -212,7 +258,7 @@ def test_vp_and_prime_factors():
     assert v_p(1, 7) == 0
     assert prime_factors(360) == [2, 3, 5]
     for n, p in [(8, 1), (8, 0), (8, -2), (0, 2)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"v_p needs n != 0 and p >= 2, got n = {n}, p = {p}"):
             v_p(n, p)
         with pytest.raises(ValueError):
             p_prime_part(n, p)
@@ -632,14 +678,15 @@ def test_subgroup_of_rows_rejects_unclosed_rows():
         # 4-cycle outside it
         [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 2, 3, 0)],
     ):
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError,
+                           match="rows are not closed under the group operation"):
             _subgroup_of_rows(4, rows)
 
 
 def test_subgroup_of_rows_rejects_duplicate_rows():
     # three rows but only two elements: the 3-cycle generates C3 before the
     # repeat, so a count of rows alone matches the order
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="rows repeat an element"):
         _subgroup_of_rows(3, [(0, 1, 2), (1, 2, 0), (1, 2, 0)])
 
 

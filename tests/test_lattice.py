@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from indres import lattice
+from indres.groupcore import IntegrityError
 from indres.lattice import (
     IntLattice,
     QuotientShape,
@@ -126,7 +128,7 @@ def test_express_in_basis_round_trip():
         sum(c * r[j] for c, r in zip(coords, rows)) for j in range(3)
     ]
     assert rebuilt == v
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector is not in the lattice"):
         express_in_basis(L, [1, 0, 0])
 
 
@@ -199,8 +201,15 @@ def test_quotient_free_rank(vs):
 def test_quotient_requires_containment():
     A = IntLattice(2, [[2, 0], [0, 2]])
     B = IntLattice(2, [[1, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector is not in the lattice"):
         quotient_shape(A, B)
+
+
+def test_non_positive_smith_invariants_are_refused(monkeypatch):
+    monkeypatch.setattr(lattice, "smith_invariants", lambda rows: [0])
+    Z2 = IntLattice(2, [[1, 0], [0, 1]])
+    with pytest.raises(IntegrityError, match="Smith invariants of a sublattice must be positive"):
+        quotient_shape(Z2, Z2)
 
 
 # -- against the unbounded elimination and the classical Smith elimination ----
