@@ -33,8 +33,8 @@ from .groupcore import (DEFAULT_ORDER_BUDGET, BudgetExceeded, IntegrityError,
 
 # Points per block of the root scan in `_poly_roots_mod`.
 _ROOT_BLOCK = 1 << 16
-# Rows per `index_of` gather in `_class_matrices`.
-_GATHER_ROWS = 1 << 13
+# Points (rows x degree) per `index_of` gather in `_class_matrices`.
+_GATHER_POINTS = 1 << 16
 # Candidate checks `reconcile_classes` may make before it gives up.
 _RECONCILE_STEPS = 10**5
 
@@ -399,30 +399,32 @@ def _class_matrices(G, p):
 
     A_i[j][l] counts the g in C_i with g^-1 z_l in C_j, z_l the
     representative of class l: the structure constants of the class
-    algebra.  Each matrix is built from the members of C_i alone, one
-    `index_of` per chunk of columns, of at most `_GATHER_ROWS` rows (one
-    column at a time for a class of that size or more), so a caller that
-    stops early never sweeps the rest of G.  The identity class, whose
-    matrix is I, is skipped.
+    algebra.  The inverses of C_i's members are the members of C_i', the
+    class of rep_i^-1, so each matrix is built from the rows of C_i' alone,
+    one `index_of` per gather of at most `_GATHER_POINTS` points: a chunk
+    of columns over the whole class, or for a class of that many points or
+    more, one column over a part of the class.  A caller that stops early
+    never sweeps the rest of G.  The identity class, whose matrix is I, is
+    skipped.
     """
     classes = G.class_data()
     k = len(classes)
-    ids = G.class_ids()
-    members = np.argsort(ids, kind="stable")  # class by class, in class order
-    starts = np.cumsum([0] + [c.size for c in classes])
-    Einv = G.inverses()
-    reps = np.array([c.representative for c in classes], dtype=Einv.dtype)
+    E, ids, powers = G.elements(), G.class_ids(), G.power_classes()
+    reps = np.array([c.representative for c in classes], dtype=E.dtype)
+    part = max(1, _GATHER_POINTS // G.degree)  # rows per gather
     for i in sorted(range(1, k), key=lambda i: classes[i].size):
-        inv = Einv[members[starts[i]:starts[i + 1]]]
-        step = max(1, _GATHER_ROWS // len(inv))
-        A = np.empty((k, k), dtype=np.int64)
+        inv = E[np.flatnonzero(ids == powers[i][-1])]
+        step = max(1, part // len(inv))
+        A = np.zeros((k, k), dtype=np.int64)
         for lo in range(0, k, step):
             z = reps[lo:lo + step]
-            # the rows g^-1 z_l column by column; column l's classes are
-            # counted at l*k + j
-            rows = inv[:, z].transpose(1, 0, 2).reshape(-1, G.degree)
-            at = ids[_member_indices(G, rows)] + np.repeat(np.arange(len(z)) * k, len(inv))
-            A[:, lo:lo + len(z)] = np.bincount(at, minlength=len(z) * k).reshape(-1, k).T
+            for first in range(0, len(inv), part):
+                g_inv = inv[first:first + part]
+                # the rows g^-1 z_l column by column; column l's classes
+                # are counted at l*k + j
+                rows = g_inv[:, z].transpose(1, 0, 2).reshape(-1, G.degree)
+                at = ids[_member_indices(G, rows)] + np.repeat(np.arange(len(z)) * k, len(g_inv))
+                A[:, lo:lo + len(z)] += np.bincount(at, minlength=len(z) * k).reshape(-1, k).T
         yield A % p
 
 

@@ -39,8 +39,9 @@ from operator import itemgetter
 
 import numpy as np
 
+# Element rows are uint8 on at most 256 points and DTYPE beyond that (see
+# `PermGroup.dtype`); MAX_DEGREE is the most points a DTYPE row can name.
 DTYPE = np.int16
-# Points an element row of DTYPE can name.
 MAX_DEGREE = int(np.iinfo(DTYPE).max) + 1
 
 DEFAULT_ORDER_BUDGET = 10**6
@@ -254,7 +255,8 @@ class PermGroup:
 
     The element matrix returned by :meth:`elements` is sorted
     lexicographically, which makes "first element such that ..." scans
-    presentation-independent.  A group keeps its degree, its generators and
+    presentation-independent.  A group keeps its degree, its generators,
+    the dtype of its element rows (one byte on at most 256 points) and
     `_cache`, where `_memo` puts all that is derived from them.
     """
 
@@ -263,6 +265,7 @@ class PermGroup:
         if self.degree > MAX_DEGREE:
             raise IntegrityError(f"degree {self.degree} exceeds the largest supported "
                                  f"degree {MAX_DEGREE}")
+        self.dtype = np.uint8 if self.degree <= 256 else DTYPE
         gens = []
         for g in generators:
             g = tuple(int(x) for x in g)
@@ -372,11 +375,11 @@ class PermGroup:
         n = self.order()
         if n > INDEX_MAX:
             raise BudgetExceeded(f"order {n} exceeds the element index bound {INDEX_MAX}")
-        E = np.empty((n, self.degree), dtype=DTYPE)
+        E = np.empty((n, self.degree), dtype=self.dtype)
         E[0] = np.arange(self.degree)
         size = 1
         for lvl in reversed(self._chain()):
-            us = [np.asarray(lvl.transversal[pt], dtype=DTYPE)
+            us = [np.asarray(lvl.transversal[pt], dtype=self.dtype)
                   for pt in sorted(lvl.transversal)]
             # block j becomes u_j applied to block 0, which goes last
             for j in reversed(range(len(us))):
@@ -392,8 +395,8 @@ class PermGroup:
     def _rank_tables(self):
         """Per chain level: the base point, point -> position in the sorted
         transversal as int32 (0 off the orbit), the transversal size, and
-        the inverse transversal elements as one flat DTYPE array whose entry
-        pos * degree + x is u^-1(x).
+        the inverse transversal elements as one flat array of the row dtype,
+        whose entry pos * degree + x is u^-1(x).
 
         The flat index fits int32: pos < degree <= MAX_DEGREE = 2**15, so
         pos * degree + x < 2**30.
@@ -403,7 +406,7 @@ class PermGroup:
             pts = sorted(lvl.transversal)
             pos = np.zeros(self.degree, dtype=np.int32)
             pos[pts] = np.arange(len(pts), dtype=np.int32)
-            uinv = np.array([_inv(lvl.transversal[pt]) for pt in pts], dtype=DTYPE)
+            uinv = np.array([_inv(lvl.transversal[pt]) for pt in pts], dtype=self.dtype)
             ranks.append((lvl.base, pos, len(pts), uinv.ravel()))
         return ranks
 
@@ -417,7 +420,7 @@ class PermGroup:
         equals the input, so a non-member never aliases a member.
         """
         E, row_of_rank = self._element_matrix()
-        M = np.asarray(M, dtype=DTYPE)
+        M = np.asarray(M, dtype=self.dtype)
         tables = self._rank_tables()
         bases = [base for base, _, _, _ in tables]
         idx = np.empty(len(M), dtype=np.int32)
@@ -436,19 +439,13 @@ class PermGroup:
             idx[lo:lo + len(block)] = np.where(same, found, -1)
         return idx
 
-    @_memo
-    def inverses(self):
-        """Row i is the inverse of element i: it sends E[i, j] to j."""
-        E = self.elements()
-        inv = np.empty_like(E)
-        np.put_along_axis(inv, E, np.arange(self.degree, dtype=DTYPE), axis=1)
-        return inv
-
     def conjugation_sweep(self, images, rows):
         """Rows g k g^{-1} for the elements g at the row indices `rows` of
-        `elements()`, with k fixed: (g k g^-1)(i) = g(k(g^-1(i)))."""
-        k = np.asarray(images, dtype=DTYPE)
-        return self.elements()[rows[:, None], k[self.inverses()[rows]]]
+        `elements()`, with k fixed, scattered as (g k g^-1)(g(x)) = g(k(x))."""
+        g = self.elements()[rows]
+        out = np.empty_like(g)
+        np.put_along_axis(out, g, g[:, np.asarray(images, dtype=self.dtype)], axis=1)
+        return out
 
     def rows_in(self, M):
         """Membership mask of the rows of M."""
@@ -552,8 +549,8 @@ def _class_sweep(G):
     # rep^t for every class and every t < ord(rep), located in one sweep
     powers = []
     for old in ranked:
-        rep = np.asarray(raw[old][0], dtype=DTYPE)
-        x = np.arange(G.degree, dtype=DTYPE)
+        rep = np.asarray(raw[old][0], dtype=G.dtype)
+        x = np.arange(G.degree, dtype=G.dtype)
         for _ in range(orders[old]):
             powers.append(x)
             x = rep[x]
@@ -569,10 +566,18 @@ def _class_sweep(G):
 
 @_memo
 def _conjugation_perms(G):
-    """For each generator s, the map x -> s x s^{-1} on element indices."""
+    """For each generator s, the map x -> s x s^{-1} on element indices,
+    gathered in blocks of `_INDEX_BLOCK` rows."""
     E = G.elements()
-    gens = [np.asarray(s, dtype=DTYPE) for s in G.generators]
-    return [_member_indices(G, s[E[:, np.argsort(s)]]) for s in gens]
+    perms = []
+    for s in G.generators:
+        s = np.asarray(s, dtype=G.dtype)
+        s_inv = np.argsort(s)
+        perm = np.empty(len(E), dtype=np.int32)
+        for lo in range(0, len(E), _INDEX_BLOCK):
+            perm[lo:lo + _INDEX_BLOCK] = _member_indices(G, s[E[lo:lo + _INDEX_BLOCK, s_inv]])
+        perms.append(perm)
+    return perms
 
 
 def _row_keys(A):
@@ -601,10 +606,10 @@ def _subgroup_of_rows(degree, rows):
     the generated order reaches the row count, every row is located in the
     group in one sweep; the rows must be members and pairwise distinct.
     """
-    rows = np.asarray(rows, dtype=DTYPE)
+    K = PermGroup(degree, [])
+    rows = np.asarray(rows, dtype=K.dtype)
     target = len(rows)
     gens = []
-    K = PermGroup(degree, [])
     pos = 0
     while pos < target and K.order() < target:
         images = tuple(int(v) for v in rows[pos])
@@ -628,7 +633,7 @@ def _transporter_mask(G, K, L, lo=0, hi=None):
     The rows narrow as the generators go: each generator k of K is
     conjugated only by the rows that kept every earlier one inside L.
     """
-    rows = np.arange(lo, G.order() if hi is None else hi)
+    rows = np.arange(lo, G.order() if hi is None else hi, dtype=np.int32)
     mask = np.zeros(len(rows), dtype=bool)
     for k in K.generators:
         rows = rows[L.rows_in(G.conjugation_sweep(k, rows))]
@@ -672,7 +677,7 @@ def _centralizer(G, images):
     if all(_mul(g, images) == _mul(images, g) for g in G.generators):
         return G
     E = G.elements()
-    xa = np.asarray(images, dtype=DTYPE)
+    xa = np.asarray(images, dtype=G.dtype)
     base = [lvl.base for lvl in G._chain()]
     blocks = (E[lo:lo + _INDEX_BLOCK] for lo in range(0, len(E), _INDEX_BLOCK))
     rows = np.concatenate([B[np.all(B[:, xa[base]] == xa[B[:, base]], axis=1)]
@@ -687,8 +692,12 @@ def normalizer(G, K):
 
 @_memo
 def _normalizer(G, gen_images):
+    """N_G(K), from a sweep of G in blocks of `_INDEX_BLOCK` rows."""
     K = PermGroup(G.degree, gen_images)
-    return _subgroup_of_rows(G.degree, G.elements()[_transporter_mask(G, K, K)])
+    n = G.order()
+    mask = np.concatenate([_transporter_mask(G, K, K, lo, min(lo + _INDEX_BLOCK, n))
+                           for lo in range(0, n, _INDEX_BLOCK)])
+    return _subgroup_of_rows(G.degree, G.elements()[mask])
 
 
 @_memo

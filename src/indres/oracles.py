@@ -208,11 +208,13 @@ def _in_intersection_set(G, P, H, Q):
 
 
 def _induced_values(table, sub, subtable):
-    """Values of Ind of every irreducible of sub, by the defining sum."""
+    """Values of Ind of every irreducible of sub, by the defining sum
+    Ind(theta)(g) = (1/|sub|) sum over x in G of theta°(x g x^-1) (Isaacs,
+    Character Theory of Finite Groups, Definition 5.1)."""
     group = table.group
     m = table.exponent
     sub_lookup = {x: subtable.class_index_of(x) for x in _element_tuples(sub)}
-    inverses = [tuple(int(v) for v in row) for row in group.inverses()]
+    elements = _element_tuples(group)
     reps = [c.representative for c in table.classes]
     out = []
     for i in range(subtable.k):
@@ -220,8 +222,8 @@ def _induced_values(table, sub, subtable):
         row = []
         for rep in reps:
             acc = Cyclotomic(m)
-            for xi in inverses:
-                j = sub_lookup.get(_conj(xi, rep))
+            for x in elements:
+                j = sub_lookup.get(_conj(x, rep))
                 if j is not None:
                     acc = acc + vals[j]
             row.append(acc.exact_div(sub.order()))
@@ -574,14 +576,14 @@ def brute_character_table(group, budget_order=200):
     ident = tuple(range(group.degree))
     one = next(t for t, cl in enumerate(classes) if cl[0] == ident)
 
-    inverses = [tuple(int(x) for x in row) for row in group.inverses()]
+    elements = _element_tuples(group)
 
     def induce_from(n_sub, values):
         rows = []
         for rep in reps:
             acc = Cyclotomic(m)
-            for xi in inverses:
-                v = values.get(_conj(xi, rep))
+            for x in elements:
+                v = values.get(_conj(x, rep))
                 if v is not None:
                     acc = acc + v
             rows.append(acc.exact_div(n_sub))

@@ -42,10 +42,17 @@ def shared_group(name):
     return _GROUPS[name]
 
 
+def inverse_rows(E):
+    """Row i is the inverse of row i of the permutation matrix E: it sends
+    E[i, j] to j."""
+    return np.argsort(E, axis=1)
+
+
 def full_transporter_mask(G, K, L, lo=0, hi=None):
     """Mask over G's elements lo:hi of the g with g K g^-1 inside L, with
     every generator of K conjugated by every row in lo:hi."""
-    E, Einv = G.elements()[lo:hi], G.inverses()[lo:hi]
+    E = G.elements()[lo:hi]
+    Einv = inverse_rows(E)
     mask = np.ones(len(E), dtype=bool)
     for k in K.generators:
         ka = np.asarray(k, dtype=E.dtype)

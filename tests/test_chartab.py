@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import permute_columns, shared_group, shuffle_columns
+from conftest import inverse_rows, permute_columns, shared_group, shuffle_columns
 from indres import chartab
 from indres.catalog import BUILDERS, build, cyclic, special_linear2
 from indres.chartab import (
@@ -467,7 +467,8 @@ def _full_class_matrices(G, p):
     every g in G, for the non-identity classes, smallest class first."""
     classes = G.class_data()
     k = len(classes)
-    E, Einv, ids = G.elements(), G.inverses(), G.class_ids()
+    E, ids = G.elements(), G.class_ids()
+    Einv = inverse_rows(E)
     A = np.zeros((k, k, k), dtype=np.int64)
     for l, c in enumerate(classes):
         lands = G.index_of(Einv[:, np.asarray(c.representative, dtype=E.dtype)])
@@ -761,18 +762,48 @@ def _exponents(g, n):
     return {_perm_power(g, b): b for b in range(n)}
 
 
-def test_cyclic_table_has_the_closed_form():
-    """chi_a(g^b) = zeta^(ab) on C_106, a 53-cycle times a disjoint
-    transposition: 106 classes, each of one element."""
-    g = tuple(list(range(1, 53)) + [0] + [54, 53])
-    G = PermGroup(55, [g])
+def _assert_cyclic_closed_form(G, g):
+    """chi_a(g^b) = zeta^(ab) on G = <g> of order n: n classes, each of one
+    element."""
+    n = G.order()
     t = character_table(G)
-    assert (t.group_order, t.k, t.exponent) == (106, 106, 106)
-    b = _exponents(g, 106)
+    assert (t.group_order, t.k, t.exponent) == (n, n, n)
+    b = _exponents(g, n)
     bs = [b[c.representative] for c in t.classes]
-    expect = {tuple(Cyclotomic.zeta(106, a * bi).sort_key() for bi in bs)
-              for a in range(106)}
+    expect = {tuple(Cyclotomic.zeta(n, a * bi).sort_key() for bi in bs)
+              for a in range(n)}
     assert _row_set(t) == expect
+
+
+# C_106 on 55 points: a 53-cycle times a disjoint transposition
+C106 = tuple(list(range(1, 53)) + [0] + [54, 53])
+
+
+def test_cyclic_table_has_the_closed_form():
+    """The closed form on C_106, a 53-cycle times a disjoint transposition."""
+    _assert_cyclic_closed_form(PermGroup(55, [C106]), C106)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_cyclic_groups_on_the_row_width_boundary(n):
+    """Element rows are uint8 on at most 256 points and int16 beyond.  On
+    C_n, each width locates every element at its own row and refuses a
+    row with the images of its two highest points swapped; C_106 moved
+    onto the highest 55 of n points has the closed-form table.  (C_n's own
+    table, with n classes, takes seconds to split.)"""
+    width = np.uint8 if n <= 256 else np.int16
+    G = cyclic(n)
+    E = G.elements()
+    assert E.dtype == width
+    assert np.array_equal(G.index_of(E), np.arange(n))
+    swapped = E.copy()
+    swapped[:, [n - 2, n - 1]] = E[:, [n - 1, n - 2]]
+    assert (G.index_of(swapped) == -1).all()
+    shift = n - len(C106)
+    g = tuple(range(shift)) + tuple(x + shift for x in C106)
+    top = PermGroup(n, [g])
+    assert top.elements().dtype == width
+    _assert_cyclic_closed_form(top, g)
 
 
 def test_product_of_cyclic_groups_has_the_closed_form():

@@ -1,7 +1,8 @@
 """Arithmetic on image tuples, stabilizer chains, and the intersection set."""
 
 import json
-from math import prod
+import tracemalloc
+from math import isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from indres import groupcore
 from indres.catalog import (BUILDERS, _group, alternating, build, cyclic, perm_from_cycles,
                             rows_for_suite, special_linear2, symmetric)
-from indres.chartab import character_table, table_to_json
+from indres.chartab import _class_matrices, _prime_above, character_table, table_to_json
 from indres.groupcore import (
     MAX_DEGREE,
     MILLER_RABIN_BOUND,
@@ -46,8 +47,8 @@ from indres.groupcore import (
 from indres.oracles import _conj, _perm_power, all_subgroups
 
 from conftest import (all_pairs_maximal_sets, copy_sets, distinct_qualifying_family,
-                      frozenset_orbit, full_transporter_mask, pairwise_copies,
-                      shared_group, small_perm_groups)
+                      frozenset_orbit, full_transporter_mask, inverse_rows,
+                      pairwise_copies, shared_group, small_perm_groups)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -370,7 +371,8 @@ def _coset_loop_maxima(G, P, H):
     tN of N = N_G(P) with t ∉ H: a direct reference for the orbit algebra
     of `intersection_set_maxima`."""
     N = normalizer(G, P)
-    E, Einv = G.elements(), G.inverses()
+    E = G.elements()
+    Einv = inverse_rows(E)
     NE, PE = N.elements(), P.elements()
     in_H = H.rows_in(E)
     visited = np.zeros(len(E), dtype=bool)
@@ -811,6 +813,26 @@ def test_whole_group_index_arrays_are_at_most_32_bit():
     assert [a.dtype.itemsize <= 4 for a in arrays] == [True] * len(arrays)
 
 
+def test_whole_group_sweeps_stay_below_the_element_matrix():
+    """On M12 with its classes built, the normalizer of a Sylow 2-subgroup
+    and the class matrices each allocate less, at their traced peak, than
+    the element matrix itself: both sweep G in bounded blocks, and neither
+    keeps a matrix of inverses."""
+    G = build("M12")
+    G.class_data()
+    P = sylow_subgroup(G, 2)
+    p = _prime_above(isqrt(4 * G.order()), G.exponent())
+    peaks = []
+    for sweep in (lambda: normalizer(G, P), lambda: list(_class_matrices(G, p))):
+        tracemalloc.start()
+        try:
+            sweep()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < G.elements().nbytes, (peaks, G.elements().nbytes)
+
+
 def test_flat_rank_index_fits_int32():
     # `_rank_tables` indexes its flat inverse transversals by
     # pos * degree + x < MAX_DEGREE ** 2 in int32
@@ -860,7 +882,8 @@ SYLOW_GROUPS = ["S4", "A5", "SL2_7", "M11", "fixture"]
 def _full_scan_sylow(G, p):
     """The normalizer ascent with every step masking all of G's elements
     before it takes the first hit."""
-    E, Einv = G.elements(), G.inverses()
+    E = G.elements()
+    Einv = inverse_rows(E)
     S = PermGroup(G.degree, [])
     while S.order() < p ** v_p(G.order(), p):
         mask = np.ones(len(E), dtype=bool)
@@ -940,9 +963,28 @@ def test_centralizer_of_an_outside_permutation_compares_full_rows():
     assert len(got) == 144
 
 
-@pytest.mark.parametrize("name", sorted(n for n in BUILDERS if build(n).order() <= 100_000))
-def test_normalizer_matches_the_full_mask(name):
-    G = shared_group(name)
+def _unblocked_conjugation_perms(G):
+    """`_conjugation_perms` with each generator's map located by one
+    `index_of` over every element."""
+    E = G.elements()
+    gens = [np.asarray(s, dtype=E.dtype) for s in G.generators]
+    return [G.index_of(s[E[:, np.argsort(s)]]) for s in gens]
+
+
+@pytest.mark.parametrize("name, block", [
+    *(pytest.param(n, None, id=n) for n in sorted(n for n in BUILDERS
+                                                  if build(n).order() <= 100_000)),
+    *(pytest.param(n, 7, id=f"{n}-block7") for n in ("S4", "D8xC3", "SL2_5", "A6")),
+])
+def test_normalizer_matches_the_full_mask(name, block, monkeypatch):
+    """N_G(P) at every prime, and the conjugation maps of G's generators,
+    match references that sweep all of G at once; with `block` set, on a
+    new copy of G whose sweeps run in blocks of that many rows."""
+    if block is not None:
+        monkeypatch.setattr(groupcore, "_INDEX_BLOCK", block)
+    G = shared_group(name) if block is None else build(name)
+    assert [a.tolist() for a in _conjugation_perms(G)] == \
+        [a.tolist() for a in _unblocked_conjugation_perms(G)]
     for p in prime_factors(G.order()):
         P = sylow_subgroup(G, p)
         want = _subgroup_of_rows(G.degree, G.elements()[full_transporter_mask(G, P, P)])
