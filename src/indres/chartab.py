@@ -26,10 +26,9 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .groupcore import (DEFAULT_ORDER_BUDGET, BudgetExceeded, IntegrityError,
-                        _member_indices, _memo, conjugacy_classes, is_prime,
-                        json_int, least_primitive_root, malformed,
-                        prime_factors, split_product_images, v_p)
+from .groupcore import (BudgetExceeded, IntegrityError, _member_indices, _memo,
+                        conjugacy_classes, is_prime, json_int, least_primitive_root,
+                        malformed, prime_factors, split_product_images, v_p)
 
 # Points per block of the root scan in `_poly_roots_mod`.
 _ROOT_BLOCK = 1 << 16
@@ -313,9 +312,6 @@ class CharTable:
     def row_index(self):
         return {_row_key(row): i for i, row in enumerate(self.irreducibles)}
 
-    def find_row(self, values):
-        return self.row_index().get(_row_key(values))
-
     @_memo
     def dual_map(self):
         """Permutation sending each row to the row of its complex conjugate."""
@@ -323,9 +319,10 @@ class CharTable:
             dualA, dualB = (f.dual_map() for f in self.factors)
             return [a * len(dualB) + b for a in dualA for b in dualB]
         inv = [pc[-1] for pc in self.group.power_classes()]
+        index = self.row_index()
         out = []
         for row in self.irreducibles:
-            j = self.find_row([row[i] for i in inv])
+            j = index.get(_row_key([row[i] for i in inv]))
             if j is None:
                 raise IntegrityError("conjugate row missing from table")
             out.append(j)
@@ -583,10 +580,9 @@ def _inverse_dft(n, z, p):
     return np.array(pw, dtype=np.int64)[np.outer(t, t) % n]
 
 
-def character_table(G, budget_order=None):
+def character_table(G):
     """Irreducible character table of G with exact cyclotomic values."""
-    budget_order = DEFAULT_ORDER_BUDGET if budget_order is None else budget_order
-    classes = conjugacy_classes(G, budget_order=budget_order)
+    classes = conjugacy_classes(G)
     k = len(classes)
     order = G.order()
     m = G.exponent()

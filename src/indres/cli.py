@@ -25,18 +25,20 @@ import click
 
 from .blocks import block_partition, defect_group
 from .catalog import BUILDERS, build, rows_for_suite
-from .chartab import IntegrityError, character_table, load_table, save_table
+from .chartab import IntegrityError, load_table, save_table
 from .classfun import VirtualCharacter
 from .correspondence import (PROPERTIES, Verdict, build_induced_lattice,
                              check_property, check_property_G_with_witness,
                              correspondent_of, full_report, make_instance,
                              pair_table, quotients_json, quotients_q1_q2,
                              table_for)
-from .groupcore import (BudgetExceeded, conjugacy_classes, group_from_generators,
-                        is_prime, json_int, malformed, normalizer, sylow_subgroup,
-                        v_p)
+from .groupcore import (BudgetExceeded, group_from_generators, is_prime, json_int,
+                        malformed, normalizer, sylow_subgroup, v_p)
 from .oracles import (brute_conjugacy_classes, class_element_sets,
                       compare_with_table, definition_lattice)
+
+# The largest group order a run enumerates.
+DEFAULT_ORDER_BUDGET = 10**6
 
 
 @dataclass
@@ -53,22 +55,27 @@ class JobSpec:
     witness: str = None
 
 
-def load_group(spec_group):
-    """A catalog name or a path to a perm-group JSON file."""
+def load_group(spec_group, budget_order=DEFAULT_ORDER_BUDGET):
+    """A catalog name or a path to a perm-group JSON file, refused when its
+    order, read off the stabilizer chain before any element is enumerated,
+    exceeds `budget_order`: every group of a run is admitted here."""
     if spec_group in BUILDERS:
-        return build(spec_group)
-    with open(spec_group) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("format") != "perm-group":
-        raise IntegrityError(f"{spec_group}: not a perm-group file")
-    G = group_from_generators(data)
-    if "order" in data:
-        declared = json_int(data["order"], f"{spec_group}: order", decimal_string=True)
-        if G.order() != declared:
-            raise IntegrityError(
-                f"{spec_group}: declared order {data['order']} but the "
-                f"generators produce a group of order {G.order()}"
-            )
+        G = build(spec_group)
+    else:
+        with open(spec_group) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or data.get("format") != "perm-group":
+            raise IntegrityError(f"{spec_group}: not a perm-group file")
+        G = group_from_generators(data)
+        if "order" in data:
+            declared = json_int(data["order"], f"{spec_group}: order", decimal_string=True)
+            if G.order() != declared:
+                raise IntegrityError(
+                    f"{spec_group}: declared order {data['order']} but the "
+                    f"generators produce a group of order {G.order()}"
+                )
+    if G.order() > budget_order:
+        raise BudgetExceeded(f"order {G.order()} exceeds class budget {budget_order}")
     return G
 
 
@@ -113,10 +120,9 @@ def _explicit_subgroup(G, mode, what):
     if F.degree != G.degree:
         raise IntegrityError(f"{path}: explicit {what} has degree {F.degree}, "
                              f"but the group has degree {G.degree}")
-    S = G.subgroup(list(F.generators))
-    if not S.is_subgroup_of(G):
+    if not F.is_subgroup_of(G):
         raise IntegrityError(f"explicit {what} is not inside the group")
-    return S
+    return F
 
 
 def build_instance(spec, G):
@@ -125,11 +131,9 @@ def build_instance(spec, G):
     G is the group that `spec.group` names, as `load_group` returns it.
     Returns (inst, block_pair): block_pair is None unless the p-subgroup
     was chosen as the defect group of a named block, in which case the
-    property checks run at that block.  A group over the class budget is
-    refused here, before any subgroup search enumerates its elements.  A
-    stored table of G or H is checked against the group's own table.
+    property checks run at that block.  A stored table of G or H is checked
+    against the group's own table.
     """
-    conjugacy_classes(G)
     name = spec.group if spec.group in BUILDERS else ""
     if spec.table_g:
         load_table(spec.table_g, table_for(G))
@@ -258,7 +262,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (BudgetExceeded, IntegrityError, OSError, ValueError, KeyError) as exc:
+        except (BudgetExceeded, OSError, ValueError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -278,11 +282,10 @@ def main():
 @main.command("table")
 @click.argument("group")
 @click.option("-o", "--output", default=None, help="write the table as JSON")
-@click.option("--budget-order", default=None, type=int)
+@click.option("--budget-order", default=DEFAULT_ORDER_BUDGET, show_default=True)
 def cmd_table(group, output, budget_order):
     """Compute and check a character table."""
-    G = load_group(group)
-    t = character_table(G, budget_order=budget_order)
+    t = table_for(load_group(group, budget_order))
     if output:
         save_table(t, output)
     click.echo(

@@ -414,7 +414,8 @@ def omega_character(inst, b, e):
 
 
 def _s_is_trivial(inst):
-    return all(S.order() == 1 for S in inst.s_maxima)
+    # an empty family spans {0}, not the lattice of p-singular vanishing
+    return bool(inst.s_maxima) and all(S.order() == 1 for S in inst.s_maxima)
 
 
 @_memo
@@ -432,8 +433,8 @@ def check_property_G_with_witness(inst, b, e, mu):
     """Property (G) for a supplied witness mu over the product table.
 
     Checks that mu is supported on the block pair, that mu - omega lies in
-    the diagonal induced lattice (when every intersection maximum is
-    trivial this is vanishing on p-singular product classes), and that the
+    the diagonal induced lattice (when there are intersection maxima and all
+    are trivial, this is vanishing on p-singular product classes), and that the
     transforms send height-zero irreducibles to single height-zero
     constituents with multiplicity +-1: the block of mu's coefficients on
     the height-zero characters is a signed permutation matrix.

@@ -7,7 +7,8 @@ live in `oracles` (`_conj`, `_perm_power`), with the references that
 tests compare `PermGroup.power_classes` against.
 Bulk work (conjugacy sweeps, normalizer scans) runs on a lexicographically
 sorted numpy matrix holding every group element, so most operations here
-assume the group order fits the element budget.  A normalizer scan narrows
+enumerate the whole group; `cli.load_group` is where a group too large for
+that is refused.  A normalizer scan narrows
 generator by generator: each generator of the normalized subgroup is
 conjugated only by the elements that passed the generators before it.
 
@@ -44,7 +45,6 @@ import numpy as np
 DTYPE = np.int16
 MAX_DEGREE = int(np.iinfo(DTYPE).max) + 1
 
-DEFAULT_ORDER_BUDGET = 10**6
 # Element indices are int32: the largest group order with an element matrix.
 INDEX_MAX = int(np.iinfo(np.int32).max)
 
@@ -505,15 +505,12 @@ def group_from_generators(data):
     return PermGroup(degree, gens)
 
 
-def conjugacy_classes(G, budget_order=DEFAULT_ORDER_BUDGET):
+def conjugacy_classes(G):
     """Conjugacy classes in a canonical order.
 
     Classes are sorted by (element order, class size, lexicographically
-    smallest member); the representative is that smallest member.  The
-    budget is checked on every call, whether or not the classes are known.
+    smallest member); the representative is that smallest member.
     """
-    if G.order() > budget_order:
-        raise BudgetExceeded(f"order {G.order()} exceeds class budget {budget_order}")
     return G.class_data()
 
 
@@ -627,13 +624,13 @@ def _subgroup_of_rows(degree, rows):
     return K
 
 
-def _transporter_mask(G, K, L, lo=0, hi=None):
+def _transporter_mask(G, K, L, lo, hi):
     """Mask over G's elements lo:hi of the g with g K g^-1 inside L.
 
     The rows narrow as the generators go: each generator k of K is
     conjugated only by the rows that kept every earlier one inside L.
     """
-    rows = np.arange(lo, G.order() if hi is None else hi, dtype=np.int32)
+    rows = np.arange(lo, hi, dtype=np.int32)
     mask = np.zeros(len(rows), dtype=bool)
     for k in K.generators:
         rows = rows[L.rows_in(G.conjugation_sweep(k, rows))]

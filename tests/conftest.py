@@ -22,7 +22,7 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from indres.catalog import build
-from indres.cli import load_group
+from indres.cli import DEFAULT_ORDER_BUDGET, load_group
 from indres.groupcore import (PermGroup, centralizer, prime_factors, product_group,
                               sylow_subgroup, v_p, _conjugation_perms, _index_set,
                               _maximal_sets, _subgroup_of_rows)
@@ -35,11 +35,13 @@ ACCEPTANCE_LINES = []
 _GROUPS = {}
 
 
-def shared_group(name):
-    """The session's one copy of a group, named as `cli.load_group` takes it."""
-    if name not in _GROUPS:
-        _GROUPS[name] = load_group(name)
-    return _GROUPS[name]
+def shared_group(name, budget_order=DEFAULT_ORDER_BUDGET):
+    """The session's one copy of a group, named and admitted as
+    `cli.load_group` takes it; a group is shared only under one budget."""
+    key = (name, budget_order)
+    if key not in _GROUPS:
+        _GROUPS[key] = load_group(name, budget_order)
+    return _GROUPS[key]
 
 
 def inverse_rows(E):

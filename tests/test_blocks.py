@@ -428,7 +428,7 @@ def _assert_transporter_matches_full_mask(t):
         pairs += [(defect_group(t, b, p), P) for b in block_partition(t, p)]
         for K, L in pairs:
             full = full_transporter_mask(G, K, L)
-            assert np.array_equal(_transporter_mask(G, K, L), full)
+            assert np.array_equal(_transporter_mask(G, K, L, 0, n), full)
             blocked = [_transporter_mask(G, K, L, lo, min(lo + groupcore._SCAN_BLOCK, n))
                        for lo in range(0, n, groupcore._SCAN_BLOCK)]
             assert np.array_equal(np.concatenate(blocked), full)

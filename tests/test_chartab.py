@@ -532,10 +532,11 @@ def test_table_build_checks_each_step(monkeypatch, helper, edit, message):
 
 def test_dual_map_checks_the_rows_it_finds(monkeypatch):
     t = character_table(build("S3"))
-    monkeypatch.setattr(t, "find_row", lambda values: None)
+    keys = list(t.row_index())
+    monkeypatch.setattr(t, "row_index", lambda: {})
     with pytest.raises(IntegrityError, match="conjugate row missing from table"):
         t.dual_map()
-    monkeypatch.setattr(t, "find_row", lambda values: 0)
+    monkeypatch.setattr(t, "row_index", lambda: dict.fromkeys(keys, 0))
     with pytest.raises(IntegrityError, match="row conjugation is not an involution"):
         t.dual_map()
 

@@ -26,9 +26,10 @@ from indres.blocks import block_partition
 from indres.catalog import BUILDERS, build, cyclic
 from indres.classfun import VirtualCharacter, p_singular_classes
 from indres.cli import JobSpec, build_instance, main
-from indres.correspondence import check_property_G_with_witness, pair_table, table_for
+from indres.correspondence import (check_property_G_with_witness, correspondent_of,
+                                   omega_character, pair_table, table_for)
 from indres.groupcore import (MAX_DEGREE, MILLER_RABIN_BOUND, BudgetExceeded, PermGroup,
-                              prime_factors, product_group)
+                              group_from_generators, prime_factors, product_group)
 from indres.oracles import value_at
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -414,6 +415,31 @@ def test_fixture_block_irc_fails_with_certificate(runner, tmp_path, shared_group
     assert "matching" in v["certificate"]
 
 
+def test_property_g_with_no_intersection_maxima_uses_the_zero_lattice(runner, tmp_path):
+    """A4 at p = 2 has H = G, so the intersection family is empty and
+    I(G x H, diag P, {}) = {0}.  The witness omega - (1 + chi_3) x
+    conj(1 + chi_3) differs from omega by a character that vanishes on the
+    2-singular classes (1 + chi_3 is induced from C3), so a vanishing test
+    would pass it; it is not omega, so property (G) fails."""
+    inst, _ = build_instance(JobSpec("A4", 2), shared_group("A4"))
+    assert inst.s_maxima == []
+    b = block_partition(inst.tG, 2)[0]
+    e = correspondent_of(inst, b)
+    coeffs = list(omega_character(inst, b, e).coeffs)
+    dualH = inst.tH.dual_map()
+    for i in (0, inst.tG.degrees.index(3)):
+        for j in (0, inst.tH.degrees.index(3)):
+            coeffs[i * inst.tH.k + dualH[j]] -= 1
+    wit, out = tmp_path / "witness.json", tmp_path / "a4.json"
+    wit.write_text(json.dumps({"format": "virtual-character", "space": "product",
+                               "coeffs": coeffs, "block_chars": b.char_indices,
+                               "correspondent_chars": e.char_indices}))
+    r = invoke(runner, "verify", "A4", "-p", "2", "--props", "g", "--witness", str(wit),
+               "-o", str(out))
+    assert r.exit_code == 1
+    assert json.loads(out.read_text())["verdicts"]["g"]["holds"] is False
+
+
 def _assert_one_line_error(r):
     assert r.exit_code == 2
     assert "Traceback" not in r.stderr
@@ -447,6 +473,8 @@ NOT_A_PERMUTATION = {"format": "perm-group", "degree": 3, "generators": [[1, 1, 
 # order 10! = 3628800, above the default class budget of 10^6
 OVER_BUDGET_S10 = {"format": "perm-group", "degree": 10, "order": "3628800",
                    "generators": [[2, 3, 4, 5, 6, 7, 8, 9, 10, 1], [2, 1]]}
+# C10 on the 10 points of S10
+C10 = {"format": "perm-group", "degree": 10, "generators": OVER_BUDGET_S10["generators"][:1]}
 # one transposition on 33000 points: past what an int16 element row holds
 OVER_DEGREE = {"format": "perm-group", "degree": 33000, "generators": [[2, 1]]}
 # a generator padded to 10^9 points would take gigabytes
@@ -461,21 +489,29 @@ HUGE_DEGREE = {"format": "perm-group", "degree": 10**9, "generators": [[2, 1]]}
         ["quotients", "GROUP", "-p", "2"],
         ["verify", "GROUP", "-p", "2"],
         ["oracle", "brute-classes", "GROUP"],
+        ["oracle", "brute-table", "GROUP"],
+        ["oracle", "subgroup-lattice", "GROUP", "-p", "2"],
+        ["verify", "C10", "-p", "2", "--h-mode", "explicit:GROUP"],
     ],
-    ids=["table", "blocks", "quotients", "verify", "oracle"],
+    ids=["table", "blocks", "quotients", "verify", "oracle", "oracle-brute-table",
+         "oracle-subgroup-lattice", "explicit-overgroup"],
 )
 def test_malformed_group_file_exits_2(runner, tmp_path, args):
-    """Each file is refused before anything of its degree is allocated."""
+    """Each file is refused before anything of its degree is allocated, also
+    where it names the overgroup of a group on as many points as S10."""
     path = tmp_path / "bad.json"
+    c10 = tmp_path / "c10.json"
+    c10.write_text(json.dumps(C10))
+    args = [a.replace("GROUP", str(path)).replace("C10", str(c10)) for a in args]
     for group, message in (
             (NOT_A_PERMUTATION, "generator is not a permutation of 1..n"),
-            (OVER_BUDGET_S10, "order 3628800 exceeds"),
+            (OVER_BUDGET_S10, "order 3628800 exceeds class budget 1000000"),
             (OVER_DEGREE, f"group degree must be from 1 to {MAX_DEGREE}, got 33000"),
             (HUGE_DEGREE, f"group degree must be from 1 to {MAX_DEGREE}, got 1000000000")):
         path.write_text(json.dumps(group))
         tracemalloc.start()
         try:
-            r = invoke(runner, *(str(path) if a == "GROUP" else a for a in args))
+            r = invoke(runner, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -484,13 +520,33 @@ def test_malformed_group_file_exits_2(runner, tmp_path, args):
         assert peak < 2**20
 
 
-def test_over_budget_group_is_refused_before_enumeration(tmp_path):
+def test_over_budget_group_is_refused_before_enumeration(tmp_path, monkeypatch):
     path = tmp_path / "s10.json"
     path.write_text(json.dumps(OVER_BUDGET_S10))
-    G = cli.load_group(str(path))
-    with pytest.raises(BudgetExceeded, match="exceeds class budget"):
-        cli.build_instance(cli.JobSpec(str(path), 2), G)
-    assert not any(key[0] == "_element_matrix" for key in G._cache)
+    built = []
+    monkeypatch.setattr(cli, "group_from_generators",
+                        lambda data: built.append(group_from_generators(data)) or built[-1])
+    with pytest.raises(BudgetExceeded, match="order 3628800 exceeds class budget 1000000"):
+        cli.load_group(str(path))
+    assert not any(key[0] == "_element_matrix" for key in built[0]._cache)
+
+
+# A10 = <(1 2 3), (2 3 ... 10)>, of order 1814400
+A10 = {"format": "perm-group", "degree": 10, "order": "1814400",
+       "generators": [[2, 3, 1], [1, 3, 4, 5, 6, 7, 8, 9, 10, 2]]}
+
+
+def test_load_group_budget(tmp_path):
+    """`load_group` admits a group up to its budget, catalog and file alike,
+    and refuses one above it with the order in the message."""
+    path = tmp_path / "a10.json"
+    path.write_text(json.dumps(A10))
+    assert cli.load_group(str(path), 2_000_000).order() == 1814400
+    with pytest.raises(BudgetExceeded, match="^order 1814400 exceeds class budget 1000000$"):
+        cli.load_group(str(path))
+    assert cli.load_group("M11", 7920).order() == 7920
+    with pytest.raises(BudgetExceeded, match="^order 7920 exceeds class budget 7919$"):
+        cli.load_group("M11", 7919)
 
 
 

@@ -168,35 +168,45 @@ def test_property_g_with_omega_witness(s3_2):
 def test_property_g_vanishing_agrees_with_product_lattice(s3_2, monkeypatch):
     """With every overlap trivial the fast path tests vanishing on
     p-singular product classes; forcing the generic lattice branch must
-    give the same verdicts."""
-    inst = s3_2
-    assert _s_is_trivial(inst)
-    b = next(x for x in blocks_with_defect_group_P(inst, "G") if x.principal)
-    e = correspondent_of(inst, b)
-    omega = omega_character(inst, b, e)
-    prod = pair_table(inst)
-    # a second candidate: shift omega by one pair-supported basis vector
-    kH = inst.tH.k
-    dualH = inst.tH.dual_map()
-    t0 = b.char_indices[0] * kH + dualH[e.char_indices[0]]
-    coeffs = list(omega.coeffs)
-    coeffs[t0] += 1
-    bad = VirtualCharacter(prod, coeffs)
+    give the same verdicts.  A4 at p = 2 has no overlaps at all (H = G), so
+    its lattice is {0}, and the fast path must not run there."""
+    a4 = make_instance(build("A4"), 2, name="A4")
+    # psi = 1 + sgn on S3 and on H = C2, and 1 + chi_3 on A4 = H: each is
+    # induced from the trivial character of a 2'-subgroup
+    cases = [(s3_2, [0, 1], [0, 1]),
+             (a4, [0, a4.tG.degrees.index(3)], [0, a4.tH.degrees.index(3)])]
+    for inst, psi_G, psi_H in cases:
+        assert _s_is_trivial(inst) is bool(inst.s_maxima)
+        b = next(x for x in blocks_with_defect_group_P(inst, "G") if x.principal)
+        e = correspondent_of(inst, b)
+        omega = omega_character(inst, b, e)
+        prod = pair_table(inst)
+        # a second candidate: shift omega by one pair-supported basis vector
+        kH = inst.tH.k
+        dualH = inst.tH.dual_map()
+        t0 = b.char_indices[0] * kH + dualH[e.char_indices[0]]
+        coeffs = list(omega.coeffs)
+        coeffs[t0] += 1
+        bad = VirtualCharacter(prod, coeffs)
+        # a third: omega - psi_G x conj(psi_H), which differs from omega by
+        # a character vanishing on the 2-singular classes, and whose
+        # height-zero block is still a signed permutation
+        coeffs = list(omega.coeffs)
+        for i in psi_G:
+            for j in psi_H:
+                coeffs[i * kH + dualH[j]] -= 1
+        shifted = VirtualCharacter(prod, coeffs)
+        assert vanishes_on_p_singular(shifted - omega, 2)
 
-    fast = (
-        check_property_G_with_witness(inst, b, e, omega),
-        check_property_G_with_witness(inst, b, e, bad),
-    )
-    monkeypatch.setattr(
-        "indres.correspondence._s_is_trivial", lambda _inst: False
-    )
-    slow = (
-        check_property_G_with_witness(inst, b, e, omega),
-        check_property_G_with_witness(inst, b, e, bad),
-    )
-    assert fast == slow
-    assert fast[0] is True
-    assert fast[1] is False
+        with monkeypatch.context() as m:
+            fast = tuple(check_property_G_with_witness(inst, b, e, mu)
+                         for mu in (omega, bad, shifted))
+            m.setattr("indres.correspondence._s_is_trivial", lambda _inst: False)
+            slow = tuple(check_property_G_with_witness(inst, b, e, mu)
+                         for mu in (omega, bad, shifted))
+        assert fast == slow
+        # {0} holds no nonzero character
+        assert fast == (True, False, bool(inst.s_maxima))
 
 
 def test_product_lattice_vanishes_on_singular_pairs(s3_2):

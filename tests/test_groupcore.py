@@ -659,20 +659,6 @@ def test_group_from_generators_rejects_garbage():
         group_from_generators({"degree": 3, "generators": [[1, 1, 2]]})
 
 
-def test_conjugacy_budget_enforced():
-    with pytest.raises(BudgetExceeded):
-        conjugacy_classes(build("M11"), budget_order=100)
-
-
-def test_class_budget_does_not_depend_on_call_history():
-    G = build("S4")
-    conjugacy_classes(G)
-    with pytest.raises(BudgetExceeded):
-        conjugacy_classes(G, budget_order=10)
-    with pytest.raises(BudgetExceeded):
-        character_table(G, budget_order=10)
-
-
 def test_subgroup_of_rows_rejects_unclosed_rows():
     for rows in (
         [(0, 1, 2, 3), (1, 2, 0, 3)],  # the identity and a 3-cycle alone
